@@ -51,7 +51,10 @@ struct DatabaseOptions {
   size_t io_threads = 4;
   /// Background dirty-page flusher cadence in microseconds; 0 (default)
   /// disables the flusher and write-back rides the evicting thread as
-  /// before.
+  /// before. Each pass cleans only unpinned dirty frames at usage count 0
+  /// (the next CLOCK victims); hot pages stay dirty until they are aged,
+  /// evicted, checkpointed or closed. The flusher never fsyncs and is not
+  /// a durability mechanism (see BufferPool::StartFlusher).
   uint64_t flusher_interval_us = 0;
   /// Max dirty pages written back per flusher pass.
   size_t flush_batch_pages = 64;

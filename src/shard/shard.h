@@ -77,7 +77,10 @@ struct ShardOptions {
   /// Worker threads for the preadv/pwritev fallback backend.
   size_t io_threads = 4;
   /// Background dirty-page flusher cadence (µs); 0 disables it and dirty
-  /// write-back rides the evicting worker as before.
+  /// write-back rides the evicting worker as before. A pass cleans only
+  /// unpinned dirty frames at usage count 0 (the next CLOCK victims); hot
+  /// pages stay dirty until aged, evicted, checkpointed or closed. The
+  /// flusher never fsyncs — durability is the WAL's and Checkpoint's.
   uint64_t flusher_interval_us = 0;
   /// Max dirty pages per flusher pass.
   size_t flush_batch_pages = 64;

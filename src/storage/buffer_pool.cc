@@ -1025,20 +1025,25 @@ void BufferPool::FlusherPass() {
           (s0 & (kIoBit | kFailedBit)) != 0) {
         continue;
       }
-      // Skip pages someone is actively holding: a pinned writer is
-      // likely to re-dirty immediately, so flushing it now is wasted
-      // write I/O — and it cannot be chosen as a victim anyway, which
-      // is what the flusher exists to pre-clean for.
-      if ((s0 & kPinMask) != 0) continue;
+      // Clean only what the CLOCK sweep would evict next: unpinned and at
+      // usage 0 (PostgreSQL's bgwriter rule). A pinned or recently
+      // referenced page is likely to be re-dirtied before it is evicted,
+      // so writing it now is wasted I/O; eviction, FlushAll or close
+      // writes its final bytes once (a WAL-on shard has its updates
+      // durable in the log meanwhile). The sweep decrements usage as it
+      // passes, so a page that goes cold is aged to 0 and cleaned here
+      // before the hand comes back for it.
+      if ((s0 & (kPinMask | kUsageMask)) != 0) continue;
       // Claim the frame in ONE CAS: pin it (stable identity for the
       // pass), set the io bit (content writers pin through the locked
       // path and WaitForLoad until the snapshot memcpy is done — heap
       // and B+Tree writers mutate page bytes under their pin without
       // taking the cache latch, so a pin-only flusher would snapshot a
       // torn page), and clear dirty BEFORE the write (the FlushPage
-      // discipline: an unpin-dirty after the snapshot re-marks the frame
-      // and it is simply flushed again next pass). A CAS failure means
-      // someone pinned since the check — their write is coming; skip.
+      // discipline: an unpin-dirty after the snapshot re-marks the frame,
+      // which then reaches disk by a later pass once aged, by eviction,
+      // or by FlushAll). A CAS failure means someone pinned or referenced
+      // the page since the check — it is hot again; skip.
       uint64_t claimed = ((s0 + 1) | kIoBit) & ~kDirtyBit;
       if (!f.state.compare_exchange_strong(s0, claimed,
                                            std::memory_order_acq_rel,
@@ -1053,8 +1058,10 @@ void BufferPool::FlusherPass() {
   // The whole pass drains as ONE sorted async group (snapshot + submit +
   // wait inside FlushTargets): every contiguous dirty run is a vectored
   // write and every run is at the device at once, instead of one
-  // synchronous pwrite per page. Errors re-dirty their pages; the frames
-  // stayed resident, so the next pass (or eviction) retries.
+  // synchronous pwrite per page. No fsync: the flusher only pre-cleans
+  // eviction victims; durability is the WAL's and Checkpoint's. Errors
+  // re-dirty their pages; the frames stayed resident, so the next pass
+  // (or eviction) retries.
   size_t flushed = 0, runs = 0;
   (void)FlushTargets(&targets, &flushed, &runs);
   flusher_pages_.fetch_add(flushed, std::memory_order_relaxed);

@@ -23,9 +23,12 @@
 //     fallback): one vectored op per contiguous run, every run in flight at
 //     the device at once. StartFetchPages/FinishFetchPages expose the two
 //     halves so callers (the B+Tree descent) can overlap work with the I/O.
-//   - An optional background flusher thread (StartFlusher) writes dirty
-//     unpinned frames back on a timer, so eviction mostly finds clean
-//     victims and write-back stays off the serving path.
+//   - An optional background flusher thread (StartFlusher) pre-cleans the
+//     frames the CLOCK sweep will evict next — unpinned, dirty, usage 0 —
+//     so eviction mostly finds clean victims and write-back stays off the
+//     serving path. Hot pages stay dirty until the sweep ages them, until
+//     eviction, or until FlushAll (Checkpoint, close). The flusher never
+//     fsyncs: it is not a durability mechanism.
 //   - Write-back is batched and asynchronous everywhere (flusher passes,
 //     dirty eviction victims in StartFetchPages, FlushAll/Checkpoint):
 //     dirty sets drain sorted through DiskManager::SubmitWrites — one
@@ -184,9 +187,14 @@ class BufferPool {
   Status EvictAll();
 
   /// \brief Starts the background dirty-page flusher: every `interval_us`
-  /// it writes back up to `batch_pages` dirty unpinned frames (round-robin
-  /// over stripes), so eviction mostly finds clean victims and write-back
-  /// leaves the serving path. Call at most once; no-op if interval_us == 0.
+  /// it writes back up to `batch_pages` frames that are dirty, unpinned and
+  /// at usage count 0 (round-robin over stripes) — the frames the CLOCK
+  /// sweep would evict next — so eviction mostly finds clean victims and
+  /// write-back leaves the serving path. Referenced (hot) pages stay dirty
+  /// until the sweep ages them to 0, until eviction writes them back, or
+  /// until FlushAll (Checkpoint, close). The flusher never fsyncs and is
+  /// not a durability mechanism. Call at most once; no-op if
+  /// interval_us == 0.
   void StartFlusher(uint64_t interval_us, size_t batch_pages);
 
   /// \brief Stops the flusher thread (idempotent; called by the
@@ -394,8 +402,9 @@ class BufferPool {
   }
 
   void FlusherLoop();
-  /// One flusher cycle: pin + clean up to flush_batch_pages_ dirty frames
-  /// (round-robin over stripes) and write them back off the serving path.
+  /// One flusher cycle: claim up to flush_batch_pages_ dirty, unpinned,
+  /// usage-0 frames (round-robin over stripes) and write them back off the
+  /// serving path, without an fsync.
   void FlusherPass();
 
   DiskManager* disk_;

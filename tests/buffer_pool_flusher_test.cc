@@ -1,6 +1,8 @@
-// Background dirty-page flusher tests: write-back happens off the serving
-// path (no evictions needed), content lands correctly, counters advance,
-// and the flusher coexists with FlushAll/EvictAll/Checkpoint-style use.
+// Background dirty-page flusher tests: the flusher pre-cleans exactly the
+// frames the CLOCK sweep will evict next (dirty, unpinned, usage 0), off the
+// serving path; referenced pages stay dirty until they are aged, evicted or
+// flushed by FlushAll; content lands correctly, counters advance, and the
+// flusher coexists with FlushAll/EvictAll/Checkpoint-style use.
 
 #include <gtest/gtest.h>
 
@@ -66,24 +68,47 @@ TEST(BufferPoolFlusherTest, WritesDirtyPagesBackWithoutEvictions) {
   }
 }
 
-TEST(BufferPoolFlusherTest, RedirtiedPagesAreFlushedAgain) {
+char DiskByte(Stack& s, PageId id) {
+  std::vector<char> buf(4096);
+  EXPECT_OK(s.disk->ReadPage(id, buf.data()));
+  return buf[0];
+}
+
+// Waits until `n` more flusher passes have started; pass k+1 starting means
+// pass k has fully finished (one flusher thread).
+bool WaitForPasses(Stack& s, uint64_t n) {
+  const uint64_t target = s.bp->stats().flusher_passes + n;
+  return WaitFor([&] { return s.bp->stats().flusher_passes >= target; });
+}
+
+TEST(BufferPoolFlusherTest, ReferencedPageStaysDirtyUntilFlushAll) {
   Stack s = MakeStack("flush_redirty", 4096, 16);
   s.bp->StartFlusher(/*interval_us=*/500, /*batch_pages=*/8);
   std::vector<PageId> ids = DirtyPages(s, 4, 'A');
+  // Fresh pages sit at usage 0 (next in line for the sweep): flushed.
   ASSERT_TRUE(WaitFor([&] { return s.bp->stats().flusher_pages >= 4; }));
+  const uint64_t flushed = s.bp->stats().flusher_pages;
 
-  // Modify a page after its first flush; the dirty bit set at unpin must
-  // get it flushed again.
-  {
-    ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(ids[0]));
-    std::memset(g.data(), 'B', 64);
-    g.MarkDirty();
+  // Re-dirty a page after its flush, several times, each through a hit —
+  // the page stays referenced (usage > 0) and nothing sweeps a pool this
+  // empty, so no pass may rewrite it: its bytes are not the next victim's.
+  for (int round = 0; round < 5; ++round) {
+    {
+      ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(ids[0]));
+      std::memset(g.data(), 'B' + round, 64);
+      g.MarkDirty();
+    }
+    ASSERT_TRUE(WaitForPasses(s, 2));
+    EXPECT_EQ(DiskByte(s, ids[0]), 'A') << "round " << round;
   }
-  ASSERT_TRUE(WaitFor([&] {
-    std::vector<char> buf(4096);
-    EXPECT_OK(s.disk->ReadPage(ids[0], buf.data()));
-    return buf[0] == 'B';
-  }));
+  EXPECT_EQ(s.bp->stats().flusher_pages, flushed)
+      << "flusher rewrote a referenced page";
+
+  // The re-dirty after the flusher's snapshot was not lost: it is still
+  // dirty in the pool, and FlushAll lands the last version.
+  ASSERT_OK(s.bp->FlushAll());
+  EXPECT_EQ(DiskByte(s, ids[0]), 'B' + 4);
+  for (size_t i = 1; i < ids.size(); ++i) EXPECT_EQ(DiskByte(s, ids[i]), 'A');
 }
 
 TEST(BufferPoolFlusherTest, CoexistsWithFlushAllAndEvictAll) {
@@ -105,19 +130,45 @@ TEST(BufferPoolFlusherTest, CoexistsWithFlushAllAndEvictAll) {
 }
 
 TEST(BufferPoolFlusherTest, EvictionFindsCleanVictimsAfterFlushing) {
-  // Fill a tiny pool with dirty pages, let the flusher clean them, then
-  // force evictions with new allocations: the evicting thread should find
-  // clean victims (dirty_writebacks stays 0; the flusher did the work).
+  // Fill a tiny pool with dirty pages, make most of them hot, then force
+  // evictions with new allocations: the sweep ages the hot frames, the
+  // flusher cleans them, and the evicting thread finds clean victims
+  // (dirty_writebacks stays 0). One stripe of 8 frames; the free list hands
+  // them out in index order and the CLOCK hand starts at frame 0.
   Stack s = MakeStack("flush_clean_victims", 4096, 8);
   s.bp->StartFlusher(/*interval_us=*/500, /*batch_pages=*/8);
-  DirtyPages(s, 8, 'Q');
+  std::vector<PageId> ids = DirtyPages(s, 8, 'Q');
   ASSERT_TRUE(WaitFor([&] { return s.bp->stats().flusher_pages >= 8; }));
-  // Stop the flusher first so a pass can never hold transient pins while
-  // the allocations below hunt for victims in the tiny pool.
+
+  // Frames 0..6 become hot and dirty (usage 1); frame 7 stays clean at
+  // usage 0. While hot, the flusher leaves them alone.
+  for (int i = 0; i < 7; ++i) {
+    ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(ids[i]));
+    std::memset(g.data(), 'H', 64);
+    g.MarkDirty();
+  }
+  ASSERT_TRUE(WaitForPasses(s, 3));
+  for (int i = 0; i < 7; ++i) EXPECT_EQ(DiskByte(s, ids[i]), 'Q') << i;
+
+  // One allocation past the full pool: the sweep ages frames 0..6 to usage
+  // 0 on its way to the clean frame 7, which it evicts. The aged frames are
+  // now the next victims, so the flusher writes them back.
+  DirtyPages(s, 1, 'N');
+  ASSERT_TRUE(WaitFor([&] {
+    for (int i = 0; i < 7; ++i) {
+      if (DiskByte(s, ids[i]) != 'H') return false;
+    }
+    return true;
+  })) << "flusher_pages=" << s.bp->stats().flusher_pages;
+  // Stop the flusher so a pass never holds transient pins while the
+  // allocations below hunt for victims in the tiny pool.
   s.bp->StopFlusher();
-  DirtyPages(s, 8, 'R');  // evicts the first 8 — all clean by now
+
+  // The next allocations evict frames 0..6, all clean: the flusher, not
+  // the evicting thread, paid for their write-back.
+  DirtyPages(s, 7, 'R');
   const BufferPoolStats st = s.bp->stats();
-  EXPECT_GE(st.evictions, 8u);
+  EXPECT_EQ(st.evictions, 8u);
   EXPECT_EQ(st.dirty_writebacks, 0u)
       << "evicting thread paid write-backs the flusher should have taken";
 }

@@ -3,13 +3,14 @@
 // Unit level: a WAL-enabled Shard survives a clean close (reattach, no
 // replay) and a simulated crash (heap walk + index rebuild + WAL tail
 // replay), including the checkpoint-then-more-writes shape where only the
-// tail past the recovery LSN replays.
+// tail past the recovery LSN replays, and hot rows whose updates reach the
+// data file only at checkpoints (the flusher leaves referenced pages dirty).
 //
 // System level: a fork/SIGKILL harness. A child process opens a WAL-enabled
-// ShardedEngine with aggressive flusher + checkpoint cadence and drives a
-// deterministic mixed put/delete stream, recording one intent byte before
-// and one ack byte after every logical op (O_APPEND one-byte writes, so the
-// side logs are torn-proof). The parent kills it at a randomized point,
+// ShardedEngine with aggressive flusher + checkpoint cadence (one input turns
+// periodic checkpoints off) and drives a deterministic mixed put/delete
+// stream, recording one intent byte before and one ack byte after every
+// logical op (O_APPEND one-byte writes, so the side logs are torn-proof). The parent kills it at a randomized point,
 // reopens the data in-process, and checks the recovered state against the
 // op-stream model: every ACKED op's effect must be present; unacked ops may
 // or may not be (they are only admissible as *later* states of the same
@@ -22,11 +23,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fcntl.h>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "shard/shard.h"
@@ -189,6 +192,86 @@ TEST(ShardRecoveryTest, CrashWithUncommittedTailLosesOnlyUnacked) {
   RemoveShardFilesFor(opts);
 }
 
+// The flusher pre-cleans only the next CLOCK victims (usage 0), so resident
+// rows that keep being updated are durable through the WAL alone: between
+// checkpoints the data file sees no write at all, the checkpoint writes the
+// dirty set once, and recovery replays the tail on top of it.
+TEST(ShardRecoveryTest, HotUpdatesReachTheDataFileOnlyAtCheckpoint) {
+  constexpr uint64_t kRows = 40;
+  constexpr uint64_t kHotRows = 4;
+  constexpr uint64_t kGroups = 200;
+  // The same deterministic stream runs with the flusher off (control: its
+  // checkpoint writes exactly the dirty set, each page once) and on.
+  uint64_t checkpoint_writes[2] = {0, 0};
+  for (int flusher_on = 0; flusher_on < 2; ++flusher_on) {
+    SCOPED_TRACE(flusher_on ? "flusher on" : "flusher off");
+    ShardOptions opts =
+        DurableShardOptions("hot_updates" + std::to_string(flusher_on));
+    opts.flusher_interval_us = flusher_on ? 200 : 0;
+    {
+      ASSERT_OK_AND_ASSIGN(auto shard, Shard::Open(4, opts));
+      for (uint64_t k = 0; k < kRows; ++k) {
+        ASSERT_OK(shard->Insert(MakeRow(k, k)));
+      }
+      ASSERT_OK(shard->CommitWal());
+      ASSERT_OK(shard->Checkpoint());
+      DiskManager* disk = shard->database()->disk();
+      BufferPool* bp = shard->database()->buffer_pool();
+      const uint64_t writes_at_checkpoint = disk->stats().writes;
+      const uint64_t passes_at_checkpoint = bp->stats().flusher_passes;
+      // One service group = the updates plus their group commit.
+      for (uint64_t g = 0; g < kGroups; ++g) {
+        for (uint64_t k = 0; k < kHotRows; ++k) {
+          ASSERT_OK(shard->Update(k, MakeRow(k, 1000 + g)));
+        }
+        ASSERT_OK(shard->CommitWal());
+        if (flusher_on && g % 20 == 0) {
+          // Let a few passes run while the hot pages are dirty.
+          const uint64_t target = bp->stats().flusher_passes + 3;
+          for (int spin = 0;
+               spin < 50000 && bp->stats().flusher_passes < target; ++spin) {
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+          }
+        }
+      }
+      if (flusher_on) {
+        EXPECT_GT(bp->stats().flusher_passes, passes_at_checkpoint + 20);
+      }
+      EXPECT_EQ(disk->stats().writes, writes_at_checkpoint)
+          << "hot pages were written back between checkpoints";
+
+      ASSERT_OK(shard->Checkpoint());
+      checkpoint_writes[flusher_on] =
+          disk->stats().writes - writes_at_checkpoint;
+
+      // A WAL-only tail past the checkpoint: these updates live in the log
+      // and in dirty frames when the shard goes down.
+      for (uint64_t g = 0; g < 10; ++g) {
+        for (uint64_t k = 0; k < kHotRows; ++k) {
+          ASSERT_OK(shard->Update(k, MakeRow(k, 5000 + g)));
+        }
+        ASSERT_OK(shard->CommitWal());
+      }
+      shard->SimulateCrashForTest();
+    }
+    opts.truncate = false;
+    ASSERT_OK_AND_ASSIGN(auto shard, Shard::Open(4, opts));
+    EXPECT_TRUE(shard->recovered());
+    EXPECT_EQ(shard->replayed_records(), 10 * kHotRows);
+    EXPECT_EQ(shard->rows(), kRows);
+    for (uint64_t k = 0; k < kRows; ++k) {
+      ASSERT_OK_AND_ASSIGN(Row row, shard->Get(k));
+      const uint64_t want = k < kHotRows ? 5009 : k;
+      EXPECT_EQ(static_cast<uint64_t>(row[2].AsInt()), want) << "key " << k;
+    }
+    shard.reset();
+    RemoveShardFilesFor(opts);
+  }
+  EXPECT_GT(checkpoint_writes[0], 0u);
+  EXPECT_EQ(checkpoint_writes[1], checkpoint_writes[0])
+      << "checkpoint wrote a different page count with the flusher on";
+}
+
 TEST(ShardRecoveryTest, ReopenWithoutTruncateRequiresWal) {
   // Without a WAL there is no catalog to reattach from: reopening an
   // existing non-durable shard file must refuse rather than destroy it.
@@ -227,7 +310,8 @@ OpModel NextOp(uint64_t* state) {
 }
 
 ShardedEngineOptions HarnessOptions(const std::string& prefix,
-                                    bool truncate) {
+                                    bool truncate,
+                                    uint64_t checkpoint_every_groups) {
   ShardedEngineOptions opts;
   opts.num_shards = 2;
   opts.num_workers = 2;
@@ -237,9 +321,10 @@ ShardedEngineOptions HarnessOptions(const std::string& prefix,
   opts.buffer_pool_frames_per_shard = 256;
   opts.wal_enabled = true;
   // Aggressive cadences so randomized kills land mid-flusher-pass and
-  // mid-checkpoint, not just between groups.
+  // mid-checkpoint, not just between groups. With periodic checkpoints off
+  // (0), acked writes since open live only in the WAL and in dirty frames.
   opts.flusher_interval_us = 500;
-  opts.checkpoint_every_groups = 4;
+  opts.checkpoint_every_groups = checkpoint_every_groups;
   opts.schema = SmallSchema();
   opts.table_options.key_columns = {0};
   opts.table_options.cached_columns = {2};
@@ -250,6 +335,7 @@ ShardedEngineOptions HarnessOptions(const std::string& prefix,
 /// 0 = ran out of ops (harness should use a bigger kMaxOps), 2 = engine
 /// open failed, 3 = an op failed with an unexpected status.
 void RunChildWorkload(const std::string& prefix, uint64_t seed,
+                      uint64_t checkpoint_every_groups,
                       const std::string& intents_path,
                       const std::string& acks_path) {
   const int intents_fd =
@@ -257,7 +343,8 @@ void RunChildWorkload(const std::string& prefix, uint64_t seed,
   const int acks_fd =
       ::open(acks_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (intents_fd < 0 || acks_fd < 0) _exit(2);
-  auto engine_or = ShardedEngine::Open(HarnessOptions(prefix, true));
+  auto engine_or = ShardedEngine::Open(
+      HarnessOptions(prefix, true, checkpoint_every_groups));
   if (!engine_or.ok()) _exit(2);
   auto engine = std::move(engine_or).ValueOrDie();
   uint64_t state = seed;
@@ -286,13 +373,16 @@ uint64_t FileSizeOrZero(const std::string& path) {
 TEST(CrashRecoveryTest, Kill9AtRandomizedPointsLosesNoAckedWrite) {
   const std::string base = ::testing::TempDir() + "nblb_kill9_" +
                            std::to_string(::getpid());
-  // Deterministic (seed, kill-delay-ms) schedule covering early kills
-  // (load phase, first checkpoints), steady state, and late kills.
+  // Deterministic (seed, kill-delay-ms, checkpoint cadence) schedule
+  // covering early kills (load phase, first checkpoints), steady state, late
+  // kills, and one run with periodic checkpoints off.
   const struct {
     uint64_t seed;
     int kill_delay_ms;
-  } kIterations[] = {{11, 25},  {23, 60},  {37, 110},
-                     {51, 170}, {73, 240}, {97, 330}};
+    uint64_t checkpoint_every_groups;
+  } kIterations[] = {{11, 25, 4},  {23, 60, 4},  {37, 110, 4},
+                     {51, 170, 4}, {73, 240, 4}, {97, 330, 4},
+                     {113, 200, 0}};
 
   int iteration = 0;
   for (const auto& it : kIterations) {
@@ -306,7 +396,8 @@ TEST(CrashRecoveryTest, Kill9AtRandomizedPointsLosesNoAckedWrite) {
     const pid_t child = ::fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
-      RunChildWorkload(prefix, it.seed, intents_path, acks_path);
+      RunChildWorkload(prefix, it.seed, it.checkpoint_every_groups,
+                       intents_path, acks_path);
     }
     // Start the kill clock only once the child is actually serving (first
     // ack recorded) — sanitizer builds can take a while to open the engine,
@@ -348,8 +439,9 @@ TEST(CrashRecoveryTest, Kill9AtRandomizedPointsLosesNoAckedWrite) {
     }
 
     // Reopen in-process and verify.
-    ASSERT_OK_AND_ASSIGN(auto engine,
-                         ShardedEngine::Open(HarnessOptions(prefix, false)));
+    const ShardedEngineOptions reopen =
+        HarnessOptions(prefix, false, it.checkpoint_every_groups);
+    ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(reopen));
     uint64_t recovered_shards = 0;
     for (uint32_t s = 0; s < engine->num_shards(); ++s) {
       if (engine->shard(s)->recovered()) ++recovered_shards;
@@ -411,8 +503,7 @@ TEST(CrashRecoveryTest, Kill9AtRandomizedPointsLosesNoAckedWrite) {
 
     // Clean close, then one more reopen: must take the clean path.
     engine.reset();
-    ASSERT_OK_AND_ASSIGN(engine,
-                         ShardedEngine::Open(HarnessOptions(prefix, false)));
+    ASSERT_OK_AND_ASSIGN(engine, ShardedEngine::Open(reopen));
     for (uint32_t s = 0; s < engine->num_shards(); ++s) {
       EXPECT_FALSE(engine->shard(s)->recovered())
           << "clean close still looked like a crash";
