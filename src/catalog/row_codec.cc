@@ -7,11 +7,25 @@
 
 namespace nblb {
 
-Status RowCodec::EncodeColumn(const Value& v, size_t col, char* dst) const {
-  const Column& c = schema_->column(col);
-  char* p = dst + schema_->offset(col);
+namespace {
+
+/// Width of column `i` in a fixed image, from the precomputed offsets
+/// (Column::ByteSize is an out-of-line call per column).
+size_t FixedWidth(const Schema& s, size_t i) {
+  return (i + 1 < s.num_columns() ? s.offset(i + 1) : s.row_size()) -
+         s.offset(i);
+}
+
+/// Writes `v` as column `c` at `p`: the column's fixed width, except that a
+/// kVarchar in a trimmed image stops after the bytes it uses.
+Status EncodeValue(const Value& v, const Column& c, bool trimmed, char* p) {
   switch (c.type) {
-    case TypeId::kBool:
+    case TypeId::kBool: {
+      if (!IsIntegerFamily(v.type()))
+        return Status::InvalidArgument("expected integer for " + c.name);
+      *p = v.AsInt() != 0 ? 1 : 0;
+      return Status::OK();
+    }
     case TypeId::kInt8: {
       if (!IsIntegerFamily(v.type()))
         return Status::InvalidArgument("expected integer for " + c.name);
@@ -67,32 +81,15 @@ Status RowCodec::EncodeColumn(const Value& v, size_t col, char* dst) const {
         return Status::InvalidArgument("string too long for " + c.name);
       EncodeFixed16(p, static_cast<uint16_t>(s.size()));
       std::memcpy(p + 2, s.data(), s.size());
-      std::memset(p + 2 + s.size(), 0, c.length - s.size());
+      if (!trimmed) std::memset(p + 2 + s.size(), 0, c.length - s.size());
       return Status::OK();
     }
   }
   return Status::InvalidArgument("unknown type");
 }
 
-Status RowCodec::Encode(const Row& row, char* dst) const {
-  if (row.size() != schema_->num_columns()) {
-    return Status::InvalidArgument("row arity mismatch");
-  }
-  for (size_t i = 0; i < row.size(); ++i) {
-    NBLB_RETURN_NOT_OK(EncodeColumn(row[i], i, dst));
-  }
-  return Status::OK();
-}
-
-Result<std::string> RowCodec::Encode(const Row& row) const {
-  std::string out(schema_->row_size(), '\0');
-  NBLB_RETURN_NOT_OK(Encode(row, out.data()));
-  return out;
-}
-
-Value RowCodec::DecodeColumn(const char* src, size_t col) const {
-  const Column& c = schema_->column(col);
-  const char* p = src + schema_->offset(col);
+/// Decodes a column of any type but kVarchar from its fixed-width bytes.
+Value DecodeScalar(const char* p, const Column& c) {
   switch (c.type) {
     case TypeId::kBool:
       return Value::Bool(*p != 0);
@@ -116,22 +113,85 @@ Value RowCodec::DecodeColumn(const char* src, size_t col) const {
       while (len > 0 && p[len - 1] == ' ') --len;
       return Value::Char(std::string(p, len));
     }
-    case TypeId::kVarchar: {
-      const uint16_t len = DecodeFixed16(p);
-      NBLB_DCHECK(len <= c.length);
-      return Value::Varchar(std::string(p + 2, len));
-    }
+    case TypeId::kVarchar:
+      break;
   }
   NBLB_CHECK_MSG(false, "unknown type");
   return Value();
 }
 
-Row RowCodec::Decode(const char* src) const {
+Status Corrupt(const char* what, const Column& c) {
+  return Status::Corruption(std::string(what) + " in row column " + c.name);
+}
+
+}  // namespace
+
+Status RowCodec::Encode(const Row& row, char* dst) const {
+  if (row.size() != schema_->num_columns()) {
+    return Status::InvalidArgument("row arity mismatch");
+  }
+  for (size_t i = 0; i < row.size(); ++i) {
+    NBLB_RETURN_NOT_OK(EncodeValue(row[i], schema_->column(i),
+                                   /*trimmed=*/false,
+                                   dst + schema_->offset(i)));
+  }
+  return Status::OK();
+}
+
+Result<std::string> RowCodec::Encode(const Row& row) const {
+  std::string out(schema_->row_size(), '\0');
+  NBLB_RETURN_NOT_OK(Encode(row, out.data()));
+  return out;
+}
+
+Status RowCodec::EncodeTrimmed(const Row& row, std::string* dst) const {
+  if (row.size() != schema_->num_columns()) {
+    return Status::InvalidArgument("row arity mismatch");
+  }
+  dst->resize(schema_->row_size());  // a trimmed image is never longer
+  size_t pos = 0;
+  for (size_t i = 0; i < row.size(); ++i) {
+    const Column& c = schema_->column(i);
+    NBLB_RETURN_NOT_OK(
+        EncodeValue(row[i], c, /*trimmed=*/true, dst->data() + pos));
+    pos += c.type == TypeId::kVarchar ? 2 + row[i].AsString().size()
+                                      : FixedWidth(*schema_, i);
+  }
+  dst->resize(pos);
+  return Status::OK();
+}
+
+Result<Row> RowCodec::Decode(const Slice& src) const {
+  if (src.size() > schema_->row_size()) {
+    return Status::Corruption("row image longer than the schema's row size");
+  }
+  const bool fixed = src.size() == schema_->row_size();
+  const char* p = src.data();
+  const char* const end = p + src.size();
   Row row;
   row.reserve(schema_->num_columns());
   for (size_t i = 0; i < schema_->num_columns(); ++i) {
-    row.push_back(DecodeColumn(src, i));
+    const Column& c = schema_->column(i);
+    const size_t left = static_cast<size_t>(end - p);
+    if (c.type != TypeId::kVarchar) {
+      const size_t width = FixedWidth(*schema_, i);
+      if (left < width) return Corrupt("truncated value", c);
+      if (c.type == TypeId::kBool && static_cast<uint8_t>(*p) > 1) {
+        return Corrupt("BOOL byte other than 0 or 1", c);
+      }
+      row.push_back(DecodeScalar(p, c));
+      p += width;
+      continue;
+    }
+    if (left < 2) return Corrupt("truncated VARCHAR length", c);
+    const size_t len = DecodeFixed16(p);
+    if (len > c.length) return Corrupt("VARCHAR length over capacity", c);
+    const size_t width = 2 + (fixed ? c.length : len);
+    if (left < width) return Corrupt("truncated VARCHAR bytes", c);
+    row.push_back(Value::Varchar(std::string(p + 2, len)));
+    p += width;
   }
+  if (p != end) return Status::Corruption("trailing bytes after row image");
   return row;
 }
 

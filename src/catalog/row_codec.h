@@ -1,10 +1,29 @@
-// RowCodec: fixed-width serialization of rows.
+// RowCodec: serialization of rows against a fixed schema.
 //
-// Layout: columns back to back at their schema offsets. Integers little
-// endian; kChar space-padded to the declared length; kVarchar as a 2-byte
-// length followed by the capacity bytes (tail zeroed). The codec also
-// supports decoding a single column straight out of a raw buffer, which the
-// index cache uses to materialize cached fields without copying whole rows.
+// Layouts (integers little endian in both; kChar space-padded to its
+// declared length; kVarchar a 2-byte length followed by its bytes):
+//
+//   fixed image    columns back to back at their schema offsets, exactly
+//                  row_size() bytes; each kVarchar is followed by its whole
+//                  declared capacity, zero past the length. Heap tuples and
+//                  index-cache payloads use it, so a tuple can be updated in
+//                  place and a slot's width is known from the schema.
+//   trimmed image  the same bytes in the same order, with each kVarchar cut
+//                  to its length plus the bytes it uses; every other column
+//                  is byte-identical. WAL put payloads use it (the padding
+//                  holds no data, and the log pays for every byte).
+//
+// A trimmed image is row_size() bytes long only when every kVarchar is full,
+// and is then byte-identical to the fixed image. So Decode reads a payload of
+// exactly row_size() bytes as a fixed image and a shorter one as trimmed,
+// with no format flag.
+//
+// Decode is the only decoder and it is checked: the bytes it reads come from
+// disk (heap pages carry no checksum) or from a log, and a bad length must
+// surface as Corruption, never as a read past the buffer. An accepted
+// payload re-encodes to itself, except that a fixed image's VARCHAR padding
+// is never read (it holds no data, and every heap read decodes a fixed
+// image) and re-encodes as zeros.
 
 #pragma once
 
@@ -22,23 +41,25 @@ class RowCodec {
  public:
   explicit RowCodec(const Schema* schema) : schema_(schema) {}
 
-  /// \brief Serializes `row` into exactly schema->row_size() bytes at `dst`.
-  /// Fails if the row arity or value families don't match, or a string
-  /// exceeds its declared capacity.
+  /// \brief Serializes `row` as a fixed image into exactly
+  /// schema->row_size() bytes at `dst`. Fails if the row arity or value
+  /// families don't match, or a string exceeds its declared capacity.
   Status Encode(const Row& row, char* dst) const;
 
-  /// \brief Serializes into a fresh string.
+  /// \brief Serializes a fixed image into a fresh string.
   Result<std::string> Encode(const Row& row) const;
 
-  /// \brief Deserializes a full row from `src` (must hold row_size() bytes).
-  Row Decode(const char* src) const;
+  /// \brief Replaces `*dst` with the trimmed image of `row` (same checks as
+  /// Encode). Reusing one string across calls avoids an allocation per row.
+  Status EncodeTrimmed(const Row& row, std::string* dst) const;
 
-  /// \brief Deserializes only column `col` from a serialized row.
-  Value DecodeColumn(const char* src, size_t col) const;
-
-  /// \brief Serializes a single value at the column's offset within `dst`
-  /// (dst points at the start of the row buffer).
-  Status EncodeColumn(const Value& v, size_t col, char* dst) const;
+  /// \brief Deserializes a fixed image (src.size() == row_size()) or a
+  /// trimmed one (shorter). Returns Corruption on a longer payload, a
+  /// kVarchar length over capacity, a truncated column, trailing bytes, or
+  /// a kBool byte other than 0/1.
+  Result<Row> Decode(const Slice& src) const;
+  /// A bare pointer carries no length; pass a Slice.
+  Result<Row> Decode(const char* src) const = delete;
 
   const Schema* schema() const { return schema_; }
 

@@ -109,8 +109,10 @@ Result<std::unique_ptr<Table>> Table::AttachRebuild(BufferPool* bp,
   // duplicate key the tuple seen later is the younger one: repoint the
   // index at it and drop the stale twin from the heap.
   std::vector<std::pair<Rid, Rid>> stale;  // (old winner rid, unused)
+  const size_t row_size = t->schema_.row_size();
   Status walk = t->heap_->ForEach([&](const Rid& rid, const char* bytes) {
-    Row row = t->row_codec_->Decode(bytes);
+    NBLB_ASSIGN_OR_RETURN(Row row,
+                          t->row_codec_->Decode(Slice(bytes, row_size)));
     NBLB_ASSIGN_OR_RETURN(std::string key, t->key_codec_->EncodeFromRow(row));
     Status st = t->index_->Insert(Slice(key), rid.ToU64());
     if (st.IsAlreadyExists()) {
@@ -178,9 +180,12 @@ Result<std::string> Table::BuildCachePayload(const Row& row) const {
   return cache_codec_->Encode(projected);
 }
 
-Row Table::AssembleFromIndex(const std::vector<Value>& key_values,
-                             const char* cache_payload,
-                             const std::vector<size_t>& project_columns) const {
+Result<Row> Table::AssembleFromIndex(
+    const std::vector<Value>& key_values, const char* cache_payload,
+    const std::vector<size_t>& project_columns) const {
+  NBLB_ASSIGN_OR_RETURN(
+      Row cached,
+      cache_codec_->Decode(Slice(cache_payload, cache_schema_.row_size())));
   Row out;
   out.reserve(project_columns.size());
   for (size_t c : project_columns) {
@@ -192,13 +197,13 @@ Row Table::AssembleFromIndex(const std::vector<Value>& key_values,
           key_values[static_cast<size_t>(kit - options_.key_columns.begin())]);
       continue;
     }
-    // Cached column: decode from the cache payload.
+    // Cached column: take it from the decoded cache payload.
     auto cit = std::find(options_.cached_columns.begin(),
                          options_.cached_columns.end(), c);
     NBLB_CHECK(cit != options_.cached_columns.end());
     const size_t idx =
         static_cast<size_t>(cit - options_.cached_columns.begin());
-    out.push_back(cache_codec_->DecodeColumn(cache_payload, idx));
+    out.push_back(cached[idx]);
   }
   return out;
 }
@@ -240,7 +245,7 @@ Result<Row> Table::GetByKey(const std::vector<Value>& key_values) {
   std::string bytes;
   NBLB_RETURN_NOT_OK(heap_->Get(Rid::FromU64(tid), &bytes));
   ++stats_.heap_fetches;
-  return row_codec_->Decode(bytes.data());
+  return row_codec_->Decode(Slice(bytes));
 }
 
 Status Table::GetBatchByKey(const std::vector<std::vector<Value>>& keys,
@@ -298,7 +303,12 @@ Status Table::GetBatchByKey(const std::vector<std::vector<Value>>& keys,
       continue;
     }
     ++stats_.heap_fetches;
-    rows[i] = row_codec_->Decode(tuples[k].data());
+    auto row = row_codec_->Decode(Slice(tuples[k]));
+    if (!row.ok()) {
+      key_status[i] = row.status();
+      continue;
+    }
+    rows[i] = std::move(row).ValueOrDie();
   }
   out->reserve(out->size() + keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
@@ -338,7 +348,7 @@ Result<Row> Table::LookupProjected(const std::vector<Value>& key_values,
   std::string bytes;
   NBLB_RETURN_NOT_OK(heap_->Get(Rid::FromU64(tid), &bytes));
   ++stats_.heap_fetches;
-  Row full = row_codec_->Decode(bytes.data());
+  NBLB_ASSIGN_OR_RETURN(Row full, row_codec_->Decode(Slice(bytes)));
   if (cache_ != nullptr) {
     NBLB_ASSIGN_OR_RETURN(std::string cp, BuildCachePayload(full));
     cache_->Populate(&leaf, tid, Slice(cp));
@@ -402,8 +412,10 @@ Result<Rid> Table::Relocate(const std::vector<Value>& key_values) {
 
 Status Table::ForEachRow(
     const std::function<Status(const Rid&, const Row&)>& fn) {
+  const size_t row_size = schema_.row_size();
   return heap_->ForEach([&](const Rid& rid, const char* bytes) {
-    return fn(rid, row_codec_->Decode(bytes));
+    NBLB_ASSIGN_OR_RETURN(Row row, row_codec_->Decode(Slice(bytes, row_size)));
+    return fn(rid, row);
   });
 }
 

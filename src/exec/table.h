@@ -158,10 +158,11 @@ class Table {
   /// Builds the cache payload (cached columns, fixed width) from a full row.
   Result<std::string> BuildCachePayload(const Row& row) const;
 
-  /// Assembles the projected result from key values + cached payload bytes.
-  Row AssembleFromIndex(const std::vector<Value>& key_values,
-                        const char* cache_payload,
-                        const std::vector<size_t>& project_columns) const;
+  /// Assembles the projected result from key values + cached payload bytes
+  /// (Corruption if the payload does not decode).
+  Result<Row> AssembleFromIndex(
+      const std::vector<Value>& key_values, const char* cache_payload,
+      const std::vector<size_t>& project_columns) const;
 
   BufferPool* bp_;
   Schema schema_;

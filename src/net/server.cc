@@ -325,20 +325,20 @@ bool NetServer::HandleRequestFrame(const ConnPtr& conn, Frame&& frame) {
       [this, c, request_id, start](const BatchResult& result) {
         // Completion thread: encode off the loop, enqueue, wake the loop.
         // A dead connection just drops the response — the decrementing
-        // below is what matters for drain correctness.
-        if (!c->closed.load(std::memory_order_acquire)) {
-          std::string out;
-          // Encoding can only fail on counts the decoded request already
-          // bounded, but if it somehow does, dropping the reply beats
-          // writing a desynced frame.
-          if (AppendResponseFrame(request_id, result, &out).ok()) {
-            // Count before enqueueing: once the client can observe the
-            // reply on the wire, stats().responses must already include it.
-            responses_.fetch_add(1, std::memory_order_relaxed);
-            QueueOutput(c, std::move(out));
-          }
-        }
+        // below is what matters for drain correctness. Encoding can only
+        // fail on counts the decoded request already bounded, but if it
+        // somehow does, dropping the reply beats writing a desynced frame.
+        std::string out;
+        const bool reply = !c->closed.load(std::memory_order_acquire) &&
+                           AppendResponseFrame(request_id, result, &out).ok();
+        // Record and count before enqueueing: once the client can observe
+        // the reply on the wire, the latency histogram and
+        // stats().responses must already include it.
         reply_latency_us_.Record(MicrosSince(start));
+        if (reply) {
+          responses_.fetch_add(1, std::memory_order_relaxed);
+          QueueOutput(c, std::move(out));
+        }
         c->inflight.fetch_sub(1, std::memory_order_relaxed);
         {
           // The final decrement must happen while holding drain_mu_: the

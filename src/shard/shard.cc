@@ -303,14 +303,12 @@ SuperblockData Shard::BuildSuperblock() const {
 }
 
 Status Shard::ReplayWal() {
-  const size_t row_size = options_.schema.row_size();
   return wal_->Replay(checkpoint_lsn_, [&](const Wal::Record& rec) -> Status {
     switch (rec.op) {
       case Wal::Op::kPut: {
-        if (rec.payload.size() != row_size) {
-          return Status::Corruption("WAL put payload width mismatch");
-        }
-        Row row = table_->row_codec().Decode(rec.payload.data());
+        // Trimmed images (LogPut) and the fixed images older logs hold both
+        // decode here; the codec tells them apart by length.
+        NBLB_ASSIGN_OR_RETURN(Row row, table_->row_codec().Decode(rec.payload));
         NBLB_RETURN_NOT_OK(table_->UpsertByKey(row));
         break;
       }
@@ -327,8 +325,8 @@ Status Shard::ReplayWal() {
 
 Status Shard::LogPut(uint64_t id, const Row& row) {
   if (!wal_) return Status::OK();
-  NBLB_ASSIGN_OR_RETURN(std::string bytes, table_->row_codec().Encode(row));
-  auto lsn = wal_->Append(Wal::Op::kPut, id, Slice(bytes));
+  NBLB_RETURN_NOT_OK(table_->row_codec().EncodeTrimmed(row, &put_image_));
+  auto lsn = wal_->Append(Wal::Op::kPut, id, Slice(put_image_));
   return lsn.ok() ? Status::OK() : lsn.status();
 }
 

@@ -198,11 +198,16 @@ class Shard {
   /// Wires the WAL-commit/superblock-publish hooks into db_->Checkpoint().
   void InstallCheckpointHooks();
   /// Re-applies WAL records with lsn > checkpoint_lsn_ through UpsertByKey /
-  /// DeleteByKey (idempotent logical redo).
+  /// DeleteByKey (idempotent logical redo). A put payload is decoded by
+  /// RowCodec::Decode, so trimmed images and the fixed images of older logs
+  /// both replay; a payload that does not decode fails the open with
+  /// Corruption.
   Status ReplayWal();
   /// Snapshot of everything the next Open needs, from live structures.
   SuperblockData BuildSuperblock() const;
-  /// Appends one logical record for an acked-on-commit write op.
+  /// Appends one logical record for an acked-on-commit write op. A put
+  /// logs the row's trimmed image (RowCodec::EncodeTrimmed): VARCHAR
+  /// padding holds no data, so it is not logged.
   Status LogPut(uint64_t id, const Row& row);
   Status LogDelete(uint64_t id);
 
@@ -222,6 +227,7 @@ class Shard {
   /// The checkpoint hooks installed on db_ capture `this` and use wal_, so
   /// ~Shard runs the clean close and detaches the hooks before db_ dies.
   std::unique_ptr<Wal> wal_;
+  std::string put_image_;             ///< LogPut's reused encode buffer
   uint64_t sb_version_ = 0;           ///< last published superblock version
   uint64_t checkpoint_lsn_ = 0;       ///< recovery LSN of that superblock
   uint64_t pending_checkpoint_lsn_ = 0;  ///< staged by pre-hook for post-hook

@@ -56,7 +56,8 @@ class Wal {
  public:
   /// Logical operation carried by a record.
   enum class Op : uint8_t {
-    kPut = 1,     ///< upsert of `payload` (an encoded row) at `key`
+    kPut = 1,     ///< upsert of `payload` (a row image) at `key`; shards
+                  ///< log trimmed images, see RowCodec
     kDelete = 2,  ///< delete of `key` (payload empty)
   };
 

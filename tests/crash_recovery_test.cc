@@ -27,11 +27,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <fcntl.h>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/bytes.h"
 #include "shard/shard.h"
 #include "shard/sharded_engine.h"
 #include "storage/superblock.h"
@@ -90,9 +93,19 @@ TEST(ShardRecoveryTest, CleanCloseReattachesWithoutReplay) {
   ShardOptions opts = DurableShardOptions("clean");
   {
     ASSERT_OK_AND_ASSIGN(auto shard, Shard::Open(7, opts));
+    // A put logs 29 B of framing (8 B header + lsn/op/key/payload_len) and
+    // the row's trimmed image: the two INT64s plus the VARCHAR(32)'s 2-byte
+    // length and the bytes it uses, none of its padding.
+    uint64_t want_wal_bytes = 0;
     for (uint64_t k = 0; k < 50; ++k) {
-      ASSERT_OK(shard->Insert(MakeRow(k, k)));
+      const Row row = MakeRow(k, k);
+      ASSERT_OK(shard->Insert(row));
+      want_wal_bytes += 29 + 8 + 2 + row[1].AsString().size() + 8;
     }
+    EXPECT_EQ(
+        shard->database()->metrics()->Snapshot().counters.at(
+            "wal.bytes_appended"),
+        want_wal_bytes);
     ASSERT_OK(shard->CommitWal());
     // Destructor runs the clean-close checkpoint.
   }
@@ -114,6 +127,8 @@ TEST(ShardRecoveryTest, CleanCloseReattachesWithoutReplay) {
 
 TEST(ShardRecoveryTest, CrashReplaysWalTail) {
   ShardOptions opts = DurableShardOptions("crash");
+  Row full = MakeRow(31, 31);
+  full[1] = Value::Varchar(std::string(32, 'f'));
   {
     ASSERT_OK_AND_ASSIGN(auto shard, Shard::Open(3, opts));
     // Checkpointed prefix: these rows live in the data file only.
@@ -129,26 +144,43 @@ TEST(ShardRecoveryTest, CrashReplaysWalTail) {
     ASSERT_OK(shard->Update(5, MakeRow(5, 500)));
     ASSERT_OK(shard->Delete(7));
     ASSERT_OK(shard->CommitWal());
+    // A tail of fixed-image puts appended straight to the log, the way
+    // older builds logged every row: an insert, an update, and a row whose
+    // VARCHAR is full (its trimmed and fixed images are the same bytes).
+    // None of them touched the table, so only replay can apply them.
+    for (const Row& row : {MakeRow(30, 30), MakeRow(6, 600), full}) {
+      ASSERT_OK_AND_ASSIGN(std::string fixed,
+                           shard->table()->row_codec().Encode(row));
+      ASSERT_OK(shard->wal()
+                    ->Append(Wal::Op::kPut,
+                             static_cast<uint64_t>(row[0].AsInt()),
+                             Slice(fixed))
+                    .status());
+    }
+    ASSERT_OK(shard->CommitWal());
     shard->SimulateCrashForTest();
   }
   opts.truncate = false;
   ASSERT_OK_AND_ASSIGN(auto shard, Shard::Open(3, opts));
   EXPECT_TRUE(shard->recovered());
-  // 10 inserts + 1 update + 1 delete past the checkpoint LSN.
-  EXPECT_EQ(shard->replayed_records(), 12u);
-  EXPECT_EQ(shard->rows(), 29u);
-  for (uint64_t k = 0; k < 30; ++k) {
+  // 10 inserts + 1 update + 1 delete + 3 fixed-image puts past the
+  // checkpoint LSN.
+  EXPECT_EQ(shard->replayed_records(), 15u);
+  EXPECT_EQ(shard->rows(), 31u);
+  for (uint64_t k = 0; k < 32; ++k) {
     auto got = shard->Get(k);
     if (k == 7) {
       EXPECT_TRUE(got.status().IsNotFound());
       continue;
     }
     ASSERT_TRUE(got.ok()) << "key " << k << ": " << got.status().ToString();
-    const uint64_t want_seq = (k == 5) ? 500 : k;
+    const uint64_t want_seq = (k == 5) ? 500 : (k == 6) ? 600 : k;
     EXPECT_EQ(static_cast<uint64_t>(got.ValueOrDie()[2].AsInt()), want_seq);
+    EXPECT_EQ(got.ValueOrDie()[1],
+              k == 31 ? full[1] : MakeRow(k, want_seq)[1]);
   }
   // Structural sanity: the rebuilt index agrees with the live row count.
-  EXPECT_EQ(shard->table()->index()->num_entries(), 29u);
+  EXPECT_EQ(shard->table()->index()->num_entries(), 31u);
   shard.reset();
   RemoveShardFilesFor(opts);
 }
@@ -270,6 +302,68 @@ TEST(ShardRecoveryTest, HotUpdatesReachTheDataFileOnlyAtCheckpoint) {
   EXPECT_GT(checkpoint_writes[0], 0u);
   EXPECT_EQ(checkpoint_writes[1], checkpoint_writes[0])
       << "checkpoint wrote a different page count with the flusher on";
+}
+
+// Heap pages carry no checksum, so the row decoder is all that stands
+// between a damaged VARCHAR length and a read past the tuple: the length
+// must come back as Corruption from Get, GetProjected and GetBatch and from
+// the crash-recovery heap walk, never as a row.
+TEST(ShardRecoveryTest, CorruptHeapVarcharLengthIsCorruption) {
+  ShardOptions opts = DurableShardOptions("corrupt_heap");
+  {
+    ASSERT_OK_AND_ASSIGN(auto shard, Shard::Open(2, opts));
+    for (uint64_t k = 0; k < 20; ++k) {
+      ASSERT_OK(shard->Insert(MakeRow(k, k)));
+    }
+    ASSERT_OK(shard->CommitWal());
+    // Destructor runs the clean-close checkpoint.
+  }
+  // Row 13's tuple is the only place its VARCHAR bytes occur in the data
+  // file; the 2-byte length in front of them becomes 4000 (capacity 32).
+  std::string data;
+  {
+    std::ifstream in(opts.path, std::ios::binary);
+    data.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  const std::string marker = MakeRow(13, 13)[1].AsString();
+  const size_t at = data.find(marker);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(data.find(marker, at + 1), std::string::npos);
+  ASSERT_EQ(DecodeFixed16(data.data() + at - 2), marker.size());
+  {
+    char len[2];
+    EncodeFixed16(len, 4000);
+    std::fstream f(opts.path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(at - 2));
+    f.write(len, 2);
+    ASSERT_TRUE(f.good());
+  }
+
+  opts.truncate = false;
+  {
+    ASSERT_OK_AND_ASSIGN(auto shard, Shard::Open(2, opts));
+    EXPECT_FALSE(shard->recovered());
+    auto got = shard->Get(13);
+    EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+    EXPECT_TRUE(shard->GetProjected(13, {2}).status().IsCorruption());
+    std::vector<Result<Row>> batch;
+    ASSERT_OK(shard->GetBatch({12, 13, 14}, &batch));
+    ASSERT_EQ(batch.size(), 3u);
+    EXPECT_OK(batch[0].status());
+    EXPECT_TRUE(batch[1].status().IsCorruption());
+    EXPECT_OK(batch[2].status());
+    ASSERT_OK_AND_ASSIGN(Row neighbour, shard->Get(12));
+    EXPECT_EQ(neighbour[1], MakeRow(12, 12)[1]);
+    // Leave the shard marked unclean, so the next open walks the heap.
+    shard->SimulateCrashForTest();
+  }
+  {
+    auto recovered = Shard::Open(2, opts);
+    EXPECT_TRUE(recovered.status().IsCorruption())
+        << recovered.status().ToString();
+  }
+  RemoveShardFilesFor(opts);
 }
 
 TEST(ShardRecoveryTest, ReopenWithoutTruncateRequiresWal) {

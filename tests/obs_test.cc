@@ -256,6 +256,9 @@ TEST(EventRingTest, ConcurrentReadersNeverSeeTornEvents) {
       ++i;
     }
   });
+  // Readers start once the writer has: on a loaded machine the writer
+  // thread may otherwise not run before the readers finish.
+  while (ring.Snapshot().empty()) std::this_thread::yield();
 
   std::atomic<uint64_t> validated{0};
   std::vector<std::thread> readers;

@@ -30,25 +30,48 @@ TEST(RowCodecTest, RoundTripAllTypes) {
              Value::Varchar("hello")};
   ASSERT_OK_AND_ASSIGN(std::string bytes, codec.Encode(row));
   EXPECT_EQ(bytes.size(), s.row_size());
-  Row out = codec.Decode(bytes.data());
+  ASSERT_OK_AND_ASSIGN(Row out, codec.Decode(Slice(bytes)));
   ASSERT_EQ(out.size(), row.size());
   for (size_t i = 0; i < row.size(); ++i) {
     EXPECT_EQ(out[i], row[i]) << "column " << i;
   }
 }
 
-TEST(RowCodecTest, DecodeSingleColumnMatchesFullDecode) {
-  Schema s = AllTypesSchema();
+TEST(RowCodecTest, DecodeRejectsMalformedImages) {
+  Schema s({{"b", TypeId::kBool, 0},
+            {"v", TypeId::kVarchar, 8},
+            {"i", TypeId::kInt32, 0}});
   RowCodec codec(&s);
-  Row row = {Value::Bool(false),  Value::Int8(7),
-             Value::Int16(300),   Value::Int32(-9),
-             Value::Int64(42),    Value::Float64(-1.5),
-             Value::Timestamp(7), Value::Char("x"),
-             Value::Varchar("")};
-  ASSERT_OK_AND_ASSIGN(std::string bytes, codec.Encode(row));
-  for (size_t c = 0; c < s.num_columns(); ++c) {
-    EXPECT_EQ(codec.DecodeColumn(bytes.data(), c), row[c]) << "column " << c;
+  const Row row = {Value::Bool(true), Value::Varchar("abc"), Value::Int32(7)};
+  ASSERT_OK_AND_ASSIGN(std::string fixed, codec.Encode(row));
+  std::string trimmed;
+  ASSERT_OK(codec.EncodeTrimmed(row, &trimmed));
+  ASSERT_EQ(fixed.size(), 1 + 2 + 8 + 4u);
+  ASSERT_EQ(trimmed.size(), 1 + 2 + 3 + 4u);
+  const auto rejects = [&](std::string bytes, const char* why) {
+    EXPECT_TRUE(codec.Decode(Slice(bytes)).status().IsCorruption()) << why;
+  };
+  for (const std::string& image : {fixed, trimmed}) {
+    std::string over = image;
+    over[1] = 9;  // VARCHAR length past the capacity of 8
+    rejects(over, "length over capacity");
+    std::string flag = image;
+    flag[0] = 2;
+    rejects(flag, "BOOL byte other than 0/1");
   }
+  rejects(fixed + '\0', "longer than row_size");
+  rejects(trimmed + '\0', "trailing byte");
+  rejects(trimmed.substr(0, trimmed.size() - 1), "truncated INT32");
+  rejects(trimmed.substr(0, 4), "truncated VARCHAR bytes");
+  rejects(trimmed.substr(0, 2), "truncated VARCHAR length");
+  std::string long_len = trimmed;
+  long_len[1] = 4;  // claims one byte more than the image holds
+  rejects(long_len, "length past the end of a trimmed image");
+  // The unmodified images decode.
+  ASSERT_OK_AND_ASSIGN(Row a, codec.Decode(Slice(fixed)));
+  ASSERT_OK_AND_ASSIGN(Row b, codec.Decode(Slice(trimmed)));
+  EXPECT_EQ(a, row);
+  EXPECT_EQ(b, row);
 }
 
 TEST(RowCodecTest, ArityMismatchFails) {
@@ -77,7 +100,8 @@ TEST(RowCodecTest, CharPaddingIsStripped) {
   Schema s({{"c", TypeId::kChar, 10}});
   RowCodec codec(&s);
   ASSERT_OK_AND_ASSIGN(std::string bytes, codec.Encode({Value::Char("hi")}));
-  EXPECT_EQ(codec.Decode(bytes.data())[0].AsString(), "hi");
+  ASSERT_OK_AND_ASSIGN(Row out, codec.Decode(Slice(bytes)));
+  EXPECT_EQ(out[0].AsString(), "hi");
 }
 
 TEST(RowCodecTest, VarcharPreservesExactLengthIncludingEmpty) {
@@ -85,9 +109,16 @@ TEST(RowCodecTest, VarcharPreservesExactLengthIncludingEmpty) {
   RowCodec codec(&s);
   for (const std::string& input : {std::string(""), std::string("a"),
                                    std::string("exactly10!")}) {
-    ASSERT_OK_AND_ASSIGN(std::string bytes,
+    ASSERT_OK_AND_ASSIGN(std::string fixed,
                          codec.Encode({Value::Varchar(input)}));
-    EXPECT_EQ(codec.Decode(bytes.data())[0].AsString(), input);
+    ASSERT_OK_AND_ASSIGN(Row out, codec.Decode(Slice(fixed)));
+    EXPECT_EQ(out[0].AsString(), input);
+    // The trimmed image is the length prefix plus the bytes used.
+    std::string trimmed;
+    ASSERT_OK(codec.EncodeTrimmed({Value::Varchar(input)}, &trimmed));
+    EXPECT_EQ(trimmed.size(), 2 + input.size());
+    ASSERT_OK_AND_ASSIGN(Row back, codec.Decode(Slice(trimmed)));
+    EXPECT_EQ(back[0].AsString(), input);
   }
 }
 
@@ -95,7 +126,12 @@ TEST(RowCodecTest, RandomizedRoundTrip) {
   Schema s = AllTypesSchema();
   RowCodec codec(&s);
   Rng rng(99);
+  std::string trimmed;
   for (int iter = 0; iter < 500; ++iter) {
+    // Every 4th row pins the VARCHAR to an edge: empty, 1 byte, or full.
+    const size_t edge_len[] = {0, 1, 16};
+    const size_t vlen =
+        iter % 4 == 0 ? edge_len[(iter / 4) % 3] : rng.Uniform(17);
     Row row = {Value::Bool(rng.Bernoulli(0.5)),
                Value::Int8(static_cast<int8_t>(rng.NextU64())),
                Value::Int16(static_cast<int16_t>(rng.NextU64())),
@@ -104,12 +140,23 @@ TEST(RowCodecTest, RandomizedRoundTrip) {
                Value::Float64(rng.NextDouble() * 1e9),
                Value::Timestamp(static_cast<uint32_t>(rng.NextU64())),
                Value::Char(rng.NextString(rng.Uniform(9))),
-               Value::Varchar(rng.NextString(rng.Uniform(17)))};
-    ASSERT_OK_AND_ASSIGN(std::string bytes, codec.Encode(row));
-    Row out = codec.Decode(bytes.data());
-    for (size_t i = 0; i < row.size(); ++i) {
-      // kChar strips trailing spaces by design; our random strings have none.
-      EXPECT_EQ(out[i], row[i]) << "iter " << iter << " column " << i;
+               Value::Varchar(rng.NextString(vlen))};
+    ASSERT_OK_AND_ASSIGN(std::string fixed, codec.Encode(row));
+    ASSERT_OK(codec.EncodeTrimmed(row, &trimmed));
+    EXPECT_EQ(trimmed.size(), s.row_size() - (16 - vlen)) << "iter " << iter;
+    // The rule Decode tells the layouts apart by: a trimmed image is
+    // row_size() long only when the VARCHAR is full, and then it IS the
+    // fixed image.
+    if (vlen == 16) {
+      EXPECT_EQ(trimmed, fixed) << "iter " << iter;
+    }
+    for (const std::string* image : {&fixed, &trimmed}) {
+      ASSERT_OK_AND_ASSIGN(Row out, codec.Decode(Slice(*image)));
+      for (size_t i = 0; i < row.size(); ++i) {
+        // kChar strips trailing spaces by design; our random strings have
+        // none.
+        EXPECT_EQ(out[i], row[i]) << "iter " << iter << " column " << i;
+      }
     }
   }
 }

@@ -395,7 +395,7 @@ TEST(WalFaultTest, FailedGroupCommitFailsTheGroupsWriteTickets) {
     ASSERT_TRUE(engine->Execute(warm).all_ok());
 
     // Cap the WAL file at its current size; the next group is big enough
-    // that its commit must extend the log (rows are ~80 framed bytes, so
+    // that its commit must extend the log (rows are ~60 framed bytes, so
     // 256 of them overflow any single page), so every write in the group
     // must come back failed — the op ran in memory, but the ack barrier is
     // the log. Rewrites within the cap still work, which is exactly the
