@@ -33,21 +33,16 @@
 //   ],
 //   "churn": [   // update-churn regime: fetch+mutate+MarkDirty every op,
 //                // working set 2x the pool (uniform — see the phase
-//                // comment for why), background flusher ON, own O_DIRECT
-//                // file
+//                // comment for why), background flusher ON, async batched
+//                // write-back, own O_DIRECT file
 //                // (churn_direct_io_effective=0 means the fs refused and
-//                // the phase measured the page cache); "wb" is the
-//                // write-back mode under test — "sync" = the per-page
-//                // pwrite baseline, "batch" = the async batched pipeline
-//     {"wb": "sync"|"batch", "threads": <uint>, "ops_per_sec": <float>,
+//                // the phase measured the page cache)
+//     {"threads": <uint>, "ops_per_sec": <float>,
 //      "disk_writes": <uint>, "async_writes": <uint>, "write_runs": <uint>,
 //      "flusher_pages": <uint>, "flusher_coalesced_runs": <uint>,
 //      "dirty_writebacks": <uint>},
 //     ...
 //   ],
-//   "churn_speedup_batch_vs_sync": <float>,  // at 1 thread (the regime
-//                                            // where write latency cannot
-//                                            // hide behind other clients)
 //   "metrics": { ... },  // unified-registry document (src/obs/): the scan
 //                        // and churn DiskManagers plus the final churn
 //                        // BufferPool, under scan_disk./churn_disk./
@@ -195,7 +190,6 @@ struct MissResult {
 };
 
 struct ChurnResult {
-  std::string wb;
   uint32_t threads = 0;
   double ops_per_sec = 0;
   uint64_t disk_writes = 0;
@@ -426,12 +420,9 @@ int main(int argc, char** argv) {
   // victim and cannot coalesce). Page choice is uniform over a working
   // set 2x the pool: skewing it enough to matter makes the hot set fully
   // resident and write-back stops gating anything, and diluting with
-  // reads lets even the per-page sync flusher keep up — either way the
-  // A/B collapses to noise. Here
-  // write-back pressure comes from BOTH the background flusher and dirty
-  // eviction victims. The A/B is the point: "sync" forces the per-page
-  // pwrite write-back this PR replaced, "batch" drains the same dirt
-  // through sorted async write groups. Unlike the
+  // reads lets the flusher keep up without trying. Here write-back
+  // pressure comes from BOTH the background flusher and dirty eviction
+  // victims, drained through sorted async write groups. Unlike the
   // hit/miss phases this one runs on its OWN O_DIRECT file (when the
   // filesystem allows it): write-back against the page cache costs
   // microseconds and measures only submission overhead — the regime the
@@ -458,78 +449,63 @@ int main(int argc, char** argv) {
       "\n== dirty-churn regime (%u pages, flusher %llu us, direct=%d) ==\n",
       churn_pages, static_cast<unsigned long long>(flusher_us),
       churn_disk.direct_io() ? 1 : 0);
-  std::printf("%-8s %-8s %-12s %-10s %-10s %-10s %-10s\n", "wb", "threads",
-              "ops/sec", "writes", "asyncw", "runs", "flusherp");
+  std::printf("%-8s %-12s %-10s %-10s %-10s %-10s\n", "threads", "ops/sec",
+              "writes", "asyncw", "runs", "flusherp");
   // The last churn pool outlives the sweep so its counters can be
   // published in the metrics document below.
   std::unique_ptr<BufferPool> churn_bp;
-  for (const char* wb : {"sync", "batch"}) {
-    for (uint32_t threads : thread_sweep) {
-      churn_bp.reset(new BufferPool(&churn_disk, frames, 0));
-      BufferPool& bp = *churn_bp;
-      bp.set_sync_writeback(std::strcmp(wb, "sync") == 0);
-      bp.StartFlusher(flusher_us, /*batch_pages=*/64);
-      churn_disk.ResetStats();
-      const double ops = RunThreads(threads, churn_ops, [&](InlineRng& rng) {
-        // FetchPages wants ascending unique ids (like every real caller).
-        // Draw, sort, dedup — duplicates are rare over this id space and
-        // the op count below uses the actual unique size, so no per-op
-        // quadratic membership scans pollute the measurement.
-        std::vector<PageId> ids;
-        ids.reserve(batch);
-        for (uint64_t k = 0; k < batch; ++k) ids.push_back(rng.Page(churn_pages));
-        std::sort(ids.begin(), ids.end());
-        ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-        auto guards = bp.FetchPages(ids);
-        if (!guards.ok()) {
-          // A flusher pass pins its whole batch; a fetch that lands while
-          // one stripe is saturated sees ResourceExhausted. That is
-          // backpressure, not failure — yield and retry.
-          if (guards.status().IsResourceExhausted()) {
-            std::this_thread::yield();
-            return 0u;
-          }
-          std::fprintf(stderr, "churn fetch: %s\n",
-                       guards.status().ToString().c_str());
-          std::abort();
+  for (uint32_t threads : thread_sweep) {
+    churn_bp.reset(new BufferPool(&churn_disk, frames, 0));
+    BufferPool& bp = *churn_bp;
+    bp.StartFlusher(flusher_us, /*batch_pages=*/64);
+    churn_disk.ResetStats();
+    const double ops = RunThreads(threads, churn_ops, [&](InlineRng& rng) {
+      // FetchPages wants ascending unique ids (like every real caller).
+      // Draw, sort, dedup — duplicates are rare over this id space and
+      // the op count below uses the actual unique size, so no per-op
+      // quadratic membership scans pollute the measurement.
+      std::vector<PageId> ids;
+      ids.reserve(batch);
+      for (uint64_t k = 0; k < batch; ++k) ids.push_back(rng.Page(churn_pages));
+      std::sort(ids.begin(), ids.end());
+      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+      auto guards = bp.FetchPages(ids);
+      if (!guards.ok()) {
+        // A flusher pass pins its whole batch; a fetch that lands while
+        // one stripe is saturated sees ResourceExhausted. That is
+        // backpressure, not failure — yield and retry.
+        if (guards.status().IsResourceExhausted()) {
+          std::this_thread::yield();
+          return 0u;
         }
-        for (PageGuard& g : *guards) {
-          {
-            // Latch-disciplined content write: the flush paths snapshot
-            // under the same per-frame latch.
-            LatchGuard latch(*g.cache_latch());
-            g.data()[rng.Next() % 64] = static_cast<char>(rng.Next());
-          }
-          g.MarkDirty();
+        std::fprintf(stderr, "churn fetch: %s\n",
+                     guards.status().ToString().c_str());
+        std::abort();
+      }
+      for (PageGuard& g : *guards) {
+        {
+          // Latch-disciplined content write: the flush paths snapshot
+          // under the same per-frame latch.
+          LatchGuard latch(*g.cache_latch());
+          g.data()[rng.Next() % 64] = static_cast<char>(rng.Next());
         }
-        return static_cast<uint32_t>(ids.size());
-      });
-      const DiskStats ds = churn_disk.stats();
-      const BufferPoolStats ps = bp.stats();
-      churn_results.push_back({wb, threads, ops, ds.writes, ds.async_writes,
-                               ds.async_write_batches, ds.write_runs,
-                               ps.flusher_pages, ps.flusher_coalesced_runs,
-                               ps.dirty_writebacks});
-      std::printf("%-8s %-8u %-12.0f %-10llu %-10llu %-10llu %-10llu\n", wb,
-                  threads, ops, static_cast<unsigned long long>(ds.writes),
-                  static_cast<unsigned long long>(ds.async_writes),
-                  static_cast<unsigned long long>(ds.write_runs),
-                  static_cast<unsigned long long>(ps.flusher_pages));
-      std::fflush(stdout);
-    }
+        g.MarkDirty();
+      }
+      return static_cast<uint32_t>(ids.size());
+    });
+    const DiskStats ds = churn_disk.stats();
+    const BufferPoolStats ps = bp.stats();
+    churn_results.push_back({threads, ops, ds.writes, ds.async_writes,
+                             ds.async_write_batches, ds.write_runs,
+                             ps.flusher_pages, ps.flusher_coalesced_runs,
+                             ps.dirty_writebacks});
+    std::printf("%-8u %-12.0f %-10llu %-10llu %-10llu %-10llu\n", threads,
+                ops, static_cast<unsigned long long>(ds.writes),
+                static_cast<unsigned long long>(ds.async_writes),
+                static_cast<unsigned long long>(ds.write_runs),
+                static_cast<unsigned long long>(ps.flusher_pages));
+    std::fflush(stdout);
   }
-  // Headline at ONE client thread: that is the regime where write-back
-  // latency cannot hide behind other clients (more threads on a small box
-  // shift the bottleneck to the CPU and the modes converge).
-  double churn_sync = 0, churn_batch = 0;
-  for (const auto& r : churn_results) {
-    if (r.threads != 1) continue;
-    if (r.wb == "sync") churn_sync = r.ops_per_sec;
-    if (r.wb == "batch") churn_batch = r.ops_per_sec;
-  }
-  const double churn_speedup = churn_sync > 0 ? churn_batch / churn_sync : 0;
-  std::printf("\nchurn speedup batch vs sync write-back at 1 thread: %.2fx\n",
-              churn_speedup);
 
   // ---- JSON ----------------------------------------------------------------
   const char* json_path = std::getenv("NBLB_BENCH_JSON_PATH");
@@ -581,12 +557,12 @@ int main(int argc, char** argv) {
     const auto& r = churn_results[i];
     std::fprintf(
         f,
-        "    {\"wb\": \"%s\", \"threads\": %u, \"ops_per_sec\": %.1f, "
+        "    {\"threads\": %u, \"ops_per_sec\": %.1f, "
         "\"disk_writes\": %llu, \"async_writes\": %llu, "
         "\"async_write_batches\": %llu, \"write_runs\": %llu, "
         "\"flusher_pages\": %llu, "
         "\"flusher_coalesced_runs\": %llu, \"dirty_writebacks\": %llu}%s\n",
-        r.wb.c_str(), r.threads, r.ops_per_sec,
+        r.threads, r.ops_per_sec,
         static_cast<unsigned long long>(r.disk_writes),
         static_cast<unsigned long long>(r.async_writes),
         static_cast<unsigned long long>(r.async_write_batches),
@@ -611,12 +587,11 @@ int main(int argc, char** argv) {
     metrics_json = registry.Snapshot().ToJson();
   }
   std::fprintf(f,
-               "  ],\n  \"churn_speedup_batch_vs_sync\": %.4f,\n"
-               "  \"metrics\": %s,\n"
+               "  ],\n  \"metrics\": %s,\n"
                "  \"churn_direct_io_effective\": %d,\n"
                "  \"io_backend_effective\": \"%s\",\n"
                "  \"speedup_8t_hit_vs_seed\": %.4f\n}\n",
-               churn_speedup, metrics_json.c_str(),
+               metrics_json.c_str(),
                churn_disk.direct_io() ? 1 : 0,
                disk.io_backend_in_use() == IoBackend::kUring ? "uring"
                                                              : "threads",

@@ -31,8 +31,7 @@
 //   "rows": <uint>, "lookups": <uint>, "batch_size": <uint>,
 //   "shards": <uint>, "workers": <uint>,
 //   "connections": <uint>, "pipeline_depth": <uint>, "inflight": <uint>,
-//   "io_backend": "auto"|"uring"|"threads",        // requested
-//   "net_backend_effective": "uring"|"epoll",      // loop after probing
+//   "io_backend": "auto"|"uring"|"threads",        // engine, requested
 //   "engine_io_backend_effective": "uring"|"threads",
 //   "inprocess": { "seconds", "ops_per_sec",
 //                  "p50_batch_ms", "p99_batch_ms", "errors" },
@@ -48,7 +47,7 @@
 //
 // Flags: --rows=N --lookups=N --batch=N --conns=N --pipeline=N
 // --inflight=N --shards=N --workers=N --overload=0|1
-// --io=auto|uring|threads (defaults below).
+// --io=auto|uring|threads (the engine's disk backend; defaults below).
 
 #include <algorithm>
 #include <atomic>
@@ -288,7 +287,6 @@ int main(int argc, char** argv) {
 
   // ---- Phase 2: the same engine behind the TCP front end. ------------------
   net::NetServerOptions sopts;
-  sopts.io_backend = io_backend;
   sopts.max_inflight_per_conn = std::max<size_t>(pipeline * 2, 64);
   auto server_result = net::NetServer::Start(sopts, engine.get());
   if (!server_result.ok()) {
@@ -297,11 +295,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   auto server = std::move(*server_result);
-  const char* net_backend =
-      server->backend_in_use() == IoBackend::kUring ? "uring" : "epoll";
-  std::printf("phase 2: loopback serving on port %u (%s loop, %llu conns)...\n",
-              server->port(), net_backend,
-              static_cast<unsigned long long>(conns));
+  std::printf("phase 2: loopback serving on port %u (%llu conns)...\n",
+              server->port(), static_cast<unsigned long long>(conns));
 
   std::vector<std::vector<RequestBatch>> slices(conns);
   for (size_t i = 0; i < batches.size(); ++i) {
@@ -348,7 +343,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     net::NetServerOptions ovl_sopts;
-    ovl_sopts.io_backend = io_backend;
     ovl_sopts.max_inflight_per_conn = 4;  // well under the drive depth below
     auto ovl_server_result =
         net::NetServer::Start(ovl_sopts, ovl_engine.get());
@@ -372,7 +366,8 @@ int main(int argc, char** argv) {
       }
     }
     overload = RunNetPhase(*ovl_server, ovl_slices, pipeline);
-    busy_shed_frames = ovl_server->stats().busy_shed;
+    busy_shed_frames =
+        ovl_server->MetricsSnapshotNow().counters.at("net.busy_shed");
     const double shed_fraction =
         overload.requests > 0
             ? static_cast<double>(overload.busy) / overload.requests
@@ -410,7 +405,6 @@ int main(int argc, char** argv) {
       "  \"connections\": %llu,\n  \"pipeline_depth\": %llu,\n"
       "  \"inflight\": %llu,\n"
       "  \"io_backend\": \"%s\",\n"
-      "  \"net_backend_effective\": \"%s\",\n"
       "  \"engine_io_backend_effective\": \"%s\",\n"
       "  \"inprocess\": {\n"
       "    \"seconds\": %.4f, \"ops_per_sec\": %.1f,\n"
@@ -426,7 +420,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(batch_size), shards, workers,
       static_cast<unsigned long long>(conns),
       static_cast<unsigned long long>(pipeline),
-      static_cast<unsigned long long>(inflight), io_name, net_backend,
+      static_cast<unsigned long long>(inflight), io_name,
       engine_uring ? "uring" : "threads", inproc.seconds, inproc.OpsPerSec(),
       inproc_p50, inproc_p99, static_cast<unsigned long long>(inproc.errors),
       net.seconds, net.ops_per_sec, net.p50_batch_ms, net.p99_batch_ms,

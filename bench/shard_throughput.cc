@@ -88,24 +88,20 @@
 //                                       // each config's "open_loop" object)
 // }
 //
-// After the open-loop phase every configuration runs a WRITE-HEAVY phase:
-// a mixed kGet/kUpdate scrambled-Zipfian trace over the loaded rows
-// (--mixed_update percent updates), replayed closed-loop with the
-// background flusher ON — first with write-back forced to the synchronous
-// per-page pwrite baseline ("mixed_sync"), then through the async batched
-// write pipeline ("mixed"). Updates dirty heap pages faster than a
-// per-page flusher can retire them on O_DIRECT storage, so this phase
-// measures exactly the write-back path: flusher group writes, batched
-// eviction-victim write-back, and the group-fsync checkpoint between
-// phases. Each mixed phase starts from a per-shard Checkpoint so warmth
-// and dirty backlog are comparable.
+// After the open-loop phase every configuration runs a WRITE-HEAVY phase
+// ("mixed"): a mixed kGet/kUpdate scrambled-Zipfian trace over the loaded
+// rows (--mixed_update percent updates), replayed closed-loop with the
+// background flusher ON through the async batched write pipeline. Updates
+// against O_DIRECT storage keep the write-back path saturated, so this
+// phase measures exactly that path: flusher group writes, batched
+// eviction-victim write-back, and the group-fsync checkpoint the phase
+// starts from.
 //
-// JSON: each config gains "mixed_sync" and "mixed" objects
-// ({ops_per_sec, p50/p99, errors, bp_hit_rate, disk_reads, disk_writes,
-// async_writes, async_write_batches, write_runs, flusher_pages,
-// flusher_coalesced_runs, dirty_writebacks}), and the top level gains
-// "mixed_ops", "mixed_update_fraction", "mixed_flusher_us" and
-// "mixed_speedup_4s4w" (batched vs sync write-back throughput at 4s/4w).
+// JSON: each config gains a "mixed" object ({ops_per_sec, p50/p99,
+// errors, bp_hit_rate, disk_reads, disk_writes, async_writes,
+// async_write_batches, write_runs, flusher_pages, flusher_coalesced_runs,
+// dirty_writebacks}), and the top level gains "mixed_ops",
+// "mixed_update_fraction" and "mixed_flusher_us".
 //
 // Flags: --rows=N --lookups=N --batch=N --frames=N --direct=0|1
 // --inflight=N --openloop=0|1 --deadline_us=N --io=auto|uring|threads
@@ -206,8 +202,7 @@ struct ConfigResult {
   double load_ops_per_sec = 0;
   PhaseResult closed;
   PhaseResult open;
-  PhaseResult mixed_sync;  ///< write-heavy, per-page pwrite baseline
-  PhaseResult mixed;       ///< write-heavy, async batched write-back
+  PhaseResult mixed;  ///< write-heavy, async batched write-back
   bool open_ran = false;
   bool mixed_ran = false;
   size_t inflight = 0;
@@ -493,12 +488,10 @@ ConfigResult RunConfig(uint32_t shards, uint32_t workers,
     r.open.trace_json = TraceBreakdownJson(mdelta);
   }
 
-  // ---- Mixed write-heavy phases: per-page-pwrite baseline, then the
-  // async batched write pipeline, over identical batches. The flusher is
-  // ON for both (started here if the read phases ran without one), each
-  // phase starts from a group-fsync Checkpoint so the dirty backlog and
-  // pool warmth are comparable, and updates against O_DIRECT storage keep
-  // the write-back path saturated.
+  // ---- Mixed write-heavy phase through the async batched write pipeline.
+  // The flusher is ON (started here if the read phases ran without one),
+  // the phase starts from a group-fsync Checkpoint, and updates against
+  // O_DIRECT storage keep the write-back path saturated.
   if (!mixed_batches.empty()) {
     r.mixed_ran = true;
     if (io.flusher_us == 0 && io.mixed_flusher_us > 0) {
@@ -507,30 +500,24 @@ ConfigResult RunConfig(uint32_t shards, uint32_t workers,
             io.mixed_flusher_us, io.flush_batch);
       }
     }
-    // Warmup: one discarded replay of the same batches, so BOTH legs run
-    // at steady-state residency. Without it the first leg pays the mixed
-    // trace's cold faults and hands the second a pre-warmed pool — an
-    // order bias in whichever direction runs second.
+    // Warmup: one discarded replay of the same batches, so the measured
+    // phase runs at steady-state residency instead of paying the mixed
+    // trace's cold faults.
     {
       PhaseResult discard;
       RunClosedPhase(engine.get(), clients, mixed_batches, &discard);
     }
-    for (const bool sync_wb : {true, false}) {
-      PhaseResult* phase = sync_wb ? &r.mixed_sync : &r.mixed;
-      for (uint32_t s = 0; s < shards; ++s) {
-        Database* db = engine->shard(s)->database();
-        db->buffer_pool()->set_sync_writeback(sync_wb);
-        if (Status cs = db->Checkpoint(); !cs.ok()) {
-          std::fprintf(stderr, "checkpoint: %s\n", cs.ToString().c_str());
-          std::exit(1);
-        }
+    for (uint32_t s = 0; s < shards; ++s) {
+      if (Status cs = engine->shard(s)->database()->Checkpoint(); !cs.ok()) {
+        std::fprintf(stderr, "checkpoint: %s\n", cs.ToString().c_str());
+        std::exit(1);
       }
-      const IoCounters io_before_mixed = IoCountersOf(engine.get());
-      const WriteCounters w_before = WriteCountersOf(engine.get());
-      RunClosedPhase(engine.get(), clients, mixed_batches, phase);
-      FillPhaseIo(phase, io_before_mixed, IoCountersOf(engine.get()));
-      phase->wio = Delta(w_before, WriteCountersOf(engine.get()));
     }
+    const IoCounters io_before_mixed = IoCountersOf(engine.get());
+    const WriteCounters w_before = WriteCountersOf(engine.get());
+    RunClosedPhase(engine.get(), clients, mixed_batches, &r.mixed);
+    FillPhaseIo(&r.mixed, io_before_mixed, IoCountersOf(engine.get()));
+    r.mixed.wio = Delta(w_before, WriteCountersOf(engine.get()));
   }
 
   // Capture the unified metrics document before the engine (and with it
@@ -562,11 +549,11 @@ const char* GitSha() {
 #endif
 }
 
-/// One mixed write-phase object: throughput + the write-path counters.
-void PrintMixedPhaseJson(FILE* f, const char* name, const PhaseResult& p) {
+/// The mixed write-phase object: throughput + the write-path counters.
+void PrintMixedPhaseJson(FILE* f, const PhaseResult& p) {
   std::fprintf(
       f,
-      ",\n     \"%s\": {\n"
+      ",\n     \"mixed\": {\n"
       "       \"lookup_seconds\": %.4f, \"ops_per_sec\": %.1f,\n"
       "       \"p50_batch_ms\": %.4f, \"p99_batch_ms\": %.4f,\n"
       "       \"found\": %llu, \"not_found\": %llu, \"errors\": %llu,\n"
@@ -575,7 +562,7 @@ void PrintMixedPhaseJson(FILE* f, const char* name, const PhaseResult& p) {
       "       \"async_write_batches\": %llu, \"write_runs\": %llu,\n"
       "       \"flusher_pages\": %llu, \"flusher_coalesced_runs\": %llu,\n"
       "       \"dirty_writebacks\": %llu\n     }",
-      name, p.seconds, p.ops_per_sec, p.p50_batch_ms, p.p99_batch_ms,
+      p.seconds, p.ops_per_sec, p.p50_batch_ms, p.p99_batch_ms,
       static_cast<unsigned long long>(p.found),
       static_cast<unsigned long long>(p.not_found),
       static_cast<unsigned long long>(p.errors), p.bp_hit_rate,
@@ -700,74 +687,50 @@ int main(int argc, char** argv) {
       {1, 1}, {2, 2}, {4, 1}, {4, 4}, {8, 4}};
 
   std::vector<ConfigResult> results;
-  std::printf("%-8s %-8s %-12s %-12s %-12s %-12s %-10s %-12s %-12s\n",
+  std::printf("%-8s %-8s %-12s %-12s %-12s %-12s %-10s %-12s\n",
               "shards", "workers", "closed_ops/s", "open_ops/s", "p99_ms",
-              "open_p99", "bp_hit", "mixed_sync", "mixed_batch");
+              "open_p99", "bp_hit", "mixed");
   for (auto [shards, workers] : sweep) {
     ConfigResult r = RunConfig(shards, workers, rows, batches,
                                mixed_batches, frames, direct_io, inflight,
                                run_openloop,
                                static_cast<uint32_t>(deadline_us), io);
     results.push_back(r);
-    char mixed_sync_s[32] = "-", mixed_s[32] = "-";
+    char mixed_s[32] = "-";
     if (r.mixed_ran) {
-      std::snprintf(mixed_sync_s, sizeof(mixed_sync_s), "%.0f",
-                    r.mixed_sync.ops_per_sec);
       std::snprintf(mixed_s, sizeof(mixed_s), "%.0f", r.mixed.ops_per_sec);
     }
     if (r.open_ran) {
       std::printf(
-          "%-8u %-8u %-12.0f %-12.0f %-12.3f %-12.3f %-10.4f %-12s %-12s\n",
+          "%-8u %-8u %-12.0f %-12.0f %-12.3f %-12.3f %-10.4f %-12s\n",
           r.shards, r.workers, r.closed.ops_per_sec, r.open.ops_per_sec,
           r.closed.p99_batch_ms, r.open.p99_batch_ms, r.closed.bp_hit_rate,
-          mixed_sync_s, mixed_s);
+          mixed_s);
     } else {
       std::printf(
-          "%-8u %-8u %-12.0f %-12s %-12.3f %-12s %-10.4f %-12s %-12s\n",
+          "%-8u %-8u %-12.0f %-12s %-12.3f %-12s %-10.4f %-12s\n",
           r.shards, r.workers, r.closed.ops_per_sec, "-",
-          r.closed.p99_batch_ms, "-", r.closed.bp_hit_rate, mixed_sync_s,
-          mixed_s);
+          r.closed.p99_batch_ms, "-", r.closed.bp_hit_rate, mixed_s);
     }
     std::fflush(stdout);
   }
 
   double base = 0, scaled = 0, open_4s4w = 0;
-  double mixed_sync_4s4w = 0, mixed_4s4w = 0;
-  double mixed_sync_1s1w = 0, mixed_1s1w = 0;
   for (const auto& r : results) {
-    if (r.shards == 1 && r.workers == 1) {
-      base = r.closed.ops_per_sec;
-      mixed_sync_1s1w = r.mixed_sync.ops_per_sec;
-      mixed_1s1w = r.mixed.ops_per_sec;
-    }
+    if (r.shards == 1 && r.workers == 1) base = r.closed.ops_per_sec;
     if (r.shards == 4 && r.workers == 4) {
       scaled = r.closed.ops_per_sec;
       open_4s4w = r.open.ops_per_sec;
-      mixed_sync_4s4w = r.mixed_sync.ops_per_sec;
-      mixed_4s4w = r.mixed.ops_per_sec;
     }
   }
   const double speedup = base > 0 ? scaled / base : 0;
   const double open_speedup =
       run_openloop && scaled > 0 ? open_4s4w / scaled : 0;
-  const double mixed_speedup =
-      mixed_sync_4s4w > 0 ? mixed_4s4w / mixed_sync_4s4w : 0;
-  // The 1s1w point is the write-back-bound regime (PR 4's miss-regime
-  // headline config): one worker, hot set over the pool, so dirty
-  // evictions and flusher lag actually gate the serving thread.
-  const double mixed_speedup_1s1w =
-      mixed_sync_1s1w > 0 ? mixed_1s1w / mixed_sync_1s1w : 0;
   std::printf("\nspeedup 4 shards/4 workers vs 1/1 (closed): %.2fx\n",
               speedup);
   if (run_openloop) {
     std::printf("open-loop (inflight=%llu) vs closed at 4s/4w: %.2fx\n",
                 static_cast<unsigned long long>(inflight), open_speedup);
-  }
-  if (run_mixed) {
-    std::printf(
-        "mixed write phase: batched vs sync write-back at 1s/1w: %.2fx, "
-        "at 4s/4w: %.2fx\n",
-        mixed_speedup_1s1w, mixed_speedup);
   }
 
   const char* json_path = std::getenv("NBLB_BENCH_JSON_PATH");
@@ -853,10 +816,7 @@ int main(int argc, char** argv) {
       }
       std::fprintf(f, "\n     }");
     }
-    if (r.mixed_ran) {
-      PrintMixedPhaseJson(f, "mixed_sync", r.mixed_sync);
-      PrintMixedPhaseJson(f, "mixed", r.mixed);
-    }
+    if (r.mixed_ran) PrintMixedPhaseJson(f, r.mixed);
     if (!r.metrics_json.empty()) {
       std::fprintf(f, ",\n     \"metrics\": %s", r.metrics_json.c_str());
     }
@@ -865,10 +825,6 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  ],\n  \"speedup_4s4t_vs_1s1t\": %.4f", speedup);
   if (run_openloop) {
     std::fprintf(f, ",\n  \"openloop_speedup_4s4w\": %.4f", open_speedup);
-  }
-  if (run_mixed) {
-    std::fprintf(f, ",\n  \"mixed_speedup_1s1w\": %.4f", mixed_speedup_1s1w);
-    std::fprintf(f, ",\n  \"mixed_speedup_4s4w\": %.4f", mixed_speedup);
   }
   std::fprintf(f, "\n}\n");
   std::fclose(f);

@@ -17,7 +17,6 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
   NBLB_RETURN_NOT_OK(db->disk_->Open());
   db->bp_.reset(new BufferPool(db->disk_.get(), options.buffer_pool_frames,
                                options.buffer_pool_stripes));
-  db->bp_->set_sync_writeback(options.sync_writeback);
   if (options.flusher_interval_us > 0) {
     db->bp_->StartFlusher(options.flusher_interval_us,
                           options.flush_batch_pages);

@@ -58,10 +58,6 @@ struct DatabaseOptions {
   uint64_t flusher_interval_us = 0;
   /// Max dirty pages written back per flusher pass.
   size_t flush_batch_pages = 64;
-  /// Measurement/debug baseline: force every write-back path (flusher,
-  /// eviction, FlushAll) to synchronous one-page pwrite instead of the
-  /// batched async pipeline (see BufferPool::set_sync_writeback).
-  bool sync_writeback = false;
 };
 
 /// \brief Owns the storage stack and the table registry.

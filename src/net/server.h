@@ -20,16 +20,12 @@
 // output queue under a small mutex. That single-writer discipline is what
 // keeps the loop non-blocking and the whole structure TSan-clean.
 //
-// Two loop backends behind one connection state machine, selected with the
-// same probe-then-degrade discipline as storage/io_ring.*:
-//   - epoll (baseline): level-triggered, nonblocking fds, EPOLLOUT armed
-//     only while a connection has queued output.
-//   - io_uring (where available): one-shot ACCEPT/RECV/SEND ops re-armed on
-//     completion, the wake eventfd read through the ring. Used when the
-//     ring can be created AND a loopback RECV probe succeeds (socket ops
-//     need kernel >= 5.6; seccomp and the io_uring_disabled sysctl are also
-//     common). NBLB_IO_BACKEND=threads forces epoll without a rebuild —
-//     CI's fallback legs exercise exactly that path.
+// The loop is level-triggered epoll over nonblocking sockets. A flush hands
+// up to kMaxSendFrames queued frames to one sendmsg, and completion threads
+// wake the loop only when its pending-write list turns non-empty. A
+// connection whose output is blocked (the peer is not reading) is watched
+// for EPOLLOUT only: the loop stops reading it until its queue drains, so a
+// client that never reads its replies cannot grow server memory.
 //
 // Admission control: two in-flight caps — per-connection and global — bound
 // how many decoded frames may sit in the engine at once. A frame over
@@ -47,7 +43,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -60,8 +55,6 @@
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "shard/sharded_engine.h"
-#include "storage/disk_manager.h"
-#include "storage/io_ring.h"
 
 namespace nblb::net {
 
@@ -73,55 +66,28 @@ struct NetServerOptions {
   /// bind 0.0.0.0 explicitly to serve real traffic.
   std::string bind_address = "127.0.0.1";
   int listen_backlog = 128;
-  /// Loop backend: kAuto probes io_uring (ring creation + a loopback RECV)
-  /// and falls back to epoll; kThreads forces epoll; kUring insists on
-  /// io_uring but still degrades with a warning when the probe fails.
-  /// NBLB_IO_BACKEND=threads|uring|auto in the environment overrides this,
-  /// exactly like DiskManager.
-  IoBackend io_backend = IoBackend::kAuto;
-  /// io_uring submission-queue entries (uring backend only). Bounds the
-  /// accepted-connection count to roughly (entries - 8) / 2, since every
-  /// live connection keeps one RECV and at most one SEND in flight.
-  unsigned io_queue_depth = 256;
   /// Frames decoded but not yet answered, per connection. 0 = unlimited.
+  /// The server-wide cap is derived from the engine: num_shards *
+  /// max_queue_depth when the engine bounds its queues (the shed point then
+  /// sits exactly where the engine would start failing batches), else 1024.
   size_t max_inflight_per_conn = 64;
-  /// Frames decoded but not yet answered, across all connections. 0 derives
-  /// a cap from the engine: num_shards * max_queue_depth when the engine
-  /// bounds its queues (the shed point then sits exactly where the engine
-  /// would start failing batches), else 1024.
-  size_t max_inflight_global = 0;
   /// Per-frame payload cap handed to each connection's FrameDecoder.
   size_t max_frame_payload = kDefaultMaxFramePayload;
-  /// recv() chunk size per readiness event.
-  size_t recv_chunk_bytes = 64 * 1024;
   /// Idle-connection reaping: a connection with no socket activity (no
   /// bytes in or out), no in-flight engine batches, and no queued output
   /// for longer than this is closed by a periodic sweep — an abandoned
-  /// client cannot pin a connection slot (and, on the uring backend, its
-  /// two ring entries) forever. 0 (default) disables the sweep.
+  /// client cannot pin a connection slot forever. 0 (default) disables the
+  /// sweep.
   uint64_t idle_timeout_ms = 0;
 };
 
-/// \brief Relaxed-atomic serving counters (same memory-ordering rationale as
-/// shard_stats.h), published to the registry under "net.*".
-struct NetStatsSnapshot {
-  uint64_t accepts = 0;
-  uint64_t closes = 0;        ///< connections fully closed
-  uint64_t frames_in = 0;     ///< request frames decoded
-  uint64_t frames_out = 0;    ///< response + busy frames queued
-  uint64_t bytes_in = 0;
-  uint64_t bytes_out = 0;
-  uint64_t decode_errors = 0; ///< protocol violations (connection closed)
-  uint64_t busy_shed = 0;     ///< frames shed by admission control
-  uint64_t responses = 0;     ///< engine completions answered
-  uint64_t idle_closed = 0;   ///< connections reaped by the idle sweep
-};
-
 /// \brief Owns the listening socket, the loop thread, and every connection.
+/// Its counters are read through MetricsSnapshotNow() ("net.*").
 class NetServer {
  public:
-  /// \brief Binds, listens, resolves the loop backend, and starts the loop
-  /// thread. The engine must outlive the server.
+  /// \brief Binds, listens, sets up the epoll set, and starts the loop
+  /// thread; IOError when any of them fails. The engine must outlive the
+  /// server.
   static Result<std::unique_ptr<NetServer>> Start(NetServerOptions options,
                                                   ShardedEngine* engine);
 
@@ -134,10 +100,6 @@ class NetServer {
   /// \brief The bound TCP port (useful with options.port == 0).
   uint16_t port() const { return port_; }
 
-  /// \brief Loop backend actually in use after probing.
-  IoBackend backend_in_use() const { return backend_in_use_; }
-
-  NetStatsSnapshot stats() const;
   size_t open_connections() const {
     return open_conns_.load(std::memory_order_relaxed);
   }
@@ -152,6 +114,11 @@ class NetServer {
   std::string DumpMetrics() const { return MetricsSnapshotNow().ToJson(); }
 
  private:
+  /// recv() chunk per call; the loop thread owns the one buffer.
+  static constexpr size_t kRecvChunkBytes = 64 * 1024;
+  /// Queued frames handed to one sendmsg.
+  static constexpr size_t kMaxSendFrames = 64;
+
   /// Per-connection state. Sockets are touched only by the loop thread;
   /// completion threads reach `out_mu`-guarded output state and the atomics.
   struct Conn {
@@ -168,15 +135,10 @@ class NetServer {
     std::deque<std::string> outq;  // encoded frames awaiting send
     size_t out_off = 0;            // sent prefix of outq.front()
 
-    // Loop-private per-backend state.
-    bool want_write = false;   // epoll: EPOLLOUT armed
-    bool recv_pending = false; // uring: RECV op in flight
-    bool send_pending = false; // uring: SEND op in flight
-    bool closing = false;      // uring: shutdown issued, draining ops
-    std::vector<char> rchunk;  // recv buffer (uring: op target, keep stable)
-    std::string sending;       // uring: buffer owned by the in-flight SEND
-    /// Last socket activity (accept, bytes received, bytes sent). Loop
-    /// thread only — the idle sweep runs on the same thread.
+    /// Loop thread only. Output is blocked: the socket is watched for
+    /// EPOLLOUT instead of EPOLLIN until the queue drains.
+    bool want_write = false;
+    /// Last socket activity (accept, bytes received, bytes sent).
     std::chrono::steady_clock::time_point last_activity;
 
     explicit Conn(size_t max_payload) : decoder(max_payload) {}
@@ -186,11 +148,14 @@ class NetServer {
   NetServer() = default;
 
   Status Listen();
-  void ResolveBackend();
+  /// Creates the epoll set and registers the listen and wake fds.
+  Status SetUpEpoll();
   void LoopMain();
 
-  // Shared connection state machine (both backends).
+  void AcceptReady();
   void HandleAccepted(int fd);
+  /// Reads until EAGAIN, a short read, or blocked output.
+  void ReadReady(const ConnPtr& conn);
   /// Decodes and dispatches every complete frame buffered on `conn`;
   /// returns false when the connection must be closed (protocol error).
   bool ProcessFrames(const ConnPtr& conn);
@@ -202,62 +167,40 @@ class NetServer {
   /// Completion-thread side: appends an encoded frame and wakes the loop.
   void QueueOutput(const ConnPtr& conn, std::string frame_bytes);
   void WakeLoop();
+  /// Sends queued output until empty or EAGAIN; on EAGAIN swaps the
+  /// connection's interest to EPOLLOUT, and back to EPOLLIN once drained.
+  void FlushConn(const ConnPtr& conn);
+  void UpdateInterest(const ConnPtr& conn);
+  void CloseConn(const ConnPtr& conn);
 
-  // epoll backend.
-  void EpollLoop();
-  void EpollAcceptReady();
-  void EpollReadReady(const ConnPtr& conn);
-  /// Sends queued output until empty or EAGAIN; arms/disarms EPOLLOUT.
-  void EpollFlushConn(const ConnPtr& conn);
-  void EpollCloseConn(const ConnPtr& conn);
-  void EpollUpdateInterest(const ConnPtr& conn);
-
-  // io_uring backend.
-  void UringLoop();
-  void UringArmRecv(const ConnPtr& conn);
-  void UringStartSend(const ConnPtr& conn);
-  void UringCloseConn(const ConnPtr& conn);
-  /// Close finishes once no ops reference the conn's buffers.
-  void UringReapConnIfDone(const ConnPtr& conn);
-  bool UringPush(const std::function<bool()>& push);
-
-  /// Drains the wake eventfd and flushes every connection the completion
-  /// threads marked as having fresh output.
+  /// Flushes every connection the completion threads marked as having
+  /// fresh output; the loop calls it right after reading the wake eventfd.
   void DrainPendingWrites();
 
   /// Closes every connection idle longer than idle_timeout_ms (no socket
-  /// activity, nothing in flight, nothing queued). Runs on the loop thread
-  /// — via the epoll_wait timeout or the uring timerfd tick.
+  /// activity, nothing in flight, nothing queued). Runs on the loop thread,
+  /// paced by the epoll_wait timeout.
   void SweepIdleConns();
 
   NetServerOptions options_;
   ShardedEngine* engine_ = nullptr;
-  IoBackend backend_in_use_ = IoBackend::kThreads;  // kThreads == epoll here
   size_t global_cap_ = 0;
 
   int listen_fd_ = -1;
   int wake_fd_ = -1;  // eventfd
   int epoll_fd_ = -1;
   uint16_t port_ = 0;
-  std::unique_ptr<IoRing> ring_;
-  uint64_t wake_buf_ = 0;          // uring: eventfd read target
-  struct iovec wake_iov_ {};       // uring: stable iovec for the eventfd read
-  bool accept_pending_ = false;    // uring: ACCEPT op in flight
-  bool wake_pending_ = false;      // uring: eventfd read in flight
-  /// Idle sweep (idle_timeout_ms > 0): cadence, next-due stamp (epoll), and
-  /// the periodic timerfd read through the ring (uring). Loop thread only.
+  /// Idle sweep (idle_timeout_ms > 0): cadence and next-due stamp. Loop
+  /// thread only.
   uint64_t sweep_interval_ms_ = 0;
   std::chrono::steady_clock::time_point next_sweep_{};
-  int timer_fd_ = -1;
-  uint64_t timer_buf_ = 0;
-  struct iovec timer_iov_ {};
-  bool timer_pending_ = false;
 
   std::thread loop_thread_;
   std::atomic<bool> stopping_{false};
 
   uint64_t next_conn_id_ = 1;                    // loop-private
   std::unordered_map<uint64_t, ConnPtr> conns_;  // loop-private
+  std::vector<char> recv_buf_;                   // loop-private
 
   /// Connections with fresh completion output, awaiting a loop flush.
   std::mutex pending_mu_;
@@ -270,15 +213,15 @@ class NetServer {
 
   // net.* counters (relaxed atomics; registry holds pointers only).
   std::atomic<uint64_t> accepts_{0};
-  std::atomic<uint64_t> closes_{0};
-  std::atomic<uint64_t> frames_in_{0};
-  std::atomic<uint64_t> frames_out_{0};
+  std::atomic<uint64_t> closes_{0};          ///< connections fully closed
+  std::atomic<uint64_t> frames_in_{0};       ///< request frames decoded
+  std::atomic<uint64_t> frames_out_{0};      ///< response + busy frames queued
   std::atomic<uint64_t> bytes_in_{0};
   std::atomic<uint64_t> bytes_out_{0};
-  std::atomic<uint64_t> decode_errors_{0};
-  std::atomic<uint64_t> busy_shed_{0};
-  std::atomic<uint64_t> responses_{0};
-  std::atomic<uint64_t> idle_closed_{0};
+  std::atomic<uint64_t> decode_errors_{0};   ///< protocol violations
+  std::atomic<uint64_t> busy_shed_{0};       ///< frames shed by admission
+  std::atomic<uint64_t> responses_{0};       ///< engine completions answered
+  std::atomic<uint64_t> idle_closed_{0};     ///< reaped by the idle sweep
   /// Decode-to-response-queued latency of every answered frame.
   LogHistogram reply_latency_us_;
   /// Requests per decoded frame.

@@ -129,28 +129,41 @@ bool AppendRow(std::string* out, const Row& row) {
   return true;
 }
 
+/// Reads an integer-family value: the u64 image the encoder writes of an
+/// int64 in [lo, hi]. Any other image is corrupt, never truncated into range.
+bool ReadInt(Reader* r, int64_t lo, int64_t hi, int64_t* out) {
+  *out = static_cast<int64_t>(r->U64());
+  return *out >= lo && *out <= hi;
+}
+
 bool ReadValue(Reader* r, Value* out) {
   const uint8_t type = r->U8();
   if (type > static_cast<uint8_t>(TypeId::kVarchar)) return false;
   const TypeId t = static_cast<TypeId>(type);
+  int64_t v = 0;
   switch (t) {
     case TypeId::kBool:
-      *out = Value::Bool(r->U64() != 0);
+      if (!ReadInt(r, 0, 1, &v)) return false;
+      *out = Value::Bool(v != 0);
       break;
     case TypeId::kInt8:
-      *out = Value::Int8(static_cast<int8_t>(r->U64()));
+      if (!ReadInt(r, INT8_MIN, INT8_MAX, &v)) return false;
+      *out = Value::Int8(static_cast<int8_t>(v));
       break;
     case TypeId::kInt16:
-      *out = Value::Int16(static_cast<int16_t>(r->U64()));
+      if (!ReadInt(r, INT16_MIN, INT16_MAX, &v)) return false;
+      *out = Value::Int16(static_cast<int16_t>(v));
       break;
     case TypeId::kInt32:
-      *out = Value::Int32(static_cast<int32_t>(r->U64()));
+      if (!ReadInt(r, INT32_MIN, INT32_MAX, &v)) return false;
+      *out = Value::Int32(static_cast<int32_t>(v));
       break;
     case TypeId::kInt64:
       *out = Value::Int64(static_cast<int64_t>(r->U64()));
       break;
     case TypeId::kTimestamp:
-      *out = Value::Timestamp(static_cast<uint32_t>(r->U64()));
+      if (!ReadInt(r, 0, UINT32_MAX, &v)) return false;
+      *out = Value::Timestamp(static_cast<uint32_t>(v));
       break;
     case TypeId::kFloat64: {
       uint64_t bits = r->U64();
@@ -361,10 +374,17 @@ Result<BatchResult> DecodeResponsePayload(const char* data, size_t len) {
                                      std::to_string(code));
     }
     const uint16_t msg_len = r.U16();
+    if (code == static_cast<uint8_t>(StatusCode::kOk) && msg_len != 0) {
+      return Status::InvalidArgument("response frame: OK status with a "
+                                     "message");
+    }
     std::string msg = r.Bytes(msg_len);
     rr.status = Status(static_cast<StatusCode>(code), std::move(msg));
     rr.shard = r.U32();
-    if (r.U8() != 0 && !ReadRow(&r, &rr.row)) {
+    // The encoder writes has_row = 1 only for a row of at least one column.
+    const uint8_t has_row = r.U8();
+    if (has_row > 1 ||
+        (has_row == 1 && (!ReadRow(&r, &rr.row) || rr.row.empty()))) {
       return Status::InvalidArgument("response frame: malformed row");
     }
     if (r.failed()) {
@@ -405,6 +425,16 @@ FrameDecoder::Next FrameDecoder::Pop(Frame* out) {
       type > static_cast<uint8_t>(FrameType::kBusy)) {
     failed_ = true;
     error_ = "unknown frame type " + std::to_string(type);
+    return Next::kError;
+  }
+  if (h[5] != 0 || h[6] != 0 || h[7] != 0) {
+    failed_ = true;
+    error_ = "nonzero reserved header bytes";
+    return Next::kError;
+  }
+  if (type == static_cast<uint8_t>(FrameType::kBusy) && payload_len != 0) {
+    failed_ = true;
+    error_ = "busy frame with a payload";
     return Next::kError;
   }
   if (payload_len > max_payload_) {

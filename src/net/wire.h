@@ -9,7 +9,7 @@
 //   offset  size  field
 //   0       4     payload_len   bytes following the 16-byte header
 //   4       1     type          FrameType (request / response / busy)
-//   5       3     reserved      zero on the wire, ignored on receipt
+//   5       3     reserved      zero; a nonzero byte is a protocol error
 //   8       8     request_id    client-chosen correlation id; responses may
 //                               complete out of order on one connection, the
 //                               id pairs them back up
@@ -21,7 +21,8 @@
 // Response payload:  u32 count, then per result: u8 status code,
 //                    u16 message length + message (empty for OK),
 //                    u32 shard, u8 has_row, then the row if present.
-// Busy payload:      empty. The server sheds a whole request frame with a
+// Busy payload:      empty (a busy frame with a payload is a protocol
+//                    error). The server sheds a whole request frame with a
 //                    busy reply when admission control rejects it; the
 //                    client maps it back to per-request kBusy statuses.
 //
@@ -31,12 +32,18 @@
 // the wire layer schema-free means client and server only need to agree on
 // the catalog types, not exchange schemas in-band.
 //
-// Robustness contract (exercised by tests/net_wire_test.cc): a decoder fed
-// garbage, an oversized length prefix, a truncated payload, or a count field
-// whose minimum encoding cannot fit in the payload reports a permanent
-// error — the server closes the connection, because a byte stream that has
-// lost framing cannot be resynchronized. Counts are validated against the
-// payload length before any allocation is sized from them.
+// Robustness contract (exercised by tests/net_wire_test.cc and fuzzed by
+// tests/net_wire_fuzz_test.cc): a decoder fed garbage, an oversized length
+// prefix, a truncated payload, or a count field whose minimum encoding
+// cannot fit in the payload reports a permanent error — the server closes
+// the connection, because a byte stream that has lost framing cannot be
+// resynchronized. Counts are validated against the payload length before
+// any allocation is sized from them. The decoders accept only what the
+// encoders write, so every accepted frame and payload re-encodes byte for
+// byte: an integer outside its TypeId's range (a BOOL other than 0/1, a
+// TIMESTAMP at or above 2^32), an OK status with a message, or a has_row
+// byte other than 0/1 (or 1 with a zero-column row) is an error, never
+// truncated into something valid.
 
 #pragma once
 

@@ -119,7 +119,6 @@ Result<std::unique_ptr<Shard>> Shard::Open(uint32_t shard_id,
   dbo.io_threads = shard->options_.io_threads;
   dbo.flusher_interval_us = shard->options_.flusher_interval_us;
   dbo.flush_batch_pages = shard->options_.flush_batch_pages;
-  dbo.sync_writeback = shard->options_.sync_writeback;
   shard->durable_ = shard->options_.wal_enabled;
 
   // Decide between fresh create and reattach BEFORE opening anything.

@@ -84,9 +84,6 @@ struct ShardOptions {
   uint64_t flusher_interval_us = 0;
   /// Max dirty pages per flusher pass.
   size_t flush_batch_pages = 64;
-  /// Baseline knob: synchronous per-page write-back instead of the batched
-  /// async pipeline (see DatabaseOptions::sync_writeback).
-  bool sync_writeback = false;
 
   // ---- Adaptive batching (read by the ShardedEngine worker that owns this
   // shard; the shard itself just executes whatever it is handed) ----------

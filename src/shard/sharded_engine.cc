@@ -58,7 +58,6 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
     so.io_threads = options.io_threads;
     so.flusher_interval_us = options.flusher_interval_us;
     so.flush_batch_pages = options.flush_batch_pages;
-    so.sync_writeback = options.sync_writeback;
     so.wal_enabled = options.wal_enabled;
     so.semid_partition_bits = options.semid_partition_bits;
     so.schema = options.schema;

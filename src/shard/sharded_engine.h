@@ -97,14 +97,12 @@ struct ShardedEngineOptions {
   uint32_t drain_deadline_us = 0;
   /// Async I/O engine and flusher knobs, forwarded to every shard (see
   /// storage/disk_manager.h and exec/database.h). Reads and write-back
-  /// share the backend and queue-depth budget; sync_writeback is the
-  /// per-page-pwrite measurement baseline.
+  /// share the backend and queue-depth budget.
   IoBackend io_backend = IoBackend::kAuto;
   size_t io_queue_depth = 64;
   size_t io_threads = 4;
   uint64_t flusher_interval_us = 0;
   size_t flush_batch_pages = 64;
-  bool sync_writeback = false;
   /// Backpressure: bound on each shard queue's depth in sub-batches. 0
   /// (default) keeps the queues unbounded, as before. With a bound, an
   /// over-limit Submit either blocks until the owning worker drains below

@@ -310,16 +310,11 @@ Status BufferPool::WriteBackBatch(std::vector<Claim>* claims) {
     if (c.writeback) wb.push_back(&c);
   }
   if (wb.empty()) return Status::OK();
-  // A single victim has nothing to overlap; the sync path also serves as
-  // the per-page baseline under the sync_writeback knob.
-  if (wb.size() == 1 || sync_writeback_.load(std::memory_order_relaxed)) {
-    Status first_error;
-    for (Claim* c : wb) {
-      Status ws = WriteBack(StripeFor(c->old_id), *c);
-      c->writeback = false;
-      if (!ws.ok() && first_error.ok()) first_error = ws;
-    }
-    return first_error;
+  // A single victim has nothing to overlap.
+  if (wb.size() == 1) {
+    Status ws = WriteBack(StripeFor(wb[0]->old_id), *wb[0]);
+    wb[0]->writeback = false;
+    return ws;
   }
   // The claimed frames are exclusively ours (io bit set, displaced pages
   // already unmapped), so the group writes straight from frame memory —
@@ -361,37 +356,11 @@ Status BufferPool::FlushTargets(std::vector<FlushTarget>* targets,
   *runs = 0;
   if (targets->empty()) return Status::OK();
   // Sorting makes contiguous dirty pages adjacent, so the submit path
-  // coalesces them into vectored runs (and the sync baseline at least
-  // writes in file order).
+  // coalesces them into vectored runs.
   std::sort(targets->begin(), targets->end(),
             [](const FlushTarget& a, const FlushTarget& b) {
               return a.id < b.id;
             });
-  if (sync_writeback_.load(std::memory_order_relaxed)) {
-    Status first_error;
-    for (FlushTarget& t : *targets) {
-      Status ws;
-      {
-        // Hold the frame's cache latch so latch-disciplined content
-        // writers never overlap the flush read (see FlushPage).
-        LatchGuard latch(t.frame->cache_latch);
-        ws = disk_->WritePage(t.id, t.frame->data);
-      }
-      if (t.claimed) {
-        // Drop the flusher's io-claim now that the bytes left the frame.
-        t.frame->state.fetch_and(~kIoBit, std::memory_order_release);
-      }
-      if (ws.ok()) {
-        ++*flushed;
-        ++*runs;  // per-page writes: every page is its own "run"
-      } else {
-        t.frame->state.fetch_or(kDirtyBit, std::memory_order_relaxed);
-        RecordFlightEvent(FlightEvent::kRedirty, 1);
-        if (first_error.ok()) first_error = ws;
-      }
-    }
-    return first_error;
-  }
   if (flush_staging_ == nullptr) {
     void* mem = nullptr;
     NBLB_CHECK(::posix_memalign(&mem, 4096,

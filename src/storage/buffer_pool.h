@@ -34,8 +34,6 @@
 //     dirty sets drain sorted through DiskManager::SubmitWrites — one
 //     vectored op per contiguous run, all runs at the device at once —
 //     with a single fsync behind a checkpoint drain (group fsync).
-//     set_sync_writeback(true) restores per-page pwrite as an A/B
-//     baseline.
 
 #pragma once
 
@@ -201,17 +199,6 @@ class BufferPool {
   /// destructor before the final FlushAll).
   void StopFlusher();
 
-  /// \brief Forces every write-back path (flusher, eviction, FlushAll)
-  /// back to synchronous one-page writes. A measurement/debug baseline
-  /// knob — benchmarks A/B the async batched pipeline against exactly the
-  /// per-page behaviour it replaced. Safe to toggle at any time.
-  void set_sync_writeback(bool v) {
-    sync_writeback_.store(v, std::memory_order_relaxed);
-  }
-  bool sync_writeback() const {
-    return sync_writeback_.load(std::memory_order_relaxed);
-  }
-
   size_t num_frames() const { return num_frames_; }
   size_t num_stripes() const { return num_stripes_; }
   size_t page_size() const { return page_size_; }
@@ -351,8 +338,8 @@ class BufferPool {
   /// runs in flight through DiskManager::SubmitWrites, waits the group,
   /// and clears the flushing entries. Each claim's `writeback` flag is
   /// cleared whether or not the group succeeded (the flushing entries are
-  /// gone either way — see the data-loss NOTE on WriteBack). Falls back to
-  /// per-page WriteBack under sync_writeback_.
+  /// gone either way — see the data-loss NOTE on WriteBack). A single
+  /// victim takes the per-page WriteBack.
   Status WriteBackBatch(std::vector<Claim>* claims);
 
   /// One selected flush target: a frame pinned with its dirty bit already
@@ -368,10 +355,9 @@ class BufferPool {
 
   /// Writes `targets` back in sorted batched groups (snapshotting each
   /// page into the staging arena under its cache latch, then
-  /// SubmitWrites/WaitWrites per staging-sized chunk), or per-page
-  /// synchronously under sync_writeback_. Failed pages are re-marked dirty
-  /// (batch mode re-marks the whole failing chunk — conservative, a clean
-  /// page flushed twice is harmless). Does NOT unpin. Returns the first
+  /// SubmitWrites/WaitWrites per staging-sized chunk). Failed pages are
+  /// re-marked dirty (the whole failing chunk — conservative, a clean page
+  /// flushed twice is harmless). Does NOT unpin. Returns the first
   /// error and sets `*flushed`/`*runs` to the successful page and run
   /// counts.
   Status FlushTargets(std::vector<FlushTarget>* targets, size_t* flushed,
@@ -434,9 +420,6 @@ class BufferPool {
   std::atomic<uint64_t> flusher_pages_{0};
   std::atomic<uint64_t> flusher_coalesced_runs_{0};
 
-  /// Baseline knob: true forces per-page synchronous write-back everywhere
-  /// (see set_sync_writeback).
-  std::atomic<bool> sync_writeback_{false};
   /// Staging arena for batched flushes: up to kFlushStagingPages pages are
   /// snapshotted here (4096-aligned, so O_DIRECT group writes transfer
   /// directly) while their cache latches are released — the device reads a

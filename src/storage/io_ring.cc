@@ -3,7 +3,6 @@
 #if NBLB_HAVE_IO_URING
 
 #include <sys/mman.h>
-#include <sys/socket.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 
@@ -95,8 +94,8 @@ IoRing::~IoRing() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-bool IoRing::PushRaw(uint8_t opcode, int fd, uint64_t addr, unsigned len,
-                     uint64_t offset, uint32_t op_flags, uint64_t user_data) {
+bool IoRing::PushOp(uint8_t opcode, int fd, const struct iovec* iov,
+                    unsigned nr_iov, uint64_t offset, uint64_t user_data) {
   // Sole producer (caller-serialized): tail is ours to read relaxed, head is
   // advanced by the kernel as it consumes sqes.
   const unsigned head = __atomic_load_n(sq_head_, __ATOMIC_ACQUIRE);
@@ -106,21 +105,14 @@ bool IoRing::PushRaw(uint8_t opcode, int fd, uint64_t addr, unsigned len,
   std::memset(sqe, 0, sizeof(*sqe));
   sqe->opcode = opcode;
   sqe->fd = fd;
-  sqe->addr = addr;
-  sqe->len = len;
+  sqe->addr = reinterpret_cast<uint64_t>(iov);
+  sqe->len = nr_iov;
   sqe->off = offset;
-  sqe->rw_flags = static_cast<int>(op_flags);  // msg_flags/accept_flags union
   sqe->user_data = user_data;
   // Publish the sqe before the tail so the kernel never reads a stale entry.
   __atomic_store_n(sq_tail_, tail + 1, __ATOMIC_RELEASE);
   ++to_submit_;
   return true;
-}
-
-bool IoRing::PushOp(uint8_t opcode, int fd, const struct iovec* iov,
-                    unsigned nr_iov, uint64_t offset, uint64_t user_data) {
-  return PushRaw(opcode, fd, reinterpret_cast<uint64_t>(iov), nr_iov, offset,
-                 0, user_data);
 }
 
 bool IoRing::PushReadv(int fd, const struct iovec* iov, unsigned nr_iov,
@@ -131,29 +123,6 @@ bool IoRing::PushReadv(int fd, const struct iovec* iov, unsigned nr_iov,
 bool IoRing::PushWritev(int fd, const struct iovec* iov, unsigned nr_iov,
                         uint64_t offset, uint64_t user_data) {
   return PushOp(IORING_OP_WRITEV, fd, iov, nr_iov, offset, user_data);
-}
-
-bool IoRing::PushAccept(int listen_fd, uint64_t user_data) {
-  // addr/addrlen of the peer are discarded (addr == 0); the accepted fd
-  // arrives as the cqe res.
-  return PushRaw(IORING_OP_ACCEPT, listen_fd, 0, 0, 0, 0, user_data);
-}
-
-bool IoRing::PushRecv(int fd, void* buf, unsigned len, uint64_t user_data) {
-  return PushRaw(IORING_OP_RECV, fd, reinterpret_cast<uint64_t>(buf), len, 0,
-                 0, user_data);
-}
-
-bool IoRing::PushSend(int fd, const void* buf, unsigned len,
-                      uint64_t user_data) {
-  return PushRaw(IORING_OP_SEND, fd, reinterpret_cast<uint64_t>(buf), len, 0,
-                 MSG_NOSIGNAL, user_data);
-}
-
-bool IoRing::PushCancel(uint64_t target_user_data, uint64_t user_data) {
-  // addr names the target op's user_data; fd is unused (-1).
-  return PushRaw(IORING_OP_ASYNC_CANCEL, -1, target_user_data, 0, 0, 0,
-                 user_data);
 }
 
 int IoRing::Flush() {

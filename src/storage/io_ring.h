@@ -11,6 +11,9 @@
 // and one consumer may run concurrently (the ring head/tail accesses use
 // acquire/release pairs against the kernel and against each other).
 //
+// File ops only (READV/WRITEV for DiskManager): the network server's event
+// loop is epoll (src/net/server.h).
+//
 // Creation can fail at runtime even when compiled in — containers commonly
 // seccomp-block io_uring, and kernels can disable it via the
 // `io_uring_disabled` sysctl. TryCreate returns nullptr in that case and the
@@ -47,10 +50,6 @@ class IoRing {
   bool PushWritev(int, const struct iovec*, unsigned, uint64_t, uint64_t) {
     return false;
   }
-  bool PushAccept(int, uint64_t) { return false; }
-  bool PushRecv(int, void*, unsigned, uint64_t) { return false; }
-  bool PushSend(int, const void*, unsigned, uint64_t) { return false; }
-  bool PushCancel(uint64_t, uint64_t) { return false; }
   int Flush() { return -1; }
   size_t Reap(Cqe*, size_t) { return 0; }
   int WaitCqe() { return -1; }
@@ -97,31 +96,6 @@ class IoRing {
   bool PushWritev(int fd, const struct iovec* iov, unsigned nr_iov,
                   uint64_t offset, uint64_t user_data);
 
-  // Socket ops for the network front end (src/net/server.cc). Availability
-  // differs from file ops — IORING_OP_RECV/SEND need kernel >= 5.6 — so the
-  // server runtime-probes a loopback recv before committing to the ring
-  // (see NetServer) and falls back to epoll, mirroring the DiskManager's
-  // probe-then-degrade discipline.
-
-  /// \brief Queues one IORING_OP_ACCEPT on a listening socket. The peer
-  /// address is discarded; the cqe res is the accepted fd or -errno.
-  bool PushAccept(int listen_fd, uint64_t user_data);
-
-  /// \brief Queues one IORING_OP_RECV into `buf` (alive until reaped); cqe
-  /// res is bytes received, 0 on orderly peer shutdown, or -errno.
-  bool PushRecv(int fd, void* buf, unsigned len, uint64_t user_data);
-
-  /// \brief Queues one IORING_OP_SEND of `buf` (alive until reaped; sent
-  /// with MSG_NOSIGNAL); cqe res is bytes sent or -errno.
-  bool PushSend(int fd, const void* buf, unsigned len, uint64_t user_data);
-
-  /// \brief Queues one IORING_OP_ASYNC_CANCEL targeting the in-flight op
-  /// submitted with `target_user_data`. The canceled op still produces its
-  /// own cqe (-ECANCELED, or its real result if it won the race); the
-  /// cancel op's cqe reports whether a target was found. Used by the
-  /// NetServer's shutdown drain to retire a pending ACCEPT.
-  bool PushCancel(uint64_t target_user_data, uint64_t user_data);
-
   /// \brief Submits every queued sqe to the kernel. 0 on success, -errno.
   int Flush();
 
@@ -134,10 +108,6 @@ class IoRing {
 
  private:
   IoRing() = default;
-
-  /// Shared producer path: raw sqe fields (addr/len/off/op-flags).
-  bool PushRaw(uint8_t opcode, int fd, uint64_t addr, unsigned len,
-               uint64_t offset, uint32_t op_flags, uint64_t user_data);
 
   /// Shared producer path for PushReadv/PushWritev.
   bool PushOp(uint8_t opcode, int fd, const struct iovec* iov,

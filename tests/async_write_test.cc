@@ -5,8 +5,8 @@
 // eviction under pressure, FlushAll/Checkpoint group drain), injected
 // device write failures (RLIMIT_FSIZE: writes past the limit fail EFBIG —
 // unlike truncation, which a pwrite would silently undo by re-extending
-// the file) with pool recovery, the sync_writeback per-page baseline knob,
-// a bit-for-bit group-fsync vs per-page-FlushPage checkpoint oracle, and a
+// the file) with pool recovery, one FlushAll as one write batch, a
+// bit-for-bit group-fsync vs per-page-FlushPage checkpoint oracle, and a
 // concurrent flusher+checkpoint+eviction stress (run under TSan in CI).
 
 #include <gtest/gtest.h>
@@ -362,23 +362,9 @@ TEST(AsyncWriteTest, EvictionDirtyVictimsUseBatchedWriteBack) {
   }
 }
 
-TEST(AsyncWriteTest, SyncWritebackKnobForcesPerPageWrites) {
-  Stack s = MakeStackWithBackend("awr_knob", IoBackend::kThreads);
+TEST(AsyncWriteTest, FlushAllDrainsDirtyPagesAsOneWriteBatch) {
+  Stack s = MakeStackWithBackend("awr_flushall", IoBackend::kThreads);
   std::vector<PageId> ids = SeedPages(s, 8);
-  s.bp->set_sync_writeback(true);
-  for (PageId id : ids) {
-    auto g = s.bp->FetchPage(id);
-    ASSERT_TRUE(g.ok());
-    FillPattern(g->data(), 4096, id, 'S');
-    g->MarkDirty();
-  }
-  s.disk->ResetStats();
-  ASSERT_OK(s.bp->FlushAll());
-  DiskStats ds = s.disk->stats();
-  EXPECT_EQ(ds.async_write_batches, 0u);  // pure per-page pwrite baseline
-  EXPECT_EQ(ds.writes, ids.size());
-
-  s.bp->set_sync_writeback(false);
   for (PageId id : ids) {
     auto g = s.bp->FetchPage(id);
     ASSERT_TRUE(g.ok());
@@ -386,7 +372,7 @@ TEST(AsyncWriteTest, SyncWritebackKnobForcesPerPageWrites) {
   }
   s.disk->ResetStats();
   ASSERT_OK(s.bp->FlushAll());
-  ds = s.disk->stats();
+  const DiskStats ds = s.disk->stats();
   EXPECT_EQ(ds.async_write_batches, 1u);
   EXPECT_EQ(ds.async_writes, ids.size());
 }

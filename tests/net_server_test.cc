@@ -1,18 +1,22 @@
 // NetServer end-to-end tests: request round trips over loopback TCP,
 // admission-control busy shedding, protocol-error connection teardown,
-// client disconnect mid-request, and clean engine drain when clients are
-// killed under load. Runs under whichever loop backend NBLB_IO_BACKEND
-// resolves to — CI exercises both.
+// client disconnect mid-request, clean engine drain when clients are
+// killed under load, read backpressure against a client that never reads
+// its replies, and Start failing when the event loop cannot be set up.
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -56,6 +60,10 @@ void Cleanup(const ShardedEngineOptions& opts) {
     std::remove(
         (opts.path_prefix + ".shard" + std::to_string(s) + ".db").c_str());
   }
+}
+
+uint64_t Counter(const NetServer& server, const std::string& name) {
+  return server.MetricsSnapshotNow().counters.at(name);
 }
 
 std::unique_ptr<NetClient> MustConnect(const NetServer& server) {
@@ -122,12 +130,12 @@ TEST(NetServerTest, RoundTripAllRequestKinds) {
   EXPECT_EQ(check.results[0].row[1].AsString(), "nine");
   EXPECT_TRUE(check.results[1].status.IsNotFound());
 
-  const NetStatsSnapshot stats = server->stats();
-  EXPECT_EQ(stats.accepts, 1u);
-  EXPECT_EQ(stats.frames_in, 3u);
-  EXPECT_EQ(stats.responses, 3u);
-  EXPECT_EQ(stats.decode_errors, 0u);
-  EXPECT_EQ(stats.busy_shed, 0u);
+  const auto counters = server->MetricsSnapshotNow().counters;
+  EXPECT_EQ(counters.at("net.accepts"), 1u);
+  EXPECT_EQ(counters.at("net.frames_in"), 3u);
+  EXPECT_EQ(counters.at("net.responses"), 3u);
+  EXPECT_EQ(counters.at("net.decode_errors"), 0u);
+  EXPECT_EQ(counters.at("net.busy_shed"), 0u);
 
   client.reset();
   server.reset();
@@ -202,11 +210,11 @@ TEST(NetServerTest, ConcurrentClientsAllServed) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(ok.load(), static_cast<uint64_t>(kClients * kCallsPerClient * 4));
-  const NetStatsSnapshot stats = server->stats();
-  EXPECT_EQ(stats.accepts, static_cast<uint64_t>(kClients));
-  EXPECT_EQ(stats.frames_in,
+  const auto counters = server->MetricsSnapshotNow().counters;
+  EXPECT_EQ(counters.at("net.accepts"), static_cast<uint64_t>(kClients));
+  EXPECT_EQ(counters.at("net.frames_in"),
             static_cast<uint64_t>(kClients * kCallsPerClient));
-  EXPECT_EQ(stats.responses, stats.frames_in);
+  EXPECT_EQ(counters.at("net.responses"), counters.at("net.frames_in"));
 
   server.reset();
   engine.reset();
@@ -257,7 +265,7 @@ TEST(NetServerTest, AdmissionControlShedsWithBusyReplies) {
   EXPECT_GT(served, 0);
   EXPECT_GT(busy, 0) << "64 back-to-back frames with a cap of 1 in flight "
                         "must shed at least one";
-  EXPECT_EQ(server->stats().busy_shed, static_cast<uint64_t>(busy));
+  EXPECT_EQ(Counter(*server, "net.busy_shed"), static_cast<uint64_t>(busy));
 
   // The shed left a flight-recorder trace.
   bool found_shed_event = false;
@@ -297,7 +305,7 @@ TEST(NetServerTest, GarbageBytesCloseTheConnection) {
   } while (n > 0);
   EXPECT_EQ(n, 0);
   EXPECT_TRUE(WaitUntil([&] { return server->open_connections() == 0; }));
-  EXPECT_GE(server->stats().decode_errors, 1u);
+  EXPECT_GE(Counter(*server, "net.decode_errors"), 1u);
 
   // The server keeps serving fresh connections afterwards.
   auto client2 = MustConnect(*server);
@@ -334,7 +342,7 @@ TEST(NetServerTest, OversizedLengthPrefixClosesTheConnection) {
   } while (n > 0);
   EXPECT_EQ(n, 0);
   EXPECT_TRUE(WaitUntil([&] { return server->open_connections() == 0; }));
-  EXPECT_GE(server->stats().decode_errors, 1u);
+  EXPECT_GE(Counter(*server, "net.decode_errors"), 1u);
 
   client.reset();
   server.reset();
@@ -412,10 +420,10 @@ TEST(NetServerTest, KillClientsUnderLoadLeavesEngineClean) {
   // connection reaped, and the engine still serves.
   EXPECT_TRUE(WaitUntil([&] { return server->inflight() == 0; }));
   EXPECT_TRUE(WaitUntil([&] { return server->open_connections() == 0; }));
-  const NetStatsSnapshot stats = server->stats();
-  EXPECT_GT(stats.frames_in, 0u);
-  EXPECT_EQ(stats.accepts, static_cast<uint64_t>(kClients));
-  EXPECT_EQ(stats.closes, static_cast<uint64_t>(kClients));
+  const auto counters = server->MetricsSnapshotNow().counters;
+  EXPECT_GT(counters.at("net.frames_in"), 0u);
+  EXPECT_EQ(counters.at("net.accepts"), static_cast<uint64_t>(kClients));
+  EXPECT_EQ(counters.at("net.closes"), static_cast<uint64_t>(kClients));
   server.reset();
 
   BatchResult after = engine->Execute({Request::Get(1)});
@@ -456,36 +464,6 @@ TEST(NetServerTest, MetricsDocumentMergesNetAndEngineLayers) {
   Cleanup(eopts);
 }
 
-TEST(NetServerTest, ForcedFallbackBackendHonorsEnvAndOption) {
-  ShardedEngineOptions eopts = EngineOptions("backend");
-  ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(eopts));
-  const char* env = std::getenv("NBLB_IO_BACKEND");
-  // NBLB_IO_BACKEND overrides the option (same precedence as DiskManager):
-  // with no env override or env=threads, kThreads must resolve to epoll.
-  // Under env=uring the override wins; the backend then depends on the
-  // runtime probe, so just assert serving works either way.
-  NetServerOptions sopts;
-  sopts.io_backend = IoBackend::kThreads;
-  {
-    ASSERT_OK_AND_ASSIGN(auto server, NetServer::Start(sopts, engine.get()));
-    if (env == nullptr || std::strcmp(env, "threads") == 0) {
-      EXPECT_EQ(server->backend_in_use(), IoBackend::kThreads);
-    }
-    auto client = MustConnect(*server);
-    ASSERT_OK_AND_ASSIGN(BatchResult r, client->Call({Request::Get(5)}));
-    EXPECT_TRUE(r.results[0].status.IsNotFound());
-  }
-  // env=threads forces epoll even when the option asks for auto/uring.
-  if (env != nullptr && std::strcmp(env, "threads") == 0) {
-    NetServerOptions auto_opts;
-    ASSERT_OK_AND_ASSIGN(auto server,
-                         NetServer::Start(auto_opts, engine.get()));
-    EXPECT_EQ(server->backend_in_use(), IoBackend::kThreads);
-  }
-  engine.reset();
-  Cleanup(eopts);
-}
-
 TEST(NetServerTest, IdleConnectionsAreReapedActiveOnesSurvive) {
   ShardedEngineOptions eopts = EngineOptions("idle");
   ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(eopts));
@@ -507,7 +485,7 @@ TEST(NetServerTest, IdleConnectionsAreReapedActiveOnesSurvive) {
     auto r = active_client->Call({Request::Get(1)});
     EXPECT_OK(r.status());
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    return server->stats().idle_closed >= 1;
+    return Counter(*server, "net.idle_closed") >= 1;
   });
   EXPECT_TRUE(reaped);
   EXPECT_TRUE(WaitUntil([&] { return server->open_connections() == 1; }));
@@ -535,6 +513,130 @@ TEST(NetServerTest, IdleConnectionsAreReapedActiveOnesSurvive) {
 
   idle_client.reset();
   active_client.reset();
+  server.reset();
+  engine.reset();
+  Cleanup(eopts);
+}
+
+// A client that pipelines requests but never reads its replies must not
+// grow the server without bound: once the connection's output is blocked,
+// the loop stops reading it, so the client's sends stall long before all
+// of its frames are decoded. Other connections are still served.
+TEST(NetServerTest, ClientThatNeverReadsStopsBeingRead) {
+  ShardedEngineOptions eopts = EngineOptions("slowreader");
+  ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(eopts));
+  ASSERT_OK(engine->Insert(1, KvRow(1)));
+  ASSERT_OK_AND_ASSIGN(auto server,
+                       NetServer::Start(NetServerOptions{}, engine.get()));
+
+  // A raw socket whose receive buffer is set before connect, so the window
+  // it advertises stays small and the server's replies back up fast.
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  const int rcvbuf = 4096;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)),
+            0);
+  struct sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+
+  // 1M one-get frames of 29 B; the sender blocks once the socket buffers
+  // between it and a server that stopped reading are full.
+  constexpr uint64_t kFrames = 1000000;
+  constexpr uint64_t kFramesPerChunk = 1000;
+  std::string chunk;
+  for (uint64_t i = 0; i < kFramesPerChunk; ++i) {
+    ASSERT_OK(AppendRequestFrame(i + 1, {Request::Get(2)}, &chunk));
+  }
+  std::thread sender([&] {
+    for (uint64_t c = 0; c < kFrames / kFramesPerChunk; ++c) {
+      size_t off = 0;
+      while (off < chunk.size()) {
+        const ssize_t n = ::send(fd, chunk.data() + off, chunk.size() - off,
+                                 MSG_NOSIGNAL);
+        if (n < 0) {
+          if (errno == EINTR) continue;
+          return;  // the shutdown below
+        }
+        off += static_cast<size_t>(n);
+      }
+    }
+  });
+
+  // Wait until the server stops decoding: frames_in unchanged for 500 ms.
+  uint64_t frames_in = 0;
+  int unchanged = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (unchanged < 5 && frames_in < kFrames &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const uint64_t now_in = Counter(*server, "net.frames_in");
+    unchanged = now_in == frames_in ? unchanged + 1 : 0;
+    frames_in = now_in;
+  }
+  EXPECT_LT(frames_in, kFrames / 2)
+      << "the server kept reading a client that reads none of its replies";
+
+  // A well-behaved client on another connection is still served.
+  auto client = MustConnect(*server);
+  ASSERT_OK_AND_ASSIGN(BatchResult r, client->Call({Request::Get(1)}));
+  ASSERT_OK(r.results[0].status);
+
+  ::shutdown(fd, SHUT_RDWR);  // fails the blocked send
+  sender.join();
+  ::close(fd);
+  client.reset();
+  server.reset();
+  engine.reset();
+  Cleanup(eopts);
+}
+
+// Start sets up the event loop before it returns. When the epoll set cannot
+// be created (the fd limit leaves room for the listen socket and the
+// eventfd only), Start fails instead of returning a server whose port
+// completes handshakes but never answers.
+TEST(NetServerTest, StartFailsWhenTheEventLoopCannotBeSetUp) {
+  ShardedEngineOptions eopts = EngineOptions("fdcap");
+  ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(eopts));
+
+  // The two lowest free fds, which Start's socket and eventfd will take.
+  const int a = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  const int b = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(a, 0);
+  ASSERT_GT(b, a);
+  ::close(a);
+  ::close(b);
+
+  struct rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  struct rlimit capped = saved;
+  capped.rlim_cur = static_cast<rlim_t>(b) + 1;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &capped), 0);
+  auto capped_start = NetServer::Start(NetServerOptions{}, engine.get());
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_FALSE(capped_start.ok());
+  EXPECT_TRUE(capped_start.status().IsIOError())
+      << capped_start.status().ToString();
+
+  // The failed Start closed what it opened.
+  const int again = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  EXPECT_EQ(again, a);
+  ::close(again);
+
+  // With the limit restored, a new Start serves.
+  ASSERT_OK_AND_ASSIGN(auto server,
+                       NetServer::Start(NetServerOptions{}, engine.get()));
+  auto client = MustConnect(*server);
+  ASSERT_OK_AND_ASSIGN(BatchResult r, client->Call({Request::Get(3)}));
+  EXPECT_TRUE(r.results[0].status.IsNotFound());
+
+  client.reset();
   server.reset();
   engine.reset();
   Cleanup(eopts);
