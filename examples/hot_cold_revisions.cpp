@@ -8,6 +8,7 @@
 //   ./build/examples/hot_cold_revisions
 
 #include <cstdio>
+#include <string>
 #include <unordered_set>
 
 #include "exec/database.h"
@@ -43,23 +44,34 @@ int main() {
     if (!rev->Insert(row).ok()) return 1;
   }
 
-  // How scattered are the hot tuples?
+  // How scattered are the hot tuples? Counts the pages holding them and
+  // the bytes they use there (tuple bytes plus a slot entry each).
+  size_t hot_bytes = 0;
   auto hot_pages = [&]() {
     std::unordered_set<PageId> pages;
+    hot_bytes = 0;
     for (int64_t id : synth.latest_revision_ids()) {
       auto enc = rev->key_codec().EncodeValues({Value::Int64(id)});
       auto tid = rev->index()->Get(Slice(*enc));
-      if (tid.ok()) pages.insert(Rid::FromU64(*tid).page);
+      std::string tuple;
+      if (!tid.ok() || !rev->heap()->Get(Rid::FromU64(*tid), &tuple).ok()) {
+        continue;
+      }
+      pages.insert(Rid::FromU64(*tid).page);
+      hot_bytes += tuple.size() + HeapFile::kSlotEntrySize;
     }
     return pages.size();
   };
   const size_t hot = synth.latest_revision_ids().size();
   std::printf("%zu hot tuples (latest revisions) out of %zu rows\n", hot,
               synth.revisions().size());
+  const size_t pages_before = hot_pages();
   std::printf("before clustering: hot tuples spread over %zu heap pages "
-              "(%.1f%% of slots on those pages are hot)\n",
-              hot_pages(),
-              100.0 * hot / (hot_pages() * rev->heap()->SlotsPerPage()));
+              "(%.1f%% of those pages' bytes hold hot tuples)\n",
+              pages_before,
+              100.0 * static_cast<double>(hot_bytes) /
+                  static_cast<double>(pages_before * (dbo.page_size -
+                                                      HeapFile::kPageHeaderSize)));
 
   // Cluster: delete-then-append every hot tuple (§3.1).
   std::vector<std::vector<Value>> hot_keys;

@@ -24,7 +24,8 @@ int main() {
   }
   auto db = std::move(*db_result);
 
-  // 2. Declare a schema. Every type is fixed width (see catalog/type.h).
+  // 2. Declare a schema. Every type has a declared width (see
+  //    catalog/type.h); heap pages store only the bytes a VARCHAR uses.
   Schema schema({{"user_id", TypeId::kInt64, 0},
                  {"name", TypeId::kVarchar, 24},
                  {"karma", TypeId::kInt32, 0},

@@ -5,13 +5,14 @@
 //
 //   fixed image    columns back to back at their schema offsets, exactly
 //                  row_size() bytes; each kVarchar is followed by its whole
-//                  declared capacity, zero past the length. Heap tuples and
-//                  index-cache payloads use it, so a tuple can be updated in
-//                  place and a slot's width is known from the schema.
+//                  declared capacity, zero past the length. Index-cache
+//                  payloads use it, so a cache item's width is known from
+//                  the schema.
 //   trimmed image  the same bytes in the same order, with each kVarchar cut
 //                  to its length plus the bytes it uses; every other column
-//                  is byte-identical. WAL put payloads use it (the padding
-//                  holds no data, and the log pays for every byte).
+//                  is byte-identical. Heap tuples and WAL put payloads use
+//                  it (the padding holds no data, and heap pages and the log
+//                  pay for every byte).
 //
 // A trimmed image is row_size() bytes long only when every kVarchar is full,
 // and is then byte-identical to the fixed image. So Decode reads a payload of
@@ -22,8 +23,7 @@
 // disk (heap pages carry no checksum) or from a log, and a bad length must
 // surface as Corruption, never as a read past the buffer. An accepted
 // payload re-encodes to itself, except that a fixed image's VARCHAR padding
-// is never read (it holds no data, and every heap read decodes a fixed
-// image) and re-encodes as zeros.
+// is never read (it holds no data) and re-encodes as zeros.
 
 #pragma once
 

@@ -12,46 +12,13 @@ Table::Table(BufferPool* bp, Schema schema, TableOptions options)
 
 Result<std::unique_ptr<Table>> Table::Create(BufferPool* bp, Schema schema,
                                              TableOptions options) {
-  if (options.key_columns.empty()) {
-    return Status::InvalidArgument("table requires key columns");
-  }
-  for (size_t c : options.key_columns) {
-    if (c >= schema.num_columns()) {
-      return Status::InvalidArgument("key column out of range");
-    }
-  }
-  for (size_t c : options.cached_columns) {
-    if (c >= schema.num_columns()) {
-      return Status::InvalidArgument("cached column out of range");
-    }
-  }
-  std::unique_ptr<Table> t(new Table(bp, std::move(schema), options));
-  t->row_codec_.reset(new RowCodec(&t->schema_));
-  t->key_codec_.reset(new KeyCodec(&t->schema_, options.key_columns));
-  t->cache_schema_ = t->schema_.Project(options.cached_columns);
-  t->cache_codec_.reset(new RowCodec(&t->cache_schema_));
-
-  NBLB_ASSIGN_OR_RETURN(auto heap,
-                        HeapFile::Create(bp, t->schema_.row_size(),
-                                         HeapFileOptions{options.reuse_free_slots}));
-  t->heap_ = std::move(heap);
-
-  BTreeOptions bt;
-  bt.key_size = static_cast<uint16_t>(t->key_codec_->key_size());
-  bt.leaf_payload_size = 8;
-  const bool want_cache =
-      options.enable_index_cache && !options.cached_columns.empty();
-  if (want_cache) {
-    const size_t item = 8 + t->cache_schema_.row_size();
-    if (item > kMaxCacheItemSize) {
-      return Status::InvalidArgument("cached columns too wide for cache item");
-    }
-    bt.cache_item_size = static_cast<uint16_t>(item);
-  }
-  NBLB_ASSIGN_OR_RETURN(auto index, BTree::Create(bp, bt));
-  t->index_ = std::move(index);
-
-  if (want_cache) {
+  NBLB_ASSIGN_OR_RETURN(auto t, MakeShell(bp, std::move(schema), options));
+  NBLB_ASSIGN_OR_RETURN(
+      t->heap_,
+      HeapFile::Create(bp, HeapFileOptions{options.reuse_free_slots}));
+  NBLB_ASSIGN_OR_RETURN(BTreeOptions bt, t->NewIndexOptions());
+  NBLB_ASSIGN_OR_RETURN(t->index_, BTree::Create(bp, bt));
+  if (bt.cache_item_size > 0) {
     t->cache_.reset(new IndexCache(t->index_.get(), options.cache_options));
   }
   return t;
@@ -63,10 +30,8 @@ Result<std::unique_ptr<Table>> Table::Attach(BufferPool* bp, Schema schema,
                                              PageId btree_meta_page) {
   NBLB_ASSIGN_OR_RETURN(auto t, MakeShell(bp, std::move(schema), options));
   NBLB_ASSIGN_OR_RETURN(
-      auto heap,
-      HeapFile::Attach(bp, t->schema_.row_size(), heap_first_page,
-                       HeapFileOptions{options.reuse_free_slots}));
-  t->heap_ = std::move(heap);
+      t->heap_, HeapFile::Attach(bp, heap_first_page,
+                                 HeapFileOptions{options.reuse_free_slots}));
   NBLB_ASSIGN_OR_RETURN(auto index, BTree::Open(bp, btree_meta_page));
   if (index->options().key_size != t->key_codec_->key_size()) {
     return Status::Corruption("index key size does not match schema");
@@ -84,52 +49,35 @@ Result<std::unique_ptr<Table>> Table::AttachRebuild(BufferPool* bp,
                                                     PageId heap_first_page) {
   NBLB_ASSIGN_OR_RETURN(auto t, MakeShell(bp, std::move(schema), options));
   NBLB_ASSIGN_OR_RETURN(
-      auto heap,
-      HeapFile::AttachTolerant(bp, t->schema_.row_size(), heap_first_page,
+      t->heap_,
+      HeapFile::AttachTolerant(bp, heap_first_page,
                                HeapFileOptions{options.reuse_free_slots}));
-  t->heap_ = std::move(heap);
-
-  BTreeOptions bt;
-  bt.key_size = static_cast<uint16_t>(t->key_codec_->key_size());
-  bt.leaf_payload_size = 8;
-  const bool want_cache =
-      options.enable_index_cache && !options.cached_columns.empty();
-  if (want_cache) {
-    const size_t item = 8 + t->cache_schema_.row_size();
-    if (item > kMaxCacheItemSize) {
-      return Status::InvalidArgument("cached columns too wide for cache item");
-    }
-    bt.cache_item_size = static_cast<uint16_t>(item);
-  }
-  NBLB_ASSIGN_OR_RETURN(auto index, BTree::Create(bp, bt));
-  t->index_ = std::move(index);
+  NBLB_ASSIGN_OR_RETURN(BTreeOptions bt, t->NewIndexOptions());
+  NBLB_ASSIGN_OR_RETURN(t->index_, BTree::Create(bp, bt));
 
   // Rebuild the index from the surviving heap tuples. Chain order is
-  // insertion order under the default append-only placement, so on a
-  // duplicate key the tuple seen later is the younger one: repoint the
-  // index at it and drop the stale twin from the heap.
-  std::vector<std::pair<Rid, Rid>> stale;  // (old winner rid, unused)
-  const size_t row_size = t->schema_.row_size();
-  Status walk = t->heap_->ForEach([&](const Rid& rid, const char* bytes) {
-    NBLB_ASSIGN_OR_RETURN(Row row,
-                          t->row_codec_->Decode(Slice(bytes, row_size)));
+  // insertion order under the default append-only placement, and a row
+  // that outgrows its page moves to the tail, so on a duplicate key the
+  // tuple seen later is the younger one: repoint the index at it and drop
+  // the stale twin from the heap.
+  std::vector<Rid> stale;
+  Status walk = t->heap_->ForEach([&](const Rid& rid, const Slice& bytes) {
+    NBLB_ASSIGN_OR_RETURN(Row row, t->row_codec_->Decode(bytes));
     NBLB_ASSIGN_OR_RETURN(std::string key, t->key_codec_->EncodeFromRow(row));
     Status st = t->index_->Insert(Slice(key), rid.ToU64());
     if (st.IsAlreadyExists()) {
       NBLB_ASSIGN_OR_RETURN(uint64_t old_tid, t->index_->Get(Slice(key)));
-      stale.emplace_back(Rid::FromU64(old_tid), rid);
-      NBLB_RETURN_NOT_OK(t->index_->SetValue(Slice(key), rid.ToU64()));
-      return Status::OK();
+      stale.push_back(Rid::FromU64(old_tid));
+      return t->index_->SetValue(Slice(key), rid.ToU64());
     }
     return st;
   });
   NBLB_RETURN_NOT_OK(walk);
-  for (const auto& [old_rid, keep] : stale) {
-    (void)keep;
+  for (const Rid& old_rid : stale) {
     NBLB_RETURN_NOT_OK(t->heap_->Delete(old_rid));
   }
 
-  if (want_cache) {
+  if (bt.cache_item_size > 0) {
     t->cache_.reset(new IndexCache(t->index_.get(), options.cache_options));
   }
   return t;
@@ -150,12 +98,29 @@ Result<std::unique_ptr<Table>> Table::MakeShell(BufferPool* bp, Schema schema,
       return Status::InvalidArgument("cached column out of range");
     }
   }
+  if (schema.row_size() > HeapFile::MaxTupleSize(bp->page_size())) {
+    return Status::InvalidArgument("row too wide for a heap page");
+  }
   std::unique_ptr<Table> t(new Table(bp, std::move(schema), options));
   t->row_codec_.reset(new RowCodec(&t->schema_));
   t->key_codec_.reset(new KeyCodec(&t->schema_, options.key_columns));
   t->cache_schema_ = t->schema_.Project(options.cached_columns);
   t->cache_codec_.reset(new RowCodec(&t->cache_schema_));
   return t;
+}
+
+Result<BTreeOptions> Table::NewIndexOptions() const {
+  BTreeOptions bt;
+  bt.key_size = static_cast<uint16_t>(key_codec_->key_size());
+  bt.leaf_payload_size = 8;
+  if (options_.enable_index_cache && !options_.cached_columns.empty()) {
+    const size_t item = 8 + cache_schema_.row_size();
+    if (item > kMaxCacheItemSize) {
+      return Status::InvalidArgument("cached columns too wide for cache item");
+    }
+    bt.cache_item_size = static_cast<uint16_t>(item);
+  }
+  return bt;
 }
 
 bool Table::ProjectionCoveredByIndex(
@@ -210,8 +175,8 @@ Result<Row> Table::AssembleFromIndex(
 
 Status Table::Insert(const Row& row) {
   NBLB_ASSIGN_OR_RETURN(std::string key, key_codec_->EncodeFromRow(row));
-  NBLB_ASSIGN_OR_RETURN(std::string bytes, row_codec_->Encode(row));
-  NBLB_ASSIGN_OR_RETURN(Rid rid, heap_->Insert(Slice(bytes)));
+  NBLB_RETURN_NOT_OK(row_codec_->EncodeTrimmed(row, &image_));
+  NBLB_ASSIGN_OR_RETURN(Rid rid, heap_->Insert(Slice(image_)));
   Status st = index_->Insert(Slice(key), rid.ToU64());
   if (!st.ok()) {
     // Roll the heap insert back so the table stays consistent.
@@ -225,15 +190,7 @@ Status Table::Insert(const Row& row) {
 Status Table::UpsertByKey(const Row& row) {
   NBLB_ASSIGN_OR_RETURN(std::string key, key_codec_->EncodeFromRow(row));
   auto tid = index_->Get(Slice(key));
-  if (tid.ok()) {
-    if (cache_ != nullptr) {
-      NBLB_RETURN_NOT_OK(cache_->OnTupleModified(Slice(key), *tid));
-    }
-    NBLB_ASSIGN_OR_RETURN(std::string bytes, row_codec_->Encode(row));
-    NBLB_RETURN_NOT_OK(heap_->Update(Rid::FromU64(*tid), Slice(bytes)));
-    ++stats_.updates;
-    return Status::OK();
-  }
+  if (tid.ok()) return Rewrite(Slice(key), *tid, row, nullptr);
   if (!tid.status().IsNotFound()) return tid.status();
   return Insert(row);
 }
@@ -360,7 +317,8 @@ Result<Row> Table::LookupProjected(const std::vector<Value>& key_values,
 }
 
 Status Table::UpdateByKey(const std::vector<Value>& key_values,
-                          const Row& new_row) {
+                          const Row& new_row, Rid* moved_from) {
+  if (moved_from != nullptr) *moved_from = Rid();
   NBLB_ASSIGN_OR_RETURN(std::string key, key_codec_->EncodeValues(key_values));
   NBLB_ASSIGN_OR_RETURN(std::string new_key,
                         key_codec_->EncodeFromRow(new_row));
@@ -368,14 +326,36 @@ Status Table::UpdateByKey(const std::vector<Value>& key_values,
     return Status::InvalidArgument("key columns cannot be updated in place");
   }
   NBLB_ASSIGN_OR_RETURN(uint64_t tid, index_->Get(Slice(key)));
+  return Rewrite(Slice(key), tid, new_row, moved_from);
+}
+
+Status Table::Rewrite(const Slice& key, uint64_t tid, const Row& row,
+                      Rid* moved_from) {
   // Invalidate BEFORE the heap write: a concurrent reader either sees the
   // predicate (and drops the cache) or races ahead with the old-but-
   // consistent version.
   if (cache_ != nullptr) {
-    NBLB_RETURN_NOT_OK(cache_->OnTupleModified(Slice(key), tid));
+    NBLB_RETURN_NOT_OK(cache_->OnTupleModified(key, tid));
   }
-  NBLB_ASSIGN_OR_RETURN(std::string bytes, row_codec_->Encode(new_row));
-  NBLB_RETURN_NOT_OK(heap_->Update(Rid::FromU64(tid), Slice(bytes)));
+  NBLB_RETURN_NOT_OK(row_codec_->EncodeTrimmed(row, &image_));
+  const Rid rid = Rid::FromU64(tid);
+  NBLB_ASSIGN_OR_RETURN(bool in_place, heap_->Update(rid, Slice(image_)));
+  if (!in_place) {
+    // Too big for its page: move to the tail, never into a hole, so the
+    // younger copy is later in chain order.
+    NBLB_ASSIGN_OR_RETURN(Rid moved, heap_->Append(Slice(image_)));
+    Status st = index_->SetValue(key, moved.ToU64());
+    if (!st.ok()) {
+      (void)heap_->Delete(moved);
+      return st;
+    }
+    if (moved_from != nullptr) {
+      *moved_from = rid;
+    } else {
+      NBLB_RETURN_NOT_OK(heap_->Delete(rid));
+    }
+    ++stats_.moves;
+  }
   ++stats_.updates;
   return Status::OK();
 }
@@ -412,9 +392,8 @@ Result<Rid> Table::Relocate(const std::vector<Value>& key_values) {
 
 Status Table::ForEachRow(
     const std::function<Status(const Rid&, const Row&)>& fn) {
-  const size_t row_size = schema_.row_size();
-  return heap_->ForEach([&](const Rid& rid, const char* bytes) {
-    NBLB_ASSIGN_OR_RETURN(Row row, row_codec_->Decode(Slice(bytes, row_size)));
+  return heap_->ForEach([&](const Rid& rid, const Slice& bytes) {
+    NBLB_ASSIGN_OR_RETURN(Row row, row_codec_->Decode(bytes));
     return fn(rid, row);
   });
 }

@@ -10,6 +10,14 @@
 //         row = heap[tid]; cache.Populate(leaf, tid, cached fields)
 //
 // Updates append invalidation predicates (§2.1.2) before touching the heap.
+//
+// The heap stores each row as its trimmed image (RowCodec::EncodeTrimmed:
+// every VARCHAR cut to the bytes it uses), the same bytes the WAL logs for a
+// put, so a page holds as many rows as their bytes allow. An update that
+// grows a row past what its page can hold moves the row: the new image is
+// appended at the heap's tail and the index repointed, so the younger copy
+// is always later in chain order (the rule AttachRebuild resolves
+// duplicates by).
 
 #pragma once
 
@@ -51,6 +59,7 @@ struct TableStats {
   uint64_t heap_fetches = 0;
   uint64_t inserts = 0;
   uint64_t updates = 0;
+  uint64_t moves = 0;  ///< updates too big for their page (new rid)
   uint64_t deletes = 0;
 };
 
@@ -95,7 +104,15 @@ class Table {
 
   /// \brief Replaces the non-key columns of the row with key `key_values`.
   /// Logs an invalidation predicate so no cache serves the old version.
-  Status UpdateByKey(const std::vector<Value>& key_values, const Row& new_row);
+  /// The row keeps its rid when its new image fits its page; otherwise it
+  /// moves to the heap's tail (HeapFile::Append) and the index follows.
+  /// The slot a move leaves is freed at once, unless `moved_from` is set:
+  /// then it stays live and its rid lands there (invalid when the row did
+  /// not move), for the caller to HeapFile::Delete once the update is
+  /// durable. Until then a crash keeps a copy of the row on disk whatever
+  /// pages the pool wrote back (see Shard::CommitWal).
+  Status UpdateByKey(const std::vector<Value>& key_values, const Row& new_row,
+                     Rid* moved_from = nullptr);
 
   /// \brief Deletes by key (index entry, heap tuple, cache predicate).
   Status DeleteByKey(const std::vector<Value>& key_values);
@@ -140,6 +157,10 @@ class Table {
   IndexCache* cache() { return cache_.get(); }
   const KeyCodec& key_codec() const { return *key_codec_; }
   const RowCodec& row_codec() const { return *row_codec_; }
+  /// \brief The trimmed image the last successful Insert, UpdateByKey or
+  /// UpsertByKey stored; valid until the next write. A shard logs these
+  /// bytes as the WAL put, so a put encodes its row once.
+  Slice last_image() const { return Slice(image_); }
   BufferPool* buffer_pool() { return bp_; }
 
   /// \brief True if every column in `project_columns` is available from the
@@ -149,11 +170,19 @@ class Table {
  private:
   Table(BufferPool* bp, Schema schema, TableOptions options);
 
-  /// Validation + codec wiring shared by Attach/AttachRebuild (heap and
-  /// index are filled in by the caller).
+  /// Validation + codec wiring shared by Create/Attach/AttachRebuild (heap
+  /// and index are filled in by the caller).
   static Result<std::unique_ptr<Table>> MakeShell(BufferPool* bp,
                                                   Schema schema,
                                                   TableOptions options);
+
+  /// Options for a fresh index: the key width, and the cache geometry when
+  /// the index cache is on.
+  Result<BTreeOptions> NewIndexOptions() const;
+
+  /// Writes `row` over the tuple `tid` that `key` indexes (UpdateByKey).
+  Status Rewrite(const Slice& key, uint64_t tid, const Row& row,
+                 Rid* moved_from);
 
   /// Builds the cache payload (cached columns, fixed width) from a full row.
   Result<std::string> BuildCachePayload(const Row& row) const;
@@ -175,6 +204,7 @@ class Table {
   std::unique_ptr<BTree> index_;
   std::unique_ptr<IndexCache> cache_;
   TableStats stats_;
+  std::string image_;  ///< the write path's reused trimmed-image buffer
 };
 
 }  // namespace nblb

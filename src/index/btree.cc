@@ -52,9 +52,6 @@ Result<std::unique_ptr<BTree>> BTree::Create(BufferPool* bp,
   if (options.leaf_payload_size != 8) {
     return Status::InvalidArgument("leaf payload must be 8 bytes");
   }
-  if (options.split_keep_fraction <= 0 || options.split_keep_fraction >= 1) {
-    return Status::InvalidArgument("split_keep_fraction must be in (0,1)");
-  }
   std::unique_ptr<BTree> tree(new BTree(bp, options));
 
   NBLB_ASSIGN_OR_RETURN(PageGuard meta, bp->NewPage());
@@ -505,25 +502,11 @@ Status BTree::InsertRec(PageId node_id, const Slice& key, const Slice& payload,
 Status BTree::SplitLeaf(BTreePageView* leaf, PageGuard* leaf_guard,
                         const Slice& key, const Slice& payload,
                         SplitResult* split) {
-  std::vector<std::pair<std::string, std::string>> entries;
-  leaf->ExportSorted(&entries);
-  const size_t n = entries.size();
-  size_t mid = static_cast<size_t>(
-      static_cast<double>(n) * options_.split_keep_fraction);
-  mid = std::min(std::max<size_t>(mid, 1), n - 1);
-
   NBLB_ASSIGN_OR_RETURN(PageGuard rightg, bp_->NewPage());
   BTreePageView right(rightg.data(), bp_->page_size());
   BTreePageView::Init(rightg.data(), bp_->page_size(), kPageTypeBTreeLeaf,
                       options_.key_size, options_.leaf_payload_size,
                       options_.cache_item_size);
-
-  std::vector<std::pair<std::string, std::string>> left_half(
-      entries.begin(), entries.begin() + static_cast<long>(mid));
-  std::vector<std::pair<std::string, std::string>> right_half(
-      entries.begin() + static_cast<long>(mid), entries.end());
-  NBLB_RETURN_NOT_OK(right.RebuildFromSorted(right_half));
-  NBLB_RETURN_NOT_OK(leaf->RebuildFromSorted(left_half));
 
   // Fix the sibling chain: left <-> right <-> old_next.
   const PageId old_next = leaf->next();
@@ -537,12 +520,27 @@ Status BTree::SplitLeaf(BTreePageView* leaf, PageGuard* leaf_guard,
     nextg.MarkDirty();
   }
 
-  // Route the pending entry to the correct half.
-  const Slice sep(right_half.front().first);
-  if (key.Compare(sep) < 0) {
-    NBLB_RETURN_NOT_OK(leaf->InsertEntry(key, payload));
-  } else {
+  const size_t n = leaf->num_entries();
+  if (options_.cache_item_size == 0 && old_next == kInvalidPageId &&
+      key.Compare(leaf->KeyAt(n - 1)) > 0) {
+    // An appended key: the full leaf stays full, the key starts a new one.
     NBLB_RETURN_NOT_OK(right.InsertEntry(key, payload));
+  } else {
+    std::vector<std::pair<std::string, std::string>> entries;
+    leaf->ExportSorted(&entries);
+    const size_t mid = std::min(std::max<size_t>(n / 2, 1), n - 1);
+    std::vector<std::pair<std::string, std::string>> left_half(
+        entries.begin(), entries.begin() + static_cast<long>(mid));
+    std::vector<std::pair<std::string, std::string>> right_half(
+        entries.begin() + static_cast<long>(mid), entries.end());
+    NBLB_RETURN_NOT_OK(right.RebuildFromSorted(right_half));
+    NBLB_RETURN_NOT_OK(leaf->RebuildFromSorted(left_half));
+    // Route the pending entry to the correct half.
+    if (key.Compare(Slice(right_half.front().first)) < 0) {
+      NBLB_RETURN_NOT_OK(leaf->InsertEntry(key, payload));
+    } else {
+      NBLB_RETURN_NOT_OK(right.InsertEntry(key, payload));
+    }
   }
 
   rightg.MarkDirty();

@@ -5,6 +5,14 @@
 // bytes), deletes are lazy (no rebalancing — which is precisely how real
 // trees drift to the 45% fill factors the paper measured on CarTel).
 //
+// A full leaf splits in half, except when the new key sorts after every key
+// of the rightmost leaf of a tree without an index cache: then the full leaf
+// stays as it is and a new rightmost leaf starts with the key (PostgreSQL's
+// nbtree does the same for rightmost splits). So ascending keys, the common
+// load, leave every leaf but the last full instead of half full. A tree
+// with an index cache keeps the half split, because its leaves' free space
+// is the cache (§2.1).
+//
 // The tree persists a meta page holding the root, the leaf-chain head, entry
 // count and the index-wide cache sequence number CSNidx (§2.1.2). Open()
 // bumps CSNidx so any cache bytes that happened to reach disk before a crash
@@ -39,8 +47,6 @@ struct BTreeOptions {
   /// Cache item width for the in-page index cache; 0 disables the cache
   /// geometry on leaves. Item = 8-byte tuple id + cached field bytes.
   uint16_t cache_item_size = 0;
-  /// Fraction of entries kept in the left page on a leaf split.
-  double split_keep_fraction = 0.5;
 };
 
 /// \brief Shape/occupancy summary of a tree.

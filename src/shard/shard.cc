@@ -240,8 +240,28 @@ Result<std::unique_ptr<Shard>> Shard::Open(uint32_t shard_id,
 Status Shard::CommitWal() {
   if (!wal_) return Status::OK();
   Status s = wal_->Commit();
-  if (!s.ok()) stats_.Add(stats_.errors);
-  return s;
+  if (!s.ok()) {
+    stats_.Add(stats_.errors);
+    return s;
+  }
+  // The puts are durable, so the commit stands whatever happens to the
+  // slots their rows moved out of; one that fails to free is retried at
+  // the next commit, and a checkpoint refuses to publish while it is left.
+  if (!FreeMovedSlots().ok()) stats_.Add(stats_.errors);
+  return Status::OK();
+}
+
+Status Shard::FreeMovedSlots() {
+  Status first;
+  std::vector<Rid> left;
+  for (const Rid& rid : moved_from_) {
+    Status s = table_->heap()->Delete(rid);
+    if (s.ok()) continue;
+    if (first.ok()) first = s;
+    left.push_back(rid);
+  }
+  moved_from_ = std::move(left);
+  return first;
 }
 
 Status Shard::Checkpoint() { return db_->Checkpoint(); }
@@ -258,6 +278,7 @@ void Shard::InstallCheckpointHooks() {
               "checkpoint on a hot/cold-partitioned shard");
         }
         NBLB_RETURN_NOT_OK(wal_->Commit());
+        NBLB_RETURN_NOT_OK(FreeMovedSlots());
         pending_checkpoint_lsn_ = wal_->next_lsn() - 1;
         return table_->index()->WriteMeta();
       },
@@ -305,8 +326,8 @@ Status Shard::ReplayWal() {
   return wal_->Replay(checkpoint_lsn_, [&](const Wal::Record& rec) -> Status {
     switch (rec.op) {
       case Wal::Op::kPut: {
-        // Trimmed images (LogPut) and the fixed images older logs hold both
-        // decode here; the codec tells them apart by length.
+        // LogPut writes trimmed images; the codec also reads a fixed image
+        // (one of exactly row_size bytes).
         NBLB_ASSIGN_OR_RETURN(Row row, table_->row_codec().Decode(rec.payload));
         NBLB_RETURN_NOT_OK(table_->UpsertByKey(row));
         break;
@@ -322,10 +343,9 @@ Status Shard::ReplayWal() {
   });
 }
 
-Status Shard::LogPut(uint64_t id, const Row& row) {
+Status Shard::LogPut(uint64_t id) {
   if (!wal_) return Status::OK();
-  NBLB_RETURN_NOT_OK(table_->row_codec().EncodeTrimmed(row, &put_image_));
-  auto lsn = wal_->Append(Wal::Op::kPut, id, Slice(put_image_));
+  auto lsn = wal_->Append(Wal::Op::kPut, id, table_->last_image());
   return lsn.ok() ? Status::OK() : lsn.status();
 }
 
@@ -350,7 +370,7 @@ Status Shard::Insert(const Row& row) {
   ++rows_;
   if (wal_) {
     const size_t key_col = options_.table_options.key_columns[0];
-    Status ls = LogPut(static_cast<uint64_t>(row[key_col].AsInt()), row);
+    Status ls = LogPut(static_cast<uint64_t>(row[key_col].AsInt()));
     if (!ls.ok()) {
       // The in-memory insert stands, but the op is NOT acked: the record
       // never reached the log, so recovery would not reproduce it. The
@@ -412,13 +432,20 @@ Status Shard::Update(uint64_t id, const Row& row) {
     return Status::NotSupported(
         "update on a hot/cold-partitioned shard is not supported yet");
   }
-  Status s = table_->UpdateByKey(KeyOf(id), row);
+  // With a WAL, a moved row's old slot stays live until the group commit
+  // makes the put durable (CommitWal): if the pool wrote back the old page
+  // before that and the process died, the row would be on no page and in
+  // no log. Both copies on disk is harmless; AttachRebuild keeps the later.
+  Rid moved_from;
+  Status s =
+      table_->UpdateByKey(KeyOf(id), row, wal_ ? &moved_from : nullptr);
   if (!s.ok()) {
     stats_.Add(s.IsNotFound() ? stats_.not_found : stats_.errors);
     return s;
   }
+  if (moved_from.IsValid()) moved_from_.push_back(moved_from);
   if (wal_) {
-    Status ls = LogPut(id, row);
+    Status ls = LogPut(id);
     if (!ls.ok()) {
       stats_.Add(stats_.errors);
       return ls;

@@ -143,9 +143,10 @@ class Shard {
   /// \brief Group commit: makes every WAL record appended since the last
   /// commit durable (one vectored write + one fsync). The ShardedEngine
   /// calls this once per service group, after serving the group's ops and
-  /// before completing their tickets — that is the ack barrier. No-op
-  /// without wal_enabled. A failure is sticky (see Wal) and must fail the
-  /// group's write ops.
+  /// before completing their tickets — that is the ack barrier. Then frees
+  /// the slots that rows moved out of since the last commit (see Update).
+  /// No-op without wal_enabled. A failure is sticky (see Wal) and must fail
+  /// the group's write ops.
   Status CommitWal();
 
   /// \brief Durable checkpoint: commits pending WAL records, persists
@@ -196,17 +197,20 @@ class Shard {
   void InstallCheckpointHooks();
   /// Re-applies WAL records with lsn > checkpoint_lsn_ through UpsertByKey /
   /// DeleteByKey (idempotent logical redo). A put payload is decoded by
-  /// RowCodec::Decode, so trimmed images and the fixed images of older logs
-  /// both replay; a payload that does not decode fails the open with
+  /// RowCodec::Decode; one that does not decode fails the open with
   /// Corruption.
   Status ReplayWal();
   /// Snapshot of everything the next Open needs, from live structures.
   SuperblockData BuildSuperblock() const;
   /// Appends one logical record for an acked-on-commit write op. A put
-  /// logs the row's trimmed image (RowCodec::EncodeTrimmed): VARCHAR
-  /// padding holds no data, so it is not logged.
-  Status LogPut(uint64_t id, const Row& row);
+  /// logs the trimmed image the table just stored (Table::last_image):
+  /// VARCHAR padding holds no data, so it is neither stored nor logged.
+  Status LogPut(uint64_t id);
   Status LogDelete(uint64_t id);
+  /// Deletes the slots in moved_from_ once the puts that moved those rows
+  /// are durable (after a WAL commit); keeps any that fail, for a retry,
+  /// and returns the first failure.
+  Status FreeMovedSlots();
 
   uint32_t id_;
   ShardOptions options_;
@@ -224,7 +228,8 @@ class Shard {
   /// The checkpoint hooks installed on db_ capture `this` and use wal_, so
   /// ~Shard runs the clean close and detaches the hooks before db_ dies.
   std::unique_ptr<Wal> wal_;
-  std::string put_image_;             ///< LogPut's reused encode buffer
+  /// Old slots of rows moved since the last WAL commit, still live.
+  std::vector<Rid> moved_from_;
   uint64_t sb_version_ = 0;           ///< last published superblock version
   uint64_t checkpoint_lsn_ = 0;       ///< recovery LSN of that superblock
   uint64_t pending_checkpoint_lsn_ = 0;  ///< staged by pre-hook for post-hook

@@ -200,16 +200,16 @@ Status DiskManager::Open() {
     }
   }
 
-  // Resolve the async backend. NBLB_IO_BACKEND overrides the option so CI
-  // (and operators) can force the fallback path without a rebuild.
+  // Resolve the async backend. NBLB_IO_BACKEND=threads|uring overrides the
+  // option so CI (and operators) can force either path without a rebuild;
+  // any other value ("auto" included) leaves the option alone, so a caller
+  // that asked for kThreads keeps it.
   IoBackend want = aio_.backend;
   if (const char* env = std::getenv("NBLB_IO_BACKEND")) {
     if (std::strcmp(env, "threads") == 0) {
       want = IoBackend::kThreads;
     } else if (std::strcmp(env, "uring") == 0) {
       want = IoBackend::kUring;
-    } else if (std::strcmp(env, "auto") == 0) {
-      want = IoBackend::kAuto;
     }
   }
   backend_in_use_ = IoBackend::kThreads;

@@ -127,9 +127,9 @@ class DiskManager {
   ///                   I/O when the filesystem rejects O_DIRECT (e.g.
   ///                   tmpfs); check direct_io() after Open.
   /// \param aio        async read engine tuning; the NBLB_IO_BACKEND
-  ///                   environment variable (auto|uring|threads) overrides
+  ///                   environment variable (uring|threads) overrides
   ///                   aio.backend, so CI can force either path without a
-  ///                   rebuild.
+  ///                   rebuild. Any other value (auto) leaves it alone.
   DiskManager(std::string path, size_t page_size,
               LatencyModel* latency = nullptr, bool direct_io = false,
               AsyncIoOptions aio = {});

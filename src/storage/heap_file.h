@@ -1,10 +1,25 @@
-// HeapFile: fixed-width slotted tuple storage over chained pages.
+// HeapFile: variable-width tuple storage in slotted pages over a page chain.
 //
-// Tuples are fixed width (the paper's simplification, §2.1.1). Insertion is
-// append-to-last-page by default — exactly the "append to table" placement
-// the paper blames for locality waste (§3.1): deleting a tuple leaves a hole
-// that is NOT reused unless `reuse_free_slots` is set, so hot/cold clustering
-// by delete-then-append behaves like the paper describes.
+// A tuple is stored as exactly the bytes it is given (the table stores a
+// row's trimmed image, RowCodec::EncodeTrimmed), so a page holds as many
+// tuples as their bytes allow: no bits left behind for VARCHAR padding.
+// Each page keeps a slot directory of (offset, length) pairs growing up from
+// its header and the tuple bytes growing down from its end; a rid is
+// (page, slot) and stays valid while the tuple lives.
+//
+// Insertion is append-to-last-page by default — exactly the "append to
+// table" placement the paper blames for locality waste (§3.1): deleting a
+// tuple leaves a hole that is NOT reused unless `reuse_free_slots` is set,
+// so hot/cold clustering by delete-then-append behaves like the paper
+// describes. Update rewrites a tuple in place when the new bytes fit its
+// page and reports when they do not; the caller then moves the tuple
+// (Append + Delete), see Table::UpdateByKey.
+//
+// Every read checks the page header and the slot against the page (the
+// tuple must lie between the free-space boundary and the page end) and
+// reports Corruption otherwise: heap pages carry no checksum, so these
+// checks and RowCodec::Decode are what stand between damaged bytes on disk
+// and a read outside the page.
 
 #pragma once
 
@@ -26,52 +41,72 @@ struct HeapFileOptions {
   bool reuse_free_slots = false;
 };
 
-/// \brief Occupancy summary across all pages of a heap file.
+/// \brief Occupancy summary across all pages of a heap file, in bytes.
 struct HeapFileStats {
   uint64_t pages = 0;
-  uint64_t capacity_slots = 0;
-  uint64_t used_slots = 0;
+  uint64_t tuples = 0;
+  /// Bytes the pages offer tuples and their slot entries (page size minus
+  /// the page header, per page).
+  uint64_t capacity_bytes = 0;
+  /// Bytes live tuples use: their bytes plus one slot entry each.
+  uint64_t used_bytes = 0;
 
-  /// Fraction of allocated slots holding live tuples.
+  /// Fraction of the pages' bytes holding live tuples.
   double Utilization() const {
-    return capacity_slots == 0
+    return capacity_bytes == 0
                ? 0.0
-               : static_cast<double>(used_slots) /
-                     static_cast<double>(capacity_slots);
+               : static_cast<double>(used_bytes) /
+                     static_cast<double>(capacity_bytes);
   }
 };
 
-/// \brief Fixed-width tuple heap. Not thread safe; callers serialize.
+/// \brief Variable-width tuple heap. Not thread safe; callers serialize.
 class HeapFile {
  public:
+  /// Bytes of the page header.
+  static constexpr size_t kPageHeaderSize = 16;
+  /// Bytes of one slot-directory entry (u16 offset, u16 length).
+  static constexpr size_t kSlotEntrySize = 4;
+
   /// \brief Creates a new heap file (allocates its first page).
   static Result<std::unique_ptr<HeapFile>> Create(BufferPool* bp,
-                                                  size_t tuple_size,
                                                   HeapFileOptions options = {});
 
   /// \brief Re-attaches to an existing heap file by its first page id,
-  /// walking the page chain to rebuild the in-memory directory.
+  /// walking the page chain to rebuild the in-memory directory. A page that
+  /// is not a heap page or whose header does not fit the page is
+  /// Corruption.
   static Result<std::unique_ptr<HeapFile>> Attach(BufferPool* bp,
-                                                  size_t tuple_size,
                                                   PageId first_page,
                                                   HeapFileOptions options = {});
 
   /// \brief Crash-recovery attach: walks the chain like Attach but treats a
-  /// bad link (wrong page type, tuple-size mismatch, next pointer past the
-  /// end of the file, or a cycle) as the end of the heap instead of an
-  /// error — the tail page's link may never have been flushed before the
-  /// crash. The last good page's next pointer is repaired to
-  /// kInvalidPageId (and marked dirty) so the chain is consistent again.
-  /// Only valid after the WAL replay path re-applies lost tail inserts.
+  /// bad link (a page that is not a heap page, a next pointer past the end
+  /// of the file, or a cycle) as the end of the heap instead of an error —
+  /// the tail page's link may never have been flushed before the crash.
+  /// The last good page's next pointer is repaired to kInvalidPageId (and
+  /// marked dirty) so the chain is consistent again. A heap page whose
+  /// header does not fit the page is still Corruption. Only valid after the
+  /// WAL replay path re-applies lost tail inserts.
   static Result<std::unique_ptr<HeapFile>> AttachTolerant(
-      BufferPool* bp, size_t tuple_size, PageId first_page,
-      HeapFileOptions options = {});
+      BufferPool* bp, PageId first_page, HeapFileOptions options = {});
 
-  /// \brief Inserts a tuple (must be exactly tuple_size bytes).
+  /// \brief Largest tuple a page of `page_size` bytes can hold.
+  static size_t MaxTupleSize(size_t page_size) {
+    return page_size - kPageHeaderSize - kSlotEntrySize;
+  }
+
+  /// \brief Inserts a tuple: into a page with a hole first when
+  /// `reuse_free_slots` is set, else as Append does. InvalidArgument if it
+  /// is longer than MaxTupleSize.
   Result<Rid> Insert(const Slice& tuple);
 
-  /// \brief Copies the tuple at `rid` into `out` (tuple_size bytes).
-  Status Get(const Rid& rid, char* out);
+  /// \brief Inserts a tuple on the last page, extending the chain when it
+  /// does not fit there; never fills holes on earlier pages, whatever the
+  /// placement policy. So a tuple appended later is later in chain order.
+  Result<Rid> Append(const Slice& tuple);
+
+  /// \brief Copies the tuple at `rid` into `out`.
   Status Get(const Rid& rid, std::string* out);
 
   /// \brief Batched point reads: fetches the distinct pages of `rids`
@@ -86,44 +121,48 @@ class HeapFile {
                   std::vector<std::string>* tuples,
                   std::vector<Status>* statuses);
 
-  /// \brief Overwrites the tuple at `rid` in place.
-  Status Update(const Rid& rid, const Slice& tuple);
+  /// \brief Replaces the tuple at `rid` without moving it: over its old
+  /// bytes when the new tuple is no longer, else in the page's free space
+  /// (compacting the page if its dead bytes make the room). Returns false,
+  /// with nothing written, when the page cannot hold the new tuple; the
+  /// caller then moves it (Append, then Delete the old rid).
+  Result<bool> Update(const Rid& rid, const Slice& tuple);
 
   /// \brief Removes the tuple at `rid` (slot becomes a hole).
   Status Delete(const Rid& rid);
 
   /// \brief Calls fn(rid, bytes) for every live tuple in page-chain order.
   /// Stops early and propagates if fn returns a non-OK status.
-  Status ForEach(
-      const std::function<Status(const Rid&, const char*)>& fn);
+  Status ForEach(const std::function<Status(const Rid&, const Slice&)>& fn);
 
   /// \brief Live-tuple count.
   uint64_t tuple_count() const { return tuple_count_; }
-  size_t tuple_size() const { return tuple_size_; }
   PageId first_page_id() const { return pages_.front(); }
   const std::vector<PageId>& pages() const { return pages_; }
 
-  /// \brief Tuples a single page can hold at this tuple size.
-  size_t SlotsPerPage() const { return slots_per_page_; }
-
-  /// \brief Walks all pages and reports occupancy (the §3.1 "2% utilization"
-  /// measurement).
+  /// \brief Walks all pages and reports byte occupancy (the §3.1 "2%
+  /// utilization" measurement).
   Result<HeapFileStats> ComputeStats();
 
  private:
-  HeapFile(BufferPool* bp, size_t tuple_size, HeapFileOptions options);
+  HeapFile(BufferPool* bp, HeapFileOptions options);
 
+  static Result<std::unique_ptr<HeapFile>> Walk(BufferPool* bp,
+                                                PageId first_page,
+                                                HeapFileOptions options,
+                                                bool tolerant);
   Status AppendPage();
-  static size_t ComputeSlotsPerPage(size_t page_size, size_t tuple_size);
+  /// Places `tuple` on the pinned page `page` (a free slot if there is one,
+  /// else a new slot), compacting the page if that makes the room. Returns
+  /// false, with nothing written, when it does not fit.
+  Result<bool> PlaceOnPage(PageGuard* page, const Slice& tuple, Rid* rid);
 
   BufferPool* bp_;
-  size_t tuple_size_;
   HeapFileOptions options_;
-  size_t slots_per_page_;
-  size_t bitmap_bytes_;
   std::vector<PageId> pages_;
   std::vector<PageId> pages_with_holes_;  // only used when reuse_free_slots
   uint64_t tuple_count_ = 0;
+  std::string scratch_;  // page copy for compaction
 };
 
 }  // namespace nblb

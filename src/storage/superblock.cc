@@ -15,7 +15,10 @@ namespace nblb {
 namespace {
 
 constexpr uint32_t kSuperblockMagic = 0x4e425342;  // "NBSB"
-constexpr uint32_t kSuperblockFormat = 1;
+// The on-disk format of the shard files a superblock describes. 2: heap
+// pages are slotted and hold trimmed row images (format 1 held fixed-width
+// rows behind an occupancy bitmap).
+constexpr uint32_t kSuperblockFormat = 2;
 constexpr size_t kSlotSize = 4096;
 constexpr size_t kSlotHeaderSize = 16;  // magic, format, payload_len, crc
 
@@ -133,17 +136,21 @@ bool DecodePayload(const char* payload, size_t len, SuperblockData* d) {
   return c.ok;
 }
 
-/// Validates one raw slot; fills `d` and returns true iff it is intact.
-bool DecodeSlot(const char* slot, SuperblockData* d) {
+/// True iff the slot's magic and payload CRC verify, whatever its format.
+bool SlotVerifies(const char* slot) {
   if (DecodeFixed32(slot) != kSuperblockMagic) return false;
-  if (DecodeFixed32(slot + 4) != kSuperblockFormat) return false;
   const uint32_t payload_len = DecodeFixed32(slot + 8);
   if (payload_len > kSlotSize - kSlotHeaderSize) return false;
-  if (DecodeFixed32(slot + 12) !=
-      Crc32(slot + kSlotHeaderSize, payload_len)) {
-    return false;
-  }
-  return DecodePayload(slot + kSlotHeaderSize, payload_len, d);
+  return DecodeFixed32(slot + 12) ==
+         Crc32(slot + kSlotHeaderSize, payload_len);
+}
+
+/// Validates one raw slot; fills `d` and returns true iff it is intact and
+/// of this build's format.
+bool DecodeSlot(const char* slot, SuperblockData* d) {
+  return SlotVerifies(slot) &&
+         DecodeFixed32(slot + 4) == kSuperblockFormat &&
+         DecodePayload(slot + kSlotHeaderSize, DecodeFixed32(slot + 8), d);
 }
 
 }  // namespace
@@ -220,6 +227,16 @@ Result<SuperblockData> Superblock::Read(const std::string& sb_path) {
   const bool a_ok = DecodeSlot(slots, &a);
   const bool b_ok = DecodeSlot(slots + kSlotSize, &b);
   if (!a_ok && !b_ok) {
+    // An intact slot of another format was written by another build: say
+    // so instead of calling the file corrupt.
+    for (const char* slot : {slots, slots + kSlotSize}) {
+      if (SlotVerifies(slot)) {
+        return Status::NotSupported(
+            sb_path + " has on-disk format " +
+            std::to_string(DecodeFixed32(slot + 4)) +
+            "; this build reads format " + std::to_string(kSuperblockFormat));
+      }
+    }
     return Status::Corruption("no valid superblock slot in " + sb_path);
   }
   if (a_ok && b_ok) return a.version >= b.version ? a : b;

@@ -14,6 +14,10 @@
 // other slot still holds the previous version intact. Readers validate both
 // slots (magic, format, CRC32 over the payload) and take the highest valid
 // version.
+//
+// The format number covers the data file too: a build that changes how
+// pages are laid out bumps it, so files of another layout fail to open with
+// NotSupported instead of being misread.
 
 #pragma once
 
@@ -63,8 +67,9 @@ class Superblock {
   static Status Write(const std::string& sb_path, const SuperblockData& data);
 
   /// \brief Validates both slots and returns the highest valid version.
-  /// NotFound when the file is missing; Corruption when neither slot
-  /// validates.
+  /// NotFound when the file is missing; NotSupported, naming both formats,
+  /// when no slot is of this build's format but one is intact under
+  /// another; Corruption when neither slot validates.
   static Result<SuperblockData> Read(const std::string& sb_path);
 };
 

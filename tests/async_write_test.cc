@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -172,6 +173,23 @@ TEST(AsyncWriteTest, ForcedFallbackNeverUsesTheRing) {
   std::vector<char> got(4096);
   ASSERT_OK(s.disk->ReadPage(ids[3], got.data()));
   EXPECT_EQ(std::memcmp(got.data(), buf.data(), 4096), 0);
+}
+
+TEST(AsyncWriteTest, AutoEnvLeavesAnExplicitThreadsBackendAlone) {
+  // NBLB_IO_BACKEND=auto (what CI's io_uring legs set) must not turn an
+  // open that asked for the fallback into a ring: only threads|uring
+  // override the option.
+  const char* prior = std::getenv("NBLB_IO_BACKEND");
+  const std::string saved = prior != nullptr ? prior : "";
+  ::setenv("NBLB_IO_BACKEND", "auto", 1);
+  Stack s = MakeStackWithBackend("awr_auto_env", IoBackend::kThreads);
+  const IoBackend in_use = s.disk->io_backend_in_use();
+  if (prior != nullptr) {
+    ::setenv("NBLB_IO_BACKEND", saved.c_str(), 1);
+  } else {
+    ::unsetenv("NBLB_IO_BACKEND");
+  }
+  EXPECT_EQ(in_use, IoBackend::kThreads);
 }
 
 TEST(AsyncWriteTest, SubmitValidatesIdsUpFront) {

@@ -52,7 +52,7 @@ TEST(BatchFetchRetryTest, HeapGetBatchRidesOutTransientPinPressure) {
   // 8-frame single-stripe pool; ~16 heap pages so there is plenty to fetch
   // that is not pinned.
   Stack s = MakeStack("retry_heap", 4096, 8);
-  ASSERT_OK_AND_ASSIGN(auto heap, HeapFile::Create(s.bp.get(), 1000));
+  ASSERT_OK_AND_ASSIGN(auto heap, HeapFile::Create(s.bp.get()));
   std::vector<Rid> rids;
   for (int i = 0; i < 48; ++i) {
     ASSERT_OK_AND_ASSIGN(

@@ -141,7 +141,7 @@ TEST(DiskManagerReadPagesTest, ContiguousRunUsesOneVectoredRead) {
 
 TEST(HeapFileBatchTest, GetBatchMatchesGetAndReportsMissingSlots) {
   Stack s = MakeStack("hf_batch", 4096, 32);
-  ASSERT_OK_AND_ASSIGN(auto hf, HeapFile::Create(s.bp.get(), 64));
+  ASSERT_OK_AND_ASSIGN(auto hf, HeapFile::Create(s.bp.get()));
   std::vector<Rid> rids;
   for (int i = 0; i < 300; ++i) {
     std::string tuple(64, static_cast<char>('A' + i % 26));
@@ -173,7 +173,7 @@ TEST(HeapFileBatchTest, BatchLargerThanThePoolIsChunkedNotExhausted) {
   // batch path must chunk its pins instead of failing ResourceExhausted
   // (the per-op path held one pin at a time).
   Stack s = MakeStack("hf_bigbatch", 4096, 16);
-  ASSERT_OK_AND_ASSIGN(auto hf, HeapFile::Create(s.bp.get(), 1024));
+  ASSERT_OK_AND_ASSIGN(auto hf, HeapFile::Create(s.bp.get()));
   std::vector<Rid> rids;
   for (int i = 0; i < 120; ++i) {  // ~3 tuples/page -> ~40 pages > 16 frames
     std::string tuple(1024, static_cast<char>('A' + i % 26));

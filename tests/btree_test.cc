@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/rng.h"
+#include "index/btree_page.h"
 #include "test_util.h"
 
 namespace nblb {
@@ -174,6 +177,64 @@ TEST(BTreeTest, RandomInsertFillFactorNearCanonical68Percent) {
   EXPECT_GT(st.avg_leaf_fill, 0.60);
   EXPECT_LT(st.avg_leaf_fill, 0.78);
   EXPECT_GT(st.leaf_free_bytes, 0u);
+}
+
+/// Entry counts of the leaves in sibling-chain order.
+std::vector<size_t> LeafEntryCounts(BufferPool* bp, const BTree& tree) {
+  std::vector<size_t> counts;
+  for (PageId id = tree.first_leaf_id(); id != kInvalidPageId;) {
+    auto page = bp->FetchPage(id);
+    EXPECT_TRUE(page.ok());
+    if (!page.ok()) break;
+    BTreePageView view(page->data(), bp->page_size());
+    counts.push_back(view.num_entries());
+    id = view.next();
+  }
+  return counts;
+}
+
+TEST(BTreeTest, AscendingInsertsWithoutCacheLeaveFullLeaves) {
+  // An appended key splits the rightmost leaf by starting a new one, so
+  // every leaf but the last is full.
+  Stack s = MakeStack("bt_append", 4096, 2048);
+  ASSERT_OK_AND_ASSIGN(auto tree, BTree::Create(s.bp.get(), SmallKeyOptions()));
+  constexpr uint64_t kN = 5000;
+  for (uint64_t i = 0; i < kN; ++i) {
+    ASSERT_OK(tree->Insert(Slice(K(i)), i));
+  }
+  const std::vector<size_t> counts = LeafEntryCounts(s.bp.get(), *tree);
+  const size_t cap = tree->LeafCapacity();
+  ASSERT_EQ(counts.size(), (kN + cap - 1) / cap);
+  for (size_t i = 0; i + 1 < counts.size(); ++i) {
+    EXPECT_EQ(counts[i], cap) << "leaf " << i;
+  }
+  for (uint64_t i = 0; i < kN; ++i) {
+    ASSERT_OK_AND_ASSIGN(uint64_t v, tree->Get(Slice(K(i))));
+    ASSERT_EQ(v, i);
+  }
+  ASSERT_OK_AND_ASSIGN(BTreeStats st, tree->ComputeStats());
+  EXPECT_GT(st.avg_leaf_fill, 0.95);
+}
+
+TEST(BTreeTest, AscendingInsertsWithCacheSplitLeavesInHalf) {
+  // A tree with an index cache keeps the half split: its leaves' free
+  // space is the cache.
+  Stack s = MakeStack("bt_append_cache", 4096, 2048);
+  BTreeOptions opts = SmallKeyOptions();
+  opts.cache_item_size = 24;
+  ASSERT_OK_AND_ASSIGN(auto tree, BTree::Create(s.bp.get(), opts));
+  constexpr uint64_t kN = 5000;
+  for (uint64_t i = 0; i < kN; ++i) {
+    ASSERT_OK(tree->Insert(Slice(K(i)), i));
+  }
+  const std::vector<size_t> counts = LeafEntryCounts(s.bp.get(), *tree);
+  const size_t cap = tree->LeafCapacity();
+  ASSERT_GT(counts.size(), 2 * kN / cap - 2);
+  for (size_t i = 0; i + 1 < counts.size(); ++i) {
+    EXPECT_EQ(counts[i], cap / 2) << "leaf " << i;
+  }
+  ASSERT_OK_AND_ASSIGN(BTreeStats st, tree->ComputeStats());
+  EXPECT_LT(st.avg_leaf_fill, 0.55);
 }
 
 TEST(BTreeTest, BulkLoadProducesRequestedFill) {

@@ -51,11 +51,25 @@ Schema SmallSchema() {
 }
 
 // The score column carries the op sequence number, so a recovered row
-// identifies exactly which op produced it.
-Row MakeRow(uint64_t key, uint64_t seq) {
+// identifies exactly which op produced it. A `growing` payload (for
+// GrowingSchema's wide VARCHAR) adds 0-799 bytes chosen by the sequence
+// number, so successive puts of a key grow and shrink it by up to a fifth
+// of a 4 KiB page: rows outgrow their heap pages and move.
+std::string Payload(uint64_t key, uint64_t seq, bool growing) {
+  std::string p = "s" + std::to_string(seq) + "-k" + std::to_string(key);
+  if (growing) p.append((seq * 7919) % 800, 'g');
+  return p;
+}
+
+Schema GrowingSchema() {
+  return Schema({{"id", TypeId::kInt64, 0},
+                 {"payload", TypeId::kVarchar, 900},
+                 {"score", TypeId::kInt64, 0}});
+}
+
+Row MakeRow(uint64_t key, uint64_t seq, bool growing = false) {
   return {Value::Int64(static_cast<int64_t>(key)),
-          Value::Varchar("s" + std::to_string(seq) + "-k" +
-                         std::to_string(key)),
+          Value::Varchar(Payload(key, seq, growing)),
           Value::Int64(static_cast<int64_t>(seq))};
 }
 
@@ -87,6 +101,34 @@ void RemoveShardFilesFor(const ShardOptions& opts) {
   std::remove(opts.path.c_str());
   std::remove(Superblock::PathFor(opts.path).c_str());
   std::remove(Wal::PathFor(opts.path).c_str());
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << path;
+}
+
+/// The data file, superblock and WAL of a shard, as bytes.
+struct ShardImage {
+  std::string data, sb, wal;
+};
+
+ShardImage TakeImage(const ShardOptions& opts) {
+  return {ReadFile(opts.path), ReadFile(Superblock::PathFor(opts.path)),
+          ReadFile(Wal::PathFor(opts.path))};
+}
+
+void RestoreImage(const ShardOptions& opts, const ShardImage& image) {
+  WriteFile(opts.path, image.data);
+  WriteFile(Superblock::PathFor(opts.path), image.sb);
+  WriteFile(Wal::PathFor(opts.path), image.wal);
 }
 
 TEST(ShardRecoveryTest, CleanCloseReattachesWithoutReplay) {
@@ -366,6 +408,126 @@ TEST(ShardRecoveryTest, CorruptHeapVarcharLengthIsCorruption) {
   RemoveShardFilesFor(opts);
 }
 
+// A row that outgrows its heap page moves to the heap's tail. Its old slot
+// stays live until the put is durable, so a crash image in which the pool
+// wrote back the old page, but neither the tail page nor the log, still
+// holds the last acked copy. With both copies on disk, recovery keeps the
+// later one in chain order, the moved one; and after the put commits,
+// recovery keeps exactly one copy, the new one.
+TEST(ShardRecoveryTest, MovedRowKeepsOneCopyWithTheLastAckedValue) {
+  ShardOptions opts = DurableShardOptions("moved");
+  opts.schema = Schema({{"id", TypeId::kInt64, 0},
+                        {"payload", TypeId::kVarchar, 2000},
+                        {"score", TypeId::kInt64, 0}});
+  auto row = [](uint64_t key, size_t len, uint64_t score) {
+    return Row{Value::Int64(static_cast<int64_t>(key)),
+               Value::Varchar(std::string(len, 'p')),
+               Value::Int64(static_cast<int64_t>(score))};
+  };
+  constexpr uint64_t kRows = 200;
+  ShardImage before_ack, both_copies;
+  {
+    ASSERT_OK_AND_ASSIGN(auto shard, Shard::Open(5, opts));
+    // 30 bytes a row: the first heap page fills up, the second holds 64.
+    for (uint64_t k = 0; k < kRows; ++k) {
+      ASSERT_OK(shard->Insert(row(k, 8, k)));
+    }
+    ASSERT_OK(shard->CommitWal());
+    ASSERT_OK(shard->Checkpoint());
+    Table* t = shard->table();
+    const std::string key = *t->key_codec().EncodeValues({Value::Int64(3)});
+    ASSERT_OK_AND_ASSIGN(uint64_t old_tid, t->index()->Get(Slice(key)));
+
+    ASSERT_OK(shard->Update(3, row(3, 1500, 1003)));
+    ASSERT_EQ(t->stats().moves, 1u);
+    ASSERT_OK_AND_ASSIGN(uint64_t new_tid, t->index()->Get(Slice(key)));
+    const Rid old_rid = Rid::FromU64(old_tid);
+    ASSERT_NE(Rid::FromU64(new_tid).page, old_rid.page);
+    std::string old_copy;
+    ASSERT_OK(t->heap()->Get(old_rid, &old_copy));  // live until the commit
+    ASSERT_OK(shard->database()->buffer_pool()->FlushPage(old_rid.page));
+    before_ack = TakeImage(opts);
+    ASSERT_OK(shard->database()->buffer_pool()->FlushAll());
+    both_copies = TakeImage(opts);
+
+    ASSERT_OK(shard->CommitWal());
+    EXPECT_TRUE(t->heap()->Get(old_rid, &old_copy).IsNotFound());
+    ASSERT_OK(shard->Update(3, row(3, 1600, 2003)));  // grows in place
+    EXPECT_EQ(t->stats().moves, 1u);
+    ASSERT_OK(shard->CommitWal());
+    shard->SimulateCrashForTest();
+  }
+  auto one_copy_of_key_3 = [&](Shard* shard, uint64_t want_score,
+                               size_t want_len) {
+    EXPECT_TRUE(shard->recovered());
+    ASSERT_OK_AND_ASSIGN(Row got, shard->Get(3));
+    EXPECT_EQ(static_cast<uint64_t>(got[2].AsInt()), want_score);
+    EXPECT_EQ(got[1].AsString().size(), want_len);
+    size_t copies = 0;
+    ASSERT_OK(shard->table()->ForEachRow([&](const Rid&, const Row& r) {
+      if (r[0].AsInt() == 3) ++copies;
+      return Status::OK();
+    }));
+    EXPECT_EQ(copies, 1u);
+    EXPECT_EQ(shard->rows(), kRows);
+    EXPECT_EQ(shard->table()->heap()->tuple_count(), kRows);
+    EXPECT_EQ(shard->table()->index()->num_entries(), kRows);
+  };
+  opts.truncate = false;
+  {
+    SCOPED_TRACE("crash after both puts were acked");
+    ASSERT_OK_AND_ASSIGN(auto shard, Shard::Open(5, opts));
+    one_copy_of_key_3(shard.get(), 2003, 1600);
+  }
+  {
+    SCOPED_TRACE("crash before the moving put was acked");
+    RestoreImage(opts, before_ack);
+    ASSERT_OK_AND_ASSIGN(auto shard, Shard::Open(5, opts));
+    one_copy_of_key_3(shard.get(), 3, 8);
+  }
+  {
+    SCOPED_TRACE("crash with both copies on disk, the put not acked");
+    RestoreImage(opts, both_copies);
+    ASSERT_OK_AND_ASSIGN(auto shard, Shard::Open(5, opts));
+    one_copy_of_key_3(shard.get(), 1003, 1500);
+  }
+  RemoveShardFilesFor(opts);
+}
+
+// Files of another on-disk format are refused by name, and left alone. The
+// payload CRC does not cover the format field, so rewriting it leaves two
+// otherwise intact slots.
+TEST(ShardRecoveryTest, OlderFormatFailsToOpenAndTouchesNoFile) {
+  ShardOptions opts = DurableShardOptions("old_format");
+  {
+    ASSERT_OK_AND_ASSIGN(auto shard, Shard::Open(6, opts));
+    for (uint64_t k = 0; k < 20; ++k) {
+      ASSERT_OK(shard->Insert(MakeRow(k, k)));
+    }
+    ASSERT_OK(shard->CommitWal());
+    // Destructor runs the clean-close checkpoint.
+  }
+  {
+    std::string sb = ReadFile(Superblock::PathFor(opts.path));
+    ASSERT_EQ(sb.size(), 8192u);
+    for (size_t slot : {0, 4096}) EncodeFixed32(&sb[slot + 4], 1);
+    WriteFile(Superblock::PathFor(opts.path), sb);
+  }
+  const ShardImage before = TakeImage(opts);
+  opts.truncate = false;
+  auto opened = Shard::Open(6, opts);
+  ASSERT_TRUE(opened.status().IsNotSupported()) << opened.status().ToString();
+  EXPECT_NE(opened.status().message().find("format 1"), std::string::npos)
+      << opened.status().ToString();
+  EXPECT_NE(opened.status().message().find("format 2"), std::string::npos)
+      << opened.status().ToString();
+  const ShardImage after = TakeImage(opts);
+  EXPECT_TRUE(after.data == before.data);
+  EXPECT_TRUE(after.sb == before.sb);
+  EXPECT_TRUE(after.wal == before.wal);
+  RemoveShardFilesFor(opts);
+}
+
 TEST(ShardRecoveryTest, ReopenWithoutTruncateRequiresWal) {
   // Without a WAL there is no catalog to reattach from: reopening an
   // existing non-durable shard file must refuse rather than destroy it.
@@ -405,7 +567,8 @@ OpModel NextOp(uint64_t* state) {
 
 ShardedEngineOptions HarnessOptions(const std::string& prefix,
                                     bool truncate,
-                                    uint64_t checkpoint_every_groups) {
+                                    uint64_t checkpoint_every_groups,
+                                    bool growing) {
   ShardedEngineOptions opts;
   opts.num_shards = 2;
   opts.num_workers = 2;
@@ -419,7 +582,7 @@ ShardedEngineOptions HarnessOptions(const std::string& prefix,
   // (0), acked writes since open live only in the WAL and in dirty frames.
   opts.flusher_interval_us = 500;
   opts.checkpoint_every_groups = checkpoint_every_groups;
-  opts.schema = SmallSchema();
+  opts.schema = growing ? GrowingSchema() : SmallSchema();
   opts.table_options.key_columns = {0};
   opts.table_options.cached_columns = {2};
   return opts;
@@ -429,7 +592,7 @@ ShardedEngineOptions HarnessOptions(const std::string& prefix,
 /// 0 = ran out of ops (harness should use a bigger kMaxOps), 2 = engine
 /// open failed, 3 = an op failed with an unexpected status.
 void RunChildWorkload(const std::string& prefix, uint64_t seed,
-                      uint64_t checkpoint_every_groups,
+                      uint64_t checkpoint_every_groups, bool growing,
                       const std::string& intents_path,
                       const std::string& acks_path) {
   const int intents_fd =
@@ -438,7 +601,7 @@ void RunChildWorkload(const std::string& prefix, uint64_t seed,
       ::open(acks_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (intents_fd < 0 || acks_fd < 0) _exit(2);
   auto engine_or = ShardedEngine::Open(
-      HarnessOptions(prefix, true, checkpoint_every_groups));
+      HarnessOptions(prefix, true, checkpoint_every_groups, growing));
   if (!engine_or.ok()) _exit(2);
   auto engine = std::move(engine_or).ValueOrDie();
   uint64_t state = seed;
@@ -449,8 +612,9 @@ void RunChildWorkload(const std::string& prefix, uint64_t seed,
       Status s = engine->Delete(op.key);
       if (!s.ok() && !s.IsNotFound()) _exit(3);
     } else {
-      Status s = engine->Insert(op.key, MakeRow(op.key, i));
-      if (s.IsAlreadyExists()) s = engine->Update(op.key, MakeRow(op.key, i));
+      const Row row = MakeRow(op.key, i, growing);
+      Status s = engine->Insert(op.key, row);
+      if (s.IsAlreadyExists()) s = engine->Update(op.key, row);
       if (!s.ok()) _exit(3);
     }
     if (::write(acks_fd, "a", 1) != 1) _exit(2);
@@ -467,16 +631,19 @@ uint64_t FileSizeOrZero(const std::string& path) {
 TEST(CrashRecoveryTest, Kill9AtRandomizedPointsLosesNoAckedWrite) {
   const std::string base = ::testing::TempDir() + "nblb_kill9_" +
                            std::to_string(::getpid());
-  // Deterministic (seed, kill-delay-ms, checkpoint cadence) schedule
-  // covering early kills (load phase, first checkpoints), steady state, late
-  // kills, and one run with periodic checkpoints off.
+  // Deterministic (seed, kill-delay-ms, checkpoint cadence, growing rows)
+  // schedule covering early kills (load phase, first checkpoints), steady
+  // state, late kills, one run with periodic checkpoints off, and one whose
+  // puts grow and shrink rows so they move between heap pages.
   const struct {
     uint64_t seed;
     int kill_delay_ms;
     uint64_t checkpoint_every_groups;
-  } kIterations[] = {{11, 25, 4},  {23, 60, 4},  {37, 110, 4},
-                     {51, 170, 4}, {73, 240, 4}, {97, 330, 4},
-                     {113, 200, 0}};
+    bool growing;
+  } kIterations[] = {{11, 25, 4, false},  {23, 60, 4, false},
+                     {37, 110, 4, false}, {51, 170, 4, false},
+                     {73, 240, 4, false}, {97, 330, 4, false},
+                     {113, 200, 0, false}, {131, 450, 4, true}};
 
   int iteration = 0;
   for (const auto& it : kIterations) {
@@ -491,7 +658,7 @@ TEST(CrashRecoveryTest, Kill9AtRandomizedPointsLosesNoAckedWrite) {
     ASSERT_GE(child, 0);
     if (child == 0) {
       RunChildWorkload(prefix, it.seed, it.checkpoint_every_groups,
-                       intents_path, acks_path);
+                       it.growing, intents_path, acks_path);
     }
     // Start the kill clock only once the child is actually serving (first
     // ack recorded) — sanitizer builds can take a while to open the engine,
@@ -533,8 +700,8 @@ TEST(CrashRecoveryTest, Kill9AtRandomizedPointsLosesNoAckedWrite) {
     }
 
     // Reopen in-process and verify.
-    const ShardedEngineOptions reopen =
-        HarnessOptions(prefix, false, it.checkpoint_every_groups);
+    const ShardedEngineOptions reopen = HarnessOptions(
+        prefix, false, it.checkpoint_every_groups, it.growing);
     ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(reopen));
     uint64_t recovered_shards = 0;
     for (uint32_t s = 0; s < engine->num_shards(); ++s) {
@@ -558,8 +725,7 @@ TEST(CrashRecoveryTest, Kill9AtRandomizedPointsLosesNoAckedWrite) {
         ASSERT_LT(seq, n_intent) << "key " << key;
         ASSERT_EQ(ops[seq].key, key) << "seq " << seq;
         ASSERT_FALSE(ops[seq].is_delete) << "seq " << seq;
-        EXPECT_EQ(row[1].AsString(), "s" + std::to_string(seq) + "-k" +
-                                         std::to_string(key));
+        EXPECT_EQ(row[1].AsString(), Payload(key, seq, it.growing));
         // ...and at least as new as the last acked op on the key: an older
         // surviving state would mean an acked write was lost.
         ASSERT_GE(static_cast<int64_t>(seq), acked_idx)

@@ -93,9 +93,12 @@ TEST(DatabaseTest, LatencyModelChargesVirtualTimeOnMisses) {
   ASSERT_OK_AND_ASSIGN(auto db, Database::Open(o));
   ASSERT_OK_AND_ASSIGN(Table * t,
                        db->CreateTable("kv", SimpleSchema(), SimpleOptions()));
-  for (int64_t i = 0; i < 2000; ++i) {
+  // Trimmed rows of "v" take 15 bytes of heap page each: 8000 of them fill
+  // ~15 heap pages and ~35 half-full leaves, well past the 16 frames.
+  for (int64_t i = 0; i < 8000; ++i) {
     ASSERT_OK(t->Insert({Value::Int64(i), Value::Varchar("v")}));
   }
+  ASSERT_GT(db->buffer_pool()->stats().evictions, 0u);
   EXPECT_GT(db->clock()->NowNs(), 0u)
       << "evictions under a tiny pool must have charged simulated latency";
 }

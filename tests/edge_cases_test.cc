@@ -27,7 +27,7 @@ TEST(EdgeCaseTest, HeapAttachRebuildsHoleListAndReusesIt) {
   {
     HeapFileOptions opts;
     opts.reuse_free_slots = true;
-    ASSERT_OK_AND_ASSIGN(auto heap, HeapFile::Create(s.bp.get(), 64, opts));
+    ASSERT_OK_AND_ASSIGN(auto heap, HeapFile::Create(s.bp.get(), opts));
     first = heap->first_page_id();
     std::vector<Rid> rids;
     for (int i = 0; i < 20; ++i) {
@@ -40,7 +40,7 @@ TEST(EdgeCaseTest, HeapAttachRebuildsHoleListAndReusesIt) {
   ASSERT_OK(s.bp->FlushAll());
   HeapFileOptions opts;
   opts.reuse_free_slots = true;
-  ASSERT_OK_AND_ASSIGN(auto heap, HeapFile::Attach(s.bp.get(), 64, first, opts));
+  ASSERT_OK_AND_ASSIGN(auto heap, HeapFile::Attach(s.bp.get(), first, opts));
   EXPECT_EQ(heap->tuple_count(), 19u);
   // The attach must have recorded the page with a hole: the next insert
   // fills it instead of extending the file.
@@ -161,14 +161,18 @@ TEST(EdgeCaseTest, KeyCodecZeroPaddingMakesShortStringsPrefixOrdered) {
 TEST(EdgeCaseTest, BTreeOnePagePerTupleHeap) {
   // Tuples so large only one fits per page: the §3.1 worst case.
   Stack s = MakeStack("edge_fat", 4096, 512);
-  ASSERT_OK_AND_ASSIGN(auto heap, HeapFile::Create(s.bp.get(), 4000));
-  EXPECT_EQ(heap->SlotsPerPage(), 1u);
+  ASSERT_OK_AND_ASSIGN(auto heap, HeapFile::Create(s.bp.get()));
   for (int i = 0; i < 10; ++i) {
     ASSERT_OK(heap->Insert(Slice(std::string(4000, 'z'))).status());
   }
   EXPECT_EQ(heap->pages().size(), 10u);
   ASSERT_OK_AND_ASSIGN(HeapFileStats st, heap->ComputeStats());
-  EXPECT_DOUBLE_EQ(st.Utilization(), 1.0);
+  EXPECT_EQ(st.tuples, 10u);
+  EXPECT_EQ(st.used_bytes, 10 * (4000 + HeapFile::kSlotEntrySize));
+  EXPECT_EQ(st.capacity_bytes, 10 * (4096 - HeapFile::kPageHeaderSize));
+  // A tuple one byte longer than a page holds is refused.
+  const std::string too_big(HeapFile::MaxTupleSize(4096) + 1, 'z');
+  EXPECT_TRUE(heap->Insert(Slice(too_big)).status().IsInvalidArgument());
 }
 
 TEST(EdgeCaseTest, RowToStringFormatsAllFamilies) {

@@ -212,9 +212,18 @@ TEST(IntegrationTest, ClusteringImprovesHeapLocalityForHotTrace) {
   ASSERT_OK(
       Clusterer::ClusterHotTuples(rev, hot_keys, 1.0).status());
   const size_t after = hot_page_count();
-  // After clustering, hot tuples pack as densely as the page permits.
-  const size_t per_page = rev->heap()->SlotsPerPage();
-  const size_t min_pages = (hot_keys.size() + per_page - 1) / per_page;
+  // After clustering, hot tuples pack as densely as their bytes (each with
+  // its slot entry) permit.
+  size_t hot_bytes = 0;
+  for (int64_t id : synth.latest_revision_ids()) {
+    auto enc = rev->key_codec().EncodeValues({Value::Int64(id)});
+    ASSERT_OK_AND_ASSIGN(uint64_t tid, rev->index()->Get(Slice(*enc)));
+    std::string tuple;
+    ASSERT_OK(rev->heap()->Get(Rid::FromU64(tid), &tuple));
+    hot_bytes += tuple.size() + HeapFile::kSlotEntrySize;
+  }
+  const size_t page_bytes = dbo.page_size - HeapFile::kPageHeaderSize;
+  const size_t min_pages = (hot_bytes + page_bytes - 1) / page_bytes;
   EXPECT_LE(after, min_pages + 1);
   EXPECT_LT(after * 2, before);
 

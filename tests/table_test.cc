@@ -195,6 +195,68 @@ TEST(TableTest, RelocateDoesNotServeStaleCacheForRecycledRid) {
   EXPECT_EQ(r[0].AsInt(), 2) << "cache served the old tuple for a reused RID";
 }
 
+// Rows are stored trimmed, so an update can outgrow its page.
+Schema NoteSchema() {
+  return Schema({{"id", TypeId::kInt64, 0}, {"note", TypeId::kVarchar, 1000}});
+}
+
+TableOptions NoteOptions() {
+  TableOptions o;
+  o.key_columns = {0};
+  return o;
+}
+
+Row NoteRow(int64_t id, size_t len) {
+  return {Value::Int64(id), Value::Varchar(std::string(len, 'n'))};
+}
+
+TEST(TableTest, UpdateThatOutgrowsItsPageMovesTheRow) {
+  Stack s = MakeStack("tbl_move");
+  ASSERT_OK_AND_ASSIGN(auto t,
+                       Table::Create(s.bp.get(), NoteSchema(), NoteOptions()));
+  // 18 bytes a row with its slot: the first page fills up.
+  for (int64_t i = 0; i < 600; ++i) ASSERT_OK(t->Insert(NoteRow(i, 4)));
+  ASSERT_GE(t->heap()->pages().size(), 2u);
+  const std::string key = *t->key_codec().EncodeValues({Value::Int64(5)});
+  ASSERT_OK_AND_ASSIGN(uint64_t tid, t->index()->Get(Slice(key)));
+  const Rid old_rid = Rid::FromU64(tid);
+  ASSERT_EQ(old_rid.page, t->heap()->first_page_id());
+
+  // Shrinking and growing by a few bytes stays in place...
+  ASSERT_OK(t->UpdateByKey({Value::Int64(5)}, NoteRow(5, 2)));
+  ASSERT_OK(t->UpdateByKey({Value::Int64(5)}, NoteRow(5, 6)));
+  ASSERT_OK_AND_ASSIGN(uint64_t same, t->index()->Get(Slice(key)));
+  EXPECT_EQ(same, tid);
+  EXPECT_EQ(t->stats().moves, 0u);
+
+  // ...growing past the page's free bytes moves the row to the tail.
+  ASSERT_OK(t->UpdateByKey({Value::Int64(5)}, NoteRow(5, 1000)));
+  EXPECT_EQ(t->stats().moves, 1u);
+  EXPECT_EQ(t->stats().updates, 3u);
+  ASSERT_OK_AND_ASSIGN(uint64_t moved, t->index()->Get(Slice(key)));
+  EXPECT_EQ(Rid::FromU64(moved).page, t->heap()->pages().back());
+  std::string bytes;
+  EXPECT_TRUE(t->heap()->Get(old_rid, &bytes).IsNotFound());
+  ASSERT_OK_AND_ASSIGN(Row row, t->GetByKey({Value::Int64(5)}));
+  EXPECT_EQ(row[1].AsString(), std::string(1000, 'n'));
+  EXPECT_EQ(t->heap()->tuple_count(), 600u);
+  EXPECT_EQ(t->last_image().size(), 8 + 2 + 1000u);
+
+  // A caller that frees the old slot itself gets its rid, still live.
+  ASSERT_OK_AND_ASSIGN(uint64_t tid7, t->index()->Get(Slice(
+                           *t->key_codec().EncodeValues({Value::Int64(7)}))));
+  Rid moved_from;
+  ASSERT_OK(t->UpdateByKey({Value::Int64(7)}, NoteRow(7, 1000), &moved_from));
+  EXPECT_EQ(moved_from, Rid::FromU64(tid7));
+  ASSERT_OK(t->heap()->Get(moved_from, &bytes));
+  EXPECT_EQ(t->heap()->tuple_count(), 601u);
+  ASSERT_OK(t->heap()->Delete(moved_from));
+  ASSERT_OK(t->UpdateByKey({Value::Int64(7)}, NoteRow(7, 3), &moved_from));
+  EXPECT_FALSE(moved_from.IsValid());
+  ASSERT_OK_AND_ASSIGN(Row row7, t->GetByKey({Value::Int64(7)}));
+  EXPECT_EQ(row7[1].AsString(), "nnn");
+}
+
 TEST(TableTest, DisabledCacheStillAnswersQueries) {
   Stack s = MakeStack("tbl_nocache");
   ASSERT_OK_AND_ASSIGN(
