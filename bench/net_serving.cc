@@ -31,7 +31,6 @@
 //   "rows": <uint>, "lookups": <uint>, "batch_size": <uint>,
 //   "shards": <uint>, "workers": <uint>,
 //   "connections": <uint>, "pipeline_depth": <uint>, "inflight": <uint>,
-//   "io_backend": "auto"|"uring"|"threads",        // engine, requested
 //   "engine_io_backend_effective": "uring"|"threads",
 //   "inprocess": { "seconds", "ops_per_sec",
 //                  "p50_batch_ms", "p99_batch_ms", "errors" },
@@ -46,8 +45,8 @@
 // }
 //
 // Flags: --rows=N --lookups=N --batch=N --conns=N --pipeline=N
-// --inflight=N --shards=N --workers=N --overload=0|1
-// --io=auto|uring|threads (the engine's disk backend; defaults below).
+// --inflight=N --shards=N --workers=N --overload=0|1 (defaults below).
+// NBLB_IO_BACKEND=uring|threads picks the engine's disk backend.
 
 #include <algorithm>
 #include <atomic>
@@ -217,18 +216,6 @@ int main(int argc, char** argv) {
   const uint32_t workers =
       static_cast<uint32_t>(FlagOr(argc, argv, "workers", 4));
   const bool run_overload = FlagOr(argc, argv, "overload", 1) != 0;
-  IoBackend io_backend = IoBackend::kAuto;
-  const char* io_name = "auto";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--io=uring") == 0) {
-      io_backend = IoBackend::kUring;
-      io_name = "uring";
-    }
-    if (std::strcmp(argv[i], "--io=threads") == 0) {
-      io_backend = IoBackend::kThreads;
-      io_name = "threads";
-    }
-  }
 
   WikipediaScale scale;
   scale.revisions_per_page = 20;
@@ -253,7 +240,6 @@ int main(int argc, char** argv) {
   opts.path_prefix = "/tmp/nblb_bench_netserving";
   opts.buffer_pool_frames_per_shard = 8192;
   opts.max_coalesce_window = 32;
-  opts.io_backend = io_backend;
   opts.schema = WikipediaSynthesizer::RevisionSchema();
   opts.table_options.key_columns = {0};
   auto engine_result = ShardedEngine::Open(opts);
@@ -404,7 +390,6 @@ int main(int argc, char** argv) {
       "  \"shards\": %u,\n  \"workers\": %u,\n"
       "  \"connections\": %llu,\n  \"pipeline_depth\": %llu,\n"
       "  \"inflight\": %llu,\n"
-      "  \"io_backend\": \"%s\",\n"
       "  \"engine_io_backend_effective\": \"%s\",\n"
       "  \"inprocess\": {\n"
       "    \"seconds\": %.4f, \"ops_per_sec\": %.1f,\n"
@@ -420,7 +405,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(batch_size), shards, workers,
       static_cast<unsigned long long>(conns),
       static_cast<unsigned long long>(pipeline),
-      static_cast<unsigned long long>(inflight), io_name,
+      static_cast<unsigned long long>(inflight),
       engine_uring ? "uring" : "threads", inproc.seconds, inproc.OpsPerSec(),
       inproc_p50, inproc_p99, static_cast<unsigned long long>(inproc.errors),
       net.seconds, net.ops_per_sec, net.p50_batch_ms, net.p99_batch_ms,

@@ -60,7 +60,7 @@
 //         "<phase>_us": {"count","p50","p99","max"}, ...  // deltas); phases:
 //       },                              // queue_wait service get_batch
 //                                       // fetch_start io_submit device_wait
-//                                       // copy completion end_to_end
+//                                       // copy end_to_end
 //       "direct_io_effective": <0|1>,   // every shard file really O_DIRECT
 //                                       // (0 = fs refused; page-cache run)
 //       "open_loop": {                  // async Submit phase, same batches
@@ -104,16 +104,17 @@
 // "mixed_update_fraction" and "mixed_flusher_us".
 //
 // Flags: --rows=N --lookups=N --batch=N --frames=N --direct=0|1
-// --inflight=N --openloop=0|1 --deadline_us=N --io=auto|uring|threads
+// --inflight=N --openloop=0|1
 // --flusher_us=N (0 = background flusher off for the read phases)
 // --flush_batch=N --max_queue=N (0 = unbounded Submit; >0 bounds each
 // shard queue, blocking policy) --mixed=0|1 --mixed_ops=N (0 = lookups/2)
 // --mixed_update=PCT --mixed_flusher_us=N (flusher cadence during the
 // mixed phases when --flusher_us=0) --trace_every=N (sample 1-in-N
 // sub-batches for tracing; 0 disables, NBLB_OBS_OFF=1 overrides to off)
-// (defaults below). The JSON gains "io_backend" (requested),
-// "io_backend_effective" (what every shard actually runs after runtime
-// probing), "flusher_interval_us", "max_queue_depth" and "trace_every".
+// (defaults below). NBLB_IO_BACKEND=uring|threads picks the shards' async
+// I/O backend. The JSON gains "io_backend_effective" (what every shard
+// actually runs after runtime probing), "flusher_interval_us",
+// "max_queue_depth" and "trace_every".
 
 #include <algorithm>
 #include <chrono>
@@ -230,7 +231,7 @@ std::string TraceBreakdownJson(const MetricsSnapshot& delta) {
   out.append(buf);
   static const char* kPhases[] = {"queue_wait",  "service",     "get_batch",
                                   "fetch_start", "io_submit",   "device_wait",
-                                  "copy",        "completion",  "end_to_end"};
+                                  "copy",        "end_to_end"};
   for (const char* phase : kPhases) {
     const auto it = delta.histograms.find(std::string("trace.") + phase +
                                           "_us");
@@ -335,7 +336,6 @@ void FillPhaseReport(PhaseResult* phase, uint64_t ops,
 /// multi-client replay of the Zipfian revision trace, then an open-loop
 /// async replay of the same batches at --inflight depth.
 struct IoKnobs {
-  IoBackend backend = IoBackend::kAuto;
   uint64_t flusher_us = 0;
   size_t flush_batch = 64;
   size_t max_queue = 0;
@@ -385,7 +385,7 @@ ConfigResult RunConfig(uint32_t shards, uint32_t workers,
                        const std::vector<RequestBatch>& mixed_batches,
                        size_t frames_per_shard, bool direct_io,
                        size_t inflight, bool run_openloop,
-                       uint32_t deadline_us, const IoKnobs& io) {
+                       const IoKnobs& io) {
   ConfigResult r;
   r.shards = shards;
   r.workers = workers;
@@ -401,8 +401,6 @@ ConfigResult RunConfig(uint32_t shards, uint32_t workers,
   opts.buffer_pool_frames_per_shard = frames_per_shard;
   opts.direct_io = direct_io;
   opts.max_coalesce_window = 32;
-  opts.drain_deadline_us = deadline_us;
-  opts.io_backend = io.backend;
   opts.flusher_interval_us = io.flusher_us;
   opts.flush_batch_pages = io.flush_batch;
   opts.max_queue_depth = io.max_queue;
@@ -612,20 +610,7 @@ int main(int argc, char** argv) {
   const bool direct_io = FlagOr(argc, argv, "direct", 1) != 0;
   const uint64_t inflight = FlagOr(argc, argv, "inflight", 64);
   const bool run_openloop = FlagOr(argc, argv, "openloop", 1) != 0;
-  // Default 0: the drain-deadline hold applies to whichever engine it is
-  // set on — and both phases share one engine per config — so a non-zero
-  // default would tax the closed-loop baseline with Nagle stalls the old
-  // bench never paid. Open-loop coalescing comes from sustained queue
-  // depth; it does not need the hold to win. Set --deadline_us to measure
-  // the hold itself (it then applies to BOTH phases).
-  const uint64_t deadline_us = FlagOr(argc, argv, "deadline_us", 0);
   IoKnobs io;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--io=uring") == 0) io.backend = IoBackend::kUring;
-    if (std::strcmp(argv[i], "--io=threads") == 0) {
-      io.backend = IoBackend::kThreads;
-    }
-  }
   io.flusher_us = FlagOr(argc, argv, "flusher_us", 0);
   io.flush_batch = FlagOr(argc, argv, "flush_batch", 64);
   io.max_queue = FlagOr(argc, argv, "max_queue", 0);
@@ -693,8 +678,7 @@ int main(int argc, char** argv) {
   for (auto [shards, workers] : sweep) {
     ConfigResult r = RunConfig(shards, workers, rows, batches,
                                mixed_batches, frames, direct_io, inflight,
-                               run_openloop,
-                               static_cast<uint32_t>(deadline_us), io);
+                               run_openloop, io);
     results.push_back(r);
     char mixed_s[32] = "-";
     if (r.mixed_ran) {
@@ -747,7 +731,6 @@ int main(int argc, char** argv) {
                "  \"batch_size\": %llu,\n  \"page_size\": %zu,\n"
                "  \"frames_per_shard\": %llu,\n  \"direct_io\": %d,\n"
                "  \"inflight\": %llu,\n"
-               "  \"io_backend\": \"%s\",\n"
                "  \"io_backend_effective\": \"%s\",\n"
                "  \"flusher_interval_us\": %llu,\n"
                "  \"max_queue_depth\": %llu,\n"
@@ -761,9 +744,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(batch_size), kDefaultPageSize,
                static_cast<unsigned long long>(frames), direct_io ? 1 : 0,
                static_cast<unsigned long long>(inflight),
-               io.backend == IoBackend::kUring     ? "uring"
-               : io.backend == IoBackend::kThreads ? "threads"
-                                                   : "auto",
                !results.empty() && results.front().uring_effective
                    ? "uring"
                    : "threads",

@@ -7,13 +7,8 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
   if (options.enable_latency_model) {
     db->latency_.reset(new LatencyModel(options.latency, &db->clock_));
   }
-  AsyncIoOptions aio;
-  aio.backend = options.io_backend;
-  aio.queue_depth = options.io_queue_depth;
-  aio.io_threads = options.io_threads;
   db->disk_.reset(new DiskManager(options.path, options.page_size,
-                                  db->latency_.get(), options.direct_io,
-                                  aio));
+                                  db->latency_.get(), options.direct_io));
   NBLB_RETURN_NOT_OK(db->disk_->Open());
   db->bp_.reset(new BufferPool(db->disk_.get(), options.buffer_pool_frames,
                                options.buffer_pool_stripes));

@@ -39,16 +39,6 @@ struct DatabaseOptions {
   /// device latency instead of hitting the OS page cache (see
   /// DiskManager).
   bool direct_io = false;
-  /// Async miss-read engine: kAuto uses io_uring when compiled in and the
-  /// kernel permits it, kThreads forces the preadv worker-pool fallback
-  /// (also forceable at runtime via NBLB_IO_BACKEND=threads).
-  IoBackend io_backend = IoBackend::kAuto;
-  /// Max in-flight async ops (io_uring ring size; reads and writes share
-  /// the budget).
-  size_t io_queue_depth = 64;
-  /// Worker threads for the preadv/pwritev fallback backend (they serve
-  /// both async reads and async write-back when io_uring is unavailable).
-  size_t io_threads = 4;
   /// Background dirty-page flusher cadence in microseconds; 0 (default)
   /// disables the flusher and write-back rides the evicting thread as
   /// before. Each pass cleans only unpinned dirty frames at usage count 0

@@ -3,9 +3,9 @@
 // One TCP connection, pipelined: Send() writes a request frame and returns
 // its request id immediately, Wait(id) reads frames until that id's
 // response arrives. Responses may complete out of order on the wire (the
-// engine's completion threads finish batches in any order); Wait buffers
-// whatever else arrives and hands it out when its id is asked for. Call()
-// is the synchronous convenience (Send + Wait).
+// engine's workers finish batches in any order); Wait buffers whatever
+// else arrives and hands it out when its id is asked for. Call() is the
+// synchronous convenience (Send + Wait).
 //
 // A busy frame (the server's admission-control shed, FrameType::kBusy) is
 // surfaced as a normal BatchResult whose every request carries

@@ -348,7 +348,8 @@ bool NetServer::HandleRequestFrame(const ConnPtr& conn, Frame&& frame) {
   engine_->Submit(
       std::move(decoded).ValueOrDie(),
       [this, c, request_id, start](const BatchResult& result) {
-        // Completion thread: encode off the loop, enqueue, wake the loop.
+        // Engine worker (or this loop thread, when the engine shed every
+        // sub-batch kBusy inside Submit): encode, enqueue, wake the loop.
         // A dead connection just drops the response — the decrementing
         // below is what matters for drain correctness. Encoding can only
         // fail on counts the decoded request already bounded, but if it
@@ -432,7 +433,7 @@ void NetServer::FlushConn(const ConnPtr& conn) {
   struct iovec iov[kMaxSendFrames] = {};
   while (!conn->closed.load(std::memory_order_relaxed)) {
     // Gather up to kMaxSendFrames queued frames. Their bytes stay put while
-    // we send: only the loop thread pops, and completion threads only
+    // we send: only the loop thread pops, and completion callbacks only
     // push_back, which never moves existing deque elements.
     size_t n_iov = 0;
     {

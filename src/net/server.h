@@ -6,8 +6,8 @@
 //
 // Threading model (see src/net/README.md for the long version):
 //
-//   loop thread (one)                     completion threads (engine's)
-//   ─────────────────                     ────────────────────────────
+//   loop thread (one)                     engine worker (callback)
+//   ─────────────────                     ────────────────────────
 //   accept / recv / send                  engine ran the batch:
 //   decode frames                           encode response frame
 //   admission control                       append to conn output queue
@@ -16,13 +16,16 @@
 //   to their sockets
 //
 // The loop thread is the only thread that touches sockets; completion
-// threads only encode (CPU work off the loop) and append to a per-connection
-// output queue under a small mutex. That single-writer discipline is what
-// keeps the loop non-blocking and the whole structure TSan-clean.
+// callbacks only encode (CPU work off the loop) and append to a
+// per-connection output queue under a small mutex. A callback runs on the
+// engine worker that finished the batch, or on the loop thread inside
+// Submit when the engine sheds every sub-batch kBusy. That single-writer
+// discipline is what keeps the loop non-blocking and the whole structure
+// TSan-clean.
 //
 // The loop is level-triggered epoll over nonblocking sockets. A flush hands
-// up to kMaxSendFrames queued frames to one sendmsg, and completion threads
-// wake the loop only when its pending-write list turns non-empty. A
+// up to kMaxSendFrames queued frames to one sendmsg, and completion
+// callbacks wake the loop only when its pending-write list turns non-empty. A
 // connection whose output is blocked (the peer is not reading) is watched
 // for EPOLLOUT only: the loop stops reading it until its queue drains, so a
 // client that never reads its replies cannot grow server memory.
@@ -120,7 +123,8 @@ class NetServer {
   static constexpr size_t kMaxSendFrames = 64;
 
   /// Per-connection state. Sockets are touched only by the loop thread;
-  /// completion threads reach `out_mu`-guarded output state and the atomics.
+  /// completion callbacks reach `out_mu`-guarded output state and the
+  /// atomics.
   struct Conn {
     uint64_t id = 0;
     int fd = -1;
@@ -173,7 +177,7 @@ class NetServer {
   void UpdateInterest(const ConnPtr& conn);
   void CloseConn(const ConnPtr& conn);
 
-  /// Flushes every connection the completion threads marked as having
+  /// Flushes every connection the completion callbacks marked as having
   /// fresh output; the loop calls it right after reading the wake eventfd.
   void DrainPendingWrites();
 

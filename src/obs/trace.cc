@@ -20,8 +20,6 @@ const char* TracePhaseName(TracePhase p) {
       return "device_wait";
     case TracePhase::kCopy:
       return "copy";
-    case TracePhase::kCompletion:
-      return "completion";
   }
   return "unknown";
 }
@@ -52,10 +50,6 @@ void TraceAggregator::Retire(const TraceContext& ctx,
   std::lock_guard<std::mutex> lock(mu_);
   recent_[recent_count_ % kRecent] = summary;
   ++recent_count_;
-}
-
-void TraceAggregator::RecordCompletion(uint64_t us) {
-  phase_us_[static_cast<size_t>(TracePhase::kCompletion)].Record(us);
 }
 
 void TraceAggregator::RegisterMetrics(MetricsRegistry* registry,

@@ -52,9 +52,8 @@ enum class TracePhase : uint8_t {
   kIoSubmit,        // DiskManager submit (io_uring push/flush or queue)
   kDeviceWait,      // DiskManager wait/reap for the read group
   kCopy,            // HeapFile tuple-copy loop
-  kCompletion,      // ticket finished -> completion callback dispatched
 };
-constexpr size_t kNumTracePhases = 8;
+constexpr size_t kNumTracePhases = 7;
 
 const char* TracePhaseName(TracePhase p);
 
@@ -158,10 +157,6 @@ class TraceAggregator {
   /// microsecond histogram and appends a summary to the recent ring.
   void Retire(const TraceContext& ctx,
               std::chrono::steady_clock::time_point end);
-
-  /// \brief Records a completion-dispatch span (finish -> callback), which
-  /// happens after the per-sub-batch contexts are already retired.
-  void RecordCompletion(uint64_t us);
 
   /// \brief Registers the per-phase histograms plus "trace.sampled" under
   /// `prefix` (e.g. "trace.").

@@ -66,7 +66,7 @@ Shard::Shard(uint32_t shard_id, ShardOptions options)
     : id_(shard_id), options_(std::move(options)) {}
 
 Shard::~Shard() {
-  if (durable_ && !skip_clean_close_ && db_ && table_ && !partitioned_) {
+  if (durable_ && !skip_clean_close_ && db_ && table_) {
     // Orderly close: publish a clean-shutdown superblock so the next Open
     // takes the fast attach path (strict heap walk + BTree::Open) instead
     // of crash recovery. Best effort — a failure here just means the next
@@ -97,14 +97,6 @@ Result<std::unique_ptr<Shard>> Shard::Open(uint32_t shard_id,
     return Status::InvalidArgument(
         "shard routing key must be an integer-family column");
   }
-  // Normalize the coalescing knobs here, where they live — the engine's
-  // worker reads them back through options(), and a direct Shard::Open
-  // must uphold the same invariants the engine validates.
-  if (options.min_coalesce_window == 0) options.min_coalesce_window = 1;
-  if (options.max_coalesce_window < options.min_coalesce_window) {
-    return Status::InvalidArgument(
-        "max_coalesce_window must be >= min_coalesce_window");
-  }
 
   std::unique_ptr<Shard> shard(new Shard(shard_id, std::move(options)));
 
@@ -114,9 +106,6 @@ Result<std::unique_ptr<Shard>> Shard::Open(uint32_t shard_id,
   dbo.buffer_pool_frames = shard->options_.buffer_pool_frames;
   dbo.buffer_pool_stripes = shard->options_.buffer_pool_stripes;
   dbo.direct_io = shard->options_.direct_io;
-  dbo.io_backend = shard->options_.io_backend;
-  dbo.io_queue_depth = shard->options_.io_queue_depth;
-  dbo.io_threads = shard->options_.io_threads;
   dbo.flusher_interval_us = shard->options_.flusher_interval_us;
   dbo.flush_batch_pages = shard->options_.flush_batch_pages;
   shard->durable_ = shard->options_.wal_enabled;
@@ -183,7 +172,6 @@ Result<std::unique_ptr<Shard>> Shard::Open(uint32_t shard_id,
   if (shard->durable_) {
     WalOptions wo;
     wo.page_size = shard->options_.page_size;
-    wo.io_backend = shard->options_.io_backend;
     NBLB_ASSIGN_OR_RETURN(shard->wal_,
                           Wal::Open(Wal::PathFor(dbo.path), wo));
     shard->wal_->RegisterMetrics(shard->db_->metrics(), "wal.");
@@ -220,11 +208,6 @@ Result<std::unique_ptr<Shard>> Shard::Open(uint32_t shard_id,
     shard->rows_ = shard->table_->heap()->tuple_count();
     RecordFlightEvent(FlightEvent::kRecoveryReplayed,
                       shard->replayed_records_, shard->rows_);
-  }
-
-  shard->all_columns_.resize(shard->options_.schema.num_columns());
-  for (size_t i = 0; i < shard->all_columns_.size(); ++i) {
-    shard->all_columns_[i] = i;
   }
 
   if (shard->durable_) {
@@ -273,10 +256,6 @@ void Shard::InstallCheckpointHooks() {
       // write can be lost by the Reset below), stage the LSN the publish
       // covers, and persist the index's root/meta linkage.
       [this]() -> Status {
-        if (partitioned_) {
-          return Status::NotSupported(
-              "checkpoint on a hot/cold-partitioned shard");
-        }
         NBLB_RETURN_NOT_OK(wal_->Commit());
         NBLB_RETURN_NOT_OK(FreeMovedSlots());
         pending_checkpoint_lsn_ = wal_->next_lsn() - 1;
@@ -361,8 +340,7 @@ std::vector<Value> Shard::KeyOf(uint64_t id) const {
 
 Status Shard::Insert(const Row& row) {
   stats_.Add(stats_.inserts);
-  Status s = partitioned_ ? partitioned_->InsertHot(row, nullptr)
-                          : table_->Insert(row);
+  Status s = table_->Insert(row);
   if (!s.ok()) {
     stats_.Add(stats_.errors);
     return s;
@@ -384,9 +362,7 @@ Status Shard::Insert(const Row& row) {
 
 Result<Row> Shard::Get(uint64_t id) {
   stats_.Add(stats_.gets);
-  auto result = partitioned_
-                    ? partitioned_->LookupProjected(KeyOf(id), all_columns_)
-                    : table_->GetByKey(KeyOf(id));
+  auto result = table_->GetByKey(KeyOf(id));
   if (!result.ok()) {
     stats_.Add(result.status().IsNotFound() ? stats_.not_found
                                             : stats_.errors);
@@ -403,18 +379,6 @@ Status Shard::GetBatch(const std::vector<uint64_t>& ids,
   keys.reserve(ids.size());
   for (uint64_t id : ids) keys.push_back(KeyOf(id));
   const size_t first = out->size();
-  if (partitioned_) {
-    // Hot/cold shards batch too: one hot-partition probe, then a single
-    // cold batch over the hot misses.
-    NBLB_RETURN_NOT_OK(partitioned_->GetBatchByKey(keys, out));
-    for (size_t i = first; i < out->size(); ++i) {
-      if (!(*out)[i].ok()) {
-        stats_.Add((*out)[i].status().IsNotFound() ? stats_.not_found
-                                                   : stats_.errors);
-      }
-    }
-    return Status::OK();
-  }
   NBLB_RETURN_NOT_OK(table_->GetBatchByKey(keys, out));
   for (size_t i = first; i < out->size(); ++i) {
     if (!(*out)[i].ok()) {
@@ -427,11 +391,6 @@ Status Shard::GetBatch(const std::vector<uint64_t>& ids,
 
 Status Shard::Update(uint64_t id, const Row& row) {
   stats_.Add(stats_.updates);
-  if (partitioned_) {
-    stats_.Add(stats_.errors);
-    return Status::NotSupported(
-        "update on a hot/cold-partitioned shard is not supported yet");
-  }
   // With a WAL, a moved row's old slot stays live until the group commit
   // makes the put durable (CommitWal): if the pool wrote back the old page
   // before that and the process died, the row would be on no page and in
@@ -456,11 +415,6 @@ Status Shard::Update(uint64_t id, const Row& row) {
 
 Status Shard::Delete(uint64_t id) {
   stats_.Add(stats_.deletes);
-  if (partitioned_) {
-    stats_.Add(stats_.errors);
-    return Status::NotSupported(
-        "delete on a hot/cold-partitioned shard is not supported yet");
-  }
   Status s = table_->DeleteByKey(KeyOf(id));
   if (!s.ok()) {
     stats_.Add(s.IsNotFound() ? stats_.not_found : stats_.errors);
@@ -480,32 +434,12 @@ Status Shard::Delete(uint64_t id) {
 Result<Row> Shard::GetProjected(uint64_t id,
                                 const std::vector<size_t>& projection) {
   stats_.Add(stats_.projected_gets);
-  auto result =
-      partitioned_
-          ? partitioned_->LookupProjected(KeyOf(id), projection)
-          : table_->LookupProjected(KeyOf(id), projection);
+  auto result = table_->LookupProjected(KeyOf(id), projection);
   if (!result.ok()) {
     stats_.Add(result.status().IsNotFound() ? stats_.not_found
                                             : stats_.errors);
   }
   return result;
-}
-
-Status Shard::EnableHotCold(
-    const std::unordered_set<std::string>& hot_encoded_keys) {
-  if (partitioned_) {
-    return Status::InvalidArgument("shard is already hot/cold partitioned");
-  }
-  if (durable_) {
-    // The WAL logs against the single "data" table and recovery reattaches
-    // it; the hot/cold split has no durable catalog entry yet.
-    return Status::NotSupported(
-        "hot/cold partitioning is not supported on a WAL-enabled shard");
-  }
-  NBLB_ASSIGN_OR_RETURN(
-      partitioned_, PartitionedTable::BuildFromTable(
-                        db_->buffer_pool(), table_, hot_encoded_keys));
-  return Status::OK();
 }
 
 }  // namespace nblb

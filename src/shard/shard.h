@@ -3,9 +3,8 @@
 //
 // This is the paper's §3.1 observation operationalized: "reducing the index
 // size ... allows the entire index to fit in RAM". Each shard is a full
-// vertical stack (Database → Table, optionally PartitionedTable for
-// hot/cold), so N shards have N× the aggregate buffer capacity and each
-// B+Tree is ~1/N the height of a monolithic one.
+// vertical stack (Database → Table), so N shards have N× the aggregate
+// buffer capacity and each B+Tree is ~1/N the height of a monolithic one.
 //
 // Concurrency contract: a Shard is NOT thread safe. The ShardedEngine
 // statically assigns every shard to exactly one worker thread, which is the
@@ -17,13 +16,11 @@
 
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
 #include "exec/database.h"
 #include "exec/table.h"
-#include "partition/partitioned_table.h"
 #include "shard/shard_stats.h"
 #include "storage/superblock.h"
 #include "storage/wal.h"
@@ -49,8 +46,7 @@ struct ShardOptions {
   /// Every write op appends a logical record; records become durable in
   /// groups via CommitWal() (the ShardedEngine commits once per service
   /// group, before acking the group's tickets). Checkpoints advance the
-  /// recovery LSN and reclaim log space. Not supported together with
-  /// EnableHotCold.
+  /// recovery LSN and reclaim log space.
   bool wal_enabled = false;
   /// Semantic-ID codec configuration persisted in the superblock (0 =
   /// unused): a reopened shard can rebuild its EmbeddedRouter without
@@ -68,14 +64,6 @@ struct ShardOptions {
   size_t buffer_pool_stripes = 1;
   /// O_DIRECT backing file: misses pay device latency, not page-cache cost.
   bool direct_io = false;
-  /// Async miss-read engine (see storage/disk_manager.h): kAuto prefers
-  /// io_uring, kThreads forces the preadv worker-pool fallback.
-  IoBackend io_backend = IoBackend::kAuto;
-  /// Max in-flight async ops for this shard's DiskManager (reads and
-  /// writes share the budget).
-  size_t io_queue_depth = 64;
-  /// Worker threads for the preadv/pwritev fallback backend.
-  size_t io_threads = 4;
   /// Background dirty-page flusher cadence (µs); 0 disables it and dirty
   /// write-back rides the evicting worker as before. A pass cleans only
   /// unpinned dirty frames at usage count 0 (the next CLOCK victims); hot
@@ -85,29 +73,12 @@ struct ShardOptions {
   /// Max dirty pages per flusher pass.
   size_t flush_batch_pages = 64;
 
-  // ---- Adaptive batching (read by the ShardedEngine worker that owns this
-  // shard; the shard itself just executes whatever it is handed) ----------
-
-  /// Lower bound of the adaptive coalesce window: the minimum number of
-  /// queued sub-batches a worker merges into one service group.
-  size_t min_coalesce_window = 1;
-  /// Upper bound of the adaptive coalesce window. The window doubles when
-  /// the observed queue depth reaches it and halves when the queue runs
-  /// near-empty (Nagle-style: batch for throughput under load, shrink
-  /// toward latency when idle).
-  size_t max_coalesce_window = 32;
-  /// Drain deadline in microseconds: when the backlog is smaller than the
-  /// current window, the owning worker may hold off up to this long for
-  /// more sub-batches to arrive before serving. 0 (default) serves
-  /// immediately — idle-regime latency is never taxed unless asked.
-  uint32_t drain_deadline_us = 0;
-
   Schema schema;
   TableOptions table_options;
 };
 
 /// \brief One shard: a Database wrapping a single table with an int64
-/// primary key, plus optional hot/cold partitioning.
+/// primary key.
 class Shard {
  public:
   /// \brief Creates the shard's backing store. The schema must have a
@@ -127,9 +98,7 @@ class Shard {
 
   /// \brief Batched full-row lookups: resolves all ids through the table's
   /// batch path (shared B+Tree descent, vectored/async heap-page miss I/O)
-  /// and pushes one Result per id onto `out`, in input order. A hot/cold
-  /// partitioned shard batches too: one hot-partition probe, then a single
-  /// cold batch over the hot misses (PartitionedTable::GetBatchByKey).
+  /// and pushes one Result per id onto `out`, in input order.
   Status GetBatch(const std::vector<uint64_t>& ids,
                   std::vector<Result<Row>>* out);
 
@@ -161,24 +130,15 @@ class Shard {
   /// recovery path even though the process exits normally.
   void SimulateCrashForTest() { skip_clean_close_ = true; }
 
-  /// \brief Rebuilds this shard as hot/cold partitions (§3.1): rows whose
-  /// encoded key is in `hot_encoded_keys` land in the hot partition, the
-  /// rest in cold; subsequent lookups probe hot first. Must be called while
-  /// no operations are executing on the shard.
-  Status EnableHotCold(const std::unordered_set<std::string>& hot_encoded_keys);
-
   // ---- Introspection (any thread for stats; owner thread otherwise) -------
 
   uint32_t id() const { return id_; }
-  const ShardOptions& options() const { return options_; }
   const ShardStats& stats() const { return stats_; }
   ShardStats& stats() { return stats_; }
   /// \brief Called by the owning worker after draining one batch fragment.
   void NoteSubBatch() { stats_.Add(stats_.sub_batches); }
   Database* database() { return db_.get(); }
   Table* table() { return table_; }
-  /// nullptr unless EnableHotCold() ran.
-  PartitionedTable* partitioned() { return partitioned_.get(); }
   uint64_t rows() const { return rows_; }
   /// nullptr unless wal_enabled.
   Wal* wal() { return wal_.get(); }
@@ -219,8 +179,6 @@ class Shard {
   ShardStats stats_;
   std::unique_ptr<Database> db_;
   Table* table_ = nullptr;  // owned by db_
-  std::unique_ptr<PartitionedTable> partitioned_;
-  std::vector<size_t> all_columns_;  // identity projection for hot/cold gets
   uint64_t rows_ = 0;
 
   // ---- Durability (all owner-thread only) ---------------------------------

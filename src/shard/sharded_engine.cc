@@ -50,12 +50,6 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
     so.page_size = options.page_size;
     so.buffer_pool_frames = options.buffer_pool_frames_per_shard;
     so.direct_io = options.direct_io;
-    so.min_coalesce_window = options.min_coalesce_window;
-    so.max_coalesce_window = options.max_coalesce_window;
-    so.drain_deadline_us = options.drain_deadline_us;
-    so.io_backend = options.io_backend;
-    so.io_queue_depth = options.io_queue_depth;
-    so.io_threads = options.io_threads;
     so.flusher_interval_us = options.flusher_interval_us;
     so.flush_batch_pages = options.flush_batch_pages;
     so.wal_enabled = options.wal_enabled;
@@ -115,16 +109,12 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
       engine_ptr->WorkerLoop(w);
     });
   }
-  for (uint32_t c = 0; c < options.num_completion_threads; ++c) {
-    engine->completion_threads_.emplace_back(
-        [engine_ptr = engine.get()] { engine_ptr->CompletionLoop(); });
-  }
   return engine;
 }
 
 ShardedEngine::~ShardedEngine() {
   // Workers drain their queues before exiting (stop is honored only at
-  // queued == 0), so every in-flight ticket reaches FinishTicket.
+  // queued == 0), so every in-flight ticket completes, callback included.
   stop_.store(true, std::memory_order_release);
   for (auto& worker : workers_) {
     {
@@ -134,17 +124,6 @@ ShardedEngine::~ShardedEngine() {
   }
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) worker->thread.join();
-  }
-  // Only after the workers are gone can the completion queue stop growing;
-  // the completion threads drain it fully before exiting, so no Wait()er
-  // is left hanging.
-  {
-    std::lock_guard<std::mutex> lk(completion_mu_);
-    completion_stop_ = true;
-  }
-  completion_cv_.notify_all();
-  for (auto& t : completion_threads_) {
-    if (t.joinable()) t.join();
   }
 }
 
@@ -284,7 +263,6 @@ void ShardedEngine::SubmitTicket(const TicketPtr& ticket) {
         trace.reset(new TraceContext());
         trace->trace_id = n;
         trace->enqueued = now;
-        ticket->traced_ = true;
       }
     }
     ShardQueue* queue = queues_[s].get();
@@ -345,51 +323,10 @@ void ShardedEngine::SubmitTicket(const TicketPtr& ticket) {
 void ShardedEngine::FinishTicket(const TicketPtr& ticket) {
   batches_.fetch_add(1, std::memory_order_relaxed);
   requests_.fetch_add(ticket->batch_->size(), std::memory_order_relaxed);
-  // Completion-dispatch span start: the sub-batch contexts are already
-  // retired by now, so the dispatch leg is measured separately (see
-  // TraceAggregator::RecordCompletion). finished_at_ crosses to the
-  // completion thread through completion_mu_.
-  if (ticket->traced_) {
-    ticket->finished_at_ = std::chrono::steady_clock::now();
-  }
-  if (ticket->on_complete_ && !completion_threads_.empty()) {
-    {
-      std::lock_guard<std::mutex> lk(completion_mu_);
-      completions_.push_back(ticket);
-    }
-    completion_cv_.notify_one();
-    return;
-  }
-  // No callback (or no pool): complete inline on the finishing thread.
-  if (ticket->traced_) RecordCompletionSpan(ticket);
+  // Inline on the finishing thread: a Wait()er wakes only after the
+  // callback returned.
   if (ticket->on_complete_) ticket->on_complete_(ticket->result_);
   ticket->MarkDone();
-}
-
-void ShardedEngine::RecordCompletionSpan(const TicketPtr& ticket) {
-  const auto now = std::chrono::steady_clock::now();
-  tracer_->RecordCompletion(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          now - ticket->finished_at_)
-          .count()));
-}
-
-void ShardedEngine::CompletionLoop() {
-  for (;;) {
-    TicketPtr ticket;
-    {
-      std::unique_lock<std::mutex> lk(completion_mu_);
-      completion_cv_.wait(lk, [this] {
-        return completion_stop_ || !completions_.empty();
-      });
-      if (completions_.empty()) return;  // stop requested and fully drained
-      ticket = std::move(completions_.front());
-      completions_.pop_front();
-    }
-    if (ticket->traced_) RecordCompletionSpan(ticket);
-    ticket->on_complete_(ticket->result_);
-    ticket->MarkDone();
-  }
 }
 
 // ---- Workers ----------------------------------------------------------------
@@ -418,49 +355,11 @@ bool ShardedEngine::ServeShard(Worker* worker, uint32_t sid,
                                std::vector<SubBatch>* group) {
   ShardQueue* queue = queues_[sid].get();
   Shard* shard = shards_[sid].get();
-  const ShardOptions& knobs = shard->options();
 
-  size_t depth = queue->size.load(std::memory_order_acquire);
-  if (depth == 0) return false;
-
-  // Nagle-style hold: the backlog is smaller than the current window and
-  // the engine is configured to trade a bounded delay for a fuller group —
-  // give concurrent submitters a moment to top it up. Skipped when the
-  // window has shrunk to its minimum (idle regime: serve immediately) and
-  // when a sibling shard of this worker already has queued work (holding
-  // here would head-of-line block it; queued > this queue's size means
-  // some other owned queue is non-empty). The wait breaks when this queue
-  // fills to the window, or when a SIBLING shard receives work (so it is
-  // never delayed by the full deadline) — an arrival on the held queue
-  // itself keeps accumulating, which is the entire point of the hold.
-  bool hold_timed_out = false;
-  if (knobs.drain_deadline_us > 0 && depth < queue->window &&
-      queue->window > knobs.min_coalesce_window) {
-    const uint64_t queued_before =
-        worker->queued.load(std::memory_order_acquire);
-    const uint64_t size_before =
-        queue->size.load(std::memory_order_acquire);
-    if (queued_before <= size_before) {
-      // queued - size ≈ sub-batches on sibling queues (transient skew
-      // between the two counters can only end the hold early — benign).
-      const uint64_t siblings_before = queued_before - size_before;
-      std::unique_lock<std::mutex> lk(worker->mu);
-      // wait_for returns the predicate's final value: false means the
-      // deadline genuinely expired with nothing new arriving anywhere.
-      hold_timed_out = !worker->cv.wait_for(
-          lk, std::chrono::microseconds(knobs.drain_deadline_us),
-          [this, worker, queue, siblings_before] {
-            if (stop_.load(std::memory_order_acquire)) return true;
-            const uint64_t size =
-                queue->size.load(std::memory_order_acquire);
-            if (size >= queue->window) return true;
-            return worker->queued.load(std::memory_order_acquire) - size !=
-                   siblings_before;
-          });
-    }
-  }
+  if (queue->size.load(std::memory_order_acquire) == 0) return false;
 
   group->clear();
+  size_t depth;
   {
     std::lock_guard<std::mutex> lk(queue->mu);
     depth = queue->work.size();
@@ -480,14 +379,13 @@ bool ShardedEngine::ServeShard(Worker* worker, uint32_t sid,
     // Adapt. Grow only on STRICT excess — backlog beyond what this group
     // takes proves deeper coalescing has material waiting (depth == window
     // with nothing behind it must not grow, or a lone blocked client
-    // ratchets the window up and then stalls on the drain deadline).
-    // Shrink when the queue is nearly drained, or when a hold just timed
-    // out — the submitters cannot sustain this window, so decay it rather
-    // than paying the deadline again next group.
+    // ratchets the window up). Shrink when the queue is nearly drained.
     if (depth > queue->window) {
-      queue->window = std::min(queue->window * 2, knobs.max_coalesce_window);
-    } else if (depth <= 1 || hold_timed_out) {
-      queue->window = std::max(queue->window / 2, knobs.min_coalesce_window);
+      queue->window =
+          std::min(queue->window * 2, options_.max_coalesce_window);
+    } else if (depth <= 1) {
+      queue->window =
+          std::max(queue->window / 2, options_.min_coalesce_window);
     }
   }
 
@@ -683,14 +581,6 @@ Status ShardedEngine::Delete(uint64_t id) {
   RequestBatch batch;
   batch.push_back(Request::Delete(id));
   return Execute(batch).results[0].status;
-}
-
-Status ShardedEngine::EnableHotCold(
-    uint32_t shard, const std::unordered_set<std::string>& hot_keys) {
-  if (shard >= num_shards()) {
-    return Status::InvalidArgument("no such shard");
-  }
-  return shards_[shard]->EnableHotCold(hot_keys);
 }
 
 ShardStatsSnapshot ShardedEngine::TotalShardStats() const {

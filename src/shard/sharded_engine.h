@@ -15,8 +15,8 @@
 //                                            (single-writer), write
 //                                            results[i] slots
 //                           ◀────────────── last worker drops pending to 0:
-//   Ticket::Wait()/TryWait()                 callback → completion pool,
-//     or completion fn fires                 else mark ticket done
+//   Ticket::Wait()/TryWait()                 runs the callback here, then
+//     or completion fn fires                 marks the ticket done
 //
 // The blocking Execute(batch) of PR 1/2 survives as a thin wrapper —
 // Submit + Wait — with identical results and result ordering.
@@ -26,19 +26,19 @@
 // `window` queued sub-batches as ONE group — consecutive kGets are merged
 // across sub-batch boundaries into single Shard::GetBatch calls (longer
 // B+Tree descent sharing and preadv runs), still segmented at every write
-// so per-shard order is preserved. The window doubles when the observed
-// queue depth reaches it and halves when the queue runs near-empty:
-// Nagle-style, throughput under load, latency when idle. A non-zero
-// drain_deadline_us additionally lets a worker hold a sub-window backlog
-// briefly, giving concurrent submitters time to top the group up.
+// so per-shard order is preserved. The window doubles when the backlog
+// exceeds it and halves when the queue runs near-empty: Nagle-style,
+// throughput under load, latency when idle. A worker never holds a
+// backlog back to wait for more.
 //
 // Threading model: every shard is statically owned by exactly one worker
 // (worker = shard % num_workers), so shard-local state (Table, B+Tree,
 // IndexCache) is single-threaded by construction and needs no locks. The
 // only cross-thread state is (a) the router, guarded by a SharedLatch —
 // shared mode for the read-mostly Route calls, exclusive only when an
-// insert teaches a TableRouter a new placement — (b) the atomic ticket
-// bookkeeping, and (c) the completion queue feeding the completion pool.
+// insert teaches a TableRouter a new placement — and (b) the atomic ticket
+// bookkeeping. Completion callbacks run on the worker that retires a
+// ticket's last sub-batch, so the engine starts no threads but its workers.
 //
 // Any number of client threads may call Submit/Execute concurrently.
 
@@ -72,11 +72,6 @@ struct ShardedEngineOptions {
   /// Worker threads; 0 means one per shard. Shards are statically assigned
   /// worker = shard_id % num_workers.
   uint32_t num_workers = 0;
-  /// Completion threads: callbacks passed to Submit fire here, off the
-  /// worker threads, so a slow callback cannot stall a shard. 0 runs
-  /// callbacks inline on the finishing worker (use 1 for strictly FIFO
-  /// callback dispatch order).
-  uint32_t num_completion_threads = 2;
   /// Shard i's backing file is "<path_prefix>.shard<i>.db". With
   /// truncate_on_open (default), existing files under this prefix are
   /// removed and recreated on Open — use a distinct prefix per engine.
@@ -90,17 +85,13 @@ struct ShardedEngineOptions {
   size_t buffer_pool_frames_per_shard = 4096;
   /// O_DIRECT shard files (see DiskManager): serving misses cost real I/O.
   bool direct_io = false;
-  /// Adaptive coalesce window bounds and drain deadline, forwarded to each
-  /// shard's ShardOptions (see shard.h for semantics).
+  /// Bounds of each shard queue's adaptive coalesce window: the number of
+  /// queued sub-batches a worker merges into one service group (see the
+  /// file comment). 0 for the minimum means 1.
   size_t min_coalesce_window = 1;
   size_t max_coalesce_window = 32;
-  uint32_t drain_deadline_us = 0;
-  /// Async I/O engine and flusher knobs, forwarded to every shard (see
-  /// storage/disk_manager.h and exec/database.h). Reads and write-back
-  /// share the backend and queue-depth budget.
-  IoBackend io_backend = IoBackend::kAuto;
-  size_t io_queue_depth = 64;
-  size_t io_threads = 4;
+  /// Background flusher knobs, forwarded to every shard (see
+  /// exec/database.h).
   uint64_t flusher_interval_us = 0;
   size_t flush_batch_pages = 64;
   /// Backpressure: bound on each shard queue's depth in sub-batches. 0
@@ -147,13 +138,23 @@ struct EngineStatsSnapshot {
   uint64_t busy_rejections = 0;
 };
 
-/// \brief Owns the shards, the router, the worker pool, and the completion
-/// pool.
+/// \brief Owns the shards, the router and the worker pool.
 class ShardedEngine {
  public:
-  /// \brief Fires on the completion pool once every request in the batch
-  /// has a result. The BatchResult reference is valid for the duration of
-  /// the callback; Ticket::result() holds the same object afterwards.
+  /// \brief Fires once every request in the batch has a result, on the
+  /// thread that retires the batch's last sub-batch: the engine worker
+  /// that served it or, when the submitter retired it itself (no request
+  /// reached a shard, or the last sub-batch was rejected kBusy), the
+  /// submitting thread inside Submit. Tickets whose requests all route to
+  /// one shard complete in that shard's queue order. The BatchResult
+  /// reference is valid for the duration of the callback; Ticket::result()
+  /// holds the same object afterwards.
+  ///
+  /// The callback must not block on the engine: no Execute, no Wait on a
+  /// ticket, and no Submit that can block on a full queue
+  /// (max_queue_depth set with busy_fail_fast = false). Its worker serves
+  /// none of its shards while it runs, so keep it short: hand slow work
+  /// to another thread.
   using CompletionFn = std::function<void(const BatchResult&)>;
 
   /// \brief Handle to one submitted batch. Created by Submit; completion is
@@ -193,12 +194,6 @@ class ShardedEngine {
     /// last — which then completes the ticket, extending the
     /// happens-before chain from all result slots to the callback/waiter.
     std::atomic<uint32_t> pending_{0};
-    /// True when any of this ticket's sub-batches was trace-sampled; the
-    /// completion-dispatch span (finished_at_ -> callback) is then recorded.
-    /// Written at Submit (before fan-out) and by the finishing worker, read
-    /// by the completion thread — both handoffs are through mutexes.
-    bool traced_ = false;
-    std::chrono::steady_clock::time_point finished_at_{};
     std::mutex mu_;
     std::condition_variable cv_;
     bool done_ = false;
@@ -212,8 +207,9 @@ class ShardedEngine {
   static Result<std::unique_ptr<ShardedEngine>> Open(
       ShardedEngineOptions options, std::unique_ptr<Router> router = nullptr);
 
-  /// \brief Joins workers and completion threads. Every submitted ticket
-  /// completes first; must not race with concurrent Submit/Execute calls.
+  /// \brief Joins the workers. Every submitted ticket completes first; must
+  /// not race with concurrent Submit/Execute calls, including Submits made
+  /// from completion callbacks — wait for those tickets before destroying.
   ~ShardedEngine();
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
@@ -222,8 +218,10 @@ class ShardedEngine {
 
   /// \brief Asynchronous submission: routes on the calling thread, enqueues
   /// per-shard sub-batches, and returns immediately. `on_complete` (may be
-  /// nullptr) fires on the completion pool once every request has a result;
-  /// the returned Ticket supports Wait()/TryWait() regardless. Thread safe.
+  /// nullptr) fires once every request has a result, on the thread and
+  /// under the rules CompletionFn describes; the returned Ticket supports
+  /// Wait()/TryWait() regardless. Thread safe, and callable from a
+  /// completion callback when it cannot block (see CompletionFn).
   /// Results are in batch order; per-shard execution preserves batch order,
   /// but requests routed to different shards execute in parallel with no
   /// mutual ordering.
@@ -253,11 +251,6 @@ class ShardedEngine {
 
   /// \brief Where `id` would be served (shared-mode router read).
   Result<uint32_t> RouteOf(uint64_t id) const;
-
-  /// \brief Switches one shard to hot/cold partitioned mode (§3.1). Call
-  /// only while no batches are in flight.
-  Status EnableHotCold(uint32_t shard,
-                       const std::unordered_set<std::string>& hot_keys);
 
   /// \brief The options the engine was opened with (the network front end
   /// derives its global admission cap from max_queue_depth).
@@ -306,10 +299,10 @@ class ShardedEngine {
   struct ShardQueue {
     std::mutex mu;
     std::deque<SubBatch> work;
-    /// Mirrors work.size() so the owning worker's drain-deadline predicate
-    /// can peek without taking `mu` inside its own cv wait.
+    /// Mirrors work.size() so the owning worker skips an empty queue
+    /// without taking `mu`.
     std::atomic<size_t> size{0};
-    /// Adaptive coalesce target, clamped to the shard's
+    /// Adaptive coalesce target, clamped to the engine's
     /// [min_coalesce_window, max_coalesce_window]. Touched only by the
     /// owning worker.
     size_t window = 1;
@@ -336,16 +329,12 @@ class ShardedEngine {
   Result<uint32_t> RouteRequest(const Request& request);
   /// Shared by Submit and Execute: routes, fans out, pre-arms pending_.
   void SubmitTicket(const TicketPtr& ticket);
-  /// Counts the batch, then dispatches the callback to the completion pool
-  /// (or completes inline when there is none / no pool).
+  /// Counts the batch, runs the callback on this thread, then marks the
+  /// ticket done.
   void FinishTicket(const TicketPtr& ticket);
-  /// Records the finish -> callback dispatch span of a traced ticket.
-  void RecordCompletionSpan(const TicketPtr& ticket);
   void WorkerLoop(Worker* worker);
-  void CompletionLoop();
-  /// Pops up to `window` sub-batches off shard `sid`'s queue (honoring the
-  /// drain deadline), adapts the window, and serves them as one group.
-  /// Returns true if anything ran.
+  /// Pops up to `window` sub-batches off shard `sid`'s queue, adapts the
+  /// window, and serves them as one group. Returns true if anything ran.
   bool ServeShard(Worker* worker, uint32_t sid, std::vector<SubBatch>* group);
   void RunGroup(Shard* shard, std::vector<SubBatch>* group);
 
@@ -359,12 +348,6 @@ class ShardedEngine {
   std::vector<std::unique_ptr<ShardQueue>> queues_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> stop_{false};
-
-  std::vector<std::thread> completion_threads_;
-  std::mutex completion_mu_;
-  std::condition_variable completion_cv_;
-  std::deque<TicketPtr> completions_;
-  bool completion_stop_ = false;  // under completion_mu_
 
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> requests_{0};

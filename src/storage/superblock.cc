@@ -61,6 +61,12 @@ struct Cursor {
     const char* b;
     return Take(1, &b) ? static_cast<uint8_t>(*b) : 0;
   }
+  /// A flag byte is 0 or 1; any other value fails the read.
+  bool Flag() {
+    const uint8_t v = U8();
+    if (v > 1) ok = false;
+    return v == 1;
+  }
   uint16_t U16() {
     const char* b;
     return Take(2, &b) ? DecodeFixed16(b) : 0;
@@ -110,9 +116,9 @@ bool DecodePayload(const char* payload, size_t len, SuperblockData* d) {
   d->heap_first_page = c.U32();
   d->btree_meta_page = c.U32();
   d->semid_partition_bits = c.U32();
-  d->clean_shutdown = c.U8() != 0;
-  d->reuse_free_slots = c.U8() != 0;
-  d->enable_index_cache = c.U8() != 0;
+  d->clean_shutdown = c.Flag();
+  d->reuse_free_slots = c.Flag();
+  d->enable_index_cache = c.Flag();
   const uint32_t nkey = c.U32();
   if (!c.ok || nkey > 256) return false;
   d->key_columns.resize(nkey);
@@ -133,7 +139,9 @@ bool DecodePayload(const char* payload, size_t len, SuperblockData* d) {
     if (!c.Take(name_len, &name)) return false;
     col.name.assign(name, name_len);
   }
-  return c.ok;
+  // Bytes past the last field are not part of any superblock this build
+  // writes.
+  return c.ok && c.left == 0;
 }
 
 /// True iff the slot's magic and payload CRC verify, whatever its format.

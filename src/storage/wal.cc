@@ -22,6 +22,11 @@ constexpr size_t kFrameHeaderSize = 8;
 constexpr size_t kBodyFixedSize = 8 + 1 + 8 + 4;
 /// Anything past this is garbage, not a record (rows are page-bounded).
 constexpr uint32_t kMaxBodyLen = 1u << 20;
+/// The log's own async engine. A commit writes one short run of tail pages,
+/// so a shallow ring, or two fallback threads, is enough. NBLB_IO_BACKEND
+/// selects the backend as for any DiskManager.
+constexpr size_t kWalIoQueueDepth = 16;
+constexpr size_t kWalIoThreads = 2;
 
 }  // namespace
 
@@ -40,14 +45,17 @@ Result<std::unique_ptr<Wal>> Wal::Open(std::string path, WalOptions options) {
   return wal;
 }
 
-Status Wal::OpenAndScan() {
+Status Wal::OpenDisk() {
   AsyncIoOptions aio;
-  aio.backend = options_.io_backend;
-  aio.queue_depth = options_.io_queue_depth;
-  aio.io_threads = options_.io_threads;
+  aio.queue_depth = kWalIoQueueDepth;
+  aio.io_threads = kWalIoThreads;
   disk_.reset(new DiskManager(path_, options_.page_size,
                               /*latency=*/nullptr, /*direct_io=*/false, aio));
-  NBLB_RETURN_NOT_OK(disk_->Open());
+  return disk_->Open();
+}
+
+Status Wal::OpenAndScan() {
+  NBLB_RETURN_NOT_OK(OpenDisk());
 
   uint64_t tail_bytes = 0, tail_lsn = 0, truncated = 0;
   NBLB_RETURN_NOT_OK(Scan(nullptr, &tail_bytes, &tail_lsn, &truncated));
@@ -264,13 +272,7 @@ Status Wal::Reset() {
   durable_lsn_ = next_lsn_ - 1;
   sticky_error_ = Status::OK();
 
-  AsyncIoOptions aio;
-  aio.backend = options_.io_backend;
-  aio.queue_depth = options_.io_queue_depth;
-  aio.io_threads = options_.io_threads;
-  disk_.reset(new DiskManager(path_, options_.page_size,
-                              /*latency=*/nullptr, /*direct_io=*/false, aio));
-  Status st = disk_->Open();
+  Status st = OpenDisk();
   if (!st.ok()) {
     sticky_error_ = st;
     return st;

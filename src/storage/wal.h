@@ -43,11 +43,6 @@ class MetricsRegistry;
 /// \brief Tuning for a shard WAL.
 struct WalOptions {
   size_t page_size = 8192;
-  /// Async engine for the commit writes (the WAL has its own DiskManager
-  /// over the log file; NBLB_IO_BACKEND overrides as usual).
-  IoBackend io_backend = IoBackend::kAuto;
-  size_t io_queue_depth = 16;
-  size_t io_threads = 2;
 };
 
 /// \brief A write-ahead log over one file. Single-writer (the owning shard
@@ -114,6 +109,8 @@ class Wal {
  private:
   Wal(std::string path, WalOptions options);
 
+  /// (Re)creates and opens the log's own DiskManager.
+  Status OpenDisk();
   /// Opens the backing DiskManager and scans for the durable tail.
   Status OpenAndScan();
 

@@ -125,10 +125,11 @@ ReplayReport ReplayBatchesOpenLoop(ShardedEngine* engine,
   ReplayReport report;
   report.batch_seconds.assign(batches.size(), 0.0);
 
-  // Shared with the completion callbacks, which run on the engine's
-  // completion pool; everything below is guarded by `mu`. The final wait
-  // for inflight == 0 guarantees all callbacks (and thus all writes into
-  // `report`) finished before this frame is torn down.
+  // Shared with the completion callbacks, which run on the engine workers
+  // (or, for a batch no shard received, inside SubmitRef on this thread,
+  // which holds no lock there); everything below is guarded by `mu`. The
+  // final wait for inflight == 0 guarantees all callbacks (and thus all
+  // writes into `report`) finished before this frame is torn down.
   std::mutex mu;
   std::condition_variable cv;
   size_t inflight = 0;

@@ -47,7 +47,6 @@ ShardedEngineOptions EngineOptions(const std::string& tag) {
   ShardedEngineOptions opts;
   opts.num_shards = 2;
   opts.num_workers = 2;
-  opts.num_completion_threads = 2;
   opts.path_prefix = ::testing::TempDir() + "nblb_net_" + tag;
   opts.buffer_pool_frames_per_shard = 256;
   opts.schema = KvSchema();

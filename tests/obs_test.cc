@@ -199,7 +199,6 @@ TEST(TraceTest, AggregatorRetiresIntoHistogramsAndRing) {
                 t0 + std::chrono::microseconds(9));
     agg.Retire(ctx, t0 + std::chrono::microseconds(9));
   }
-  agg.RecordCompletion(2);
   EXPECT_EQ(agg.sampled(), 3u);
 
   MetricsRegistry reg;
@@ -209,7 +208,6 @@ TEST(TraceTest, AggregatorRetiresIntoHistogramsAndRing) {
   EXPECT_EQ(snap.histograms.at("trace.queue_wait_us").count(), 3u);
   EXPECT_EQ(snap.histograms.at("trace.service_us").count(), 3u);
   EXPECT_EQ(snap.histograms.at("trace.end_to_end_us").count(), 3u);
-  EXPECT_EQ(snap.histograms.at("trace.completion_us").count(), 1u);
   // Never-entered phases contribute nothing.
   EXPECT_EQ(snap.histograms.at("trace.device_wait_us").count(), 0u);
 

@@ -1,5 +1,6 @@
-// Async serving-path tests: Submit/Ticket lifecycle, completion callbacks
-// vs write segmentation, adaptive coalesce-window growth under a bursty
+// Async serving-path tests: Submit/Ticket lifecycle, the threads Open
+// starts, completion callbacks vs write segmentation, where callbacks run
+// and what they may submit, adaptive coalesce-window growth under a bursty
 // multi-threaded submitter, and a regression check that the blocking
 // Execute wrapper produces the exact per-slot result ordering the old
 // synchronous Execute defined. Run under TSan in CI.
@@ -8,6 +9,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -50,6 +55,37 @@ void Cleanup(const ShardedEngineOptions& opts) {
   }
 }
 
+/// Threads of this process, from /proc/self/task, leaving out the kernel's
+/// io_uring workers ("iou-*"): they come and go with earlier tests' I/O.
+size_t ProcessThreads() {
+  size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    std::getline(comm, name);
+    if (name.rfind("iou-", 0) != 0) ++n;
+  }
+  return n;
+}
+
+TEST(ShardAsyncTest, OpenStartsOnlyItsWorkers) {
+  // No flusher and no WAL, and nothing served yet: the disk managers start
+  // their fallback pools lazily, so the engine's own threads are all that
+  // Open adds. Callbacks run on those workers; there is no other pool.
+  auto opts = SmallOptions("threads", 4, /*workers=*/2);
+  // A throwaway thread first: a sanitizer runtime that starts a helper
+  // thread with the process's first thread (TSan does) has it by now.
+  std::thread([] {}).join();
+  const size_t before = ProcessThreads();
+  ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(opts));
+  EXPECT_EQ(engine->num_workers(), 2u);
+  EXPECT_EQ(ProcessThreads(), before + 2);
+  engine.reset();
+  EXPECT_EQ(ProcessThreads(), before);
+  Cleanup(opts);
+}
+
 TEST(ShardAsyncTest, SubmitCompletesAndWaitIsIdempotent) {
   auto opts = SmallOptions("lifecycle", 4);
   ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(opts));
@@ -66,8 +102,8 @@ TEST(ShardAsyncTest, SubmitCompletesAndWaitIsIdempotent) {
                                  fired.fetch_add(1);
                                });
   ticket->Wait();
-  // Wait() returning implies the callback already ran (completion-pool
-  // dispatch marks the ticket done only after the callback returns).
+  // Wait() returning implies the callback already ran (the ticket is marked
+  // done only after the callback returns).
   EXPECT_EQ(fired.load(), 1);
   // Wait after completion returns immediately; TryWait agrees.
   ticket->Wait();
@@ -99,7 +135,6 @@ TEST(ShardAsyncTest, CompletionSeesWritesFromEarlierTicketsSameShard) {
   // must observe every earlier write — even when the insert and the read
   // were submitted asynchronously back-to-back without waiting.
   auto opts = SmallOptions("ordering", 1);  // one shard: total order
-  opts.num_completion_threads = 1;          // FIFO callback dispatch
   ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(opts));
 
   std::vector<ShardedEngine::TicketPtr> tickets;
@@ -134,8 +169,8 @@ TEST(ShardAsyncTest, CompletionSeesWritesFromEarlierTicketsSameShard) {
     ASSERT_OK(cross.results[0].status);
     EXPECT_EQ(cross.results[0].row, MakeRow(id));
   }
-  // A single completion thread dispatches callbacks in completion order,
-  // which on one shard is submission order.
+  // The one worker completes its shard's tickets in queue order and runs
+  // each callback as it does, so callbacks fire in submission order.
   ASSERT_EQ(completion_order.size(), 50u);
   for (int round = 0; round < 50; ++round) {
     EXPECT_EQ(completion_order[round], round);
@@ -150,7 +185,6 @@ TEST(ShardAsyncTest, AdaptiveWindowGrowsUnderBurstySubmitters) {
   auto opts = SmallOptions("burst", 1, /*workers=*/1);
   opts.min_coalesce_window = 1;
   opts.max_coalesce_window = 16;
-  opts.drain_deadline_us = 200;  // let the worker top groups up under load
   ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(opts));
 
   constexpr int kThreads = 8;
@@ -303,35 +337,127 @@ TEST(ShardAsyncTest, ExecuteWrapperKeepsExactResultOrdering) {
   Cleanup(opts);
 }
 
-TEST(ShardAsyncTest, InlineCompletionWithoutPool) {
-  // num_completion_threads = 0: callbacks run inline on the finishing
-  // worker; Wait/TryWait still work.
-  auto opts = SmallOptions("inline", 2);
-  opts.num_completion_threads = 0;
+TEST(ShardAsyncTest, CallbacksRunOnTheShardsWorker) {
+  // One shard, one worker: every callback runs on that worker — one thread,
+  // never the submitter — and Wait/TryWait still see it returned.
+  auto opts = SmallOptions("inline", 1);
   ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(opts));
 
-  std::atomic<int> fired{0};
-  RequestBatch batch;
-  for (uint64_t id = 0; id < 64; ++id) {
-    batch.push_back(Request::Insert(id, MakeRow(id)));
+  constexpr int kTickets = 20;
+  std::mutex mu;
+  std::vector<std::thread::id> ran_on;
+  std::vector<ShardedEngine::TicketPtr> tickets;
+  for (int t = 0; t < kTickets; ++t) {
+    RequestBatch batch;
+    for (uint64_t i = 0; i < 8; ++i) {
+      const uint64_t id = static_cast<uint64_t>(t) * 8 + i;
+      batch.push_back(Request::Insert(id, MakeRow(id)));
+    }
+    tickets.push_back(
+        engine->Submit(std::move(batch), [&](const BatchResult&) {
+          std::lock_guard<std::mutex> lk(mu);
+          ran_on.push_back(std::this_thread::get_id());
+        }));
   }
-  auto ticket = engine->Submit(std::move(batch),
-                               [&](const BatchResult&) { fired.fetch_add(1); });
-  ticket->Wait();
-  EXPECT_EQ(fired.load(), 1);
-  EXPECT_TRUE(ticket->result().all_ok());
+  for (auto& ticket : tickets) {
+    ticket->Wait();
+    EXPECT_TRUE(ticket->TryWait());
+    EXPECT_TRUE(ticket->result().all_ok());
+  }
+  ASSERT_EQ(ran_on.size(), static_cast<size_t>(kTickets));
+  EXPECT_NE(ran_on[0], std::this_thread::get_id());
+  for (const std::thread::id& id : ran_on) EXPECT_EQ(id, ran_on[0]);
+  Cleanup(opts);
+}
+
+TEST(ShardAsyncTest, CallbackSubmitsFollowUpBatch) {
+  // A pipelined client's pattern: each completion submits the next batch
+  // from inside its callback, here on a fail-fast bounded engine so the
+  // Submit can never block its worker. Every follow-up completes, and each
+  // request is served or shed kBusy.
+  auto opts = SmallOptions("followup", 2, /*workers=*/2);
+  opts.max_queue_depth = 2;
+  opts.busy_fail_fast = true;
+  ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(opts));
+
+  constexpr uint64_t kRows = 64;
+  RequestBatch load;
+  for (uint64_t id = 0; id < kRows; ++id) {
+    load.push_back(Request::Insert(id, MakeRow(id)));
+  }
+  ASSERT_TRUE(engine->Execute(load).all_ok());
+
+  auto gets_from = [](uint64_t first) {
+    RequestBatch batch;
+    for (uint64_t i = 0; i < 8; ++i) {
+      batch.push_back(Request::Get((first + i) % kRows));
+    }
+    return batch;
+  };
+  struct Submitted {
+    uint64_t first;
+    ShardedEngine::TicketPtr ticket;
+  };
+  const std::thread::id main_thread = std::this_thread::get_id();
+  std::mutex mu;
+  std::vector<Submitted> follow_ups;
+  std::atomic<int> worker_submits{0};
+
+  constexpr int kTickets = 200;
+  std::vector<Submitted> primaries;
+  for (int t = 0; t < kTickets; ++t) {
+    const uint64_t first = static_cast<uint64_t>(t) * 8;
+    auto follow_up = [&, first](const BatchResult&) {
+      if (std::this_thread::get_id() != main_thread) {
+        worker_submits.fetch_add(1);
+      }
+      ShardedEngine::TicketPtr next = engine->Submit(gets_from(first + 1));
+      std::lock_guard<std::mutex> lk(mu);
+      follow_ups.push_back({first + 1, std::move(next)});
+    };
+    primaries.push_back({first, engine->Submit(gets_from(first), follow_up)});
+  }
+  // A ticket is done only after its callback returned, so once every
+  // primary is done every follow-up is in the list.
+  for (Submitted& p : primaries) p.ticket->Wait();
+  ASSERT_EQ(follow_ups.size(), static_cast<size_t>(kTickets));
+  EXPECT_GT(worker_submits.load(), 0) << "no callback ran on a worker";
+
+  uint64_t served = 0, busy = 0;
+  auto check = [&](const Submitted& s) {
+    s.ticket->Wait();
+    const BatchResult& result = s.ticket->result();
+    ASSERT_EQ(result.results.size(), 8u);
+    for (uint64_t i = 0; i < 8; ++i) {
+      const RequestResult& r = result.results[i];
+      if (r.status.IsBusy()) {
+        ++busy;
+        continue;
+      }
+      ASSERT_OK(r.status);
+      EXPECT_EQ(r.row, MakeRow((s.first + i) % kRows));
+      ++served;
+    }
+  };
+  for (const Submitted& p : primaries) check(p);
+  for (const Submitted& f : follow_ups) check(f);
+  EXPECT_EQ(served + busy, uint64_t{2} * kTickets * 8);
+  EXPECT_EQ(engine->engine_stats().busy_rejections, busy);
+  engine.reset();
   Cleanup(opts);
 }
 
 TEST(ShardAsyncTest, RoutingFailuresCompleteWithoutWorkers) {
   // A batch whose every request fails routing never reaches a shard queue;
-  // the ticket (and callback) must still complete.
+  // the ticket (and callback) must still complete — on the submitting
+  // thread, before Submit returns.
   auto opts = SmallOptions("routefail", 2);
   ASSERT_OK_AND_ASSIGN(
       auto engine,
       ShardedEngine::Open(opts, std::make_unique<TableRouter>()));
 
   std::atomic<int> fired{0};
+  std::thread::id ran_on;
   RequestBatch lookups;  // TableRouter has learned nothing: all unroutable
   for (uint64_t id = 0; id < 10; ++id) {
     lookups.push_back(Request::Get(id));
@@ -341,9 +467,11 @@ TEST(ShardAsyncTest, RoutingFailuresCompleteWithoutWorkers) {
                                  for (const auto& r : result.results) {
                                    EXPECT_TRUE(r.status.IsNotFound());
                                  }
+                                 ran_on = std::this_thread::get_id();
                                  fired.fetch_add(1);
                                });
-  ticket->Wait();
+  EXPECT_TRUE(ticket->TryWait());
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
   EXPECT_EQ(fired.load(), 1);
   EXPECT_EQ(engine->engine_stats().routing_failures, 10u);
   Cleanup(opts);

@@ -1,7 +1,5 @@
 // Submit backpressure tests: bounded per-shard queue depth
-// (max_queue_depth), blocking and fail-fast (kBusy) policies, plus the
-// hot/cold partitioned batch read path (PartitionedTable::GetBatchByKey
-// through Shard::GetBatch).
+// (max_queue_depth), blocking and fail-fast (kBusy) policies.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +7,6 @@
 #include <cstdio>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -153,64 +150,6 @@ TEST(BackpressureTest, UnboundedByDefaultNeverRejects) {
     ASSERT_OK(ticket->result().results[0].status);
   }
   EXPECT_EQ(engine->engine_stats().busy_rejections, 0u);
-  engine.reset();
-  Cleanup(opts);
-}
-
-TEST(HotColdBatchTest, PartitionedShardServesBatchesThroughBatchPath) {
-  ShardedEngineOptions opts = BaseOptions("hotcold", 1);
-  ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(opts));
-  constexpr int64_t kRows = 400;
-  for (int64_t id = 0; id < kRows; ++id) {
-    ASSERT_OK(engine->Insert(id, KvRow(id)));
-  }
-  // Every 4th row is hot.
-  std::unordered_set<std::string> hot;
-  Shard* shard = engine->shard(0);
-  for (int64_t id = 0; id < kRows; id += 4) {
-    auto enc = shard->table()->key_codec().EncodeValues({Value::Int64(id)});
-    ASSERT_OK(enc.status());
-    hot.insert(*enc);
-  }
-  ASSERT_OK(engine->EnableHotCold(0, hot));
-
-  const ShardStatsSnapshot before = engine->ShardStatsOf(0);
-  RequestBatch batch;
-  for (int64_t id = 0; id < kRows + 10; ++id) {
-    batch.push_back(Request::Get(id));  // hot rows, cold rows, and misses
-  }
-  BatchResult result = engine->Execute(batch);
-
-  // Snapshot stats BEFORE the per-key oracle comparisons below (those go
-  // through the same counters).
-  ShardStatsSnapshot delta = engine->ShardStatsOf(0);
-  delta -= before;
-  const PartitionedTableStats& pstats = shard->partitioned()->stats();
-  const uint64_t hot_hits = pstats.hot_hits.load();
-  const uint64_t cold_hits = pstats.cold_hits.load();
-  const uint64_t misses = pstats.misses.load();
-
-  for (int64_t id = 0; id < kRows + 10; ++id) {
-    const RequestResult& r = result.results[id];
-    if (id < kRows) {
-      ASSERT_OK(r.status);
-      auto oracle = engine->Get(id);
-      ASSERT_OK(oracle.status());
-      ASSERT_EQ(r.row.size(), oracle->size());
-      for (size_t c = 0; c < oracle->size(); ++c) {
-        EXPECT_EQ(r.row[c].ToString(), (*oracle)[c].ToString());
-      }
-    } else {
-      EXPECT_TRUE(r.status.IsNotFound()) << "id " << id;
-    }
-  }
-  // The batch was served through the batched read path, not per-key probes.
-  EXPECT_EQ(delta.batch_gets, static_cast<uint64_t>(kRows + 10));
-
-  // Partition stats took the batch route: hot rows from hot, rest cold.
-  EXPECT_EQ(hot_hits, static_cast<uint64_t>(kRows / 4));
-  EXPECT_EQ(cold_hits, static_cast<uint64_t>(kRows - kRows / 4));
-  EXPECT_EQ(misses, 10u);
   engine.reset();
   Cleanup(opts);
 }

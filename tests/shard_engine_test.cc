@@ -1,7 +1,7 @@
 // ShardedEngine tests: single-thread correctness against a plain Table
-// oracle, routing behavior of all three routers, batch semantics, hot/cold
-// mode, and a multi-threaded smoke test (no lost inserts, consistent
-// lookups under 8 client threads).
+// oracle, routing behavior of all three routers, batch semantics, and a
+// multi-threaded smoke test (no lost inserts, consistent lookups under 8
+// client threads).
 
 #include <gtest/gtest.h>
 
@@ -208,50 +208,6 @@ TEST(ShardedEngineTest, EmbeddedRouterUsesIdBits) {
   // Shift+mask routing: every tuple lives exactly where its bits say.
   EXPECT_EQ(engine->shard(0)->rows(), 100u);  // partitions 0 and 4
   EXPECT_EQ(engine->shard(1)->rows(), 100u);  // partitions 1 and 5
-  Cleanup(opts);
-}
-
-TEST(ShardedEngineTest, HotColdShardsServeBothPartitions) {
-  auto opts = SmallOptions("hotcold", 2);
-  ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(opts));
-  RequestBatch inserts;
-  for (uint64_t id = 0; id < 400; ++id) {
-    inserts.push_back(Request::Insert(id, MakeRow(id)));
-  }
-  ASSERT_TRUE(engine->Execute(inserts).all_ok());
-
-  // Declare even ids hot, per shard, using the shard's own key codec.
-  for (uint32_t s = 0; s < engine->num_shards(); ++s) {
-    std::unordered_set<std::string> hot;
-    ASSERT_OK(engine->shard(s)->table()->ForEachRow(
-        [&](const Rid&, const Row& row) {
-          if (row[0].AsInt() % 2 == 0) {
-            auto key =
-                engine->shard(s)->table()->key_codec().EncodeFromRow(row);
-            NBLB_RETURN_NOT_OK(key.status());
-            hot.insert(*key);
-          }
-          return Status::OK();
-        }));
-    ASSERT_OK(engine->EnableHotCold(s, hot));
-  }
-
-  // Every row is still served; hot hits land in the hot partition.
-  RequestBatch gets;
-  for (uint64_t id = 0; id < 400; ++id) gets.push_back(Request::Get(id));
-  BatchResult result = engine->Execute(gets);
-  ASSERT_TRUE(result.all_ok());
-  for (uint64_t id = 0; id < 400; ++id) {
-    EXPECT_EQ(result.results[id].row, MakeRow(id));
-  }
-  uint64_t hot_hits = 0, cold_hits = 0;
-  for (uint32_t s = 0; s < engine->num_shards(); ++s) {
-    const auto& stats = engine->shard(s)->partitioned()->stats();
-    hot_hits += stats.hot_hits.load(std::memory_order_relaxed);
-    cold_hits += stats.cold_hits.load(std::memory_order_relaxed);
-  }
-  EXPECT_EQ(hot_hits, 200u);
-  EXPECT_EQ(cold_hits, 200u);
   Cleanup(opts);
 }
 

@@ -1,11 +1,10 @@
 // Sampled-tracing tests over the ShardedEngine: span ordering across a
 // multi-shard Submit, the unified DumpMetrics document covering every layer
-// (engine / trace / per-shard disk / buffer pool / shard), the
-// completion-dispatch span, and the sampler default.
+// (engine / trace / per-shard disk / buffer pool / shard), and the sampler
+// default.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -152,29 +151,6 @@ TEST(ShardTraceTest, DumpMetricsCoversEveryLayerInOneDocument) {
   const std::string shard_json = engine->shard(0)->database()->DumpMetrics();
   EXPECT_NE(shard_json.find("\"disk.reads\""), std::string::npos);
   EXPECT_NE(shard_json.find("\"shard.gets\""), std::string::npos);
-
-  Cleanup(opts);
-}
-
-TEST(ShardTraceTest, CompletionDispatchSpanIsRecorded) {
-  auto opts = TraceOptions("completion", 2, 1);
-  ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(opts));
-
-  RequestBatch batch;
-  for (uint64_t id = 0; id < 16; ++id) {
-    batch.push_back(Request::Insert(id, MakeRow(id)));
-  }
-  std::atomic<int> fired{0};
-  auto ticket = engine->Submit(
-      std::move(batch), [&](const BatchResult& r) {
-        EXPECT_TRUE(r.all_ok());
-        fired.fetch_add(1);
-      });
-  ticket->Wait();
-  EXPECT_EQ(fired.load(), 1);
-
-  MetricsSnapshot snap = engine->MetricsSnapshotNow();
-  EXPECT_GE(snap.histograms.at("trace.completion_us").count(), 1u);
 
   Cleanup(opts);
 }
