@@ -46,8 +46,8 @@
 //   "metrics": { ... },  // unified-registry document (src/obs/): the scan
 //                        // and churn DiskManagers plus the final churn
 //                        // BufferPool, under scan_disk./churn_disk./
-//                        // churn_buffer_pool. prefixes (disk counters are
-//                        // reset per config, so they cover the last one)
+//                        // churn_buffer_pool. prefixes (disk counters
+//                        // cover the last config)
 //   "io_backend_effective": "uring"|"threads",
 //   "speedup_8t_hit_vs_seed": <float>  // striped single-fetch vs seed pool
 // }
@@ -57,7 +57,7 @@
 // Flags: --frames=N --ops=N --batch=N --threads=N (max client threads)
 // --io=auto|uring|threads (async I/O backend; "threads" forces the
 // preadv/pwritev worker-pool fallback) --flusher_us=N (churn-phase flusher
-// cadence).
+// cadence). Any other argument, or a value that does not parse, exits 2.
 
 #include <algorithm>
 #include <chrono>
@@ -76,6 +76,7 @@
 #include "obs/metrics.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "test_support.h"
 
 namespace nblb::bench {
 namespace {
@@ -84,16 +85,6 @@ double Now() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-uint64_t FlagOr(int argc, char** argv, const char* name, uint64_t fallback) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::strtoull(argv[i] + prefix.size(), nullptr, 10);
-    }
-  }
-  return fallback;
 }
 
 /// The seed pool, verbatim in spirit: one mutex, exact LRU via std::list
@@ -242,16 +233,19 @@ int main(int argc, char** argv) {
   using namespace nblb;
   using namespace nblb::bench;
 
-  const uint64_t frames = FlagOr(argc, argv, "frames", 4096);
-  const uint64_t total_ops = FlagOr(argc, argv, "ops", 1'000'000);
-  const uint64_t batch = FlagOr(argc, argv, "batch", 32);
+  Flags flags(argc, argv);
+  const uint64_t frames = flags.U64("frames", 4096);
+  const uint64_t total_ops = flags.U64("ops", 1'000'000);
+  const uint64_t batch = flags.U64("batch", 32);
   const uint32_t max_threads =
-      static_cast<uint32_t>(FlagOr(argc, argv, "threads", 8));
-  std::string io_flag = "auto";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--io=", 5) == 0) io_flag = argv[i] + 5;
+      static_cast<uint32_t>(flags.U64("threads", 8));
+  const std::string io_flag = flags.Str("io", "auto");
+  if (io_flag != "auto" && io_flag != "uring" && io_flag != "threads") {
+    std::fprintf(stderr, "--io wants auto, uring or threads\n");
+    return 2;
   }
-  const uint64_t flusher_us = FlagOr(argc, argv, "flusher_us", 1000);
+  const uint64_t flusher_us = flags.U64("flusher_us", 1000);
+  flags.Done();
   const size_t page_size = kDefaultPageSize;
   const PageId hit_pages = static_cast<PageId>(frames / 2);
   const PageId miss_pages = static_cast<PageId>(frames * 8);
@@ -267,6 +261,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 1;
   }
+  // Every counter is read through a registry; a config's counts are the
+  // difference of the snapshots around it.
+  MetricsRegistry scan_registry;
+  disk.RegisterMetrics(&scan_registry, "scan_disk.");
+  MetricsSnapshot scan_base;
   std::printf("allocating %u pages...\n", miss_pages);
   for (PageId i = 0; i < miss_pages; ++i) {
     if (!disk.AllocatePage().ok()) {
@@ -378,7 +377,7 @@ int main(int argc, char** argv) {
   for (const char* mode : {"single", "batch"}) {
     for (uint32_t threads : thread_sweep) {
       BufferPool bp(&disk, frames, 0);
-      disk.ResetStats();
+      scan_base = scan_registry.Snapshot();
       double ops;
       if (std::strcmp(mode, "single") == 0) {
         ops = RunThreads(threads, miss_ops, [&](InlineRng& rng) {
@@ -399,12 +398,14 @@ int main(int argc, char** argv) {
           return static_cast<uint32_t>(batch);
         });
       }
-      const DiskStats ds = disk.stats();
-      miss_results.push_back({mode, threads, ops, ds.reads,
-                              ds.vectored_reads, ds.async_reads});
+      const MetricsSnapshot ds = scan_registry.Snapshot() - scan_base;
+      const uint64_t reads = ds.Total("scan_disk.reads");
+      const uint64_t vectored = ds.Total("scan_disk.vectored_reads");
+      miss_results.push_back({mode, threads, ops, reads, vectored,
+                              ds.Total("scan_disk.async_reads")});
       std::printf("%-8s %-8u %-12.0f %-10llu %-10llu\n", mode, threads, ops,
-                  static_cast<unsigned long long>(ds.reads),
-                  static_cast<unsigned long long>(ds.vectored_reads));
+                  static_cast<unsigned long long>(reads),
+                  static_cast<unsigned long long>(vectored));
       std::fflush(stdout);
     }
   }
@@ -439,6 +440,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", churn_path.c_str());
     return 1;
   }
+  MetricsRegistry churn_registry;
+  churn_disk.RegisterMetrics(&churn_registry, "churn_disk.");
+  MetricsSnapshot churn_base;
   for (PageId i = 0; i < churn_pages; ++i) {
     if (!churn_disk.AllocatePage().ok()) {
       std::fprintf(stderr, "churn allocation failed\n");
@@ -452,13 +456,18 @@ int main(int argc, char** argv) {
   std::printf("%-8s %-12s %-10s %-10s %-10s %-10s\n", "threads", "ops/sec",
               "writes", "asyncw", "runs", "flusherp");
   // The last churn pool outlives the sweep so its counters can be
-  // published in the metrics document below.
+  // published in the metrics document below. Each pool gets a registry of
+  // its own, which dies before the pool does.
   std::unique_ptr<BufferPool> churn_bp;
+  std::unique_ptr<MetricsRegistry> churn_pool_registry;
   for (uint32_t threads : thread_sweep) {
+    churn_pool_registry.reset();
     churn_bp.reset(new BufferPool(&churn_disk, frames, 0));
     BufferPool& bp = *churn_bp;
+    churn_pool_registry.reset(new MetricsRegistry());
+    bp.RegisterMetrics(churn_pool_registry.get(), "churn_buffer_pool.");
     bp.StartFlusher(flusher_us, /*batch_pages=*/64);
-    churn_disk.ResetStats();
+    churn_base = churn_registry.Snapshot();
     const double ops = RunThreads(threads, churn_ops, [&](InlineRng& rng) {
       // FetchPages wants ascending unique ids (like every real caller).
       // Draw, sort, dedup — duplicates are rare over this id space and
@@ -493,17 +502,23 @@ int main(int argc, char** argv) {
       }
       return static_cast<uint32_t>(ids.size());
     });
-    const DiskStats ds = churn_disk.stats();
-    const BufferPoolStats ps = bp.stats();
-    churn_results.push_back({threads, ops, ds.writes, ds.async_writes,
-                             ds.async_write_batches, ds.write_runs,
-                             ps.flusher_pages, ps.flusher_coalesced_runs,
-                             ps.dirty_writebacks});
+    const MetricsSnapshot ds = churn_registry.Snapshot() - churn_base;
+    const MetricsSnapshot ps = churn_pool_registry->Snapshot();
+    const ChurnResult r{threads,
+                        ops,
+                        ds.Total("churn_disk.writes"),
+                        ds.Total("churn_disk.async_writes"),
+                        ds.Total("churn_disk.async_write_batches"),
+                        ds.Total("churn_disk.write_runs"),
+                        ps.Total("churn_buffer_pool.flusher_pages"),
+                        ps.Total("churn_buffer_pool.flusher_coalesced_runs"),
+                        ps.Total("churn_buffer_pool.dirty_writebacks")};
+    churn_results.push_back(r);
     std::printf("%-8u %-12.0f %-10llu %-10llu %-10llu %-10llu\n", threads,
-                ops, static_cast<unsigned long long>(ds.writes),
-                static_cast<unsigned long long>(ds.async_writes),
-                static_cast<unsigned long long>(ds.write_runs),
-                static_cast<unsigned long long>(ps.flusher_pages));
+                ops, static_cast<unsigned long long>(r.disk_writes),
+                static_cast<unsigned long long>(r.async_writes),
+                static_cast<unsigned long long>(r.write_runs),
+                static_cast<unsigned long long>(r.flusher_pages));
     std::fflush(stdout);
   }
 
@@ -574,18 +589,11 @@ int main(int argc, char** argv) {
   }
   // Unified-registry document for the bench's storage layers: same
   // MetricsRegistry/Snapshot/ToJson machinery the serving stack exports
-  // through DumpMetrics(). The registry is scoped to this block so it
-  // cannot outlive the components it points into.
-  std::string metrics_json;
-  {
-    MetricsRegistry registry;
-    disk.RegisterMetrics(&registry, "scan_disk.");
-    churn_disk.RegisterMetrics(&registry, "churn_disk.");
-    if (churn_bp) {
-      churn_bp->RegisterMetrics(&registry, "churn_buffer_pool.");
-    }
-    metrics_json = registry.Snapshot().ToJson();
-  }
+  // through DumpMetrics(). Each disk's counters cover its last config.
+  MetricsSnapshot metrics = scan_registry.Snapshot() - scan_base;
+  metrics.Merge(churn_registry.Snapshot() - churn_base, "");
+  if (churn_pool_registry) metrics.Merge(churn_pool_registry->Snapshot(), "");
+  const std::string metrics_json = metrics.ToJson();
   std::fprintf(f,
                "  ],\n  \"metrics\": %s,\n"
                "  \"churn_direct_io_effective\": %d,\n"

@@ -70,16 +70,20 @@ constexpr size_t kQueries = 3000;
 RunResult Replay(Database* db, const std::vector<int64_t>& trace,
                  const std::function<void(int64_t)>& lookup) {
   (void)db->buffer_pool()->EvictAll();
-  db->buffer_pool()->ResetStats();
-  db->disk()->ResetStats();
+  const MetricsSnapshot before = db->metrics()->Snapshot();
   db->clock()->Reset();
   CombinedTimer timer(db->clock());
   for (int64_t id : trace) lookup(id);
   RunResult r;
   r.ms_per_query = static_cast<double>(timer.ElapsedNs()) / 1e6 /
                    static_cast<double>(trace.size());
-  r.bp_hit_rate = db->buffer_pool()->stats().HitRate();
-  r.disk_reads = db->disk()->stats().reads;
+  const MetricsSnapshot run = db->metrics()->Snapshot() - before;
+  const uint64_t hits = run.Total("buffer_pool.hits");
+  const uint64_t accesses = hits + run.Total("buffer_pool.misses");
+  r.bp_hit_rate = accesses == 0 ? 0.0
+                                : static_cast<double>(hits) /
+                                      static_cast<double>(accesses);
+  r.disk_reads = run.Total("disk.reads");
   return r;
 }
 

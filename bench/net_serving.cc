@@ -46,6 +46,7 @@
 //
 // Flags: --rows=N --lookups=N --batch=N --conns=N --pipeline=N
 // --inflight=N --shards=N --workers=N --overload=0|1 (defaults below).
+// Any other argument, or a value that does not parse, exits 2.
 // NBLB_IO_BACKEND=uring|threads picks the engine's disk backend.
 
 #include <algorithm>
@@ -65,6 +66,7 @@
 #include "shard/sharded_engine.h"
 #include "workload/replay.h"
 #include "workload/wikipedia.h"
+#include "test_support.h"
 
 namespace nblb::bench {
 namespace {
@@ -81,16 +83,6 @@ double Percentile(std::vector<double> xs, double p) {
   const size_t i = std::min(xs.size() - 1,
                             static_cast<size_t>(p * (xs.size() - 1) + 0.5));
   return xs[i];
-}
-
-uint64_t FlagOr(int argc, char** argv, const char* name, uint64_t fallback) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::strtoull(argv[i] + prefix.size(), nullptr, 10);
-    }
-  }
-  return fallback;
 }
 
 const char* GitSha() {
@@ -205,17 +197,19 @@ int main(int argc, char** argv) {
   using namespace nblb;
   using namespace nblb::bench;
 
-  const uint64_t target_rows = FlagOr(argc, argv, "rows", 200000);
-  const uint64_t num_lookups = FlagOr(argc, argv, "lookups", 400000);
-  const uint64_t batch_size = FlagOr(argc, argv, "batch", 32);
-  const uint64_t conns = FlagOr(argc, argv, "conns", 8);
-  const uint64_t pipeline = FlagOr(argc, argv, "pipeline", 16);
-  const uint64_t inflight = FlagOr(argc, argv, "inflight", 64);
+  Flags flags(argc, argv);
+  const uint64_t target_rows = flags.U64("rows", 200000);
+  const uint64_t num_lookups = flags.U64("lookups", 400000);
+  const uint64_t batch_size = flags.U64("batch", 32);
+  const uint64_t conns = flags.U64("conns", 8);
+  const uint64_t pipeline = flags.U64("pipeline", 16);
+  const uint64_t inflight = flags.U64("inflight", 64);
   const uint32_t shards =
-      static_cast<uint32_t>(FlagOr(argc, argv, "shards", 4));
+      static_cast<uint32_t>(flags.U64("shards", 4));
   const uint32_t workers =
-      static_cast<uint32_t>(FlagOr(argc, argv, "workers", 4));
-  const bool run_overload = FlagOr(argc, argv, "overload", 1) != 0;
+      static_cast<uint32_t>(flags.U64("workers", 4));
+  const bool run_overload = flags.U64("overload", 1) != 0;
+  flags.Done();
 
   WikipediaScale scale;
   scale.revisions_per_page = 20;

@@ -46,7 +46,8 @@
 //
 // Flags: --serve_ops=N --batch=N --inflight=N --keyspace=N --update_pct=N
 // --serve_repeat=N (best-of)
-// --checkpoint_groups=N --tails=a,b,c (record counts).
+// --checkpoint_groups=N --tails=a,b,c (record counts). Any other
+// argument, or a value that does not parse, exits 2.
 
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -66,6 +67,7 @@
 #include "storage/superblock.h"
 #include "storage/wal.h"
 #include "workload/replay.h"
+#include "test_support.h"
 
 namespace nblb::bench {
 namespace {
@@ -74,33 +76,6 @@ double Now() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-uint64_t FlagOr(int argc, char** argv, const char* name, uint64_t fallback) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::strtoull(argv[i] + prefix.size(), nullptr, 10);
-    }
-  }
-  return fallback;
-}
-
-std::vector<uint64_t> TailsFlag(int argc, char** argv,
-                                std::vector<uint64_t> fallback) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--tails=", 8) == 0) {
-      std::vector<uint64_t> tails;
-      const char* p = argv[i] + 8;
-      while (*p) {
-        char* end = nullptr;
-        tails.push_back(std::strtoull(p, &end, 10));
-        p = (*end == ',') ? end + 1 : end;
-      }
-      if (!tails.empty()) return tails;
-    }
-  }
-  return fallback;
 }
 
 const char* GitSha() {
@@ -294,18 +269,20 @@ int main(int argc, char** argv) {
   using namespace nblb;
   using namespace nblb::bench;
 
-  const uint64_t serve_ops = FlagOr(argc, argv, "serve_ops", 400000);
-  const uint64_t batch = FlagOr(argc, argv, "batch", 128);
-  const uint64_t inflight = FlagOr(argc, argv, "inflight", 512);
-  const uint64_t keyspace = FlagOr(argc, argv, "keyspace", 50000);
+  Flags flags(argc, argv);
+  const uint64_t serve_ops = flags.U64("serve_ops", 400000);
+  const uint64_t batch = flags.U64("batch", 128);
+  const uint64_t inflight = flags.U64("inflight", 512);
+  const uint64_t keyspace = flags.U64("keyspace", 50000);
   const uint64_t update_pct =
-      std::min<uint64_t>(FlagOr(argc, argv, "update_pct", 20), 100);
+      std::min<uint64_t>(flags.U64("update_pct", 20), 100);
   const uint64_t checkpoint_groups =
-      FlagOr(argc, argv, "checkpoint_groups", 256);
+      flags.U64("checkpoint_groups", 256);
   const uint64_t serve_repeat =
-      std::max<uint64_t>(FlagOr(argc, argv, "serve_repeat", 3), 1);
+      std::max<uint64_t>(flags.U64("serve_repeat", 3), 1);
   const std::vector<uint64_t> tails =
-      TailsFlag(argc, argv, {4000, 16000, 64000});
+      flags.U64List("tails", {4000, 16000, 64000});
+  flags.Done();
 
   std::printf("serve phase: %llu ops (%llu%% updates), batch %llu, inflight "
               "%llu, keyspace %llu, 4s4w\n",

@@ -111,8 +111,9 @@
 // --mixed_update=PCT --mixed_flusher_us=N (flusher cadence during the
 // mixed phases when --flusher_us=0) --trace_every=N (sample 1-in-N
 // sub-batches for tracing; 0 disables, NBLB_OBS_OFF=1 overrides to off)
-// (defaults below). NBLB_IO_BACKEND=uring|threads picks the shards' async
-// I/O backend. The JSON gains "io_backend_effective" (what every shard
+// (defaults below); any other argument, or a value that does not parse,
+// exits 2. NBLB_IO_BACKEND=uring|threads picks the shards' async I/O
+// backend. The JSON gains "io_backend_effective" (what every shard
 // actually runs after runtime probing), "flusher_interval_us",
 // "max_queue_depth" and "trace_every".
 
@@ -132,6 +133,7 @@
 #include "workload/replay.h"
 #include "workload/trace.h"
 #include "workload/wikipedia.h"
+#include "test_support.h"
 
 namespace nblb::bench {
 namespace {
@@ -149,19 +151,25 @@ struct PhaseDist {
   uint64_t service_us_p99 = 0;
 };
 
-PhaseDist DistOf(const ShardStatsSnapshot& delta) {
+PhaseDist DistOf(const MetricsSnapshot& delta) {
   PhaseDist d;
-  d.queue_depth_p50 = delta.queue_depth.ApproxPercentile(0.50);
-  d.queue_depth_p99 = delta.queue_depth.ApproxPercentile(0.99);
-  d.queue_depth_max = delta.queue_depth.ApproxMax();
-  d.coalesce_p50 = delta.coalesced.ApproxPercentile(0.50);
-  d.coalesce_max = delta.coalesced.ApproxMax();
-  d.avg_coalesce = delta.coalesced_groups == 0
+  const LogHistogramSnapshot depth = delta.TotalHistogram("shard.queue_depth");
+  const LogHistogramSnapshot coalesced =
+      delta.TotalHistogram("shard.coalesced");
+  const LogHistogramSnapshot latency =
+      delta.TotalHistogram("shard.sub_batch_latency_us");
+  const uint64_t groups = delta.Total("shard.coalesced_groups");
+  d.queue_depth_p50 = depth.ApproxPercentile(0.50);
+  d.queue_depth_p99 = depth.ApproxPercentile(0.99);
+  d.queue_depth_max = depth.ApproxMax();
+  d.coalesce_p50 = coalesced.ApproxPercentile(0.50);
+  d.coalesce_max = coalesced.ApproxMax();
+  d.avg_coalesce = groups == 0
                        ? 0
-                       : static_cast<double>(delta.sub_batches) /
-                             static_cast<double>(delta.coalesced_groups);
-  d.service_us_p50 = delta.sub_batch_latency_us.ApproxPercentile(0.50);
-  d.service_us_p99 = delta.sub_batch_latency_us.ApproxPercentile(0.99);
+                       : static_cast<double>(delta.Total("shard.sub_batches")) /
+                             static_cast<double>(groups);
+  d.service_us_p50 = latency.ApproxPercentile(0.50);
+  d.service_us_p99 = latency.ApproxPercentile(0.99);
   return d;
 }
 
@@ -265,62 +273,27 @@ double Now() {
       .count();
 }
 
-/// Buffer-pool / disk counters summed over shards, for phase deltas.
-struct IoCounters {
-  uint64_t reads = 0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-};
-
-IoCounters IoCountersOf(ShardedEngine* engine) {
-  IoCounters c;
-  for (uint32_t s = 0; s < engine->num_shards(); ++s) {
-    c.reads += engine->shard(s)->database()->disk()->stats().reads;
-    c.hits += engine->shard(s)->database()->buffer_pool()->stats().hits;
-    c.misses += engine->shard(s)->database()->buffer_pool()->stats().misses;
-  }
-  return c;
-}
-
-WriteCounters WriteCountersOf(ShardedEngine* engine) {
+WriteCounters WriteCountersOf(const MetricsSnapshot& delta) {
   WriteCounters c;
-  for (uint32_t s = 0; s < engine->num_shards(); ++s) {
-    const DiskStats d = engine->shard(s)->database()->disk()->stats();
-    const BufferPoolStats p =
-        engine->shard(s)->database()->buffer_pool()->stats();
-    c.writes += d.writes;
-    c.async_writes += d.async_writes;
-    c.async_write_batches += d.async_write_batches;
-    c.write_runs += d.write_runs;
-    c.flusher_pages += p.flusher_pages;
-    c.flusher_coalesced_runs += p.flusher_coalesced_runs;
-    c.dirty_writebacks += p.dirty_writebacks;
-  }
+  c.writes = delta.Total("disk.writes");
+  c.async_writes = delta.Total("disk.async_writes");
+  c.async_write_batches = delta.Total("disk.async_write_batches");
+  c.write_runs = delta.Total("disk.write_runs");
+  c.flusher_pages = delta.Total("buffer_pool.flusher_pages");
+  c.flusher_coalesced_runs = delta.Total("buffer_pool.flusher_coalesced_runs");
+  c.dirty_writebacks = delta.Total("buffer_pool.dirty_writebacks");
   return c;
 }
 
-WriteCounters Delta(const WriteCounters& a, const WriteCounters& b) {
-  WriteCounters d;
-  d.writes = b.writes - a.writes;
-  d.async_writes = b.async_writes - a.async_writes;
-  d.async_write_batches = b.async_write_batches - a.async_write_batches;
-  d.write_runs = b.write_runs - a.write_runs;
-  d.flusher_pages = b.flusher_pages - a.flusher_pages;
-  d.flusher_coalesced_runs =
-      b.flusher_coalesced_runs - a.flusher_coalesced_runs;
-  d.dirty_writebacks = b.dirty_writebacks - a.dirty_writebacks;
-  return d;
-}
-
-void FillPhaseIo(PhaseResult* phase, const IoCounters& before,
-                 const IoCounters& after) {
-  phase->disk_reads = after.reads - before.reads;
-  const uint64_t accesses =
-      (after.hits - before.hits) + (after.misses - before.misses);
-  phase->bp_hit_rate = accesses == 0 ? 0
-                                     : static_cast<double>(after.hits -
-                                                           before.hits) /
-                                           static_cast<double>(accesses);
+/// Disk reads and pool hit rate of a phase, from the engine snapshots
+/// taken around it.
+void FillPhaseIo(PhaseResult* phase, const MetricsSnapshot& delta) {
+  phase->disk_reads = delta.Total("disk.reads");
+  const uint64_t hits = delta.Total("buffer_pool.hits");
+  const uint64_t accesses = hits + delta.Total("buffer_pool.misses");
+  phase->bp_hit_rate =
+      accesses == 0 ? 0
+                    : static_cast<double>(hits) / static_cast<double>(accesses);
 }
 
 void FillPhaseReport(PhaseResult* phase, uint64_t ops,
@@ -441,24 +414,16 @@ ConfigResult RunConfig(uint32_t shards, uint32_t workers,
   r.load_ops_per_sec = rows.size() / r.load_seconds;
 
   // ---- Closed-loop phase: blocking Execute, one batch per client thread.
-  IoCounters io_before = IoCountersOf(engine.get());
-  ShardStatsSnapshot stats_before = engine->TotalShardStats();
-  MetricsSnapshot m_before = engine->MetricsSnapshotNow();
-
+  // Every phase's counters are the difference of the engine snapshots
+  // around it.
+  const MetricsSnapshot m_before = engine->MetricsSnapshotNow();
   const uint32_t clients = r.clients;
   RunClosedPhase(engine.get(), clients, batches, &r.closed);
-  IoCounters io_mid = IoCountersOf(engine.get());
-  FillPhaseIo(&r.closed, io_before, io_mid);
-  ShardStatsSnapshot stats_mid = engine->TotalShardStats();
+  const MetricsSnapshot m_mid = engine->MetricsSnapshotNow();
   {
-    ShardStatsSnapshot delta = stats_mid;
-    delta -= stats_before;
+    const MetricsSnapshot delta = m_mid - m_before;
+    FillPhaseIo(&r.closed, delta);
     r.closed.dist = DistOf(delta);
-  }
-  MetricsSnapshot m_mid = engine->MetricsSnapshotNow();
-  {
-    MetricsSnapshot delta = m_mid;
-    delta -= m_before;
     r.closed.trace_json = TraceBreakdownJson(delta);
   }
 
@@ -474,16 +439,10 @@ ConfigResult RunConfig(uint32_t shards, uint32_t workers,
     r.open.not_found = rep.not_found;
     r.open.errors = rep.errors;
     FillPhaseReport(&r.open, rep.ops, rep.batch_seconds, rep.seconds);
-    IoCounters io_after = IoCountersOf(engine.get());
-    FillPhaseIo(&r.open, io_mid, io_after);
-    ShardStatsSnapshot stats_after = engine->TotalShardStats();
-    ShardStatsSnapshot delta = stats_after;
-    delta -= stats_mid;
+    const MetricsSnapshot delta = engine->MetricsSnapshotNow() - m_mid;
+    FillPhaseIo(&r.open, delta);
     r.open.dist = DistOf(delta);
-    MetricsSnapshot m_after = engine->MetricsSnapshotNow();
-    MetricsSnapshot mdelta = m_after;
-    mdelta -= m_mid;
-    r.open.trace_json = TraceBreakdownJson(mdelta);
+    r.open.trace_json = TraceBreakdownJson(delta);
   }
 
   // ---- Mixed write-heavy phase through the async batched write pipeline.
@@ -511,11 +470,11 @@ ConfigResult RunConfig(uint32_t shards, uint32_t workers,
         std::exit(1);
       }
     }
-    const IoCounters io_before_mixed = IoCountersOf(engine.get());
-    const WriteCounters w_before = WriteCountersOf(engine.get());
+    const MetricsSnapshot m_mixed = engine->MetricsSnapshotNow();
     RunClosedPhase(engine.get(), clients, mixed_batches, &r.mixed);
-    FillPhaseIo(&r.mixed, io_before_mixed, IoCountersOf(engine.get()));
-    r.mixed.wio = Delta(w_before, WriteCountersOf(engine.get()));
+    const MetricsSnapshot delta = engine->MetricsSnapshotNow() - m_mixed;
+    FillPhaseIo(&r.mixed, delta);
+    r.mixed.wio = WriteCountersOf(delta);
   }
 
   // Capture the unified metrics document before the engine (and with it
@@ -527,16 +486,6 @@ ConfigResult RunConfig(uint32_t shards, uint32_t workers,
         (opts.path_prefix + ".shard" + std::to_string(s) + ".db").c_str());
   }
   return r;
-}
-
-uint64_t FlagOr(int argc, char** argv, const char* name, uint64_t fallback) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::strtoull(argv[i] + prefix.size(), nullptr, 10);
-    }
-  }
-  return fallback;
 }
 
 const char* GitSha() {
@@ -599,29 +548,30 @@ int main(int argc, char** argv) {
   using namespace nblb;
   using namespace nblb::bench;
 
-  const uint64_t target_rows = FlagOr(argc, argv, "rows", 1000000);
-  const uint64_t num_lookups = FlagOr(argc, argv, "lookups", 400000);
-  const uint64_t batch_size = FlagOr(argc, argv, "batch", 64);
+  Flags flags(argc, argv);
+  const uint64_t target_rows = flags.U64("rows", 1000000);
+  const uint64_t num_lookups = flags.U64("lookups", 400000);
+  const uint64_t batch_size = flags.U64("batch", 64);
   // 4096 frames × 8 KiB = 32 MiB per shard-node: the 1M-row workload's hot
   // set (~15k heap pages — Wikipedia's latest revisions) overflows one
   // node's budget but fits four, which is precisely the regime §3.1 is
   // about.
-  const uint64_t frames = FlagOr(argc, argv, "frames", 4096);
-  const bool direct_io = FlagOr(argc, argv, "direct", 1) != 0;
-  const uint64_t inflight = FlagOr(argc, argv, "inflight", 64);
-  const bool run_openloop = FlagOr(argc, argv, "openloop", 1) != 0;
+  const uint64_t frames = flags.U64("frames", 4096);
+  const bool direct_io = flags.U64("direct", 1) != 0;
+  const uint64_t inflight = flags.U64("inflight", 64);
+  const bool run_openloop = flags.U64("openloop", 1) != 0;
   IoKnobs io;
-  io.flusher_us = FlagOr(argc, argv, "flusher_us", 0);
-  io.flush_batch = FlagOr(argc, argv, "flush_batch", 64);
-  io.max_queue = FlagOr(argc, argv, "max_queue", 0);
-  io.mixed_flusher_us = FlagOr(argc, argv, "mixed_flusher_us", 2000);
-  io.trace_every = FlagOr(argc, argv, "trace_every", 32);
-  const bool run_mixed = FlagOr(argc, argv, "mixed", 1) != 0;
+  io.flusher_us = flags.U64("flusher_us", 0);
+  io.flush_batch = flags.U64("flush_batch", 64);
+  io.max_queue = flags.U64("max_queue", 0);
+  io.mixed_flusher_us = flags.U64("mixed_flusher_us", 2000);
+  io.trace_every = flags.U64("trace_every", 32);
+  const bool run_mixed = flags.U64("mixed", 1) != 0;
+  const uint64_t mixed_ops_flag = flags.U64("mixed_ops", 0);
   const uint64_t mixed_ops =
-      FlagOr(argc, argv, "mixed_ops", 0) != 0
-          ? FlagOr(argc, argv, "mixed_ops", 0)
-          : num_lookups / 2;
-  const uint64_t mixed_update_pct = FlagOr(argc, argv, "mixed_update", 50);
+      mixed_ops_flag != 0 ? mixed_ops_flag : num_lookups / 2;
+  const uint64_t mixed_update_pct = flags.U64("mixed_update", 50);
+  flags.Done();
 
   // ~20 revisions/page (the synthesizer's hot fraction is 1/this).
   WikipediaScale scale;

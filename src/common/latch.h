@@ -47,102 +47,6 @@ class LatchGuard {
   SpinLatch& latch_;
 };
 
-/// \brief A reader/writer spin latch: any number of concurrent shared
-/// holders, or one exclusive holder.
-///
-/// State is a single word: kWriter when held exclusively, otherwise the
-/// count of shared holders. Writers are not prioritized — with the short,
-/// read-mostly critical sections this is built for (shard routing state,
-/// stats snapshots), writer starvation is not a practical concern, and the
-/// single-word design keeps the uncontended path to one CAS.
-class SharedLatch {
- public:
-  SharedLatch() = default;
-  SharedLatch(const SharedLatch&) = delete;
-  SharedLatch& operator=(const SharedLatch&) = delete;
-
-  void LockShared() {
-    uint32_t cur = state_.load(std::memory_order_relaxed);
-    for (;;) {
-      if (cur == kWriter) {
-        cur = state_.load(std::memory_order_relaxed);
-        continue;  // spin until the writer releases
-      }
-      if (state_.compare_exchange_weak(cur, cur + 1,
-                                       std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-        return;
-      }
-    }
-  }
-
-  bool TryLockShared() {
-    uint32_t cur = state_.load(std::memory_order_relaxed);
-    while (cur != kWriter) {
-      if (state_.compare_exchange_weak(cur, cur + 1,
-                                       std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void UnlockShared() { state_.fetch_sub(1, std::memory_order_release); }
-
-  void Lock() {
-    for (;;) {
-      uint32_t expected = 0;
-      if (state_.compare_exchange_weak(expected, kWriter,
-                                       std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-        return;
-      }
-    }
-  }
-
-  bool TryLock() {
-    uint32_t expected = 0;
-    return state_.compare_exchange_strong(expected, kWriter,
-                                          std::memory_order_acquire,
-                                          std::memory_order_relaxed);
-  }
-
-  void Unlock() { state_.store(0, std::memory_order_release); }
-
- private:
-  static constexpr uint32_t kWriter = ~0u;
-  std::atomic<uint32_t> state_{0};
-};
-
-/// \brief RAII shared-mode guard for SharedLatch.
-class SharedLatchGuard {
- public:
-  explicit SharedLatchGuard(SharedLatch& latch) : latch_(latch) {
-    latch_.LockShared();
-  }
-  ~SharedLatchGuard() { latch_.UnlockShared(); }
-  SharedLatchGuard(const SharedLatchGuard&) = delete;
-  SharedLatchGuard& operator=(const SharedLatchGuard&) = delete;
-
- private:
-  SharedLatch& latch_;
-};
-
-/// \brief RAII exclusive-mode guard for SharedLatch.
-class ExclusiveLatchGuard {
- public:
-  explicit ExclusiveLatchGuard(SharedLatch& latch) : latch_(latch) {
-    latch_.Lock();
-  }
-  ~ExclusiveLatchGuard() { latch_.Unlock(); }
-  ExclusiveLatchGuard(const ExclusiveLatchGuard&) = delete;
-  ExclusiveLatchGuard& operator=(const ExclusiveLatchGuard&) = delete;
-
- private:
-  SharedLatch& latch_;
-};
-
 /// \brief RAII try-guard: holds the latch only if it was immediately free.
 ///
 /// Callers check acquired() and skip the protected work otherwise — the

@@ -84,11 +84,8 @@ Result<Table*> Database::GetTable(const std::string& name) {
 }
 
 Status Database::Checkpoint() {
-  if (checkpoint_pre_) NBLB_RETURN_NOT_OK(checkpoint_pre_());
   NBLB_RETURN_NOT_OK(bp_->FlushAll());
-  NBLB_RETURN_NOT_OK(disk_->Sync());
-  if (checkpoint_post_) return checkpoint_post_();
-  return Status::OK();
+  return disk_->Sync();
 }
 
 }  // namespace nblb

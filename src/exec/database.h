@@ -3,7 +3,6 @@
 
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -95,21 +94,8 @@ class Database {
   /// anything registered on top.
   std::string DumpMetrics() const { return metrics_->Snapshot().ToJson(); }
 
-  /// \brief Flushes all dirty pages and syncs the file. With a checkpoint
-  /// extension installed (see below), this is the durable-checkpoint entry
-  /// point: pre-hook -> FlushAll -> fsync -> post-hook.
+  /// \brief Flushes every dirty page and syncs the file (fdatasync).
   Status Checkpoint();
-
-  /// \brief Installs durability hooks around Checkpoint. The owning Shard
-  /// uses `pre` to commit pending WAL records and persist index metadata
-  /// before the flush, and `post` to publish the superblock (advancing the
-  /// recovery LSN) and reclaim WAL space after the data file is synced.
-  /// Either hook may be null. Hook errors abort the checkpoint.
-  void SetCheckpointExtension(std::function<Status()> pre,
-                              std::function<Status()> post) {
-    checkpoint_pre_ = std::move(pre);
-    checkpoint_post_ = std::move(post);
-  }
 
  private:
   explicit Database(DatabaseOptions options) : options_(std::move(options)) {}
@@ -124,8 +110,6 @@ class Database {
   std::unique_ptr<MetricsRegistry> metrics_;
   Catalog catalog_;
   std::map<std::string, std::unique_ptr<Table>> tables_;
-  std::function<Status()> checkpoint_pre_;
-  std::function<Status()> checkpoint_post_;
 };
 
 }  // namespace nblb

@@ -26,6 +26,11 @@ namespace {
 //   [32] u64 magic
 constexpr uint64_t kBTreeMetaMagic = 0x6e626c622d627472ull;  // "nblb-btr"
 
+// Deepest descent a read path follows. Every internal node has at least two
+// children, so 64 levels hold more keys than a u64 entry count; a longer
+// walk can only be a child-pointer cycle in corrupt pages.
+constexpr uint32_t kMaxHeight = 64;
+
 std::string EncodeChild(PageId id) {
   std::string s(4, '\0');
   EncodeFixed32(s.data(), id);
@@ -85,6 +90,9 @@ Result<std::unique_ptr<BTree>> BTree::Open(BufferPool* bp,
   options.key_size = DecodeFixed16(d + 2);
   options.leaf_payload_size = DecodeFixed16(d + 4);
   options.cache_item_size = DecodeFixed16(d + 6);
+  if (options.key_size == 0 || options.leaf_payload_size != 8) {
+    return Status::Corruption("btree meta page has a bad key or payload size");
+  }
   std::unique_ptr<BTree> tree(new BTree(bp, options));
   tree->meta_page_id_ = meta_page_id;
   tree->root_ = DecodeFixed32(d + 8);
@@ -154,24 +162,39 @@ Result<PageGuard> BTree::FetchPageRetry(PageId id) {
   }
 }
 
+Status BTree::ValidatePage(const char* data) const {
+  return BTreePageView(const_cast<char*>(data), bp_->page_size())
+      .Validate(options_.key_size, options_.leaf_payload_size,
+                options_.cache_item_size);
+}
+
+Result<PageGuard> BTree::FetchValidated(PageId id) {
+  NBLB_ASSIGN_OR_RETURN(PageGuard guard, FetchPageRetry(id));
+  NBLB_RETURN_NOT_OK(ValidatePage(guard.data()));
+  return guard;
+}
+
 Result<PageId> BTree::DescendToLeaf(const Slice& key) {
   PageId id = root_;
-  for (;;) {
-    NBLB_ASSIGN_OR_RETURN(PageGuard guard, FetchPageRetry(id));
+  for (uint32_t depth = 0; depth < kMaxHeight; ++depth) {
+    NBLB_ASSIGN_OR_RETURN(PageGuard guard, FetchValidated(id));
     BTreePageView view(guard.data(), bp_->page_size());
-    NBLB_RETURN_NOT_OK(view.Validate());
     if (view.IsLeaf()) return id;
     id = view.ChildFor(key);
     if (id == kInvalidPageId) {
       return Status::Corruption("internal node with invalid child");
     }
   }
+  return Status::Corruption("btree descent deeper than any tree");
 }
 
 Result<PageGuard> BTree::FindLeaf(const Slice& key) {
   if (key.size() != options_.key_size) {
     return Status::InvalidArgument("key size mismatch");
   }
+  // The descent validated the leaf. Structural changes are serialized by
+  // the caller (see btree.h), so the fetch below sees the header and
+  // directory it validated.
   NBLB_ASSIGN_OR_RETURN(PageId leaf_id, DescendToLeaf(key));
   return FetchPageRetry(leaf_id);
 }
@@ -253,8 +276,10 @@ Status BTree::GetBatchDescent(const std::vector<Slice>& keys,
   // stay well below the pool capacity.
   const size_t chunk_cap = std::max<size_t>(8, bp_->num_frames() / 8);
 
-  for (;;) {
-    bool leaf_level = false;
+  for (uint32_t depth = 0;; ++depth) {
+    if (depth == kMaxHeight) {
+      return Status::Corruption("btree descent deeper than any tree");
+    }
     next.clear();
     const size_t ngroups = groups.size();
     auto start_chunk =
@@ -289,11 +314,10 @@ Status BTree::GetBatchDescent(const std::vector<Slice>& keys,
         for (size_t g = a; g < b && err.ok(); ++g) {
           const KeyGroup& kg = groups[g];
           PageGuard& page = (*guards)[g - a];
-          BTreePageView view(page.data(), bp_->page_size());
-          err = view.Validate();
+          err = ValidatePage(page.data());
           if (!err.ok()) break;
+          BTreePageView view(page.data(), bp_->page_size());
           if (view.IsLeaf()) {
-            leaf_level = true;
             for (uint32_t k = kg.begin; k < kg.end; ++k) {
               const Slice& key = keys[pos[k]];
               size_t at;
@@ -337,7 +361,10 @@ Status BTree::GetBatchDescent(const std::vector<Slice>& keys,
         }
       }
     }
-    if (leaf_level) return Status::OK();
+    // Every level of a sound tree is all leaves or all internal nodes; a
+    // corrupt child id can put a leaf beside internal nodes, and the keys
+    // below those still descend.
+    if (next.empty()) return Status::OK();
     groups.swap(next);
   }
 }
@@ -375,8 +402,11 @@ Status BTree::GetBatchChained(const std::vector<Slice>& sorted_keys,
         have_leaf = false;  // sparse so far; don't speculate, just descend
         break;
       }
-      NBLB_ASSIGN_OR_RETURN(PageGuard g, FetchPageRetry(next));
+      NBLB_ASSIGN_OR_RETURN(PageGuard g, FetchValidated(next));
       BTreePageView next_view(g.data(), bp_->page_size());
+      if (!next_view.IsLeaf()) {
+        return Status::Corruption("btree leaf chain reaches an internal node");
+      }
       const size_t nn = next_view.num_entries();
       if (nn == 0) {
         have_leaf = false;  // lazy-deleted empty leaf; just descend
@@ -464,8 +494,8 @@ Status BTree::Insert(const Slice& key, uint64_t value) {
 Status BTree::InsertRec(PageId node_id, const Slice& key, const Slice& payload,
                         SplitResult* split) {
   NBLB_ASSIGN_OR_RETURN(PageGuard guard, bp_->FetchPage(node_id));
+  NBLB_RETURN_NOT_OK(ValidatePage(guard.data()));
   BTreePageView view(guard.data(), bp_->page_size());
-  NBLB_RETURN_NOT_OK(view.Validate());
 
   if (view.IsLeaf()) {
     size_t pos;
@@ -515,6 +545,7 @@ Status BTree::SplitLeaf(BTreePageView* leaf, PageGuard* leaf_guard,
   leaf->set_next(rightg.id());
   if (old_next != kInvalidPageId) {
     NBLB_ASSIGN_OR_RETURN(PageGuard nextg, bp_->FetchPage(old_next));
+    NBLB_RETURN_NOT_OK(ValidatePage(nextg.data()));
     BTreePageView next_view(nextg.data(), bp_->page_size());
     next_view.set_prev(rightg.id());
     nextg.MarkDirty();
@@ -616,19 +647,25 @@ Status BTree::Delete(const Slice& key) {
 
 Slice BTreeIterator::key() const {
   NBLB_DCHECK(valid_);
-  BTreePageView view(const_cast<char*>(leaf_.data()), bp_->page_size());
+  BTreePageView view(const_cast<char*>(leaf_.data()),
+                     tree_->buffer_pool()->page_size());
   return view.KeyAt(pos_);
 }
 
 uint64_t BTreeIterator::value() const {
   NBLB_DCHECK(valid_);
-  BTreePageView view(const_cast<char*>(leaf_.data()), bp_->page_size());
+  BTreePageView view(const_cast<char*>(leaf_.data()),
+                     tree_->buffer_pool()->page_size());
   return view.ValueAt(pos_);
 }
 
 Status BTreeIterator::SkipEmptyLeaves() {
-  for (;;) {
-    BTreePageView view(const_cast<char*>(leaf_.data()), bp_->page_size());
+  // A chain longer than the file has pages can only be a sibling cycle in
+  // corrupt pages.
+  const PageId max_hops = tree_->buffer_pool()->disk()->num_pages();
+  for (PageId hops = 0;; ++hops) {
+    BTreePageView view(const_cast<char*>(leaf_.data()),
+                       tree_->buffer_pool()->page_size());
     if (pos_ < view.num_entries()) {
       valid_ = true;
       return Status::OK();
@@ -639,7 +676,12 @@ Status BTreeIterator::SkipEmptyLeaves() {
       leaf_.Release();
       return Status::OK();
     }
-    NBLB_ASSIGN_OR_RETURN(PageGuard g, bp_->FetchPage(next));
+    if (hops == max_hops) return Status::Corruption("btree leaf chain cycle");
+    NBLB_ASSIGN_OR_RETURN(PageGuard g, tree_->FetchValidated(next));
+    if (!BTreePageView(g.data(), tree_->buffer_pool()->page_size())
+             .IsLeaf()) {
+      return Status::Corruption("btree leaf chain reaches an internal node");
+    }
     leaf_ = std::move(g);
     pos_ = 0;
   }
@@ -655,7 +697,7 @@ Result<BTreeIterator> BTree::Seek(const Slice& key) {
   NBLB_ASSIGN_OR_RETURN(PageGuard leaf, FindLeaf(key));
   BTreePageView view(leaf.data(), bp_->page_size());
   BTreeIterator it;
-  it.bp_ = bp_;
+  it.tree_ = this;
   it.pos_ = view.LowerBound(key);
   it.leaf_ = std::move(leaf);
   NBLB_RETURN_NOT_OK(it.SkipEmptyLeaves());
@@ -663,9 +705,12 @@ Result<BTreeIterator> BTree::Seek(const Slice& key) {
 }
 
 Result<BTreeIterator> BTree::SeekToFirst() {
-  NBLB_ASSIGN_OR_RETURN(PageGuard leaf, bp_->FetchPage(first_leaf_));
+  NBLB_ASSIGN_OR_RETURN(PageGuard leaf, FetchValidated(first_leaf_));
+  if (!BTreePageView(leaf.data(), bp_->page_size()).IsLeaf()) {
+    return Status::Corruption("btree first leaf is an internal node");
+  }
   BTreeIterator it;
-  it.bp_ = bp_;
+  it.tree_ = this;
   it.pos_ = 0;
   it.leaf_ = std::move(leaf);
   NBLB_RETURN_NOT_OK(it.SkipEmptyLeaves());
@@ -781,18 +826,24 @@ Result<BTreeStats> BTree::ComputeStats() {
   std::vector<PageId> frontier = {root_};
   uint32_t height = 1;
   for (;;) {
-    NBLB_ASSIGN_OR_RETURN(PageGuard g, bp_->FetchPage(frontier.front()));
+    NBLB_ASSIGN_OR_RETURN(PageGuard g, FetchValidated(frontier.front()));
     BTreePageView view(g.data(), bp_->page_size());
     if (view.IsLeaf()) break;
+    if (height == kMaxHeight) {
+      return Status::Corruption("btree deeper than any tree");
+    }
     ++height;
     std::vector<PageId> next_frontier;
     for (PageId id : frontier) {
-      NBLB_ASSIGN_OR_RETURN(PageGuard ig, bp_->FetchPage(id));
+      NBLB_ASSIGN_OR_RETURN(PageGuard ig, FetchValidated(id));
       BTreePageView iv(ig.data(), bp_->page_size());
       ++st.internal_pages;
       next_frontier.push_back(iv.leftmost_child());
       for (size_t e = 0; e < iv.num_entries(); ++e) {
         next_frontier.push_back(iv.ChildAt(e));
+      }
+      if (next_frontier.size() > bp_->disk()->num_pages()) {
+        return Status::Corruption("btree level larger than the file");
       }
     }
     frontier = std::move(next_frontier);
@@ -802,7 +853,10 @@ Result<BTreeStats> BTree::ComputeStats() {
   // Leaf statistics via the sibling chain.
   double fill_sum = 0;
   for (PageId id = first_leaf_; id != kInvalidPageId;) {
-    NBLB_ASSIGN_OR_RETURN(PageGuard g, bp_->FetchPage(id));
+    if (st.leaf_pages == bp_->disk()->num_pages()) {
+      return Status::Corruption("btree leaf chain cycle");
+    }
+    NBLB_ASSIGN_OR_RETURN(PageGuard g, FetchValidated(id));
     BTreePageView view(g.data(), bp_->page_size());
     ++st.leaf_pages;
     fill_sum += static_cast<double>(view.UsedBytes()) /

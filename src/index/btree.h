@@ -62,7 +62,10 @@ struct BTreeStats {
   uint64_t leaf_free_bytes = 0;
 };
 
-/// \brief Forward iterator over leaf entries in key order.
+class BTree;
+
+/// \brief Forward iterator over leaf entries in key order. Must not outlive
+/// its tree.
 class BTreeIterator {
  public:
   BTreeIterator() = default;
@@ -77,7 +80,7 @@ class BTreeIterator {
 
  private:
   friend class BTree;
-  BufferPool* bp_ = nullptr;
+  BTree* tree_ = nullptr;
   PageGuard leaf_;
   size_t pos_ = 0;
   bool valid_ = false;
@@ -162,8 +165,16 @@ class BTree {
   Status WriteMeta();
 
  private:
+  friend class BTreeIterator;
+
   BTree(BufferPool* bp, BTreeOptions options)
       : bp_(bp), options_(options) {}
+
+  /// BTreePageView::Validate against this tree's key, payload and cache
+  /// item sizes. Every path that reads a node runs it first.
+  Status ValidatePage(const char* data) const;
+  /// FetchPageRetry followed by ValidatePage.
+  Result<PageGuard> FetchValidated(PageId id);
 
   struct SplitResult {
     bool happened = false;

@@ -81,16 +81,51 @@ void BTreePageView::set_cache_seq(uint64_t v) {
   EncodeFixed64(data_ + kOffCacheSeq, v);
 }
 
-Status BTreePageView::Validate() const {
-  if (type() != kPageTypeBTreeLeaf && type() != kPageTypeBTreeInternal) {
+Status BTreePageView::Validate(uint16_t tree_key_size,
+                               uint16_t tree_leaf_payload_size,
+                               uint16_t tree_cache_item_size) const {
+  const PageType t = type();
+  if (t != kPageTypeBTreeLeaf && t != kPageTypeBTreeInternal) {
     return Status::Corruption("bad btree page type");
   }
   if (DecodeFixed32(data_ + page_size_ - 4) != kBTreePageMagic) {
     return Status::Corruption("bad btree page magic");
   }
-  if (EntriesEnd() > DirBegin()) {
-    return Status::Corruption("entry/directory overlap");
+  const bool leaf = t == kPageTypeBTreeLeaf;
+  if (key_size() != tree_key_size ||
+      payload_size() != (leaf ? tree_leaf_payload_size : 4) ||
+      cache_item_size() != (leaf ? tree_cache_item_size : 0)) {
+    return Status::Corruption("btree page geometry differs from the tree's");
   }
+  // Compared as a count, not as EntriesEnd() > DirBegin(): a count past the
+  // page would wrap DirBegin() around and pass.
+  const size_t n = num_entries();
+  if (n > Capacity()) return Status::Corruption("btree page entry overflow");
+  // Every directory entry must name one of the n physical entries. One pass,
+  // four entries per 64-bit word, one branch at the end: with n < 2^15, a
+  // 16-bit lane x is >= n iff its top bit is set or (x | 0x8000) - n keeps
+  // the top bit, and no borrow crosses a lane because x | 0x8000 > n. Four
+  // accumulators over 16 entries a step keep the words independent, which
+  // runs this at a fraction of a leaf's binary search.
+  const char* dir = data_ + DirBegin();
+  bool bad = false;
+  size_t i = 0;
+  if (n < 0x8000) {
+    constexpr uint64_t kTop = 0x8000800080008000ull;
+    const uint64_t lanes_n = n * 0x0001000100010001ull;
+    auto over = [&](size_t at) {
+      const uint64_t w = DecodeFixed64(dir + at * kBTreeDirEntrySize);
+      return w | ((w | kTop) - lanes_n);
+    };
+    uint64_t acc[4] = {0, 0, 0, 0};
+    for (; i + 16 <= n; i += 16) {
+      for (size_t k = 0; k < 4; ++k) acc[k] |= over(i + 4 * k);
+    }
+    for (; i + 4 <= n; i += 4) acc[0] |= over(i);
+    bad = ((acc[0] | acc[1] | acc[2] | acc[3]) & kTop) != 0;
+  }
+  for (; i < n; ++i) bad |= DecodeFixed16(dir + i * kBTreeDirEntrySize) >= n;
+  if (bad) return Status::Corruption("btree directory entry past the entries");
   return Status::OK();
 }
 

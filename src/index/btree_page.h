@@ -75,8 +75,15 @@ class BTreePageView {
   uint64_t cache_seq() const;
   void set_cache_seq(uint64_t v);
 
-  /// \brief Checks footer magic; Corruption on mismatch.
-  Status Validate() const;
+  /// \brief Checks that the bytes are a node of a tree with these widths
+  /// before anything trusts them: page type, footer magic, header key and
+  /// payload sizes (internal nodes carry 4-byte child ids and no cache
+  /// items; leaves carry the tree's leaf payload and cache item sizes), an
+  /// entry count that fits the page, and a directory whose every entry
+  /// names a live physical entry. Corruption otherwise. With these checks
+  /// passed, every accessor below stays inside the page.
+  Status Validate(uint16_t tree_key_size, uint16_t tree_leaf_payload_size,
+                  uint16_t tree_cache_item_size) const;
 
   // ---- Geometry ----------------------------------------------------------
 

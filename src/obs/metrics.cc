@@ -43,6 +43,44 @@ void MetricsSnapshot::Merge(const MetricsSnapshot& other,
 
 namespace {
 
+/// True iff `key` is `name` or ends in "." + `name`.
+bool InScope(const std::string& key, const std::string& name) {
+  if (key.size() < name.size()) return false;
+  if (key.compare(key.size() - name.size(), name.size(), name) != 0) {
+    return false;
+  }
+  return key.size() == name.size() || key[key.size() - name.size() - 1] == '.';
+}
+
+}  // namespace
+
+uint64_t MetricsSnapshot::Total(const std::string& name) const {
+  uint64_t total = 0;
+  bool found = false;
+  for (const auto& [key, value] : counters) {
+    if (!InScope(key, name)) continue;
+    total += value;
+    found = true;
+  }
+  NBLB_CHECK_MSG(found, name.c_str());
+  return total;
+}
+
+LogHistogramSnapshot MetricsSnapshot::TotalHistogram(
+    const std::string& name) const {
+  LogHistogramSnapshot total;
+  bool found = false;
+  for (const auto& [key, hist] : histograms) {
+    if (!InScope(key, name)) continue;
+    total += hist;
+    found = true;
+  }
+  NBLB_CHECK_MSG(found, name.c_str());
+  return total;
+}
+
+namespace {
+
 void AppendJsonKey(std::string* out, const std::string& name) {
   // Metric names are dotted identifiers (no quotes/escapes needed).
   out->push_back('"');

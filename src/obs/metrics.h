@@ -14,6 +14,11 @@
 // single JSON document consumed by the benches and
 // scripts/check_bench_regression.py.
 //
+// The registry is the one read API for the counters registered in it: no
+// component keeps a second plain-value stats struct or a reset call.
+// Readers take a snapshot, read names with Total()/TotalHistogram(), and
+// subtract an earlier snapshot where they once reset.
+//
 // Lifetime rule: a registry must not outlive the objects whose counters it
 // points at. Database and ShardedEngine own their registries alongside the
 // components registered into them and never snapshot during destruction.
@@ -56,6 +61,15 @@ struct MetricsSnapshot {
   /// \brief Folds `other` into this snapshot with every name prefixed, e.g.
   /// Merge(shard_db_snapshot, "shard3.") yields "shard3.disk.reads".
   void Merge(const MetricsSnapshot& other, const std::string& prefix);
+
+  /// \brief Counter `name` summed over every scope it was merged under:
+  /// Total("disk.reads") adds "disk.reads", "shard0.disk.reads",
+  /// "shard1.disk.reads", ...; a full name ("shard1.disk.reads") reads one
+  /// scope. Aborts when no counter matches — a misspelt name is a bug, not
+  /// a zero.
+  uint64_t Total(const std::string& name) const;
+  /// \brief Total() for a histogram: the bucket-wise sum over scopes.
+  LogHistogramSnapshot TotalHistogram(const std::string& name) const;
 
   /// \brief One structured JSON document:
   /// {"counters":{...},"gauges":{...},"histograms":{name:{count,p50,p90,

@@ -2,8 +2,12 @@
 //
 // "Such tables can easily become a resource and performance bottleneck and
 //  limit the scalability of the routing infrastructure."
-// The two Router implementations let the benchmark quantify exactly that:
-// RAM footprint and lookup cost of a per-tuple map vs. a shift+mask.
+// TableRouter and EmbeddedRouter are the §4.2 reproduction: the benchmark
+// (bench/sec42_semantic_ids) and the semantic_id_routing example quantify
+// the RAM footprint and lookup cost of a per-tuple map vs. a shift+mask.
+// HashRouter places keys with no semantic placement by a mixed hash; it is
+// the ShardedEngine's router. The three are plain classes with the same
+// Route/MemoryBytes shape, not an interface: nothing picks one at run time.
 
 #pragma once
 
@@ -16,41 +20,21 @@
 
 namespace nblb {
 
-/// \brief Maps a tuple ID to the partition hosting it.
-class Router {
- public:
-  virtual ~Router() = default;
-
-  /// \brief Partition of `id`; NotFound if the router cannot place it.
-  virtual Result<uint32_t> Route(uint64_t id) const = 0;
-
-  /// \brief Records a placement decision for `id` (e.g. made by the shard
-  /// engine when inserting a fresh tuple). Routers with explicit state
-  /// remember it; routers that derive the partition from the ID ignore it.
-  virtual void Learn(uint64_t id, uint32_t partition) {
-    (void)id;
-    (void)partition;
-  }
-
-  /// \brief Approximate RAM the routing state occupies.
-  virtual size_t MemoryBytes() const = 0;
-};
-
 /// \brief Baseline: explicit per-tuple routing table ("a large routing table
 /// that maps tuple IDs to their physical location").
-class TableRouter : public Router {
+class TableRouter {
  public:
   void Add(uint64_t id, uint32_t partition) { map_[id] = partition; }
 
-  void Learn(uint64_t id, uint32_t partition) override { Add(id, partition); }
-
-  Result<uint32_t> Route(uint64_t id) const override {
+  /// \brief Partition of `id`; NotFound if no placement was added.
+  Result<uint32_t> Route(uint64_t id) const {
     auto it = map_.find(id);
     if (it == map_.end()) return Status::NotFound("id not in routing table");
     return it->second;
   }
 
-  size_t MemoryBytes() const override {
+  /// \brief Approximate RAM the routing state occupies.
+  size_t MemoryBytes() const {
     // Node-based map: key + value + bucket pointer + node overhead.
     return map_.size() * (sizeof(uint64_t) + sizeof(uint32_t) +
                           2 * sizeof(void*)) +
@@ -67,16 +51,17 @@ class TableRouter : public Router {
 /// by a mixed hash of the ID. Unlike TableRouter it costs no RAM and unlike
 /// EmbeddedRouter it needs no ID rewrite, but it cannot express placement
 /// policy — a tuple's home is fixed by its hash forever.
-class HashRouter : public Router {
+class HashRouter {
  public:
   explicit HashRouter(uint32_t num_partitions)
       : num_partitions_(num_partitions) {}
 
-  Result<uint32_t> Route(uint64_t id) const override {
+  /// \brief Partition of `id`, in [0, num_partitions); never fails.
+  Result<uint32_t> Route(uint64_t id) const {
     return static_cast<uint32_t>(Mix(id) % num_partitions_);
   }
 
-  size_t MemoryBytes() const override { return sizeof(*this); }
+  size_t MemoryBytes() const { return sizeof(*this); }
 
   uint32_t num_partitions() const { return num_partitions_; }
 
@@ -89,15 +74,13 @@ class HashRouter : public Router {
 };
 
 /// \brief §4.2 proposal: the partition is embedded in the ID itself.
-class EmbeddedRouter : public Router {
+class EmbeddedRouter {
  public:
   explicit EmbeddedRouter(SemanticIdCodec codec) : codec_(codec) {}
 
-  Result<uint32_t> Route(uint64_t id) const override {
-    return codec_.PartitionOf(id);
-  }
+  Result<uint32_t> Route(uint64_t id) const { return codec_.PartitionOf(id); }
 
-  size_t MemoryBytes() const override { return sizeof(codec_); }
+  size_t MemoryBytes() const { return sizeof(codec_); }
 
   const SemanticIdCodec& codec() const { return codec_; }
 

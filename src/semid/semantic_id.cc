@@ -1,5 +1,6 @@
-// SemanticIdCodec and Router are header-only; this translation unit anchors
-// the module in the library and hosts the ID-reduction helper of §4.2.
+// SemanticIdCodec and the routers are header-only; this translation unit
+// anchors the module in the library and hosts the ID-reduction helper of
+// §4.2.
 
 #include "semid/semantic_id.h"
 

@@ -22,9 +22,6 @@ Status ValidateSuperblock(const SuperblockData& sb, const ShardOptions& opt) {
   if (sb.page_size != opt.page_size) {
     return Status::InvalidArgument("superblock page_size mismatch");
   }
-  if (sb.semid_partition_bits != opt.semid_partition_bits) {
-    return Status::InvalidArgument("superblock semid_partition_bits mismatch");
-  }
   if (sb.reuse_free_slots != opt.table_options.reuse_free_slots ||
       sb.enable_index_cache != opt.table_options.enable_index_cache) {
     return Status::InvalidArgument("superblock table-option flags mismatch");
@@ -71,9 +68,7 @@ Shard::~Shard() {
     // takes the fast attach path (strict heap walk + BTree::Open) instead
     // of crash recovery. Best effort — a failure here just means the next
     // open recovers as if we had crashed, which is always safe.
-    clean_next_publish_ = true;
-    Status s = db_->Checkpoint();
-    clean_next_publish_ = false;
+    Status s = RunCheckpoint(/*clean_shutdown=*/true);
     if (!s.ok()) {
       std::fprintf(stderr,
                    "nblb: shard %u clean-close checkpoint failed (%s); next "
@@ -81,8 +76,6 @@ Shard::~Shard() {
                    id_, s.ToString().c_str());
     }
   }
-  // The hooks capture `this`; detach before members die.
-  if (db_) db_->SetCheckpointExtension(nullptr, nullptr);
 }
 
 Result<std::unique_ptr<Shard>> Shard::Open(uint32_t shard_id,
@@ -211,11 +204,10 @@ Result<std::unique_ptr<Shard>> Shard::Open(uint32_t shard_id,
   }
 
   if (shard->durable_) {
-    shard->InstallCheckpointHooks();
     // Baseline publish: makes the just-created (or just-recovered) state
     // durable, marks the shard dirty (clean_shutdown=false) so a crash
     // from here on is detected, and resets the WAL after recovery replay.
-    NBLB_RETURN_NOT_OK(shard->db_->Checkpoint());
+    NBLB_RETURN_NOT_OK(shard->Checkpoint());
   }
   return shard;
 }
@@ -247,39 +239,34 @@ Status Shard::FreeMovedSlots() {
   return first;
 }
 
-Status Shard::Checkpoint() { return db_->Checkpoint(); }
+Status Shard::Checkpoint() { return RunCheckpoint(/*clean_shutdown=*/false); }
 
-void Shard::InstallCheckpointHooks() {
-  db_->SetCheckpointExtension(
-      // Pre-flush: everything the superblock will reference must be durable
-      // or about to be flushed. Commit pending WAL records (so no acked
-      // write can be lost by the Reset below), stage the LSN the publish
-      // covers, and persist the index's root/meta linkage.
-      [this]() -> Status {
-        NBLB_RETURN_NOT_OK(wal_->Commit());
-        NBLB_RETURN_NOT_OK(FreeMovedSlots());
-        pending_checkpoint_lsn_ = wal_->next_lsn() - 1;
-        return table_->index()->WriteMeta();
-      },
-      // Post-fsync: the data file now reflects every record up to the
-      // staged LSN, so publish a new superblock version pointing at it and
-      // reclaim the log. Crash before the Write keeps the old superblock
-      // (old LSN, longer replay); crash between Write and Reset replays a
-      // redundant-but-idempotent tail. Both are correct.
-      [this]() -> Status {
-        SuperblockData sb = BuildSuperblock();
-        sb.version = sb_version_ + 1;
-        sb.checkpoint_lsn = pending_checkpoint_lsn_;
-        sb.clean_shutdown = clean_next_publish_;
-        NBLB_RETURN_NOT_OK(
-            Superblock::Write(Superblock::PathFor(options_.path), sb));
-        sb_version_ = sb.version;
-        checkpoint_lsn_ = sb.checkpoint_lsn;
-        NBLB_RETURN_NOT_OK(wal_->Reset());
-        RecordFlightEvent(FlightEvent::kCheckpoint, sb.version,
-                          sb.checkpoint_lsn);
-        return Status::OK();
-      });
+Status Shard::RunCheckpoint(bool clean_shutdown) {
+  if (!durable_) return db_->Checkpoint();
+  // Everything the superblock will reference must be durable or about to be
+  // flushed: commit pending WAL records (so no acked write can be lost by
+  // the Reset below), stage the LSN the publish covers, and persist the
+  // index's root/meta linkage.
+  NBLB_RETURN_NOT_OK(wal_->Commit());
+  NBLB_RETURN_NOT_OK(FreeMovedSlots());
+  const uint64_t checkpoint_lsn = wal_->next_lsn() - 1;
+  NBLB_RETURN_NOT_OK(table_->index()->WriteMeta());
+  NBLB_RETURN_NOT_OK(db_->Checkpoint());
+  // The data file now reflects every record up to the staged LSN, so
+  // publish a new superblock version pointing at it and reclaim the log.
+  // Crash before the Write keeps the old superblock (old LSN, longer
+  // replay); crash between Write and Reset replays a redundant-but-
+  // idempotent tail. Both are correct.
+  SuperblockData sb = BuildSuperblock();
+  sb.version = sb_version_ + 1;
+  sb.checkpoint_lsn = checkpoint_lsn;
+  sb.clean_shutdown = clean_shutdown;
+  NBLB_RETURN_NOT_OK(Superblock::Write(Superblock::PathFor(options_.path), sb));
+  sb_version_ = sb.version;
+  checkpoint_lsn_ = sb.checkpoint_lsn;
+  NBLB_RETURN_NOT_OK(wal_->Reset());
+  RecordFlightEvent(FlightEvent::kCheckpoint, sb.version, sb.checkpoint_lsn);
+  return Status::OK();
 }
 
 SuperblockData Shard::BuildSuperblock() const {
@@ -288,7 +275,6 @@ SuperblockData Shard::BuildSuperblock() const {
   sb.num_pages = static_cast<uint32_t>(db_->disk()->num_pages());
   sb.heap_first_page = table_->heap()->first_page_id();
   sb.btree_meta_page = table_->index()->meta_page_id();
-  sb.semid_partition_bits = options_.semid_partition_bits;
   sb.reuse_free_slots = options_.table_options.reuse_free_slots;
   sb.enable_index_cache = options_.table_options.enable_index_cache;
   for (size_t c : options_.table_options.key_columns) {

@@ -9,8 +9,9 @@
 // Concurrency contract: a Shard is NOT thread safe. The ShardedEngine
 // statically assigns every shard to exactly one worker thread, which is the
 // only thread that ever executes operations on it — single-writer by
-// construction, no per-operation locking. Only stats() may be read from
-// other threads (the counters are atomics, see shard_stats.h).
+// construction, no per-operation locking. Other threads read the shard's
+// counters only through its database's metrics registry (the counters are
+// atomics, see shard_stats.h).
 
 #pragma once
 
@@ -48,10 +49,6 @@ struct ShardOptions {
   /// group, before acking the group's tickets). Checkpoints advance the
   /// recovery LSN and reclaim log space.
   bool wal_enabled = false;
-  /// Semantic-ID codec configuration persisted in the superblock (0 =
-  /// unused): a reopened shard can rebuild its EmbeddedRouter without
-  /// out-of-band config.
-  uint32_t semid_partition_bits = 0;
   size_t page_size = kDefaultPageSize;
   /// Buffer pool capacity, per shard (the scale-out model: each shard is a
   /// "node" with its own fixed RAM budget).
@@ -118,11 +115,12 @@ class Shard {
   /// the group's write ops.
   Status CommitWal();
 
-  /// \brief Durable checkpoint: commits pending WAL records, persists
-  /// index metadata, flushes all dirty pages, fsyncs, publishes a new
-  /// superblock version (advancing the recovery LSN), and resets the WAL
-  /// to reclaim log space. Without wal_enabled this is just
-  /// Database::Checkpoint. Owner thread only.
+  /// \brief Durable checkpoint, in this order: commits pending WAL
+  /// records, frees the slots moved rows left, stages the recovery LSN,
+  /// persists index metadata, flushes all dirty pages and syncs the data
+  /// file (Database::Checkpoint), publishes a new superblock version at the
+  /// staged LSN, and resets the WAL to reclaim log space. Without
+  /// wal_enabled this is just Database::Checkpoint. Owner thread only.
   Status Checkpoint();
 
   /// \brief Test hook: skip the clean close (checkpoint + clean-shutdown
@@ -130,10 +128,10 @@ class Shard {
   /// recovery path even though the process exits normally.
   void SimulateCrashForTest() { skip_clean_close_ = true; }
 
-  // ---- Introspection (any thread for stats; owner thread otherwise) -------
+  // ---- Introspection (owner thread; counters via database()->metrics()) ---
 
   uint32_t id() const { return id_; }
-  const ShardStats& stats() const { return stats_; }
+  /// \brief The live counters, for the owning worker to record into.
   ShardStats& stats() { return stats_; }
   /// \brief Called by the owning worker after draining one batch fragment.
   void NoteSubBatch() { stats_.Add(stats_.sub_batches); }
@@ -153,8 +151,9 @@ class Shard {
 
   std::vector<Value> KeyOf(uint64_t id) const;
 
-  /// Wires the WAL-commit/superblock-publish hooks into db_->Checkpoint().
-  void InstallCheckpointHooks();
+  /// Checkpoint; the superblock it publishes records `clean_shutdown`
+  /// (true only for the orderly close in ~Shard).
+  Status RunCheckpoint(bool clean_shutdown);
   /// Re-applies WAL records with lsn > checkpoint_lsn_ through UpsertByKey /
   /// DeleteByKey (idempotent logical redo). A put payload is decoded by
   /// RowCodec::Decode; one that does not decode fails the open with
@@ -183,17 +182,13 @@ class Shard {
 
   // ---- Durability (all owner-thread only) ---------------------------------
   /// Owns its own DiskManager over the `.wal` sidecar, independent of db_.
-  /// The checkpoint hooks installed on db_ capture `this` and use wal_, so
-  /// ~Shard runs the clean close and detaches the hooks before db_ dies.
   std::unique_ptr<Wal> wal_;
   /// Old slots of rows moved since the last WAL commit, still live.
   std::vector<Rid> moved_from_;
   uint64_t sb_version_ = 0;           ///< last published superblock version
   uint64_t checkpoint_lsn_ = 0;       ///< recovery LSN of that superblock
-  uint64_t pending_checkpoint_lsn_ = 0;  ///< staged by pre-hook for post-hook
   bool durable_ = false;              ///< options_.wal_enabled, cached
   bool skip_clean_close_ = false;     ///< SimulateCrashForTest()
-  bool clean_next_publish_ = false;   ///< next superblock says clean_shutdown
   bool recovered_ = false;
   uint64_t replayed_records_ = 0;
 };

@@ -3,16 +3,20 @@
 // Counters use memory_order_relaxed throughout: each one is an independent
 // monotonic event count, never used to publish other memory, so there is no
 // acquire/release pairing to preserve — relaxed keeps the serving path at a
-// plain atomic add. A Snapshot() taken while workers run is a consistent
-// per-counter view but may straddle an in-flight operation; totals are exact
-// once the engine's workers are quiesced (thread join synchronizes-with all
-// their prior writes).
+// plain atomic add. A registry snapshot taken while workers run is a
+// consistent per-counter view but may straddle an in-flight operation;
+// totals are exact once the engine's workers are quiesced (thread join
+// synchronizes-with all their prior writes).
 //
 // The log-bucket histograms (queue depth, coalesced group size, sub-batch
 // latency) live in obs/histogram.h and follow the same discipline: each
 // bucket is an independent relaxed counter, so recording a sample is one
-// atomic add and snapshots are cheap. RegisterMetrics() publishes every
-// counter and histogram into the unified MetricsRegistry (see src/obs/).
+// atomic add and snapshots are cheap.
+//
+// Reading: RegisterMetrics() publishes every counter and histogram into
+// the unified MetricsRegistry (see src/obs/) under "shard."; the registry's
+// snapshots are the one read API (Database::metrics() for one shard,
+// ShardedEngine::MetricsSnapshotNow() for all of them).
 
 #pragma once
 
@@ -25,67 +29,6 @@
 
 namespace nblb {
 
-/// \brief Plain-value copy of ShardStats, safe to aggregate and compare.
-struct ShardStatsSnapshot {
-  uint64_t gets = 0;
-  uint64_t projected_gets = 0;
-  uint64_t inserts = 0;
-  uint64_t updates = 0;
-  uint64_t deletes = 0;
-  uint64_t not_found = 0;
-  uint64_t errors = 0;        ///< non-NotFound failures
-  uint64_t sub_batches = 0;   ///< per-shard batch fragments executed
-  uint64_t batch_gets = 0;    ///< gets served through the batched read path
-  uint64_t coalesced_groups = 0;  ///< service groups (>= 1 sub-batch each)
-
-  /// Shard-queue depth observed at each service-group pop.
-  LogHistogramSnapshot queue_depth;
-  /// Sub-batches coalesced into each service group.
-  LogHistogramSnapshot coalesced;
-  /// Per-sub-batch latency, enqueue to results written, in microseconds.
-  LogHistogramSnapshot sub_batch_latency_us;
-
-  uint64_t ops() const {
-    return gets + projected_gets + inserts + updates + deletes;
-  }
-
-  ShardStatsSnapshot& operator+=(const ShardStatsSnapshot& o) {
-    gets += o.gets;
-    projected_gets += o.projected_gets;
-    inserts += o.inserts;
-    updates += o.updates;
-    deletes += o.deletes;
-    not_found += o.not_found;
-    errors += o.errors;
-    sub_batches += o.sub_batches;
-    batch_gets += o.batch_gets;
-    coalesced_groups += o.coalesced_groups;
-    queue_depth += o.queue_depth;
-    coalesced += o.coalesced;
-    sub_batch_latency_us += o.sub_batch_latency_us;
-    return *this;
-  }
-
-  /// \brief Subtracts an earlier snapshot (all counters are monotonic), so a
-  /// measurement phase can be isolated: after -= before.
-  ShardStatsSnapshot& operator-=(const ShardStatsSnapshot& o) {
-    gets -= o.gets;
-    projected_gets -= o.projected_gets;
-    inserts -= o.inserts;
-    updates -= o.updates;
-    deletes -= o.deletes;
-    not_found -= o.not_found;
-    errors -= o.errors;
-    sub_batches -= o.sub_batches;
-    batch_gets -= o.batch_gets;
-    coalesced_groups -= o.coalesced_groups;
-    queue_depth -= o.queue_depth;
-    coalesced -= o.coalesced;
-    sub_batch_latency_us -= o.sub_batch_latency_us;
-    return *this;
-  }
-};
-
 /// \brief Live counters, written by the shard's owning worker thread and
 /// readable from any thread.
 struct ShardStats {
@@ -95,13 +38,16 @@ struct ShardStats {
   std::atomic<uint64_t> updates{0};
   std::atomic<uint64_t> deletes{0};
   std::atomic<uint64_t> not_found{0};
-  std::atomic<uint64_t> errors{0};
-  std::atomic<uint64_t> sub_batches{0};
-  std::atomic<uint64_t> batch_gets{0};
-  std::atomic<uint64_t> coalesced_groups{0};
+  std::atomic<uint64_t> errors{0};            ///< non-NotFound failures
+  std::atomic<uint64_t> sub_batches{0};       ///< batch fragments executed
+  std::atomic<uint64_t> batch_gets{0};  ///< gets served by the batched path
+  std::atomic<uint64_t> coalesced_groups{0};  ///< service groups
 
+  /// Shard-queue depth observed at each service-group pop.
   LogHistogram queue_depth;
+  /// Sub-batches coalesced into each service group.
   LogHistogram coalesced;
+  /// Per-sub-batch latency, enqueue to results written, in microseconds.
   LogHistogram sub_batch_latency_us;
 
   void Add(std::atomic<uint64_t>& c, uint64_t n = 1) {
@@ -126,24 +72,6 @@ struct ShardStats {
     registry->RegisterHistogram(prefix + "coalesced", &coalesced);
     registry->RegisterHistogram(prefix + "sub_batch_latency_us",
                                 &sub_batch_latency_us);
-  }
-
-  ShardStatsSnapshot Snapshot() const {
-    ShardStatsSnapshot s;
-    s.gets = gets.load(std::memory_order_relaxed);
-    s.projected_gets = projected_gets.load(std::memory_order_relaxed);
-    s.inserts = inserts.load(std::memory_order_relaxed);
-    s.updates = updates.load(std::memory_order_relaxed);
-    s.deletes = deletes.load(std::memory_order_relaxed);
-    s.not_found = not_found.load(std::memory_order_relaxed);
-    s.errors = errors.load(std::memory_order_relaxed);
-    s.sub_batches = sub_batches.load(std::memory_order_relaxed);
-    s.batch_gets = batch_gets.load(std::memory_order_relaxed);
-    s.coalesced_groups = coalesced_groups.load(std::memory_order_relaxed);
-    s.queue_depth = queue_depth.Snapshot();
-    s.coalesced = coalesced.Snapshot();
-    s.sub_batch_latency_us = sub_batch_latency_us.Snapshot();
-    return s;
   }
 };
 

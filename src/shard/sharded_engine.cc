@@ -11,7 +11,7 @@
 namespace nblb {
 
 Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
-    ShardedEngineOptions options, std::unique_ptr<Router> router) {
+    ShardedEngineOptions options) {
   if (options.num_shards == 0) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
@@ -20,10 +20,8 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
     return Status::InvalidArgument(
         "max_coalesce_window must be >= min_coalesce_window");
   }
-  std::unique_ptr<ShardedEngine> engine(new ShardedEngine());
+  std::unique_ptr<ShardedEngine> engine(new ShardedEngine(options.num_shards));
   engine->options_ = options;
-  engine->router_ = router ? std::move(router)
-                           : std::make_unique<HashRouter>(options.num_shards);
 
   // Observability: the engine-level registry covers the engine counters and
   // the trace aggregator; per-shard Database registries are folded in at
@@ -34,8 +32,6 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
   engine->metrics_.reset(new MetricsRegistry());
   engine->metrics_->RegisterCounter("engine.batches", &engine->batches_);
   engine->metrics_->RegisterCounter("engine.requests", &engine->requests_);
-  engine->metrics_->RegisterCounter("engine.routing_failures",
-                                    &engine->routing_failures_);
   engine->metrics_->RegisterCounter("engine.async_submits",
                                     &engine->async_submits_);
   engine->metrics_->RegisterCounter("engine.busy_rejections",
@@ -53,7 +49,6 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
     so.flusher_interval_us = options.flusher_interval_us;
     so.flush_batch_pages = options.flush_batch_pages;
     so.wal_enabled = options.wal_enabled;
-    so.semid_partition_bits = options.semid_partition_bits;
     so.schema = options.schema;
     so.table_options = options.table_options;
     // Record the path BEFORE attempting the open: a Shard::Open that
@@ -153,36 +148,6 @@ void ShardedEngine::Ticket::MarkDone() {
   cv_.notify_all();
 }
 
-// ---- Routing ----------------------------------------------------------------
-
-Result<uint32_t> ShardedEngine::RouteOf(uint64_t id) const {
-  SharedLatchGuard guard(route_latch_);
-  NBLB_ASSIGN_OR_RETURN(uint32_t partition, router_->Route(id));
-  return partition % num_shards();
-}
-
-Result<uint32_t> ShardedEngine::RouteRequest(const Request& request) {
-  {
-    SharedLatchGuard guard(route_latch_);
-    auto routed = router_->Route(request.id);
-    if (routed.ok()) return *routed % num_shards();
-    if (request.kind != RequestKind::kInsert ||
-        !routed.status().IsNotFound()) {
-      return routed.status();
-    }
-  }
-  // First-seen insert key under a stateful router: pick a home shard
-  // round-robin and teach the router. Re-route under the exclusive latch —
-  // a concurrent inserter of the same id may have won the race.
-  ExclusiveLatchGuard guard(route_latch_);
-  auto routed = router_->Route(request.id);
-  if (routed.ok()) return *routed % num_shards();
-  const uint32_t shard =
-      static_cast<uint32_t>(next_placement_++ % num_shards());
-  router_->Learn(request.id, shard);
-  return shard;
-}
-
 // ---- Submission -------------------------------------------------------------
 
 ShardedEngine::TicketPtr ShardedEngine::Submit(RequestBatch batch,
@@ -220,17 +185,13 @@ void ShardedEngine::SubmitTicket(const TicketPtr& ticket) {
   BatchResult& out = ticket->result_;
   out.results.resize(batch.size());
 
-  // Phase 1 — route on the caller's thread, grouping indexes by home shard.
+  // Phase 1 — hash every key to its home shard on the caller's thread,
+  // grouping indexes by shard. HashRouter::Route cannot fail.
   std::vector<std::vector<uint32_t>> per_shard(num_shards());
   for (uint32_t i = 0; i < batch.size(); ++i) {
-    auto routed = RouteRequest(batch[i]);
-    if (!routed.ok()) {
-      out.results[i].status = routed.status();
-      routing_failures_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    out.results[i].shard = *routed;
-    per_shard[*routed].push_back(i);
+    const uint32_t home = *router_.Route(batch[i].id);
+    out.results[i].shard = home;
+    per_shard[home].push_back(i);
   }
 
   // Phase 2 — fan out one sub-batch per involved shard. pending_ is armed
@@ -241,7 +202,7 @@ void ShardedEngine::SubmitTicket(const TicketPtr& ticket) {
     if (!indexes.empty()) ++involved;
   }
   if (involved == 0) {
-    // Empty batch or every request failed routing: complete immediately.
+    // Empty batch: complete immediately, on this thread.
     FinishTicket(ticket);
     return;
   }
@@ -583,12 +544,6 @@ Status ShardedEngine::Delete(uint64_t id) {
   return Execute(batch).results[0].status;
 }
 
-ShardStatsSnapshot ShardedEngine::TotalShardStats() const {
-  ShardStatsSnapshot total;
-  for (const auto& shard : shards_) total += shard->stats().Snapshot();
-  return total;
-}
-
 MetricsSnapshot ShardedEngine::MetricsSnapshotNow() const {
   // "engine.*" and "trace.*" from the engine's own registry, then each
   // shard's Database registry folded in under "shard<i>." — one document
@@ -599,16 +554,6 @@ MetricsSnapshot ShardedEngine::MetricsSnapshotNow() const {
                "shard" + std::to_string(i) + ".");
   }
   return snap;
-}
-
-EngineStatsSnapshot ShardedEngine::engine_stats() const {
-  EngineStatsSnapshot s;
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.requests = requests_.load(std::memory_order_relaxed);
-  s.routing_failures = routing_failures_.load(std::memory_order_relaxed);
-  s.async_submits = async_submits_.load(std::memory_order_relaxed);
-  s.busy_rejections = busy_rejections_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace nblb

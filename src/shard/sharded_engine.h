@@ -1,12 +1,14 @@
-// ShardedEngine: the serving layer — N shards, a pluggable router, a fixed
-// worker pool draining per-shard queues, and a submit/completion front end.
+// ShardedEngine: the serving layer — N shards, hash routing by key, a
+// fixed worker pool draining per-shard queues, and a submit/completion
+// front end.
 //
 // Request lifecycle (see src/shard/README.md for the long version):
 //
 //   client thread                          worker thread (owns shard s)
 //   ─────────────                          ────────────────────────────
 //   Submit(batch, fn) → Ticket
-//     route every id        ── semid::Router, shared-mode latch
+//     hash every id to its              ── HashRouter: a pure function of
+//       home shard                         the id, no table, no lock
 //     split into per-shard
 //       sub-batches
 //     enqueue + wake owner  ──────────────▶ coalesce up to `window` queued
@@ -18,8 +20,15 @@
 //   Ticket::Wait()/TryWait()                 runs the callback here, then
 //     or completion fn fires                 marks the ticket done
 //
-// The blocking Execute(batch) of PR 1/2 survives as a thin wrapper —
-// Submit + Wait — with identical results and result ordering.
+// The blocking Execute(batch) is a thin wrapper — Submit + Wait — with the
+// same results and result ordering.
+//
+// Routing: a key's home shard is HashRouter(num_shards).Route(key), fixed
+// by the key alone, so it survives a reopen with no routing state to
+// persist and the submit path reads no shared mutable state. The per-tuple
+// TableRouter and the §4.2 EmbeddedRouter stay in semid/ as the paper's
+// comparison; the engine does not take them (§4.2: per-tuple tables "can
+// easily become a resource and performance bottleneck").
 //
 // Adaptive batching: each shard queue carries a coalesce window in
 // [min_coalesce_window, max_coalesce_window]. A worker serves up to
@@ -34,11 +43,13 @@
 // Threading model: every shard is statically owned by exactly one worker
 // (worker = shard % num_workers), so shard-local state (Table, B+Tree,
 // IndexCache) is single-threaded by construction and needs no locks. The
-// only cross-thread state is (a) the router, guarded by a SharedLatch —
-// shared mode for the read-mostly Route calls, exclusive only when an
-// insert teaches a TableRouter a new placement — and (b) the atomic ticket
+// only cross-thread state is the shard queues and the atomic ticket
 // bookkeeping. Completion callbacks run on the worker that retires a
 // ticket's last sub-batch, so the engine starts no threads but its workers.
+//
+// Counters: read them through MetricsSnapshotNow() ("engine.*",
+// "trace.*" and every shard's "shard<i>.*"); subtract two snapshots to
+// isolate a phase.
 //
 // Any number of client threads may call Submit/Execute concurrently.
 
@@ -56,7 +67,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/latch.h"
 #include "common/result.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -120,32 +130,18 @@ struct ShardedEngineOptions {
   /// shard every N service groups, bounding WAL length and replay time.
   /// 0 disables periodic checkpoints (only open/close publish).
   uint64_t checkpoint_every_groups = 0;
-  /// Forwarded to ShardOptions::semid_partition_bits (persisted in the
-  /// superblock; 0 = unused).
-  uint32_t semid_partition_bits = 0;
   Schema schema;
   TableOptions table_options;
 };
 
-/// \brief Engine-level counters (atomics; relaxed — see shard_stats.h for
-/// the memory-ordering rationale, which applies unchanged here).
-struct EngineStatsSnapshot {
-  uint64_t batches = 0;   ///< completed batches (Submit and Execute alike)
-  uint64_t requests = 0;  ///< requests in completed batches
-  uint64_t routing_failures = 0;
-  uint64_t async_submits = 0;  ///< Submit calls with a completion callback
-  /// Requests rejected kBusy by fail-fast backpressure (max_queue_depth).
-  uint64_t busy_rejections = 0;
-};
-
-/// \brief Owns the shards, the router and the worker pool.
+/// \brief Owns the shards and the worker pool.
 class ShardedEngine {
  public:
   /// \brief Fires once every request in the batch has a result, on the
   /// thread that retires the batch's last sub-batch: the engine worker
-  /// that served it or, when the submitter retired it itself (no request
-  /// reached a shard, or the last sub-batch was rejected kBusy), the
-  /// submitting thread inside Submit. Tickets whose requests all route to
+  /// that served it or, when the submitter retired it itself (an empty
+  /// batch, or the last sub-batch was rejected kBusy), the submitting
+  /// thread inside Submit. Tickets whose requests all hash to
   /// one shard complete in that shard's queue order. The BatchResult
   /// reference is valid for the duration of the callback; Ticket::result()
   /// holds the same object afterwards.
@@ -200,12 +196,10 @@ class ShardedEngine {
   };
   using TicketPtr = std::shared_ptr<Ticket>;
 
-  /// \brief Builds shards and starts workers. `router` may be nullptr, in
-  /// which case a HashRouter over num_shards is used. The router's
-  /// partitions are folded onto shards modulo num_shards, so an
-  /// EmbeddedRouter with more partitions than shards still works.
+  /// \brief Builds shards and starts workers. Requests are routed by
+  /// HashRouter(num_shards): RequestResult::shard is the key's home shard.
   static Result<std::unique_ptr<ShardedEngine>> Open(
-      ShardedEngineOptions options, std::unique_ptr<Router> router = nullptr);
+      ShardedEngineOptions options);
 
   /// \brief Joins the workers. Every submitted ticket completes first; must
   /// not race with concurrent Submit/Execute calls, including Submits made
@@ -216,15 +210,16 @@ class ShardedEngine {
 
   // ---- Serving ------------------------------------------------------------
 
-  /// \brief Asynchronous submission: routes on the calling thread, enqueues
+  /// \brief Asynchronous submission: hashes every key to its home shard on
+  /// the calling thread, enqueues
   /// per-shard sub-batches, and returns immediately. `on_complete` (may be
   /// nullptr) fires once every request has a result, on the thread and
   /// under the rules CompletionFn describes; the returned Ticket supports
   /// Wait()/TryWait() regardless. Thread safe, and callable from a
   /// completion callback when it cannot block (see CompletionFn).
   /// Results are in batch order; per-shard execution preserves batch order,
-  /// but requests routed to different shards execute in parallel with no
-  /// mutual ordering.
+  /// but requests on different shards execute in parallel with no mutual
+  /// ordering.
   TicketPtr Submit(RequestBatch batch, CompletionFn on_complete = nullptr);
 
   /// \brief As Submit, but references the caller-owned batch instead of
@@ -247,10 +242,7 @@ class ShardedEngine {
   Status Update(uint64_t id, Row row);
   Status Delete(uint64_t id);
 
-  // ---- Placement / topology ----------------------------------------------
-
-  /// \brief Where `id` would be served (shared-mode router read).
-  Result<uint32_t> RouteOf(uint64_t id) const;
+  // ---- Topology -----------------------------------------------------------
 
   /// \brief The options the engine was opened with (the network front end
   /// derives its global admission cap from max_queue_depth).
@@ -261,20 +253,15 @@ class ShardedEngine {
     return static_cast<uint32_t>(workers_.size());
   }
   Shard* shard(uint32_t i) { return shards_[i].get(); }
-  Router* router() { return router_.get(); }
 
-  // ---- Stats --------------------------------------------------------------
-
-  ShardStatsSnapshot ShardStatsOf(uint32_t i) const {
-    return shards_[i]->stats().Snapshot();
-  }
-  /// \brief Sum over shards. Exact only when workers are quiescent.
-  ShardStatsSnapshot TotalShardStats() const;
-  EngineStatsSnapshot engine_stats() const;
+  // ---- Metrics ------------------------------------------------------------
 
   /// \brief One merged snapshot over every layer: "engine.*" and "trace.*"
   /// from the engine's own registry plus each shard's Database registry
-  /// ("shard<i>.disk.*", "shard<i>.buffer_pool.*", "shard<i>.shard.*").
+  /// ("shard<i>.disk.*", "shard<i>.buffer_pool.*", "shard<i>.shard.*",
+  /// "shard<i>.wal.*"). The one read API for the engine's counters:
+  /// MetricsSnapshot::Total sums a name over the shards, and subtracting an
+  /// earlier snapshot isolates a phase. Exact once the workers are idle.
   MetricsSnapshot MetricsSnapshotNow() const;
 
   /// \brief MetricsSnapshotNow() serialized as one JSON document.
@@ -323,10 +310,8 @@ class ShardedEngine {
     std::vector<uint32_t> shards;     // owned shard ids
   };
 
-  ShardedEngine() = default;
+  explicit ShardedEngine(uint32_t num_shards) : router_(num_shards) {}
 
-  /// Routes one request, teaching the router on first-seen insert keys.
-  Result<uint32_t> RouteRequest(const Request& request);
   /// Shared by Submit and Execute: routes, fans out, pre-arms pending_.
   void SubmitTicket(const TicketPtr& ticket);
   /// Counts the batch, runs the callback on this thread, then marks the
@@ -339,21 +324,18 @@ class ShardedEngine {
   void RunGroup(Shard* shard, std::vector<SubBatch>* group);
 
   ShardedEngineOptions options_;
-  std::unique_ptr<Router> router_;
-  /// Guards router_ state: shared for Route, exclusive for Learn.
-  mutable SharedLatch route_latch_;
-  uint64_t next_placement_ = 0;  // round-robin cursor; under exclusive latch
+  const HashRouter router_;  // over num_shards
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<ShardQueue>> queues_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> stop_{false};
 
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> routing_failures_{0};
-  std::atomic<uint64_t> async_submits_{0};
-  std::atomic<uint64_t> busy_rejections_{0};
+  // "engine.*" counters (relaxed; see shard_stats.h for why).
+  std::atomic<uint64_t> batches_{0};   // completed, Submit and Execute alike
+  std::atomic<uint64_t> requests_{0};  // requests in completed batches
+  std::atomic<uint64_t> async_submits_{0};  // Submits with a callback
+  std::atomic<uint64_t> busy_rejections_{0};  // kBusy from max_queue_depth
 
   /// True iff trace_sample_every > 0 and NBLB_OBS_OFF is not set (resolved
   /// once at Open). With tracing off, Submit skips the sampler entirely.

@@ -1044,23 +1044,6 @@ void BufferPool::FlusherPass() {
 // Stats
 // ---------------------------------------------------------------------------
 
-BufferPoolStats BufferPool::stats() const {
-  BufferPoolStats out;
-  for (size_t i = 0; i < num_stripes_; ++i) {
-    const StripeStats& s = stripes_[i].stats;
-    out.hits += s.hits.load(std::memory_order_relaxed);
-    out.misses += s.misses.load(std::memory_order_relaxed);
-    out.evictions += s.evictions.load(std::memory_order_relaxed);
-    out.dirty_writebacks += s.dirty_writebacks.load(std::memory_order_relaxed);
-    out.batch_fetches += s.batch_fetches.load(std::memory_order_relaxed);
-  }
-  out.flusher_passes = flusher_passes_.load(std::memory_order_relaxed);
-  out.flusher_pages = flusher_pages_.load(std::memory_order_relaxed);
-  out.flusher_coalesced_runs =
-      flusher_coalesced_runs_.load(std::memory_order_relaxed);
-  return out;
-}
-
 void BufferPool::RegisterMetrics(MetricsRegistry* registry,
                                  const std::string& prefix) const {
   // Per-stripe counters are aggregated at snapshot time through reader
@@ -1083,22 +1066,17 @@ void BufferPool::RegisterMetrics(MetricsRegistry* registry,
   registry->RegisterCounter(prefix + "flusher_pages", &flusher_pages_);
   registry->RegisterCounter(prefix + "flusher_coalesced_runs",
                             &flusher_coalesced_runs_);
-  registry->RegisterGauge(prefix + "hit_rate",
-                          [this] { return stats().HitRate(); });
-}
-
-void BufferPool::ResetStats() {
-  for (size_t i = 0; i < num_stripes_; ++i) {
-    StripeStats& s = stripes_[i].stats;
-    s.hits.store(0, std::memory_order_relaxed);
-    s.misses.store(0, std::memory_order_relaxed);
-    s.evictions.store(0, std::memory_order_relaxed);
-    s.dirty_writebacks.store(0, std::memory_order_relaxed);
-    s.batch_fetches.store(0, std::memory_order_relaxed);
-  }
-  flusher_passes_.store(0, std::memory_order_relaxed);
-  flusher_pages_.store(0, std::memory_order_relaxed);
-  flusher_coalesced_runs_.store(0, std::memory_order_relaxed);
+  registry->RegisterGauge(prefix + "hit_rate", [this] {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    for (size_t i = 0; i < num_stripes_; ++i) {
+      hits += stripes_[i].stats.hits.load(std::memory_order_relaxed);
+      misses += stripes_[i].stats.misses.load(std::memory_order_relaxed);
+    }
+    const uint64_t total = hits + misses;
+    return total == 0 ? 0.0
+                      : static_cast<double>(hits) / static_cast<double>(total);
+  });
 }
 
 }  // namespace nblb

@@ -52,31 +52,6 @@
 
 namespace nblb {
 
-/// \brief Hit/miss/eviction counters (a plain-value snapshot; the live
-/// counters are per-stripe relaxed atomics aggregated by stats()).
-struct BufferPoolStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t dirty_writebacks = 0;
-  /// FetchPages()/StartFetchPages() calls (each may cover many pages).
-  uint64_t batch_fetches = 0;
-  /// Background flusher cycles executed (0 unless StartFlusher ran).
-  uint64_t flusher_passes = 0;
-  /// Dirty pages written back by the background flusher — write-back work
-  /// taken off the serving/evicting threads entirely.
-  uint64_t flusher_pages = 0;
-  /// Contiguous page runs the flusher's sorted batches coalesced into (one
-  /// vectored write op each) — with `flusher_pages` this gives pages per
-  /// device write, the batching win of the async write-back path.
-  uint64_t flusher_coalesced_runs = 0;
-
-  double HitRate() const {
-    const uint64_t total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
-  }
-};
-
 class BufferPool;
 
 /// \brief RAII pin on a buffer-pool page. Move-only; unpins on destruction.
@@ -204,15 +179,18 @@ class BufferPool {
   size_t page_size() const { return page_size_; }
   DiskManager* disk() { return disk_; }
 
-  /// \brief Aggregated snapshot of the per-stripe atomic counters.
-  BufferPoolStats stats() const;
-  void ResetStats();
-
   /// \brief Publishes the pool's counters under `prefix` (e.g.
-  /// "buffer_pool.") in the unified registry (see src/obs/). Per-stripe
-  /// counters are registered as cross-stripe aggregate reader callbacks;
-  /// the flusher counters are direct atomics; "hit_rate" is a gauge. The
-  /// registry must not outlive this BufferPool.
+  /// "buffer_pool.") in the unified registry (see src/obs/), the one read
+  /// API for them. Per-stripe counters are registered as cross-stripe
+  /// aggregate reader callbacks: hits, misses, evictions,
+  /// dirty_writebacks, and batch_fetches (FetchPages/StartFetchPages
+  /// calls, each may cover many pages). The flusher's are direct atomics:
+  /// flusher_passes, flusher_pages (dirty pages it wrote back, off the
+  /// serving threads) and flusher_coalesced_runs (contiguous runs those
+  /// pages coalesced into, one vectored write each). "hit_rate" is a gauge
+  /// over the pool's lifetime; a phase's rate comes from the hits and
+  /// misses of two subtracted snapshots. The registry must not outlive
+  /// this BufferPool.
   void RegisterMetrics(MetricsRegistry* registry,
                        const std::string& prefix) const;
 

@@ -321,47 +321,6 @@ Status DiskManager::WriteRunSync(PageId first_id, struct iovec* iov,
                        run * page_size_, first_id, /*is_write=*/true);
 }
 
-Status DiskManager::ReadPages(const PageId* ids, char* const* dsts, size_t n) {
-  if (n == 0) return Status::OK();
-  if (fd_ < 0) return Status::IOError("disk manager not open");
-  const PageId np = num_pages();
-  for (size_t i = 0; i < n; ++i) {
-    if (ids[i] >= np) {
-      return Status::OutOfRange("read past end of file: page " +
-                                std::to_string(ids[i]));
-    }
-    NBLB_DCHECK(i == 0 || ids[i] > ids[i - 1]);
-  }
-  // One contiguous aligned run is a single synchronous preadv — nothing to
-  // overlap. Anything else goes through the async engine so every run is in
-  // flight at once instead of queueing behind its predecessor.
-  const bool single_run =
-      ids[n - 1] == ids[0] + static_cast<PageId>(n - 1) && n <= kMaxIov &&
-      [&] {
-        if (!direct_io_) return true;
-        for (size_t i = 0; i < n; ++i) {
-          if (!Aligned(dsts[i])) return false;
-        }
-        return true;
-      }();
-  if (!single_run) {
-    IoTicket ticket;
-    NBLB_RETURN_NOT_OK(SubmitReads(ids, dsts, n, &ticket));
-    return WaitReads(&ticket);
-  }
-  if (n == 1) return ReadPage(ids[0], dsts[0]);
-  std::vector<struct iovec> iov(n);
-  for (size_t k = 0; k < n; ++k) {
-    iov[k].iov_base = dsts[k];
-    iov[k].iov_len = page_size_;
-  }
-  counters_.vectored_reads.fetch_add(1, std::memory_order_relaxed);
-  NBLB_RETURN_NOT_OK(ReadRunSync(ids[0], iov.data(), n));
-  counters_.reads.fetch_add(n, std::memory_order_relaxed);
-  for (size_t k = 0; k < n; ++k) Charge(ids[k], /*write=*/false);
-  return Status::OK();
-}
-
 // ---------------------------------------------------------------------------
 // Async engine (reads and writes share the submission/completion machinery)
 // ---------------------------------------------------------------------------
@@ -692,30 +651,6 @@ Status DiskManager::WaitWrites(IoTicket* ticket) {
   return WaitReads(ticket);
 }
 
-bool DiskManager::PollCompletions(IoTicket* ticket, Status* status) {
-  if (!ticket->valid()) {
-    *status = Status::OK();
-    return true;
-  }
-#if NBLB_HAVE_IO_URING
-  if (backend_in_use_ == IoBackend::kUring &&
-      ticket->group_->remaining.load(std::memory_order_acquire) > 0) {
-    std::lock_guard<std::mutex> cq(cq_mu_);
-    ReapUringLocked();
-  }
-#endif
-  std::shared_ptr<IoGroup>& group = ticket->group_;
-  if (group->remaining.load(std::memory_order_acquire) > 0) return false;
-  {
-    // remaining is 0 but `done` may lag by a moment (the final decrementer
-    // flips it under the mutex); taking the mutex synchronizes with it.
-    std::lock_guard<std::mutex> lk(group->mu);
-    *status = group->error;
-  }
-  ticket->group_.reset();
-  return true;
-}
-
 void DiskManager::DrainAsync() {
 #if NBLB_HAVE_IO_URING
   if (ring_ != nullptr) {
@@ -856,22 +791,6 @@ Status DiskManager::Sync() {
   return Status::OK();
 }
 
-DiskStats DiskManager::stats() const {
-  DiskStats s;
-  s.reads = counters_.reads.load(std::memory_order_relaxed);
-  s.writes = counters_.writes.load(std::memory_order_relaxed);
-  s.allocations = counters_.allocations.load(std::memory_order_relaxed);
-  s.vectored_reads =
-      counters_.vectored_reads.load(std::memory_order_relaxed);
-  s.async_reads = counters_.async_reads.load(std::memory_order_relaxed);
-  s.async_batches = counters_.async_batches.load(std::memory_order_relaxed);
-  s.async_writes = counters_.async_writes.load(std::memory_order_relaxed);
-  s.async_write_batches =
-      counters_.async_write_batches.load(std::memory_order_relaxed);
-  s.write_runs = counters_.write_runs.load(std::memory_order_relaxed);
-  return s;
-}
-
 void DiskManager::RegisterMetrics(MetricsRegistry* registry,
                                   const std::string& prefix) const {
   registry->RegisterCounter(prefix + "reads", &counters_.reads);
@@ -886,18 +805,6 @@ void DiskManager::RegisterMetrics(MetricsRegistry* registry,
   registry->RegisterCounter(prefix + "async_write_batches",
                             &counters_.async_write_batches);
   registry->RegisterCounter(prefix + "write_runs", &counters_.write_runs);
-}
-
-void DiskManager::ResetStats() {
-  counters_.reads.store(0, std::memory_order_relaxed);
-  counters_.writes.store(0, std::memory_order_relaxed);
-  counters_.allocations.store(0, std::memory_order_relaxed);
-  counters_.vectored_reads.store(0, std::memory_order_relaxed);
-  counters_.async_reads.store(0, std::memory_order_relaxed);
-  counters_.async_batches.store(0, std::memory_order_relaxed);
-  counters_.async_writes.store(0, std::memory_order_relaxed);
-  counters_.async_write_batches.store(0, std::memory_order_relaxed);
-  counters_.write_runs.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace nblb

@@ -47,33 +47,6 @@ struct AsyncIoOptions {
   size_t io_threads = 4;
 };
 
-/// \brief I/O counters maintained by the DiskManager (plain-value snapshot;
-/// the live counters are relaxed atomics).
-struct DiskStats {
-  uint64_t reads = 0;   ///< pages read (single, vectored, and async)
-  uint64_t writes = 0;
-  uint64_t allocations = 0;
-  /// Vectored read ops (multi-page runs) issued by ReadPages/SubmitReads —
-  /// with `reads` this gives pages per vectored op, the batching win the
-  /// striped pool exists to exploit.
-  uint64_t vectored_reads = 0;
-  /// Pages submitted through the async engine (SubmitReads, including the
-  /// multi-run path of ReadPages).
-  uint64_t async_reads = 0;
-  /// SubmitReads groups — with `async_reads` this gives pages overlapped
-  /// per submission.
-  uint64_t async_batches = 0;
-  /// Pages submitted through the async WRITE engine (SubmitWrites).
-  uint64_t async_writes = 0;
-  /// SubmitWrites groups — with `async_writes` this gives pages overlapped
-  /// per write submission.
-  uint64_t async_write_batches = 0;
-  /// Contiguous runs put in flight by SubmitWrites (one IORING_OP_WRITEV /
-  /// pwritev task each) — with `async_writes` this gives pages per vectored
-  /// write, i.e. how well the flusher's sort coalesced the dirty set.
-  uint64_t write_runs = 0;
-};
-
 namespace internal {
 struct IoGroup;
 }  // namespace internal
@@ -88,9 +61,9 @@ struct IoGroup;
 ///
 /// Asynchronous reads: SubmitReads queues a batch of page reads and returns
 /// an IoTicket immediately; the reads proceed in parallel (io_uring, or the
-/// preadv worker pool) until WaitReads/PollCompletions harvests them. This
-/// is how one shard worker overlaps all of its non-contiguous miss runs
-/// instead of paying device latency once per run.
+/// preadv worker pool) until WaitReads harvests them. This is how one shard
+/// worker overlaps all of its non-contiguous miss runs instead of paying
+/// device latency once per run.
 ///
 /// Asynchronous writes are the mirror image: SubmitWrites puts every
 /// contiguous run of a (sorted) dirty batch in flight at once
@@ -148,19 +121,13 @@ class DiskManager {
   /// \brief Reads page `id` into `out` (page_size bytes).
   Status ReadPage(PageId id, char* out);
 
-  /// \brief Reads `n` pages: `ids` must be ascending and unique; `dsts[i]`
+  /// \brief Begins asynchronous reads of `n` pages and returns immediately
+  /// with a ticket: `ids` must be ascending and unique, and `dsts[i]`
   /// receives page `ids[i]`. Contiguous id runs become one vectored op each
-  /// (scattering into the destination buffers). A single run is one
-  /// synchronous preadv; multiple runs are submitted through the async
-  /// engine so they overlap at the device instead of queueing behind each
-  /// other — SubmitReads + WaitReads under the hood.
-  Status ReadPages(const PageId* ids, char* const* dsts, size_t n);
-
-  /// \brief Begins asynchronous reads of `n` pages (`ids` ascending and
-  /// unique, same contract as ReadPages) and returns immediately with a
-  /// ticket. Destination buffers must stay alive until the ticket
+  /// (scattering into the destination buffers), and every run is in flight
+  /// at once. Destination buffers must stay alive until the ticket
   /// completes. Validation errors (not open, id out of range) surface here;
-  /// device errors surface from WaitReads/PollCompletions.
+  /// device errors surface from WaitReads.
   Status SubmitReads(const PageId* ids, char* const* dsts, size_t n,
                      IoTicket* ticket);
 
@@ -168,11 +135,6 @@ class DiskManager {
   /// first error (OK otherwise) and invalidates the ticket. Waiting on an
   /// invalid ticket returns OK.
   Status WaitReads(IoTicket* ticket);
-
-  /// \brief Non-blocking probe: harvests any available completions and
-  /// returns true iff the ticket's group is fully complete, in which case
-  /// `*status` holds the group's verdict and the ticket is invalidated.
-  bool PollCompletions(IoTicket* ticket, Status* status);
 
   /// \brief Writes page `id` from `data` (page_size bytes).
   Status WritePage(PageId id, const char* data);
@@ -183,15 +145,14 @@ class DiskManager {
   /// Contiguous id runs become one vectored op each and ALL runs are in
   /// flight at once. Source buffers must stay alive (and unmodified, if the
   /// on-disk bytes are to be well defined) until the ticket completes.
-  /// Validation errors surface here; device errors surface from
-  /// WaitWrites/PollCompletions.
+  /// Validation errors surface here; device errors surface from WaitWrites.
   Status SubmitWrites(const PageId* ids, const char* const* srcs, size_t n,
                       IoTicket* ticket);
 
   /// \brief Blocks until every write in `ticket` completes; returns the
   /// first error (OK otherwise) and invalidates the ticket. Waiting on an
   /// invalid ticket returns OK. (Writes and reads share the completion
-  /// machinery: PollCompletions works on write tickets too.)
+  /// machinery.)
   Status WaitWrites(IoTicket* ticket);
 
   /// \brief Extends the file by one zeroed page and returns its id.
@@ -214,12 +175,9 @@ class DiskManager {
   /// \brief The async backend actually serving SubmitReads (resolved at
   /// Open: kUring only when the ring came up, else kThreads).
   IoBackend io_backend_in_use() const { return backend_in_use_; }
-  /// \brief Aggregated snapshot of the atomic counters.
-  DiskStats stats() const;
-  void ResetStats();
   /// \brief Publishes every counter under `prefix` (e.g. "disk.") in the
-  /// unified registry (see src/obs/). The registry must not outlive this
-  /// DiskManager.
+  /// unified registry (see src/obs/), the one read API for them. The
+  /// registry must not outlive this DiskManager.
   void RegisterMetrics(MetricsRegistry* registry,
                        const std::string& prefix) const;
   const std::string& path() const { return path_; }
@@ -285,15 +243,19 @@ class DiskManager {
   /// Serializes file extension (write-at-end + size bump).
   std::mutex alloc_mu_;
 
+  /// Live counters (relaxed atomics), read through RegisterMetrics.
   struct Counters {
-    std::atomic<uint64_t> reads{0};
+    std::atomic<uint64_t> reads{0};  ///< pages read (single and async)
     std::atomic<uint64_t> writes{0};
     std::atomic<uint64_t> allocations{0};
+    /// Vectored read ops (multi-page runs): with `reads`, pages per op.
     std::atomic<uint64_t> vectored_reads{0};
-    std::atomic<uint64_t> async_reads{0};
-    std::atomic<uint64_t> async_batches{0};
-    std::atomic<uint64_t> async_writes{0};
-    std::atomic<uint64_t> async_write_batches{0};
+    std::atomic<uint64_t> async_reads{0};    ///< pages through SubmitReads
+    std::atomic<uint64_t> async_batches{0};  ///< SubmitReads groups
+    std::atomic<uint64_t> async_writes{0};   ///< pages through SubmitWrites
+    std::atomic<uint64_t> async_write_batches{0};  ///< SubmitWrites groups
+    /// Contiguous runs SubmitWrites put in flight (one vectored write
+    /// each): with `async_writes`, how well a sorted dirty set coalesced.
     std::atomic<uint64_t> write_runs{0};
   };
   Counters counters_;

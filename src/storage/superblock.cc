@@ -17,8 +17,9 @@ namespace {
 constexpr uint32_t kSuperblockMagic = 0x4e425342;  // "NBSB"
 // The on-disk format of the shard files a superblock describes. 2: heap
 // pages are slotted and hold trimmed row images (format 1 held fixed-width
-// rows behind an occupancy bitmap).
-constexpr uint32_t kSuperblockFormat = 2;
+// rows behind an occupancy bitmap). 3: the payload drops the semantic-ID
+// partition-bits field, which nothing read.
+constexpr uint32_t kSuperblockFormat = 3;
 constexpr size_t kSlotSize = 4096;
 constexpr size_t kSlotHeaderSize = 16;  // magic, format, payload_len, crc
 
@@ -89,7 +90,6 @@ std::string EncodePayload(const SuperblockData& d) {
   AppendU32(&out, d.num_pages);
   AppendU32(&out, d.heap_first_page);
   AppendU32(&out, d.btree_meta_page);
-  AppendU32(&out, d.semid_partition_bits);
   AppendU8(&out, d.clean_shutdown ? 1 : 0);
   AppendU8(&out, d.reuse_free_slots ? 1 : 0);
   AppendU8(&out, d.enable_index_cache ? 1 : 0);
@@ -115,7 +115,6 @@ bool DecodePayload(const char* payload, size_t len, SuperblockData* d) {
   d->num_pages = c.U32();
   d->heap_first_page = c.U32();
   d->btree_meta_page = c.U32();
-  d->semid_partition_bits = c.U32();
   d->clean_shutdown = c.Flag();
   d->reuse_free_slots = c.Flag();
   d->enable_index_cache = c.Flag();

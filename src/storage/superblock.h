@@ -4,9 +4,8 @@
 // they start or what schema they carry — historically that lived only in
 // process memory, which is why reopen was impossible. The superblock
 // persists exactly that bootstrap state in a tiny sidecar file
-// (`<db path>.sb`): schema, table options, heap/index roots, semantic-ID
-// codec config, the checkpoint LSN the WAL replays from, and a clean-
-// shutdown flag.
+// (`<db path>.sb`): schema, table options, heap/index roots, the
+// checkpoint LSN the WAL replays from, and a clean-shutdown flag.
 //
 // Torn-write safety comes from double buffering: the sidecar holds two
 // fixed 4096-byte slots and a publish writes version v into slot (v % 2),
@@ -44,8 +43,6 @@ struct SuperblockData {
   uint32_t num_pages = 0;
   PageId heap_first_page = kInvalidPageId;
   PageId btree_meta_page = kInvalidPageId;
-  /// SemanticIdCodec configuration (0 = shard is not partitioned).
-  uint32_t semid_partition_bits = 0;
   /// True only when the last publish came from an orderly close; cleared
   /// immediately after every open so a crash implies "dirty".
   bool clean_shutdown = false;

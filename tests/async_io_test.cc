@@ -1,8 +1,8 @@
-// Async miss-I/O pipeline tests: DiskManager::SubmitReads/WaitReads/
-// PollCompletions on both backends (io_uring when the runtime allows it,
-// and the preadv worker-thread fallback — which is ALWAYS exercised here,
-// regardless of liburing/kernel availability, per the forced-backend knob),
-// plus injected read failures: frames end up failed (not valid), the pool
+// Async miss-I/O pipeline tests: DiskManager::SubmitReads/WaitReads on
+// both backends (io_uring when the runtime allows it, and the preadv
+// worker-thread fallback — which is ALWAYS exercised here, regardless of
+// liburing/kernel availability, per the forced-backend knob), plus
+// injected read failures: frames end up failed (not valid), the pool
 // recovers, and no pins leak.
 
 #include <gtest/gtest.h>
@@ -36,6 +36,7 @@ Stack MakeStackWithBackend(const std::string& tag, IoBackend backend,
                                /*direct_io=*/false, aio));
   EXPECT_TRUE(s.disk->Open().ok());
   s.bp.reset(new BufferPool(s.disk.get(), frames));
+  s.Register();
   return s;
 }
 
@@ -94,7 +95,7 @@ TEST(AsyncIoTest, SubmitWaitMatchesSynchronousReads) {
     std::vector<char*> dsts;
     for (auto& b : bufs) dsts.push_back(b.data());
 
-    s.disk->ResetStats();
+    const MetricsSnapshot base = s.Snapshot();
     DiskManager::IoTicket ticket;
     ASSERT_OK(s.disk->SubmitReads(want.data(), dsts.data(), want.size(),
                                   &ticket));
@@ -102,37 +103,16 @@ TEST(AsyncIoTest, SubmitWaitMatchesSynchronousReads) {
     ASSERT_OK(s.disk->WaitReads(&ticket));
     EXPECT_FALSE(ticket.valid());
 
-    const DiskStats st = s.disk->stats();
-    EXPECT_EQ(st.reads, want.size());
-    EXPECT_EQ(st.async_reads, want.size());
-    EXPECT_EQ(st.async_batches, 1u);
+    const MetricsSnapshot st = s.Snapshot() - base;
+    EXPECT_EQ(st.Total("disk.reads"), want.size());
+    EXPECT_EQ(st.Total("disk.async_reads"), want.size());
+    EXPECT_EQ(st.Total("disk.async_batches"), 1u);
     for (size_t i = 0; i < want.size(); ++i) {
       std::vector<char> expect(4096);
       ASSERT_OK(s.disk->ReadPage(want[i], expect.data()));
       EXPECT_EQ(std::memcmp(bufs[i].data(), expect.data(), 4096), 0)
           << "page " << want[i] << " backend "
           << static_cast<int>(backend);
-    }
-  }
-}
-
-TEST(AsyncIoTest, PollCompletionsEventuallyReportsDone) {
-  for (IoBackend backend : BackendsToTest()) {
-    Stack s = MakeStackWithBackend("aio_poll", backend);
-    std::vector<PageId> ids = SeedPages(s, 6);
-    std::vector<std::vector<char>> bufs(ids.size(), std::vector<char>(4096));
-    std::vector<char*> dsts;
-    for (auto& b : bufs) dsts.push_back(b.data());
-    DiskManager::IoTicket ticket;
-    ASSERT_OK(s.disk->SubmitReads(ids.data(), dsts.data(), ids.size(),
-                                  &ticket));
-    Status st;
-    while (!s.disk->PollCompletions(&ticket, &st)) {
-    }
-    ASSERT_OK(st);
-    EXPECT_FALSE(ticket.valid());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      EXPECT_EQ(bufs[i][0], 'a' + static_cast<char>(ids[i] % 26));
     }
   }
 }
@@ -240,6 +220,7 @@ TEST(AsyncIoTest, CapacityPressureManyThreadsMakesProgress) {
                                  /*direct_io=*/false, aio));
     ASSERT_OK(s.disk->Open());
     s.bp.reset(new BufferPool(s.disk.get(), 64));
+    s.Register();
     std::vector<PageId> ids = SeedPages(s, 48);
 
     std::atomic<uint64_t> errors{0};

@@ -45,6 +45,7 @@ Stack MakeStackWithBackend(const std::string& tag, IoBackend backend,
                                /*direct_io=*/false, aio));
   EXPECT_TRUE(s.disk->Open().ok());
   s.bp.reset(new BufferPool(s.disk.get(), frames));
+  s.Register();
   return s;
 }
 
@@ -112,7 +113,7 @@ TEST(AsyncWriteTest, SubmitWaitMatchesSynchronousWrites) {
       srcs.push_back(bufs[i].data());
     }
 
-    s.disk->ResetStats();
+    const MetricsSnapshot base = s.Snapshot();
     DiskManager::IoTicket ticket;
     ASSERT_OK(s.disk->SubmitWrites(want.data(), srcs.data(), want.size(),
                                    &ticket));
@@ -120,11 +121,11 @@ TEST(AsyncWriteTest, SubmitWaitMatchesSynchronousWrites) {
     ASSERT_OK(s.disk->WaitWrites(&ticket));
     EXPECT_FALSE(ticket.valid());
 
-    const DiskStats st = s.disk->stats();
-    EXPECT_EQ(st.writes, want.size());
-    EXPECT_EQ(st.async_writes, want.size());
-    EXPECT_EQ(st.async_write_batches, 1u);
-    EXPECT_EQ(st.write_runs, want.size());  // all runs length 1
+    const MetricsSnapshot st = s.Snapshot() - base;
+    EXPECT_EQ(st.Total("disk.writes"), want.size());
+    EXPECT_EQ(st.Total("disk.async_writes"), want.size());
+    EXPECT_EQ(st.Total("disk.async_write_batches"), 1u);
+    EXPECT_EQ(st.Total("disk.write_runs"), want.size());  // all runs length 1
     for (size_t i = 0; i < want.size(); ++i) {
       std::vector<char> got(4096);
       ASSERT_OK(s.disk->ReadPage(want[i], got.data()));
@@ -144,14 +145,15 @@ TEST(AsyncWriteTest, ContiguousWritesCoalesceIntoOneRun) {
       FillPattern(bufs[i].data(), 4096, ids[i], 'R');
       srcs.push_back(bufs[i].data());
     }
-    s.disk->ResetStats();
+    const MetricsSnapshot base = s.Snapshot();
     DiskManager::IoTicket ticket;
     ASSERT_OK(s.disk->SubmitWrites(ids.data(), srcs.data(), ids.size(),
                                    &ticket));
     ASSERT_OK(s.disk->WaitWrites(&ticket));
-    const DiskStats st = s.disk->stats();
-    EXPECT_EQ(st.async_writes, ids.size());
-    EXPECT_EQ(st.write_runs, 1u);  // one contiguous span -> one WRITEV
+    const MetricsSnapshot st = s.Snapshot() - base;
+    EXPECT_EQ(st.Total("disk.async_writes"), ids.size());
+    // One contiguous span -> one WRITEV.
+    EXPECT_EQ(st.Total("disk.write_runs"), 1u);
     for (size_t i = 0; i < ids.size(); ++i) {
       std::vector<char> got(4096);
       ASSERT_OK(s.disk->ReadPage(ids[i], got.data()));
@@ -315,18 +317,17 @@ TEST(AsyncWriteTest, FlusherDrainsThroughBatchedWrites) {
       ids.push_back(g->id());
     }
     ASSERT_TRUE(WaitFor([&] {
-      return s.bp->stats().flusher_pages >= ids.size();
-    })) << "flusher_pages=" << s.bp->stats().flusher_pages;
+      return s.Counter("buffer_pool.flusher_pages") >= ids.size();
+    })) << "flusher_pages=" << s.Counter("buffer_pool.flusher_pages");
 
-    const BufferPoolStats ps = s.bp->stats();
-    const DiskStats ds = s.disk->stats();
-    EXPECT_EQ(ps.evictions, 0u);
-    EXPECT_GE(ps.flusher_coalesced_runs, 1u);
+    const MetricsSnapshot st = s.Snapshot();
+    EXPECT_EQ(st.Total("buffer_pool.evictions"), 0u);
+    EXPECT_GE(st.Total("buffer_pool.flusher_coalesced_runs"), 1u);
     // Sorted contiguous dirty pages coalesce: far fewer runs than pages.
-    EXPECT_LT(ps.flusher_coalesced_runs, ids.size());
-    EXPECT_GE(ds.async_writes, ids.size());
-    EXPECT_GE(ds.write_runs, 1u);
-    EXPECT_GT(ds.async_write_batches, 0u);
+    EXPECT_LT(st.Total("buffer_pool.flusher_coalesced_runs"), ids.size());
+    EXPECT_GE(st.Total("disk.async_writes"), ids.size());
+    EXPECT_GE(st.Total("disk.write_runs"), 1u);
+    EXPECT_GT(st.Total("disk.async_write_batches"), 0u);
 
     s.bp->StopFlusher();
     ASSERT_OK(s.bp->FlushAll());
@@ -355,7 +356,7 @@ TEST(AsyncWriteTest, EvictionDirtyVictimsUseBatchedWriteBack) {
       FillPattern(g->data(), 4096, ids[i], 'V');
       g->MarkDirty();
     }
-    s.disk->ResetStats();
+    const MetricsSnapshot base = s.Snapshot();
     // ...then batch-fetch the second half: every claim displaces a dirty
     // victim, and the victims must drain as one submitted group.
     std::vector<PageId> second(ids.begin() + 16, ids.end());
@@ -364,9 +365,10 @@ TEST(AsyncWriteTest, EvictionDirtyVictimsUseBatchedWriteBack) {
                            s.bp->FetchPages(second));
       ASSERT_EQ(guards.size(), second.size());
     }
-    const DiskStats ds = s.disk->stats();
-    EXPECT_GE(ds.async_writes, 2u) << "backend " << static_cast<int>(backend);
-    EXPECT_GT(ds.async_write_batches, 0u);
+    const MetricsSnapshot ds = s.Snapshot() - base;
+    EXPECT_GE(ds.Total("disk.async_writes"), 2u)
+        << "backend " << static_cast<int>(backend);
+    EXPECT_GT(ds.Total("disk.async_write_batches"), 0u);
 
     // The displaced versions are on disk: fetch them back and verify.
     for (size_t i = 0; i < 16; ++i) {
@@ -388,11 +390,11 @@ TEST(AsyncWriteTest, FlushAllDrainsDirtyPagesAsOneWriteBatch) {
     ASSERT_TRUE(g.ok());
     g->MarkDirty();
   }
-  s.disk->ResetStats();
+  const MetricsSnapshot base = s.Snapshot();
   ASSERT_OK(s.bp->FlushAll());
-  const DiskStats ds = s.disk->stats();
-  EXPECT_EQ(ds.async_write_batches, 1u);
-  EXPECT_EQ(ds.async_writes, ids.size());
+  const MetricsSnapshot ds = s.Snapshot() - base;
+  EXPECT_EQ(ds.Total("disk.async_write_batches"), 1u);
+  EXPECT_EQ(ds.Total("disk.async_writes"), ids.size());
 }
 
 // Group-fsync checkpoint oracle: the batched FlushAll drain + one Sync
@@ -583,6 +585,7 @@ TEST(AsyncWriteTest, CapacityPressureMixedReadWriteStress) {
                                  /*direct_io=*/false, aio));
     ASSERT_OK(s.disk->Open());
     s.bp.reset(new BufferPool(s.disk.get(), 64));
+    s.Register();
     std::vector<PageId> ids = SeedPages(s, 48);
 
     std::atomic<uint64_t> errors{0};

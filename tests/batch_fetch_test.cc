@@ -1,6 +1,6 @@
 // Batched read-path tests: BufferPool::FetchPages edge cases (partial miss,
-// duplicate ids, unknown ids, pin accounting), DiskManager::ReadPages runs,
-// HeapFile::GetBatch, BTree::GetBatch, and Table::GetBatchByKey vs the
+// duplicate ids, unknown ids, pin accounting), DiskManager::SubmitReads
+// runs, HeapFile::GetBatch, BTree::GetBatch, and Table::GetBatchByKey vs the
 // per-op oracle.
 
 #include <gtest/gtest.h>
@@ -48,8 +48,7 @@ TEST(FetchPagesTest, PartialMissMixesHitsAndVectoredReads) {
   // Warm pages 0 and 3 only.
   { ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(ids[0])); }
   { ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(ids[3])); }
-  s.bp->ResetStats();
-  const uint64_t reads_before = s.disk->stats().reads;
+  const MetricsSnapshot base = s.Snapshot();
 
   ASSERT_OK_AND_ASSIGN(std::vector<PageGuard> guards, s.bp->FetchPages(ids));
   ASSERT_EQ(guards.size(), ids.size());
@@ -57,11 +56,11 @@ TEST(FetchPagesTest, PartialMissMixesHitsAndVectoredReads) {
     EXPECT_EQ(guards[i].id(), ids[i]);
     EXPECT_EQ(guards[i].data()[0], 'a' + static_cast<char>(ids[i] % 26));
   }
-  const BufferPoolStats st = s.bp->stats();
-  EXPECT_EQ(st.hits, 2u);
-  EXPECT_EQ(st.misses, 4u);
-  EXPECT_EQ(st.batch_fetches, 1u);
-  EXPECT_EQ(s.disk->stats().reads - reads_before, 4u);
+  const MetricsSnapshot st = s.Snapshot() - base;
+  EXPECT_EQ(st.Total("buffer_pool.hits"), 2u);
+  EXPECT_EQ(st.Total("buffer_pool.misses"), 4u);
+  EXPECT_EQ(st.Total("buffer_pool.batch_fetches"), 1u);
+  EXPECT_EQ(st.Total("disk.reads"), 4u);
 }
 
 TEST(FetchPagesTest, DuplicateIdsEachHoldAPin) {
@@ -104,6 +103,7 @@ TEST(FetchPagesTest, MissBatchLargerThanOneStripeRun) {
   s.disk.reset(new DiskManager(s.file->path(), 4096));
   ASSERT_OK(s.disk->Open());
   s.bp.reset(new BufferPool(s.disk.get(), 64, /*num_stripes=*/4));
+  s.Register();
   std::vector<PageId> all = MakePages(s, 40);
   ASSERT_OK(s.bp->EvictAll());
 
@@ -119,7 +119,7 @@ TEST(FetchPagesTest, MissBatchLargerThanOneStripeRun) {
   }
 }
 
-TEST(DiskManagerReadPagesTest, ContiguousRunUsesOneVectoredRead) {
+TEST(DiskManagerSubmitReadsTest, ContiguousRunUsesOneVectoredRead) {
   Stack s = MakeStack("dm_runs", 4096, 16);
   MakePages(s, 8);
   ASSERT_OK(s.bp->FlushAll());
@@ -129,11 +129,16 @@ TEST(DiskManagerReadPagesTest, ContiguousRunUsesOneVectoredRead) {
   const std::vector<PageId> ids = {1, 2, 3, 4, 6};
   std::vector<char*> dsts;
   for (auto& b : bufs) dsts.push_back(b.data());
-  s.disk->ResetStats();
-  ASSERT_OK(s.disk->ReadPages(ids.data(), dsts.data(), ids.size()));
-  const DiskStats st = s.disk->stats();
-  EXPECT_EQ(st.reads, 5u);
-  EXPECT_EQ(st.vectored_reads, 1u);  // the 1..4 run; page 6 is a plain pread
+  const MetricsSnapshot base = s.Snapshot();
+  DiskManager::IoTicket ticket;
+  ASSERT_OK(
+      s.disk->SubmitReads(ids.data(), dsts.data(), ids.size(), &ticket));
+  ASSERT_OK(s.disk->WaitReads(&ticket));
+  const MetricsSnapshot st = s.Snapshot() - base;
+  EXPECT_EQ(st.Total("disk.reads"), 5u);
+  EXPECT_EQ(st.Total("disk.async_batches"), 1u);
+  // The 1..4 run is one vectored read; page 6 is a run of its own.
+  EXPECT_EQ(st.Total("disk.vectored_reads"), 1u);
   for (size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(bufs[i][0], 'a' + static_cast<char>(ids[i] % 26));
   }
@@ -282,7 +287,7 @@ TEST(TableBatchTest, GetBatchByKeyColdCacheUsesVectoredReads) {
     keys.push_back({Value::Int64(id)});
   }
   ASSERT_OK(s.bp->EvictAll());
-  s.disk->ResetStats();
+  const MetricsSnapshot base = s.Snapshot();
   std::vector<Result<Row>> out;
   ASSERT_OK(t->GetBatchByKey(keys, &out));
   for (auto& r : out) ASSERT_OK(r.status());
@@ -290,9 +295,9 @@ TEST(TableBatchTest, GetBatchByKeyColdCacheUsesVectoredReads) {
   // read them with vectored syscalls, i.e. clearly fewer syscalls than
   // pages (heap pages interleave with index pages on disk, so runs are
   // short but real).
-  const DiskStats dst = s.disk->stats();
-  EXPECT_GT(dst.vectored_reads, 0u);
-  EXPECT_LT(dst.vectored_reads * 2, dst.reads);
+  const MetricsSnapshot dst = s.Snapshot() - base;
+  EXPECT_GT(dst.Total("disk.vectored_reads"), 0u);
+  EXPECT_LT(dst.Total("disk.vectored_reads") * 2, dst.Total("disk.reads"));
 }
 
 }  // namespace

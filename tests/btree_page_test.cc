@@ -25,6 +25,9 @@ struct PageFixture {
     BTreePageView::Init(buf.data(), kPageSize, type, key_size, payload_size,
                         cache_item);
   }
+  /// Validate as a node of the default tree: 8-byte keys and leaf payloads,
+  /// 25-byte cache items.
+  Status Validate() const { return view.Validate(8, 8, 25); }
 };
 
 std::string K(uint64_t v) {
@@ -48,7 +51,7 @@ TEST(BTreePageTest, InitSetsHeaderAndMagic) {
   EXPECT_EQ(f.view.cache_item_size(), 25u);
   EXPECT_EQ(f.view.next(), kInvalidPageId);
   EXPECT_EQ(f.view.csn(), 0u);
-  ASSERT_OK(f.view.Validate());
+  ASSERT_OK(f.Validate());
 }
 
 TEST(BTreePageTest, GeometryOnEmptyPage) {
@@ -74,7 +77,7 @@ TEST(BTreePageTest, InsertMaintainsSortedDirectory) {
     EXPECT_EQ(f.view.KeyAt(i).ToString(), K(keys[i])) << "position " << i;
     EXPECT_EQ(f.view.ValueAt(i), keys[i] * 2);
   }
-  ASSERT_OK(f.view.Validate());
+  ASSERT_OK(f.Validate());
 }
 
 TEST(BTreePageTest, DuplicateKeyRejected) {
@@ -129,7 +132,7 @@ TEST(BTreePageTest, RemoveKeepsOrderAndZeroesFreedBytes) {
   // Freed entry bytes are zeroed (invariant 3: the cache never misreads).
   const char* freed = f.buf.data() + kBTreeHeaderSize + 49 * 16;
   for (size_t i = 0; i < 16; ++i) ASSERT_EQ(freed[i], 0);
-  ASSERT_OK(f.view.Validate());
+  ASSERT_OK(f.Validate());
 }
 
 TEST(BTreePageTest, RemoveAllThenReinsert) {
@@ -233,7 +236,54 @@ TEST(BTreePageTest, ValidateCatchesCorruption) {
   PageFixture f;
   // Clobber the footer magic.
   EncodeFixed32(f.buf.data() + kPageSize - 4, 0xdeadbeef);
-  EXPECT_TRUE(f.view.Validate().IsCorruption());
+  EXPECT_TRUE(f.Validate().IsCorruption());
+}
+
+TEST(BTreePageTest, ValidateRejectsDirectoryEntryPastTheEntries) {
+  // 43 entries: the check's 16-entry steps, its 4-entry steps and its
+  // single-entry tail all run.
+  PageFixture f;
+  for (uint64_t k = 0; k < 43; ++k) {
+    ASSERT_OK(f.view.InsertEntry(Slice(K(k * 37 % 43)), Slice(P(k))));
+  }
+  ASSERT_OK(f.Validate());
+  // Each directory position in turn names a physical entry past the 43.
+  for (size_t pos = 0; pos < 43; ++pos) {
+    char* dir = f.buf.data() + kPageSize - kBTreeFooterSize -
+                (pos + 1) * kBTreeDirEntrySize;
+    const uint16_t good = DecodeFixed16(dir);
+    for (uint16_t bad : {43, 44, 0x7fff, 0x8000, 60000, 0xffff}) {
+      EncodeFixed16(dir, bad);
+      EXPECT_TRUE(f.Validate().IsCorruption())
+          << "position " << pos << " entry " << bad;
+    }
+    EncodeFixed16(dir, good);
+    ASSERT_OK(f.Validate());
+  }
+}
+
+TEST(BTreePageTest, ValidateRejectsAnotherTreesGeometry) {
+  PageFixture f;
+  EXPECT_TRUE(f.view.Validate(16, 8, 25).IsCorruption());  // key size
+  EXPECT_TRUE(f.view.Validate(8, 4, 25).IsCorruption());   // payload size
+  EXPECT_TRUE(f.view.Validate(8, 8, 0).IsCorruption());    // cache items
+  // Internal nodes carry 4-byte child ids and no cache, whatever the
+  // leaves carry.
+  PageFixture internal(8, 4, 0, kPageTypeBTreeInternal);
+  ASSERT_OK(internal.Validate());
+  PageFixture wide(8, 8, 0, kPageTypeBTreeInternal);
+  EXPECT_TRUE(wide.Validate().IsCorruption());
+}
+
+TEST(BTreePageTest, ValidateRejectsAnEntryCountPastThePage) {
+  PageFixture f;
+  // 0xffff entries would put the directory's start before the page; a
+  // check of EntriesEnd() against DirBegin() would wrap around and pass.
+  EncodeFixed16(f.buf.data() + 2, 0xffff);
+  EXPECT_TRUE(f.Validate().IsCorruption());
+  EncodeFixed16(f.buf.data() + 2,
+                static_cast<uint16_t>(f.view.Capacity() + 1));
+  EXPECT_TRUE(f.Validate().IsCorruption());
 }
 
 TEST(BTreePageTest, SetPayloadOverwritesValue) {

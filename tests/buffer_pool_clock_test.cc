@@ -55,12 +55,14 @@ TEST(BufferPoolClockTest, UnreferencedPagesEvictInHandOrder) {
   // No page was ever fetched again -> zero usage everywhere. The hand
   // starts at frame 0, which holds `a`.
   { ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->NewPage()); }
-  s.bp->ResetStats();
+  const MetricsSnapshot base = s.Snapshot();
   { ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(b)); }
   { ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(c)); }
-  EXPECT_EQ(s.bp->stats().misses, 0u) << "b and c should still be resident";
+  EXPECT_EQ(s.Counter("buffer_pool.misses", base), 0u)
+      << "b and c should still be resident";
   { ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(a)); }
-  EXPECT_EQ(s.bp->stats().misses, 1u) << "a (frame 0) should have been evicted";
+  EXPECT_EQ(s.Counter("buffer_pool.misses", base), 1u)
+      << "a (frame 0) should have been evicted";
 }
 
 // A re-referenced page survives the sweep: the hand decrements its usage
@@ -84,12 +86,14 @@ TEST(BufferPoolClockTest, SecondChanceSpareReferencedPages) {
   { ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(a)); }
   // Hand at frame 0: a has usage -> decremented, spared; b is evicted.
   { ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->NewPage()); }
-  s.bp->ResetStats();
+  const MetricsSnapshot base = s.Snapshot();
   { ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(a)); }
   { ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(c)); }
-  EXPECT_EQ(s.bp->stats().misses, 0u) << "a was re-referenced, c not reached";
+  EXPECT_EQ(s.Counter("buffer_pool.misses", base), 0u)
+      << "a was re-referenced, c not reached";
   { ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(b)); }
-  EXPECT_EQ(s.bp->stats().misses, 1u) << "b lost its spot to the new page";
+  EXPECT_EQ(s.Counter("buffer_pool.misses", base), 1u)
+      << "b lost its spot to the new page";
 }
 
 // When every unpinned page carries usage, enough sweeps drain them all and
@@ -106,7 +110,7 @@ TEST(BufferPoolClockTest, FullSweepDrainsUsageThenEvicts) {
   }
   // All three frames are referenced; the allocation must still succeed.
   ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->NewPage());
-  EXPECT_GT(s.bp->stats().evictions, 0u);
+  EXPECT_GT(s.Counter("buffer_pool.evictions"), 0u);
 }
 
 // The hand skips pinned frames even when they are unreferenced.
@@ -120,11 +124,12 @@ TEST(BufferPoolClockTest, PinnedFramesAreSkipped) {
   }
   // Frame 0 (pinned) must be skipped; frame 1 (b) is the victim.
   { ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->NewPage()); }
-  s.bp->ResetStats();
+  const MetricsSnapshot base = s.Snapshot();
   { ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(pinned.id())); }
-  EXPECT_EQ(s.bp->stats().hits, 1u);
+  EXPECT_EQ(s.Counter("buffer_pool.hits", base), 1u);
   { ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(b)); }
-  EXPECT_EQ(s.bp->stats().misses, 1u) << "b should have been evicted";
+  EXPECT_EQ(s.Counter("buffer_pool.misses", base), 1u)
+      << "b should have been evicted";
 }
 
 // Striped configuration: contents and stats stay correct when pages spread
@@ -135,6 +140,7 @@ TEST(BufferPoolClockTest, StripedPoolRoundTripsContents) {
   s.disk.reset(new DiskManager(s.file->path(), 4096));
   ASSERT_OK(s.disk->Open());
   s.bp.reset(new BufferPool(s.disk.get(), 64, /*num_stripes=*/8));
+  s.Register();
   ASSERT_EQ(s.bp->num_stripes(), 8u);
 
   constexpr int kPages = 200;  // > frames: forces eviction in every stripe
@@ -150,10 +156,11 @@ TEST(BufferPoolClockTest, StripedPoolRoundTripsContents) {
           << "page " << id << " pass " << pass;
     }
   }
-  const BufferPoolStats st = s.bp->stats();
-  EXPECT_GT(st.evictions, 0u);
-  EXPECT_GT(st.dirty_writebacks, 0u);
-  EXPECT_EQ(st.hits + st.misses, 2u * kPages);
+  const MetricsSnapshot st = s.Snapshot();
+  EXPECT_GT(st.Total("buffer_pool.evictions"), 0u);
+  EXPECT_GT(st.Total("buffer_pool.dirty_writebacks"), 0u);
+  EXPECT_EQ(st.Total("buffer_pool.hits") + st.Total("buffer_pool.misses"),
+            2u * kPages);
   ASSERT_OK(s.bp->EvictAll());
   ASSERT_OK(s.bp->FlushAll());
 }

@@ -55,6 +55,8 @@ TEST(BufferPoolConcurrencyTest, EightThreadMixedWorkloadKeepsInvariants) {
   ASSERT_OK(disk.Open());
   BufferPool bp(&disk, kFrames, kStripes);
   ASSERT_EQ(bp.num_stripes(), kStripes);
+  MetricsRegistry registry;
+  bp.RegisterMetrics(&registry, "buffer_pool.");
 
   // Seed every page with its pattern, single-threaded.
   for (PageId id = 0; id < kPages; ++id) {
@@ -137,9 +139,9 @@ TEST(BufferPoolConcurrencyTest, EightThreadMixedWorkloadKeepsInvariants) {
   EXPECT_EQ(corrupt.load(), 0u) << "post-storm contents diverged from oracle";
 
   // Stats stayed coherent under concurrency.
-  const BufferPoolStats st = bp.stats();
-  EXPECT_GT(st.hits + st.misses, 0u);
-  EXPECT_GT(st.evictions, 0u);
+  const MetricsSnapshot st = registry.Snapshot();
+  EXPECT_GT(st.Total("buffer_pool.hits") + st.Total("buffer_pool.misses"), 0u);
+  EXPECT_GT(st.Total("buffer_pool.evictions"), 0u);
 }
 
 }  // namespace

@@ -52,13 +52,13 @@ TEST(BufferPoolFlusherTest, WritesDirtyPagesBackWithoutEvictions) {
   // The flusher must land every dirty page on disk with zero evictions —
   // write-back fully off the serving/evicting path.
   ASSERT_TRUE(WaitFor([&] {
-    return s.disk->stats().writes >= ids.size() + /*NewPage allocations*/ 0 &&
-           s.bp->stats().flusher_pages >= ids.size();
-  })) << "flusher_pages=" << s.bp->stats().flusher_pages;
-  const BufferPoolStats st = s.bp->stats();
-  EXPECT_EQ(st.evictions, 0u);
-  EXPECT_GT(st.flusher_passes, 0u);
-  EXPECT_GE(st.flusher_pages, ids.size());
+    return s.Counter("disk.writes") >= ids.size() + /*NewPage allocations*/ 0 &&
+           s.Counter("buffer_pool.flusher_pages") >= ids.size();
+  })) << "flusher_pages=" << s.Counter("buffer_pool.flusher_pages");
+  const MetricsSnapshot st = s.Snapshot();
+  EXPECT_EQ(st.Total("buffer_pool.evictions"), 0u);
+  EXPECT_GT(st.Total("buffer_pool.flusher_passes"), 0u);
+  EXPECT_GE(st.Total("buffer_pool.flusher_pages"), ids.size());
 
   // Bytes really reached the device: read them back around the pool.
   std::vector<char> buf(4096);
@@ -77,8 +77,9 @@ char DiskByte(Stack& s, PageId id) {
 // Waits until `n` more flusher passes have started; pass k+1 starting means
 // pass k has fully finished (one flusher thread).
 bool WaitForPasses(Stack& s, uint64_t n) {
-  const uint64_t target = s.bp->stats().flusher_passes + n;
-  return WaitFor([&] { return s.bp->stats().flusher_passes >= target; });
+  const uint64_t target = s.Counter("buffer_pool.flusher_passes") + n;
+  return WaitFor(
+      [&] { return s.Counter("buffer_pool.flusher_passes") >= target; });
 }
 
 TEST(BufferPoolFlusherTest, ReferencedPageStaysDirtyUntilFlushAll) {
@@ -86,8 +87,9 @@ TEST(BufferPoolFlusherTest, ReferencedPageStaysDirtyUntilFlushAll) {
   s.bp->StartFlusher(/*interval_us=*/500, /*batch_pages=*/8);
   std::vector<PageId> ids = DirtyPages(s, 4, 'A');
   // Fresh pages sit at usage 0 (next in line for the sweep): flushed.
-  ASSERT_TRUE(WaitFor([&] { return s.bp->stats().flusher_pages >= 4; }));
-  const uint64_t flushed = s.bp->stats().flusher_pages;
+  ASSERT_TRUE(
+      WaitFor([&] { return s.Counter("buffer_pool.flusher_pages") >= 4; }));
+  const uint64_t flushed = s.Counter("buffer_pool.flusher_pages");
 
   // Re-dirty a page after its flush, several times, each through a hit —
   // the page stays referenced (usage > 0) and nothing sweeps a pool this
@@ -101,7 +103,7 @@ TEST(BufferPoolFlusherTest, ReferencedPageStaysDirtyUntilFlushAll) {
     ASSERT_TRUE(WaitForPasses(s, 2));
     EXPECT_EQ(DiskByte(s, ids[0]), 'A') << "round " << round;
   }
-  EXPECT_EQ(s.bp->stats().flusher_pages, flushed)
+  EXPECT_EQ(s.Counter("buffer_pool.flusher_pages"), flushed)
       << "flusher rewrote a referenced page";
 
   // The re-dirty after the flusher's snapshot was not lost: it is still
@@ -138,7 +140,8 @@ TEST(BufferPoolFlusherTest, EvictionFindsCleanVictimsAfterFlushing) {
   Stack s = MakeStack("flush_clean_victims", 4096, 8);
   s.bp->StartFlusher(/*interval_us=*/500, /*batch_pages=*/8);
   std::vector<PageId> ids = DirtyPages(s, 8, 'Q');
-  ASSERT_TRUE(WaitFor([&] { return s.bp->stats().flusher_pages >= 8; }));
+  ASSERT_TRUE(
+      WaitFor([&] { return s.Counter("buffer_pool.flusher_pages") >= 8; }));
 
   // Frames 0..6 become hot and dirty (usage 1); frame 7 stays clean at
   // usage 0. While hot, the flusher leaves them alone.
@@ -159,7 +162,7 @@ TEST(BufferPoolFlusherTest, EvictionFindsCleanVictimsAfterFlushing) {
       if (DiskByte(s, ids[i]) != 'H') return false;
     }
     return true;
-  })) << "flusher_pages=" << s.bp->stats().flusher_pages;
+  })) << "flusher_pages=" << s.Counter("buffer_pool.flusher_pages");
   // Stop the flusher so a pass never holds transient pins while the
   // allocations below hunt for victims in the tiny pool.
   s.bp->StopFlusher();
@@ -167,9 +170,9 @@ TEST(BufferPoolFlusherTest, EvictionFindsCleanVictimsAfterFlushing) {
   // The next allocations evict frames 0..6, all clean: the flusher, not
   // the evicting thread, paid for their write-back.
   DirtyPages(s, 7, 'R');
-  const BufferPoolStats st = s.bp->stats();
-  EXPECT_EQ(st.evictions, 8u);
-  EXPECT_EQ(st.dirty_writebacks, 0u)
+  const MetricsSnapshot st = s.Snapshot();
+  EXPECT_EQ(st.Total("buffer_pool.evictions"), 8u);
+  EXPECT_EQ(st.Total("buffer_pool.dirty_writebacks"), 0u)
       << "evicting thread paid write-backs the flusher should have taken";
 }
 

@@ -27,12 +27,13 @@ TEST(BufferPoolTest, FetchHitsAfterFirstMiss) {
     ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->NewPage());
     id = g.id();
   }
-  s.bp->ResetStats();
+  const MetricsSnapshot base = s.Snapshot();
   { ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(id)); }
   { ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(id)); }
-  EXPECT_EQ(s.bp->stats().hits, 2u);
-  EXPECT_EQ(s.bp->stats().misses, 0u);
-  EXPECT_DOUBLE_EQ(s.bp->stats().HitRate(), 1.0);
+  EXPECT_EQ(s.Counter("buffer_pool.hits", base), 2u);
+  EXPECT_EQ(s.Counter("buffer_pool.misses", base), 0u);
+  // The gauge covers the pool's lifetime, which saw no miss either.
+  EXPECT_DOUBLE_EQ(s.Snapshot().gauges.at("buffer_pool.hit_rate"), 1.0);
 }
 
 TEST(BufferPoolTest, EvictionWritesBackDirtyPages) {
@@ -51,7 +52,7 @@ TEST(BufferPoolTest, EvictionWritesBackDirtyPages) {
   // Re-fetch: must come back from disk with the dirty contents.
   ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(first));
   for (size_t i = 0; i < 4096; ++i) ASSERT_EQ(g.data()[i], 'D');
-  EXPECT_GT(s.bp->stats().evictions, 0u);
+  EXPECT_GT(s.Counter("buffer_pool.evictions"), 0u);
 }
 
 TEST(BufferPoolTest, LruEvictsLeastRecentlyUsed) {
@@ -74,12 +75,14 @@ TEST(BufferPoolTest, LruEvictsLeastRecentlyUsed) {
   { ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(c)); }
   // Allocating a fourth page must evict b.
   { ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->NewPage()); }
-  s.bp->ResetStats();
+  const MetricsSnapshot base = s.Snapshot();
   { ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(a)); }
   { ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(c)); }
-  EXPECT_EQ(s.bp->stats().misses, 0u) << "a and c should still be resident";
+  EXPECT_EQ(s.Counter("buffer_pool.misses", base), 0u)
+      << "a and c should still be resident";
   { ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(b)); }
-  EXPECT_EQ(s.bp->stats().misses, 1u) << "b should have been evicted";
+  EXPECT_EQ(s.Counter("buffer_pool.misses", base), 1u)
+      << "b should have been evicted";
 }
 
 TEST(BufferPoolTest, PinnedPagesCannotBeEvicted) {
@@ -101,9 +104,9 @@ TEST(BufferPoolTest, EvictAllDropsCleanState) {
     g.MarkDirty();
   }
   ASSERT_OK(s.bp->EvictAll());
-  s.bp->ResetStats();
+  const MetricsSnapshot base = s.Snapshot();
   ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(id));
-  EXPECT_EQ(s.bp->stats().misses, 1u);  // cold fetch
+  EXPECT_EQ(s.Counter("buffer_pool.misses", base), 1u);  // cold fetch
   EXPECT_EQ(g.data()[7], 'q');          // but contents were flushed
 }
 

@@ -145,8 +145,7 @@ TEST(ShardRecoveryTest, CleanCloseReattachesWithoutReplay) {
       want_wal_bytes += 29 + 8 + 2 + row[1].AsString().size() + 8;
     }
     EXPECT_EQ(
-        shard->database()->metrics()->Snapshot().counters.at(
-            "wal.bytes_appended"),
+        shard->database()->metrics()->Snapshot().Total("wal.bytes_appended"),
         want_wal_bytes);
     ASSERT_OK(shard->CommitWal());
     // Destructor runs the clean-close checkpoint.
@@ -289,10 +288,13 @@ TEST(ShardRecoveryTest, HotUpdatesReachTheDataFileOnlyAtCheckpoint) {
       }
       ASSERT_OK(shard->CommitWal());
       ASSERT_OK(shard->Checkpoint());
-      DiskManager* disk = shard->database()->disk();
-      BufferPool* bp = shard->database()->buffer_pool();
-      const uint64_t writes_at_checkpoint = disk->stats().writes;
-      const uint64_t passes_at_checkpoint = bp->stats().flusher_passes;
+      MetricsRegistry* metrics = shard->database()->metrics();
+      auto counter = [metrics](const char* name) {
+        return metrics->Snapshot().Total(name);
+      };
+      const uint64_t writes_at_checkpoint = counter("disk.writes");
+      const uint64_t passes_at_checkpoint =
+          counter("buffer_pool.flusher_passes");
       // One service group = the updates plus their group commit.
       for (uint64_t g = 0; g < kGroups; ++g) {
         for (uint64_t k = 0; k < kHotRows; ++k) {
@@ -301,22 +303,24 @@ TEST(ShardRecoveryTest, HotUpdatesReachTheDataFileOnlyAtCheckpoint) {
         ASSERT_OK(shard->CommitWal());
         if (flusher_on && g % 20 == 0) {
           // Let a few passes run while the hot pages are dirty.
-          const uint64_t target = bp->stats().flusher_passes + 3;
+          const uint64_t target = counter("buffer_pool.flusher_passes") + 3;
           for (int spin = 0;
-               spin < 50000 && bp->stats().flusher_passes < target; ++spin) {
+               spin < 50000 && counter("buffer_pool.flusher_passes") < target;
+               ++spin) {
             std::this_thread::sleep_for(std::chrono::microseconds(100));
           }
         }
       }
       if (flusher_on) {
-        EXPECT_GT(bp->stats().flusher_passes, passes_at_checkpoint + 20);
+        EXPECT_GT(counter("buffer_pool.flusher_passes"),
+                  passes_at_checkpoint + 20);
       }
-      EXPECT_EQ(disk->stats().writes, writes_at_checkpoint)
+      EXPECT_EQ(counter("disk.writes"), writes_at_checkpoint)
           << "hot pages were written back between checkpoints";
 
       ASSERT_OK(shard->Checkpoint());
       checkpoint_writes[flusher_on] =
-          disk->stats().writes - writes_at_checkpoint;
+          counter("disk.writes") - writes_at_checkpoint;
 
       // A WAL-only tail past the checkpoint: these updates live in the log
       // and in dirty frames when the shard goes down.
@@ -510,16 +514,16 @@ TEST(ShardRecoveryTest, OlderFormatFailsToOpenAndTouchesNoFile) {
   {
     std::string sb = ReadFile(Superblock::PathFor(opts.path));
     ASSERT_EQ(sb.size(), 8192u);
-    for (size_t slot : {0, 4096}) EncodeFixed32(&sb[slot + 4], 1);
+    for (size_t slot : {0, 4096}) EncodeFixed32(&sb[slot + 4], 2);
     WriteFile(Superblock::PathFor(opts.path), sb);
   }
   const ShardImage before = TakeImage(opts);
   opts.truncate = false;
   auto opened = Shard::Open(6, opts);
   ASSERT_TRUE(opened.status().IsNotSupported()) << opened.status().ToString();
-  EXPECT_NE(opened.status().message().find("format 1"), std::string::npos)
-      << opened.status().ToString();
   EXPECT_NE(opened.status().message().find("format 2"), std::string::npos)
+      << opened.status().ToString();
+  EXPECT_NE(opened.status().message().find("format 3"), std::string::npos)
       << opened.status().ToString();
   const ShardImage after = TakeImage(opts);
   EXPECT_TRUE(after.data == before.data);

@@ -98,7 +98,7 @@ TEST(DatabaseTest, LatencyModelChargesVirtualTimeOnMisses) {
   for (int64_t i = 0; i < 8000; ++i) {
     ASSERT_OK(t->Insert({Value::Int64(i), Value::Varchar("v")}));
   }
-  ASSERT_GT(db->buffer_pool()->stats().evictions, 0u);
+  ASSERT_GT(db->metrics()->Snapshot().Total("buffer_pool.evictions"), 0u);
   EXPECT_GT(db->clock()->NowNs(), 0u)
       << "evictions under a tiny pool must have charged simulated latency";
 }

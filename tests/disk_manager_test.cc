@@ -66,16 +66,20 @@ TEST(DiskManagerTest, StatsCountOperations) {
   TempFile f("disk_stats");
   DiskManager disk(f.path(), 4096);
   ASSERT_OK(disk.Open());
+  MetricsRegistry registry;
+  disk.RegisterMetrics(&registry, "disk.");
   ASSERT_OK_AND_ASSIGN(PageId p, disk.AllocatePage());
   std::vector<char> buf(4096);
   ASSERT_OK(disk.WritePage(p, buf.data()));
   ASSERT_OK(disk.ReadPage(p, buf.data()));
   ASSERT_OK(disk.ReadPage(p, buf.data()));
-  EXPECT_EQ(disk.stats().allocations, 1u);
-  EXPECT_EQ(disk.stats().writes, 1u);
-  EXPECT_EQ(disk.stats().reads, 2u);
-  disk.ResetStats();
-  EXPECT_EQ(disk.stats().reads, 0u);
+  const MetricsSnapshot st = registry.Snapshot();
+  EXPECT_EQ(st.Total("disk.allocations"), 1u);
+  EXPECT_EQ(st.Total("disk.writes"), 1u);
+  EXPECT_EQ(st.Total("disk.reads"), 2u);
+  // A phase's counts are the difference of two snapshots.
+  ASSERT_OK(disk.ReadPage(p, buf.data()));
+  EXPECT_EQ((registry.Snapshot() - st).Total("disk.reads"), 1u);
 }
 
 TEST(DiskManagerTest, LatencyModelChargesVirtualClock) {
@@ -121,6 +125,8 @@ TEST(DiskManagerTest, DirectIoRoundTripsUnalignedCallerBuffers) {
   TempFile f("disk_direct");
   DiskManager disk(f.path(), 4096, /*latency=*/nullptr, /*direct_io=*/true);
   ASSERT_OK(disk.Open());
+  MetricsRegistry registry;
+  disk.RegisterMetrics(&registry, "disk.");
   // On tmpfs-style filesystems O_DIRECT is refused and the manager degrades
   // to buffered I/O; either way the data path must round-trip.
   ASSERT_OK_AND_ASSIGN(PageId p0, disk.AllocatePage());
@@ -144,8 +150,9 @@ TEST(DiskManagerTest, DirectIoRoundTripsUnalignedCallerBuffers) {
   for (size_t i = 0; i < 4096; ++i) {
     ASSERT_EQ(back[i], 0) << "offset " << i;
   }
-  EXPECT_EQ(disk.stats().reads, 2u);
-  EXPECT_EQ(disk.stats().writes, 1u);
+  const MetricsSnapshot st = registry.Snapshot();
+  EXPECT_EQ(st.Total("disk.reads"), 2u);
+  EXPECT_EQ(st.Total("disk.writes"), 1u);
 }
 
 }  // namespace

@@ -116,9 +116,9 @@ TEST(IndexCacheTest, CacheWritesNeverDirtyThePage) {
     ASSERT_TRUE(f.cache->Probe(&leaf, 1000, out));
   }
   // Evicting must NOT write the cache bytes back (§2.1.1: no added I/O).
-  const uint64_t writes_before = f.stack.disk->stats().writes;
+  const MetricsSnapshot before = f.stack.Snapshot();
   ASSERT_OK(f.stack.bp->EvictAll());
-  EXPECT_EQ(f.stack.disk->stats().writes, writes_before);
+  EXPECT_EQ(f.stack.Counter("disk.writes", before), 0u);
   // After reload the cache is naturally cold again — a probe misses but
   // nothing is corrupted.
   PageGuard leaf = f.Leaf(0);

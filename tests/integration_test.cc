@@ -144,12 +144,16 @@ TEST(IntegrationTest, RevisionHotPartitionReducesBufferPoolMisses) {
 
   const auto trace = synth.RevisionLookupTrace(4000, 0.999);
 
+  MetricsSnapshot before_run;
   auto run = [&](auto&& lookup) {
     ASSERT_OK(db->buffer_pool()->EvictAll());
-    db->buffer_pool()->ResetStats();
+    before_run = db->metrics()->Snapshot();
     for (int64_t id : trace) {
       lookup(id);
     }
+  };
+  auto run_misses = [&] {
+    return (db->metrics()->Snapshot() - before_run).Total("buffer_pool.misses");
   };
 
   double misses_unclustered = 0, misses_partitioned = 0;
@@ -157,13 +161,13 @@ TEST(IntegrationTest, RevisionHotPartitionReducesBufferPoolMisses) {
     auto r = rev->LookupProjected({Value::Int64(id)}, {1});
     ASSERT_TRUE(r.ok());
   });
-  misses_unclustered = db->buffer_pool()->stats().misses;
+  misses_unclustered = run_misses();
 
   run([&](int64_t id) {
     auto r = pt->LookupProjected({Value::Int64(id)}, {1});
     ASSERT_TRUE(r.ok());
   });
-  misses_partitioned = db->buffer_pool()->stats().misses;
+  misses_partitioned = run_misses();
 
   EXPECT_LT(misses_partitioned * 2, misses_unclustered)
       << "partitioned: " << misses_partitioned

@@ -9,7 +9,6 @@
 
 #include "cache/index_cache.h"
 #include "common/bytes.h"
-#include "common/latch.h"
 #include "test_util.h"
 
 namespace nblb {
@@ -163,76 +162,6 @@ TEST(LatchConcurrencyTest, ConcurrentReadersWithOneInvalidator) {
   stop = true;
   reader.join();
   EXPECT_EQ(corruption.load(), 0);
-}
-
-TEST(SharedLatchTest, ExclusiveExcludesEverything) {
-  SharedLatch latch;
-  latch.Lock();
-  EXPECT_FALSE(latch.TryLock());
-  EXPECT_FALSE(latch.TryLockShared());
-  latch.Unlock();
-  EXPECT_TRUE(latch.TryLock());
-  latch.Unlock();
-}
-
-TEST(SharedLatchTest, SharedAdmitsSharedButNotExclusive) {
-  SharedLatch latch;
-  latch.LockShared();
-  EXPECT_TRUE(latch.TryLockShared());
-  EXPECT_FALSE(latch.TryLock());
-  latch.UnlockShared();
-  EXPECT_FALSE(latch.TryLock());  // one shared holder remains
-  latch.UnlockShared();
-  EXPECT_TRUE(latch.TryLock());
-  latch.Unlock();
-}
-
-TEST(SharedLatchTest, WritersAreMutuallyExclusiveWithReaders) {
-  // Readers observe a two-word value the writer updates under the latch; the
-  // two words must always agree (b == a + 1), or mutual exclusion is broken.
-  SharedLatch latch;
-  uint64_t a = 0, b = 1;
-  std::atomic<int> torn{0};
-  std::atomic<bool> stop{false};
-
-  constexpr int kReaders = 4;
-  std::vector<std::thread> readers;
-  for (int t = 0; t < kReaders; ++t) {
-    readers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        SharedLatchGuard g(latch);
-        if (b != a + 1) ++torn;
-      }
-    });
-  }
-
-  for (uint64_t i = 0; i < 20000; ++i) {
-    ExclusiveLatchGuard g(latch);
-    a = i;
-    b = i + 1;
-  }
-  stop = true;
-  for (auto& t : readers) t.join();
-  EXPECT_EQ(torn.load(), 0);
-  EXPECT_EQ(a, 19999u);
-}
-
-TEST(SharedLatchTest, ConcurrentWritersSerialize) {
-  SharedLatch latch;
-  uint64_t counter = 0;  // deliberately non-atomic; the latch must serialize
-  constexpr int kThreads = 4;
-  constexpr int kIncrements = 50000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kIncrements; ++i) {
-        ExclusiveLatchGuard g(latch);
-        ++counter;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(counter, static_cast<uint64_t>(kThreads) * kIncrements);
 }
 
 }  // namespace

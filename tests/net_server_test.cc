@@ -427,7 +427,7 @@ TEST(NetServerTest, KillClientsUnderLoadLeavesEngineClean) {
 
   BatchResult after = engine->Execute({Request::Get(1)});
   ASSERT_OK(after.results[0].status);
-  EXPECT_EQ(engine->engine_stats().busy_rejections, 0u);
+  EXPECT_EQ(engine->MetricsSnapshotNow().Total("engine.busy_rejections"), 0u);
   engine.reset();
   Cleanup(eopts);
 }

@@ -124,8 +124,8 @@ TEST(ShardAsyncTest, SubmitCompletesAndWaitIsIdempotent) {
     EXPECT_EQ(get_ticket->result().results[id].row, MakeRow(id));
   }
 
-  const auto stats = engine->engine_stats();
-  EXPECT_EQ(stats.async_submits, 1u);  // only the callback-carrying submit
+  // Only the callback-carrying submit counts.
+  EXPECT_EQ(engine->MetricsSnapshotNow().Total("engine.async_submits"), 1u);
   Cleanup(opts);
 }
 
@@ -200,7 +200,7 @@ TEST(ShardAsyncTest, AdaptiveWindowGrowsUnderBurstySubmitters) {
 
   std::atomic<uint64_t> callbacks{0};
   uint64_t rounds_run = 0;
-  ShardStatsSnapshot stats;
+  MetricsSnapshot stats;
   for (int round = 0; round < kMaxRounds; ++round) {
     rounds_run = round + 1;
     std::vector<std::thread> submitters;
@@ -232,22 +232,25 @@ TEST(ShardAsyncTest, AdaptiveWindowGrowsUnderBurstySubmitters) {
         EXPECT_TRUE(ticket->result().all_ok());
       }
     }
-    stats = engine->ShardStatsOf(0);
-    if (stats.coalesced.CountAtLeast(2) > 0) break;
+    stats = engine->MetricsSnapshotNow();
+    if (stats.TotalHistogram("shard0.shard.coalesced").CountAtLeast(2) > 0) {
+      break;
+    }
   }
   EXPECT_EQ(callbacks.load(),
             rounds_run * uint64_t{kThreads} * kTicketsPerThread);
 
-  EXPECT_EQ(stats.inserts, rounds_run * kIdsPerRound);
-  EXPECT_EQ(stats.sub_batches,
+  EXPECT_EQ(stats.Total("shard0.shard.inserts"), rounds_run * kIdsPerRound);
+  EXPECT_EQ(stats.Total("shard0.shard.sub_batches"),
             rounds_run * uint64_t{kThreads} * kTicketsPerThread);
   // Coalescing engaged: strictly fewer service groups than sub-batches,
   // i.e. at least one group merged >= 2 queued sub-batches.
-  EXPECT_LT(stats.coalesced_groups, stats.sub_batches);
-  EXPECT_GT(stats.coalesced.CountAtLeast(2), 0u)
+  EXPECT_LT(stats.Total("shard0.shard.coalesced_groups"),
+            stats.Total("shard0.shard.sub_batches"));
+  EXPECT_GT(stats.TotalHistogram("shard0.shard.coalesced").CountAtLeast(2), 0u)
       << "no group coalesced >= 2 sub-batches in " << rounds_run
       << " burst rounds";
-  EXPECT_GE(stats.queue_depth.ApproxMax(), 2u)
+  EXPECT_GE(stats.TotalHistogram("shard0.shard.queue_depth").ApproxMax(), 2u)
       << "the burst never built a backlog";
 
   // Every row from every round is durable and correct after the burst.
@@ -442,38 +445,33 @@ TEST(ShardAsyncTest, CallbackSubmitsFollowUpBatch) {
   for (const Submitted& p : primaries) check(p);
   for (const Submitted& f : follow_ups) check(f);
   EXPECT_EQ(served + busy, uint64_t{2} * kTickets * 8);
-  EXPECT_EQ(engine->engine_stats().busy_rejections, busy);
+  EXPECT_EQ(engine->MetricsSnapshotNow().Total("engine.busy_rejections"),
+            busy);
   engine.reset();
   Cleanup(opts);
 }
 
-TEST(ShardAsyncTest, RoutingFailuresCompleteWithoutWorkers) {
-  // A batch whose every request fails routing never reaches a shard queue;
-  // the ticket (and callback) must still complete — on the submitting
-  // thread, before Submit returns.
-  auto opts = SmallOptions("routefail", 2);
-  ASSERT_OK_AND_ASSIGN(
-      auto engine,
-      ShardedEngine::Open(opts, std::make_unique<TableRouter>()));
+TEST(ShardAsyncTest, EmptyBatchCompletesWithoutWorkers) {
+  // A batch with no requests never reaches a shard queue; the ticket (and
+  // callback) must still complete — on the submitting thread, before
+  // Submit returns.
+  auto opts = SmallOptions("empty_batch", 2);
+  ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(opts));
 
   std::atomic<int> fired{0};
   std::thread::id ran_on;
-  RequestBatch lookups;  // TableRouter has learned nothing: all unroutable
-  for (uint64_t id = 0; id < 10; ++id) {
-    lookups.push_back(Request::Get(id));
-  }
-  auto ticket = engine->Submit(std::move(lookups),
-                               [&](const BatchResult& result) {
-                                 for (const auto& r : result.results) {
-                                   EXPECT_TRUE(r.status.IsNotFound());
-                                 }
-                                 ran_on = std::this_thread::get_id();
-                                 fired.fetch_add(1);
-                               });
+  auto ticket = engine->Submit(RequestBatch(), [&](const BatchResult& result) {
+    EXPECT_TRUE(result.results.empty());
+    ran_on = std::this_thread::get_id();
+    fired.fetch_add(1);
+  });
   EXPECT_TRUE(ticket->TryWait());
   EXPECT_EQ(ran_on, std::this_thread::get_id());
   EXPECT_EQ(fired.load(), 1);
-  EXPECT_EQ(engine->engine_stats().routing_failures, 10u);
+  const MetricsSnapshot snap = engine->MetricsSnapshotNow();
+  EXPECT_EQ(snap.Total("engine.batches"), 1u);
+  EXPECT_EQ(snap.Total("engine.requests"), 0u);
+  EXPECT_EQ(snap.Total("shard.sub_batches"), 0u);
   Cleanup(opts);
 }
 

@@ -82,13 +82,13 @@ TEST(BackpressureTest, BlockingPolicyBoundsQueueDepthAndLosesNothing) {
     }
   }
   EXPECT_EQ(ok, 4u * kBatchesPerThread * 8u);
-  EXPECT_EQ(engine->engine_stats().busy_rejections, 0u);
+  const MetricsSnapshot stats = engine->MetricsSnapshotNow();
+  EXPECT_EQ(stats.Total("engine.busy_rejections"), 0u);
 
   // The queue-depth histogram records depth at every pop; with the bound at
   // 2 no pop may ever have observed more. Bucket upper bound for value 2 is
   // 3 (log buckets), so anything above that proves a breach.
-  const ShardStatsSnapshot stats = engine->ShardStatsOf(0);
-  EXPECT_LE(stats.queue_depth.ApproxMax(), 3u);
+  EXPECT_LE(stats.TotalHistogram("shard0.shard.queue_depth").ApproxMax(), 3u);
   engine.reset();
   Cleanup(opts);
 }
@@ -128,7 +128,8 @@ TEST(BackpressureTest, FailFastRejectsWithBusyAndCompletesTickets) {
   for (auto& t : threads) t.join();
   EXPECT_GT(served.load(), 0u);
   EXPECT_GT(busy.load(), 0u) << "no rejection in 8000 over-limit submits";
-  EXPECT_EQ(engine->engine_stats().busy_rejections, busy.load());
+  EXPECT_EQ(engine->MetricsSnapshotNow().Total("engine.busy_rejections"),
+            busy.load());
   engine.reset();
   Cleanup(opts);
 }
@@ -149,7 +150,7 @@ TEST(BackpressureTest, UnboundedByDefaultNeverRejects) {
     ticket->Wait();
     ASSERT_OK(ticket->result().results[0].status);
   }
-  EXPECT_EQ(engine->engine_stats().busy_rejections, 0u);
+  EXPECT_EQ(engine->MetricsSnapshotNow().Total("engine.busy_rejections"), 0u);
   engine.reset();
   Cleanup(opts);
 }

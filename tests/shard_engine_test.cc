@@ -1,7 +1,6 @@
 // ShardedEngine tests: single-thread correctness against a plain Table
-// oracle, routing behavior of all three routers, batch semantics, and a
-// multi-threaded smoke test (no lost inserts, consistent lookups under 8
-// client threads).
+// oracle, hash placement, batch semantics, and a multi-threaded smoke test
+// (no lost inserts, consistent lookups under 8 client threads).
 
 #include <gtest/gtest.h>
 
@@ -129,10 +128,11 @@ TEST(ShardedEngineTest, MatchesPlainTableOracle) {
   EXPECT_TRUE(dup_result.results[0].status.IsAlreadyExists());
   EXPECT_OK(dup_result.results[1].status);
 
-  const ShardStatsSnapshot totals = engine->TotalShardStats();
-  EXPECT_EQ(totals.inserts, ids.size() + 1);  // +1 duplicate attempt
-  EXPECT_EQ(totals.gets, ids.size() + 2);  // + missing probe + dup-batch get
-  EXPECT_EQ(totals.projected_gets, ids.size());
+  const MetricsSnapshot totals = engine->MetricsSnapshotNow();
+  // +1 duplicate attempt; + missing probe + dup-batch get.
+  EXPECT_EQ(totals.Total("shard.inserts"), ids.size() + 1);
+  EXPECT_EQ(totals.Total("shard.gets"), ids.size() + 2);
+  EXPECT_EQ(totals.Total("shard.projected_gets"), ids.size());
   Cleanup(opts);
 }
 
@@ -143,71 +143,20 @@ TEST(ShardedEngineTest, HashRouterSpreadsSequentialIds) {
   for (uint64_t id = 0; id < 1000; ++id) {
     inserts.push_back(Request::Insert(id, MakeRow(id)));
   }
-  ASSERT_TRUE(engine->Execute(inserts).all_ok());
+  const BatchResult result = engine->Execute(inserts);
+  ASSERT_TRUE(result.all_ok());
+  // Every key lives where HashRouter over num_shards places it: a caller
+  // that opens one shard by itself (perfbench's standalone-shard layer)
+  // finds that shard's keys the same way.
+  const HashRouter router(engine->num_shards());
+  for (uint64_t id = 0; id < 1000; ++id) {
+    ASSERT_OK_AND_ASSIGN(uint32_t home, router.Route(id));
+    EXPECT_EQ(result.results[id].shard, home) << "id " << id;
+  }
   // Sequential auto-increment ids must not pile onto one shard.
   for (uint32_t s = 0; s < engine->num_shards(); ++s) {
     EXPECT_GT(engine->shard(s)->rows(), 100u) << "shard " << s;
   }
-  Cleanup(opts);
-}
-
-TEST(ShardedEngineTest, TableRouterLearnsInsertPlacements) {
-  auto opts = SmallOptions("tablerouter", 3);
-  ASSERT_OK_AND_ASSIGN(
-      auto engine,
-      ShardedEngine::Open(opts, std::make_unique<TableRouter>()));
-
-  // A lookup for an id the router has never seen fails in routing.
-  auto unrouted = engine->Get(42);
-  EXPECT_TRUE(unrouted.status().IsNotFound());
-  EXPECT_EQ(engine->engine_stats().routing_failures, 1u);
-
-  // Inserts get placed round-robin and the router learns the mapping.
-  for (uint64_t id = 100; id < 200; ++id) {
-    ASSERT_OK(engine->Insert(id, MakeRow(id)));
-  }
-  for (uint64_t id = 100; id < 200; ++id) {
-    ASSERT_OK_AND_ASSIGN(uint32_t shard, engine->RouteOf(id));
-    ASSERT_OK_AND_ASSIGN(Row row, engine->Get(id));
-    EXPECT_EQ(row, MakeRow(id));
-    EXPECT_LT(shard, engine->num_shards());
-  }
-  // Round-robin placement balances exactly.
-  EXPECT_EQ(engine->shard(0)->rows() + engine->shard(1)->rows() +
-                engine->shard(2)->rows(),
-            100u);
-  EXPECT_GE(engine->shard(0)->rows(), 33u);
-  EXPECT_GE(engine->shard(1)->rows(), 33u);
-  EXPECT_GE(engine->shard(2)->rows(), 33u);
-  Cleanup(opts);
-}
-
-TEST(ShardedEngineTest, EmbeddedRouterUsesIdBits) {
-  auto opts = SmallOptions("embedded", 4);
-  SemanticIdCodec codec(/*partition_bits=*/8);
-  ASSERT_OK_AND_ASSIGN(
-      auto engine,
-      ShardedEngine::Open(opts, std::make_unique<EmbeddedRouter>(codec)));
-
-  // Encode the shard into the id: partition p -> shard p % 4.
-  for (uint32_t p = 0; p < 8; ++p) {
-    for (uint64_t local = 0; local < 50; ++local) {
-      const uint64_t id = codec.Encode(p, local);
-      ASSERT_OK(engine->Insert(id, MakeRow(id)));
-      ASSERT_OK_AND_ASSIGN(uint32_t shard, engine->RouteOf(id));
-      EXPECT_EQ(shard, p % 4);
-    }
-  }
-  for (uint32_t p = 0; p < 8; ++p) {
-    for (uint64_t local = 0; local < 50; ++local) {
-      const uint64_t id = codec.Encode(p, local);
-      ASSERT_OK_AND_ASSIGN(Row row, engine->Get(id));
-      EXPECT_EQ(row, MakeRow(id));
-    }
-  }
-  // Shift+mask routing: every tuple lives exactly where its bits say.
-  EXPECT_EQ(engine->shard(0)->rows(), 100u);  // partitions 0 and 4
-  EXPECT_EQ(engine->shard(1)->rows(), 100u);  // partitions 1 and 5
   Cleanup(opts);
 }
 
@@ -344,9 +293,9 @@ TEST(ShardedEngineSmokeTest, EightClientThreadsNoLostInsertsOrLookups) {
     shard_rows += engine->shard(s)->rows();
   }
   EXPECT_EQ(shard_rows, kTotal);
-  const auto totals = engine->TotalShardStats();
-  EXPECT_EQ(totals.inserts, kTotal);
-  EXPECT_EQ(totals.errors, 0u);
+  const MetricsSnapshot totals = engine->MetricsSnapshotNow();
+  EXPECT_EQ(totals.Total("shard.inserts"), kTotal);
+  EXPECT_EQ(totals.Total("shard.errors"), 0u);
   Cleanup(opts);
 }
 

@@ -72,9 +72,9 @@ TEST(ShardMixedTest, UpdateAndDeleteRoundTrip) {
   ASSERT_OK_AND_ASSIGN(Row row6, engine->Get(6));
   EXPECT_EQ(row6[2].AsInt(), 0);
 
-  const ShardStatsSnapshot st = engine->TotalShardStats();
-  EXPECT_EQ(st.updates, 2u);
-  EXPECT_EQ(st.deletes, 2u);
+  const MetricsSnapshot st = engine->MetricsSnapshotNow();
+  EXPECT_EQ(st.Total("shard.updates"), 2u);
+  EXPECT_EQ(st.Total("shard.deletes"), 2u);
   Cleanup(opts);
 }
 
@@ -98,7 +98,7 @@ TEST(ShardMixedTest, BatchedGetsMatchSingleGets) {
               static_cast<int64_t>(batch[i].id * 3));
   }
   EXPECT_TRUE(result.results.back().status.IsNotFound());
-  EXPECT_GT(engine->TotalShardStats().batch_gets, 0u);
+  EXPECT_GT(engine->MetricsSnapshotNow().Total("shard.batch_gets"), 0u);
   Cleanup(opts);
 }
 

@@ -66,15 +66,15 @@ namespace {
 
 // The sidecar's layout (storage/superblock.cc): two 4096-byte slots, each a
 // 16-byte header (magic, format, payload_len, crc32 of the payload) and the
-// payload. The payload's fixed scalars take 39 bytes; the key column count
+// payload. The payload's fixed scalars take 35 bytes; the key column count
 // follows them.
 constexpr size_t kSlotSize = 4096;
 constexpr size_t kHeaderSize = 16;
 constexpr size_t kMaxPayload = kSlotSize - kHeaderSize;
-constexpr size_t kKeyCountOffset = 39;
+constexpr size_t kKeyCountOffset = 35;
 // Fields from here on are the table flags, column lists and schema, which
 // Shard::Open checks against its own options.
-constexpr size_t kCheckedFieldsOffset = 37;
+constexpr size_t kCheckedFieldsOffset = 33;
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -93,7 +93,6 @@ bool SameData(const SuperblockData& a, const SuperblockData& b) {
       a.page_size != b.page_size || a.num_pages != b.num_pages ||
       a.heap_first_page != b.heap_first_page ||
       a.btree_meta_page != b.btree_meta_page ||
-      a.semid_partition_bits != b.semid_partition_bits ||
       a.clean_shutdown != b.clean_shutdown ||
       a.reuse_free_slots != b.reuse_free_slots ||
       a.enable_index_cache != b.enable_index_cache ||
@@ -122,7 +121,6 @@ SuperblockData RandomSuperblock(Rng* rng, uint64_t version) {
   d.btree_meta_page =
       rng->Uniform(8) == 0 ? kInvalidPageId
                            : static_cast<PageId>(rng->Uniform(1024));
-  d.semid_partition_bits = static_cast<uint32_t>(rng->Uniform(17));
   d.clean_shutdown = rng->Bernoulli(0.5);
   d.reuse_free_slots = rng->Bernoulli(0.5);
   d.enable_index_cache = rng->Bernoulli(0.5);

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/result.h"
+#include "obs/metrics.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 
@@ -32,11 +33,29 @@ class TempFile {
   std::string path_;
 };
 
-/// DiskManager + BufferPool over a temp file.
+/// DiskManager + BufferPool over a temp file, with their counters in a
+/// registry under the Database's prefixes ("disk.", "buffer_pool.").
 struct Stack {
   std::unique_ptr<TempFile> file;
   std::unique_ptr<DiskManager> disk;
   std::unique_ptr<BufferPool> bp;
+  /// Declared last, so destroyed first: its entries point into disk and bp.
+  std::unique_ptr<MetricsRegistry> metrics;
+
+  /// Registers disk and bp in a new registry. Call it again after replacing
+  /// either: the old registry points into the old objects.
+  void Register() {
+    metrics.reset(new MetricsRegistry());
+    disk->RegisterMetrics(metrics.get(), "disk.");
+    bp->RegisterMetrics(metrics.get(), "buffer_pool.");
+  }
+  MetricsSnapshot Snapshot() const { return metrics->Snapshot(); }
+  /// The counter's value now, e.g. Counter("buffer_pool.misses"), or its
+  /// growth since `since`, an earlier Snapshot().
+  uint64_t Counter(const std::string& name,
+                   const MetricsSnapshot& since = {}) const {
+    return (Snapshot() - since).Total(name);
+  }
 };
 
 inline Stack MakeStack(const std::string& tag, size_t page_size = 8192,
@@ -46,6 +65,7 @@ inline Stack MakeStack(const std::string& tag, size_t page_size = 8192,
   s.disk.reset(new DiskManager(s.file->path(), page_size));
   EXPECT_TRUE(s.disk->Open().ok());
   s.bp.reset(new BufferPool(s.disk.get(), frames));
+  s.Register();
   return s;
 }
 

@@ -35,7 +35,6 @@ SuperblockData SampleSb(uint64_t version) {
   sb.num_pages = 17;
   sb.heap_first_page = 2;
   sb.btree_meta_page = 5;
-  sb.semid_partition_bits = 6;
   sb.clean_shutdown = (version % 2) == 0;
   sb.reuse_free_slots = true;
   sb.enable_index_cache = false;
@@ -66,7 +65,6 @@ TEST(SuperblockTest, RoundTripAllFields) {
   EXPECT_EQ(out.num_pages, in.num_pages);
   EXPECT_EQ(out.heap_first_page, in.heap_first_page);
   EXPECT_EQ(out.btree_meta_page, in.btree_meta_page);
-  EXPECT_EQ(out.semid_partition_bits, in.semid_partition_bits);
   EXPECT_EQ(out.clean_shutdown, in.clean_shutdown);
   EXPECT_EQ(out.reuse_free_slots, in.reuse_free_slots);
   EXPECT_EQ(out.enable_index_cache, in.enable_index_cache);
