@@ -186,6 +186,14 @@ Result<std::string> KeyCodec::EncodeValues(
   return out;
 }
 
+void KeyCodec::EncodeInteger(int64_t v, char* dst) const {
+  NBLB_CHECK(key_columns_.size() == 1);
+  // An integer-family column takes any integer value (a narrower column
+  // keeps the low bytes, as EncodeValues does), so this cannot fail.
+  NBLB_CHECK(
+      EncodeOne(Value::Int64(v), schema_->column(key_columns_[0]), dst).ok());
+}
+
 std::vector<Value> KeyCodec::Decode(const Slice& key) const {
   NBLB_CHECK(key.size() == key_size_);
   std::vector<Value> out;

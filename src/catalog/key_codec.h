@@ -42,6 +42,12 @@ class KeyCodec {
   /// \brief Encodes explicit key values (arity must match key_columns).
   Result<std::string> EncodeValues(const std::vector<Value>& key_values) const;
 
+  /// \brief Writes the key of one integer-family key column holding `v`
+  /// into key_size() bytes at `dst`: the bytes EncodeValues({Int64(v)})
+  /// returns, without building a value vector or a string. Only for a
+  /// single integer-family key column.
+  void EncodeInteger(int64_t v, char* dst) const;
+
   /// \brief Decodes a key back into its column values.
   std::vector<Value> Decode(const Slice& key) const;
 

@@ -19,11 +19,12 @@
 // exactly row_size() bytes as a fixed image and a shorter one as trimmed,
 // with no format flag.
 //
-// Decode is the only decoder and it is checked: the bytes it reads come from
-// disk (heap pages carry no checksum) or from a log, and a bad length must
-// surface as Corruption, never as a read past the buffer. An accepted
-// payload re-encodes to itself, except that a fixed image's VARCHAR padding
-// is never read (it holds no data) and re-encodes as zeros.
+// DecodeInto is the only decoder (Decode wraps it) and it is checked: the
+// bytes it reads come from disk (heap pages carry no checksum) or from a
+// log, and a bad length must surface as Corruption, never as a read past the
+// buffer. An accepted payload re-encodes to itself, except that a fixed
+// image's VARCHAR padding is never read (it holds no data) and re-encodes as
+// zeros.
 
 #pragma once
 
@@ -54,9 +55,13 @@ class RowCodec {
   Status EncodeTrimmed(const Row& row, std::string* dst) const;
 
   /// \brief Deserializes a fixed image (src.size() == row_size()) or a
-  /// trimmed one (shorter). Returns Corruption on a longer payload, a
-  /// kVarchar length over capacity, a truncated column, trailing bytes, or
-  /// a kBool byte other than 0/1.
+  /// trimmed one (shorter) into `*row`, replacing its contents and reusing
+  /// its capacity. Returns Corruption on a longer payload, a kVarchar length
+  /// over capacity, a truncated column, trailing bytes, or a kBool byte
+  /// other than 0/1; `*row` is then left empty.
+  Status DecodeInto(const Slice& src, Row* row) const;
+
+  /// \brief DecodeInto a fresh row.
   Result<Row> Decode(const Slice& src) const;
   /// A bare pointer carries no length; pass a Slice.
   Result<Row> Decode(const char* src) const = delete;

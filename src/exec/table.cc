@@ -1,6 +1,8 @@
 #include "exec/table.h"
 
 #include <algorithm>
+#include <cstring>
+#include <numeric>
 
 #include "common/logging.h"
 #include "index/btree_page.h"
@@ -205,74 +207,100 @@ Result<Row> Table::GetByKey(const std::vector<Value>& key_values) {
   return row_codec_->Decode(Slice(bytes));
 }
 
+Status Table::GetBatchEncoded(const char* keys, size_t n,
+                              const RowSlot* slots) {
+  stats_.lookups += n;
+  const size_t width = key_codec_->key_size();
+  BatchScratch& b = batch_;
+
+  // Look the keys up in sorted order, so the index descent and the heap
+  // page fetches are shared across the batch.
+  b.order.resize(n);
+  std::iota(b.order.begin(), b.order.end(), 0u);
+  std::sort(b.order.begin(), b.order.end(), [&](uint32_t x, uint32_t y) {
+    return std::memcmp(keys + x * width, keys + y * width, width) < 0;
+  });
+  b.sorted_keys.clear();
+  for (uint32_t i : b.order) b.sorted_keys.emplace_back(keys + i * width, width);
+  b.tids.clear();
+  NBLB_RETURN_NOT_OK(index_->GetBatch(b.sorted_keys, &b.tids));
+  NBLB_CHECK(b.tids.size() == n);
+
+  // Found keys proceed to one batched heap read (rids are in sorted-key
+  // order, so their pages are nearly sorted too — long vectored runs), and
+  // each tuple is decoded under its page's pin into its key's slot.
+  b.rids.clear();
+  b.rid_keys.clear();
+  for (size_t k = 0; k < n; ++k) {
+    if (b.tids[k].ok()) {
+      b.rids.push_back(Rid::FromU64(*b.tids[k]));
+      b.rid_keys.push_back(b.order[k]);
+    } else {
+      const RowSlot& slot = slots[b.order[k]];
+      *slot.status = b.tids[k].status();
+      slot.row->clear();
+    }
+  }
+  // Two captured pointers keep the callback in std::function's inline
+  // storage, so handing it over allocates nothing.
+  return heap_->GetBatch(
+      b.rids, [this, slots](size_t k, const Status& st, const Slice& tuple) {
+        const RowSlot& slot = slots[batch_.rid_keys[k]];
+        if (!st.ok()) {
+          *slot.status = st;
+          slot.row->clear();
+          return;
+        }
+        ++stats_.heap_fetches;
+        *slot.status = row_codec_->DecodeInto(tuple, slot.row);
+      });
+}
+
+Status Table::GetBatchEncoded(const char* keys, size_t n,
+                              std::vector<Result<Row>>* out) {
+  const size_t first = out->size();
+  out->resize(first + n, Result<Row>(Row()));
+  batch_.statuses.resize(n);
+  batch_.slots.clear();
+  for (size_t i = 0; i < n; ++i) {
+    batch_.slots.push_back({&batch_.statuses[i], &*(*out)[first + i]});
+  }
+  Status s = GetBatchEncoded(keys, n, batch_.slots.data());
+  if (!s.ok()) {
+    out->erase(out->begin() + static_cast<ptrdiff_t>(first), out->end());
+    return s;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (!batch_.statuses[i].ok()) {
+      (*out)[first + i] = std::move(batch_.statuses[i]);
+    }
+  }
+  return Status::OK();
+}
+
 Status Table::GetBatchByKey(const std::vector<std::vector<Value>>& keys,
                             std::vector<Result<Row>>* out) {
-  stats_.lookups += keys.size();
-
-  // Encode every key, then process them in sorted order so the index descent
-  // and the heap page fetches are shared across the batch.
-  std::vector<std::string> encoded(keys.size());
+  std::string encoded;
   std::vector<Status> key_status(keys.size());
-  std::vector<uint32_t> order;
-  order.reserve(keys.size());
+  size_t valid = 0;
   for (size_t i = 0; i < keys.size(); ++i) {
     auto enc = key_codec_->EncodeValues(keys[i]);
     if (!enc.ok()) {
       key_status[i] = enc.status();
       continue;
     }
-    encoded[i] = std::move(*enc);
-    order.push_back(static_cast<uint32_t>(i));
+    encoded += *enc;
+    ++valid;
   }
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return encoded[a] < encoded[b];
-  });
-
-  std::vector<Slice> sorted_keys;
-  sorted_keys.reserve(order.size());
-  for (uint32_t i : order) sorted_keys.emplace_back(encoded[i]);
-  std::vector<Result<uint64_t>> tids;
-  NBLB_RETURN_NOT_OK(index_->GetBatch(sorted_keys, &tids));
-  NBLB_CHECK(tids.size() == order.size());
-
-  // Found keys proceed to one batched heap read (rids are in sorted-key
-  // order, so their pages are nearly sorted too — long vectored runs).
-  std::vector<Rid> rids;
-  std::vector<uint32_t> rid_pos;  // input index per rid
-  rids.reserve(order.size());
-  for (size_t k = 0; k < order.size(); ++k) {
-    if (tids[k].ok()) {
-      rids.push_back(Rid::FromU64(*tids[k]));
-      rid_pos.push_back(order[k]);
-    } else {
-      key_status[order[k]] = tids[k].status();
-    }
-  }
-  std::vector<std::string> tuples;
-  std::vector<Status> tuple_status;
-  NBLB_RETURN_NOT_OK(heap_->GetBatch(rids, &tuples, &tuple_status));
-
-  std::vector<Row> rows(keys.size());
-  for (size_t k = 0; k < rids.size(); ++k) {
-    const uint32_t i = rid_pos[k];
-    if (!tuple_status[k].ok()) {
-      key_status[i] = tuple_status[k];
-      continue;
-    }
-    ++stats_.heap_fetches;
-    auto row = row_codec_->Decode(Slice(tuples[k]));
-    if (!row.ok()) {
-      key_status[i] = row.status();
-      continue;
-    }
-    rows[i] = std::move(row).ValueOrDie();
-  }
+  std::vector<Result<Row>> found;
+  NBLB_RETURN_NOT_OK(GetBatchEncoded(encoded.data(), valid, &found));
   out->reserve(out->size() + keys.size());
+  size_t next = 0;
   for (size_t i = 0; i < keys.size(); ++i) {
     if (key_status[i].ok()) {
-      out->push_back(std::move(rows[i]));
+      out->push_back(std::move(found[next++]));
     } else {
-      out->push_back(key_status[i]);
+      out->push_back(std::move(key_status[i]));
     }
   }
   return Status::OK();

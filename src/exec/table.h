@@ -63,8 +63,16 @@ struct TableStats {
   uint64_t deletes = 0;
 };
 
+/// \brief Where a batched get puts one key's answer (Table::GetBatchEncoded).
+struct RowSlot {
+  Status* status;  ///< OK, NotFound, or the key's error
+  Row* row;        ///< the decoded row when *status is OK, else empty
+};
+
 /// \brief A table with one primary index. Not thread safe for structural
-/// mutations; see BTree concurrency notes.
+/// mutations; see BTree concurrency notes. The batched get reuses member
+/// scratch, so it serves one caller at a time (a shard's Table has one
+/// thread).
 class Table {
  public:
   /// \brief Creates the backing heap + index inside `bp`'s file.
@@ -122,12 +130,25 @@ class Table {
   /// \brief Full-row point lookup through the index (heap access).
   Result<Row> GetByKey(const std::vector<Value>& key_values);
 
-  /// \brief Batched full-row point lookups. Pushes one Result per key onto
-  /// `out`, in input order. Keys are sorted internally so the B+Tree descent
-  /// is shared across the batch (BTree::GetBatch) and the heap tuples are
-  /// read with one batched page fetch (HeapFile::GetBatch -> vectored miss
-  /// I/O). Per-key NotFound lands in `out`; the returned Status covers
-  /// infrastructure failures only.
+  /// \brief The batched-get core. Looks up `n` encoded keys, key_size()
+  /// bytes each and back to back at `keys`, and answers key i in slots[i]:
+  /// its row is decoded from the pinned heap page straight into
+  /// *slots[i].row, and *slots[i].status is set to OK, NotFound or the
+  /// key's error. Keys are sorted internally so the B+Tree descent is shared
+  /// across the batch (BTree::GetBatch) and the heap tuples are read with
+  /// one batched page fetch (HeapFile::GetBatch -> vectored miss I/O). The
+  /// returned Status covers infrastructure failures only; after one, some
+  /// slots are unset.
+  Status GetBatchEncoded(const char* keys, size_t n, const RowSlot* slots);
+
+  /// \brief GetBatchEncoded, pushing one Result per key onto `out`, in
+  /// input order (nothing on an infrastructure failure).
+  Status GetBatchEncoded(const char* keys, size_t n,
+                         std::vector<Result<Row>>* out);
+
+  /// \brief Batched full-row point lookups by key values: GetBatchEncoded
+  /// over the keys that encode, while a key that does not gets its encoding
+  /// error. Pushes one Result per key onto `out`, in input order.
   Status GetBatchByKey(const std::vector<std::vector<Value>>& keys,
                        std::vector<Result<Row>>* out);
 
@@ -205,6 +226,18 @@ class Table {
   std::unique_ptr<IndexCache> cache_;
   TableStats stats_;
   std::string image_;  ///< the write path's reused trimmed-image buffer
+
+  /// GetBatchEncoded's scratch, reused across calls.
+  struct BatchScratch {
+    std::vector<uint32_t> order;         ///< key indexes in key order
+    std::vector<Slice> sorted_keys;      ///< the keys in that order
+    std::vector<Result<uint64_t>> tids;  ///< 1:1 with sorted_keys
+    std::vector<Rid> rids;               ///< the found keys' tuples
+    std::vector<uint32_t> rid_keys;      ///< key index of each rid
+    std::vector<Status> statuses;        ///< the Result<Row> overload's
+    std::vector<RowSlot> slots;          ///< the Result<Row> overload's
+  };
+  BatchScratch batch_;
 };
 
 }  // namespace nblb

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <pthread.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -184,6 +185,7 @@ NetServer::~NetServer() {
 // ---- Event loop -------------------------------------------------------------
 
 void NetServer::LoopMain() {
+  pthread_setname_np(pthread_self(), "nblb-net");
   std::vector<struct epoll_event> events(128);
   // With the idle sweep enabled the wait gets a finite timeout so the loop
   // periodically regains control even with no socket activity at all.

@@ -9,29 +9,54 @@
 namespace nblb::net {
 namespace {
 
-// ---- Primitive appenders ----------------------------------------------------
+// ---- Sized writing ----------------------------------------------------------
+//
+// Every encoder body is written once, as a template over its output, and run
+// twice: over a Sizer, which adds up the frame's exact size and checks every
+// count against its wire integer, then over a Writer, which writes the bytes
+// in place into `out`, grown once to that size. So the size cannot drift
+// from the bytes, and a frame costs one allocation at most.
 
-void AppendU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
+/// Counts the bytes the same calls on a Writer would write.
+class Sizer {
+ public:
+  void U8(uint8_t) { n_ += 1; }
+  void U16(uint16_t) { n_ += 2; }
+  void U32(uint32_t) { n_ += 4; }
+  void U64(uint64_t) { n_ += 8; }
+  void Bytes(const char*, size_t n) { n_ += n; }
+  size_t size() const { return n_; }
 
-void AppendU16(std::string* out, uint16_t v) {
-  char buf[2];
-  EncodeFixed16(buf, v);
-  out->append(buf, 2);
-}
+ private:
+  size_t n_ = 0;
+};
 
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[4];
-  EncodeFixed32(buf, v);
-  out->append(buf, 4);
-}
+/// Writes little-endian integers and raw bytes through a cursor into space
+/// the caller sized with a Sizer.
+class Writer {
+ public:
+  explicit Writer(char* p) : p_(p) {}
+  void U8(uint8_t v) { *p_++ = static_cast<char>(v); }
+  void U16(uint16_t v) {
+    EncodeFixed16(p_, v);
+    p_ += 2;
+  }
+  void U32(uint32_t v) {
+    EncodeFixed32(p_, v);
+    p_ += 4;
+  }
+  void U64(uint64_t v) {
+    EncodeFixed64(p_, v);
+    p_ += 8;
+  }
+  void Bytes(const char* data, size_t n) {
+    std::memcpy(p_, data, n);
+    p_ += n;
+  }
 
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[8];
-  EncodeFixed64(buf, v);
-  out->append(buf, 8);
-}
+ private:
+  char* p_;
+};
 
 // ---- Bounded reader over a payload ------------------------------------------
 
@@ -90,8 +115,9 @@ class Reader {
 
 // ---- Row codec (self-describing) --------------------------------------------
 
-bool AppendValue(std::string* out, const Value& v) {
-  AppendU8(out, static_cast<uint8_t>(v.type()));
+template <typename Out>
+bool PutValue(Out* out, const Value& v) {
+  out->U8(static_cast<uint8_t>(v.type()));
   switch (v.type()) {
     case TypeId::kBool:
     case TypeId::kInt8:
@@ -99,34 +125,124 @@ bool AppendValue(std::string* out, const Value& v) {
     case TypeId::kInt32:
     case TypeId::kInt64:
     case TypeId::kTimestamp:
-      AppendU64(out, static_cast<uint64_t>(v.AsInt()));
+      out->U64(static_cast<uint64_t>(v.AsInt()));
       break;
     case TypeId::kFloat64: {
       double d = v.AsDouble();
       uint64_t bits;
       std::memcpy(&bits, &d, 8);
-      AppendU64(out, bits);
+      out->U64(bits);
       break;
     }
     case TypeId::kChar:
     case TypeId::kVarchar: {
       const std::string& s = v.AsString();
       if (s.size() > UINT32_MAX) return false;
-      AppendU32(out, static_cast<uint32_t>(s.size()));
-      out->append(s);
+      out->U32(static_cast<uint32_t>(s.size()));
+      out->Bytes(s.data(), s.size());
       break;
     }
   }
   return true;
 }
 
-bool AppendRow(std::string* out, const Row& row) {
+template <typename Out>
+bool PutRow(Out* out, const Row& row) {
   if (row.size() > UINT16_MAX) return false;
-  AppendU16(out, static_cast<uint16_t>(row.size()));
+  out->U16(static_cast<uint16_t>(row.size()));
   for (const Value& v : row) {
-    if (!AppendValue(out, v)) return false;
+    if (!PutValue(out, v)) return false;
   }
   return true;
+}
+
+/// Appends one frame: `put(&o)` writes the payload to an output `o` and
+/// returns non-OK when a count overflows its wire integer. A sizing pass
+/// validates and measures, then `out` grows once and the header and payload
+/// are written in place. On failure `out` is untouched.
+template <typename Put>
+Status AppendFrame(FrameType type, uint64_t request_id, const Put& put,
+                   std::string* out) {
+  Sizer payload;
+  NBLB_RETURN_NOT_OK(put(&payload));
+  const size_t base = out->size();
+  out->resize(base + kFrameHeaderBytes + payload.size());
+  Writer w(out->data() + base);
+  w.U32(static_cast<uint32_t>(payload.size()));
+  w.U8(static_cast<uint8_t>(type));
+  w.U8(0);
+  w.U16(0);
+  w.U64(request_id);
+  return put(&w);  // the sizing pass already accepted every count
+}
+
+template <typename Out>
+Status PutRequests(Out* out, const RequestBatch& batch) {
+  // Fail loudly on anything whose count would not round-trip through the
+  // wire integers — a silently truncated count desyncs request/response
+  // pairing on the far side.
+  if (batch.size() > UINT32_MAX) {
+    return Status::InvalidArgument("request batch of " +
+                                   std::to_string(batch.size()) +
+                                   " overflows the wire format");
+  }
+  out->U32(static_cast<uint32_t>(batch.size()));
+  for (const Request& req : batch) {
+    out->U8(static_cast<uint8_t>(req.kind));
+    out->U64(req.id);
+    switch (req.kind) {
+      case RequestKind::kInsert:
+      case RequestKind::kUpdate:
+        if (!PutRow(out, req.row)) {
+          return Status::InvalidArgument(
+              "request row overflows the wire format (column count or "
+              "string length)");
+        }
+        break;
+      case RequestKind::kGetProjected:
+        if (req.projection.size() > UINT16_MAX) {
+          return Status::InvalidArgument(
+              "projection of " + std::to_string(req.projection.size()) +
+              " columns overflows the wire format");
+        }
+        out->U16(static_cast<uint16_t>(req.projection.size()));
+        for (size_t col : req.projection) {
+          out->U16(static_cast<uint16_t>(col));
+        }
+        break;
+      case RequestKind::kGet:
+      case RequestKind::kDelete:
+        break;
+    }
+  }
+  return Status::OK();
+}
+
+template <typename Out>
+Status PutResults(Out* out, const BatchResult& result) {
+  if (result.results.size() > UINT32_MAX) {
+    return Status::InvalidArgument("result batch of " +
+                                   std::to_string(result.results.size()) +
+                                   " overflows the wire format");
+  }
+  out->U32(static_cast<uint32_t>(result.results.size()));
+  for (const RequestResult& r : result.results) {
+    out->U8(static_cast<uint8_t>(r.status.code()));
+    // A message longer than its u16 length is truncated, not refused.
+    const std::string& msg = r.status.message();
+    const size_t msg_len = std::min<size_t>(msg.size(), UINT16_MAX);
+    out->U16(static_cast<uint16_t>(msg_len));
+    out->Bytes(msg.data(), msg_len);
+    out->U32(r.shard);
+    const bool has_row = !r.row.empty();
+    out->U8(has_row ? 1 : 0);
+    if (has_row && !PutRow(out, r.row)) {
+      return Status::InvalidArgument(
+          "result row overflows the wire format (column count or "
+          "string length)");
+    }
+  }
+  return Status::OK();
 }
 
 /// Reads an integer-family value: the u64 image the encoder writes of an
@@ -198,95 +314,27 @@ bool ReadRow(Reader* r, Row* out) {
   return !r->failed();
 }
 
-void AppendFrameHeader(std::string* out, FrameType type, uint64_t request_id,
-                       size_t payload_len) {
-  AppendU32(out, static_cast<uint32_t>(payload_len));
-  AppendU8(out, static_cast<uint8_t>(type));
-  AppendU8(out, 0);
-  AppendU16(out, 0);
-  AppendU64(out, request_id);
-}
-
 }  // namespace
 
 // ---- Frame encoders ---------------------------------------------------------
 
 Status AppendRequestFrame(uint64_t request_id, const RequestBatch& batch,
                           std::string* out) {
-  // Fail loudly on anything whose count would not round-trip through the
-  // wire integers — a silently truncated count desyncs request/response
-  // pairing on the far side.
-  if (batch.size() > UINT32_MAX) {
-    return Status::InvalidArgument("request batch of " +
-                                   std::to_string(batch.size()) +
-                                   " overflows the wire format");
-  }
-  std::string payload;
-  AppendU32(&payload, static_cast<uint32_t>(batch.size()));
-  for (const Request& req : batch) {
-    AppendU8(&payload, static_cast<uint8_t>(req.kind));
-    AppendU64(&payload, req.id);
-    switch (req.kind) {
-      case RequestKind::kInsert:
-      case RequestKind::kUpdate:
-        if (!AppendRow(&payload, req.row)) {
-          return Status::InvalidArgument(
-              "request row overflows the wire format (column count or "
-              "string length)");
-        }
-        break;
-      case RequestKind::kGetProjected:
-        if (req.projection.size() > UINT16_MAX) {
-          return Status::InvalidArgument(
-              "projection of " + std::to_string(req.projection.size()) +
-              " columns overflows the wire format");
-        }
-        AppendU16(&payload, static_cast<uint16_t>(req.projection.size()));
-        for (size_t col : req.projection) {
-          AppendU16(&payload, static_cast<uint16_t>(col));
-        }
-        break;
-      case RequestKind::kGet:
-      case RequestKind::kDelete:
-        break;
-    }
-  }
-  AppendFrameHeader(out, FrameType::kRequest, request_id, payload.size());
-  out->append(payload);
-  return Status::OK();
+  return AppendFrame(
+      FrameType::kRequest, request_id,
+      [&](auto* o) { return PutRequests(o, batch); }, out);
 }
 
 Status AppendResponseFrame(uint64_t request_id, const BatchResult& result,
                            std::string* out) {
-  if (result.results.size() > UINT32_MAX) {
-    return Status::InvalidArgument("result batch of " +
-                                   std::to_string(result.results.size()) +
-                                   " overflows the wire format");
-  }
-  std::string payload;
-  AppendU32(&payload, static_cast<uint32_t>(result.results.size()));
-  for (const RequestResult& r : result.results) {
-    AppendU8(&payload, static_cast<uint8_t>(r.status.code()));
-    const std::string& msg = r.status.message();
-    AppendU16(&payload, static_cast<uint16_t>(
-                            std::min<size_t>(msg.size(), UINT16_MAX)));
-    payload.append(msg.data(), std::min<size_t>(msg.size(), UINT16_MAX));
-    AppendU32(&payload, r.shard);
-    const bool has_row = !r.row.empty();
-    AppendU8(&payload, has_row ? 1 : 0);
-    if (has_row && !AppendRow(&payload, r.row)) {
-      return Status::InvalidArgument(
-          "result row overflows the wire format (column count or "
-          "string length)");
-    }
-  }
-  AppendFrameHeader(out, FrameType::kResponse, request_id, payload.size());
-  out->append(payload);
-  return Status::OK();
+  return AppendFrame(
+      FrameType::kResponse, request_id,
+      [&](auto* o) { return PutResults(o, result); }, out);
 }
 
 void AppendBusyFrame(uint64_t request_id, std::string* out) {
-  AppendFrameHeader(out, FrameType::kBusy, request_id, 0);
+  (void)AppendFrame(
+      FrameType::kBusy, request_id, [](auto*) { return Status::OK(); }, out);
 }
 
 // ---- Payload decoders -------------------------------------------------------

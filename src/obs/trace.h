@@ -51,7 +51,7 @@ enum class TracePhase : uint8_t {
   kFetchStart,      // BufferPool::StartFetchPages (claim + submit)
   kIoSubmit,        // DiskManager submit (io_uring push/flush or queue)
   kDeviceWait,      // DiskManager wait/reap for the read group
-  kCopy,            // HeapFile tuple-copy loop
+  kCopy,            // HeapFile::GetBatch: read + decode under the pin
 };
 constexpr size_t kNumTracePhases = 7;
 

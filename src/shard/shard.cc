@@ -349,11 +349,31 @@ Status Shard::Insert(const Row& row) {
 Result<Row> Shard::Get(uint64_t id) {
   stats_.Add(stats_.gets);
   auto result = table_->GetByKey(KeyOf(id));
-  if (!result.ok()) {
-    stats_.Add(result.status().IsNotFound() ? stats_.not_found
-                                            : stats_.errors);
-  }
+  if (!result.ok()) CountMiss(result.status());
   return result;
+}
+
+const char* Shard::EncodeKeys(const std::vector<uint64_t>& ids) {
+  const KeyCodec& codec = table_->key_codec();
+  const size_t width = codec.key_size();
+  keys_.resize(ids.size() * width);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    codec.EncodeInteger(static_cast<int64_t>(ids[i]), &keys_[i * width]);
+  }
+  return keys_.data();
+}
+
+Status Shard::GetBatch(const std::vector<uint64_t>& ids,
+                       const RowSlot* slots) {
+  TraceTimer span(TracePhase::kGetBatch);
+  stats_.Add(stats_.gets, ids.size());
+  stats_.Add(stats_.batch_gets, ids.size());
+  NBLB_RETURN_NOT_OK(
+      table_->GetBatchEncoded(EncodeKeys(ids), ids.size(), slots));
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (!slots[i].status->ok()) CountMiss(*slots[i].status);
+  }
+  return Status::OK();
 }
 
 Status Shard::GetBatch(const std::vector<uint64_t>& ids,
@@ -361,16 +381,11 @@ Status Shard::GetBatch(const std::vector<uint64_t>& ids,
   TraceTimer span(TracePhase::kGetBatch);
   stats_.Add(stats_.gets, ids.size());
   stats_.Add(stats_.batch_gets, ids.size());
-  std::vector<std::vector<Value>> keys;
-  keys.reserve(ids.size());
-  for (uint64_t id : ids) keys.push_back(KeyOf(id));
   const size_t first = out->size();
-  NBLB_RETURN_NOT_OK(table_->GetBatchByKey(keys, out));
+  NBLB_RETURN_NOT_OK(
+      table_->GetBatchEncoded(EncodeKeys(ids), ids.size(), out));
   for (size_t i = first; i < out->size(); ++i) {
-    if (!(*out)[i].ok()) {
-      stats_.Add((*out)[i].status().IsNotFound() ? stats_.not_found
-                                                 : stats_.errors);
-    }
+    if (!(*out)[i].ok()) CountMiss((*out)[i].status());
   }
   return Status::OK();
 }
@@ -385,7 +400,7 @@ Status Shard::Update(uint64_t id, const Row& row) {
   Status s =
       table_->UpdateByKey(KeyOf(id), row, wal_ ? &moved_from : nullptr);
   if (!s.ok()) {
-    stats_.Add(s.IsNotFound() ? stats_.not_found : stats_.errors);
+    CountMiss(s);
     return s;
   }
   if (moved_from.IsValid()) moved_from_.push_back(moved_from);
@@ -403,7 +418,7 @@ Status Shard::Delete(uint64_t id) {
   stats_.Add(stats_.deletes);
   Status s = table_->DeleteByKey(KeyOf(id));
   if (!s.ok()) {
-    stats_.Add(s.IsNotFound() ? stats_.not_found : stats_.errors);
+    CountMiss(s);
     return s;
   }
   --rows_;
@@ -421,10 +436,7 @@ Result<Row> Shard::GetProjected(uint64_t id,
                                 const std::vector<size_t>& projection) {
   stats_.Add(stats_.projected_gets);
   auto result = table_->LookupProjected(KeyOf(id), projection);
-  if (!result.ok()) {
-    stats_.Add(result.status().IsNotFound() ? stats_.not_found
-                                            : stats_.errors);
-  }
+  if (!result.ok()) CountMiss(result.status());
   return result;
 }
 

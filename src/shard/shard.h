@@ -93,9 +93,15 @@ class Shard {
   Result<Row> Get(uint64_t id);
   Result<Row> GetProjected(uint64_t id, const std::vector<size_t>& projection);
 
-  /// \brief Batched full-row lookups: resolves all ids through the table's
-  /// batch path (shared B+Tree descent, vectored/async heap-page miss I/O)
-  /// and pushes one Result per id onto `out`, in input order.
+  /// \brief Batched full-row lookups: encodes each id into its key in a
+  /// reused buffer and resolves them all through the table's batch core
+  /// (Table::GetBatchEncoded: shared B+Tree descent, vectored/async
+  /// heap-page miss I/O, each row decoded from its pinned page straight
+  /// into slots[i]). Per-id NotFound lands in the slot; the returned Status
+  /// covers infrastructure failures only.
+  Status GetBatch(const std::vector<uint64_t>& ids, const RowSlot* slots);
+
+  /// \brief GetBatch, pushing one Result per id onto `out`, in input order.
   Status GetBatch(const std::vector<uint64_t>& ids,
                   std::vector<Result<Row>>* out);
 
@@ -150,6 +156,13 @@ class Shard {
   Shard(uint32_t shard_id, ShardOptions options);
 
   std::vector<Value> KeyOf(uint64_t id) const;
+  /// Writes the keys of `ids` back to back into keys_ (GetBatch); returns
+  /// the first.
+  const char* EncodeKeys(const std::vector<uint64_t>& ids);
+  /// Counts a failed op: NotFound, or an error.
+  void CountMiss(const Status& s) {
+    stats_.Add(s.IsNotFound() ? stats_.not_found : stats_.errors);
+  }
 
   /// Checkpoint; the superblock it publishes records `clean_shutdown`
   /// (true only for the orderly close in ~Shard).
@@ -179,6 +192,7 @@ class Shard {
   std::unique_ptr<Database> db_;
   Table* table_ = nullptr;  // owned by db_
   uint64_t rows_ = 0;
+  std::string keys_;  ///< GetBatch's encoded keys, reused across calls
 
   // ---- Durability (all owner-thread only) ---------------------------------
   /// Owns its own DiskManager over the `.wal` sidecar, independent of db_.

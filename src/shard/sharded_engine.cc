@@ -1,6 +1,9 @@
 #include "shard/sharded_engine.h"
 
+#include <pthread.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <system_error>
 #include <utility>
@@ -98,10 +101,10 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
   for (uint32_t s = 0; s < options.num_shards; ++s) {
     engine->workers_[s % num_workers]->shards.push_back(s);
   }
-  for (auto& worker : engine->workers_) {
-    Worker* w = worker.get();
-    w->thread = std::thread([engine_ptr = engine.get(), w] {
-      engine_ptr->WorkerLoop(w);
+  for (uint32_t w = 0; w < num_workers; ++w) {
+    Worker* worker = engine->workers_[w].get();
+    worker->thread = std::thread([engine_ptr = engine.get(), worker, w] {
+      engine_ptr->WorkerLoop(worker, w);
     });
   }
   return engine;
@@ -152,7 +155,7 @@ void ShardedEngine::Ticket::MarkDone() {
 
 ShardedEngine::TicketPtr ShardedEngine::Submit(RequestBatch batch,
                                                CompletionFn on_complete) {
-  TicketPtr ticket(new Ticket());
+  TicketPtr ticket = std::make_shared<Ticket>(Ticket::Key());
   ticket->owned_batch_ = std::move(batch);
   ticket->batch_ = &ticket->owned_batch_;
   ticket->on_complete_ = std::move(on_complete);
@@ -162,7 +165,7 @@ ShardedEngine::TicketPtr ShardedEngine::Submit(RequestBatch batch,
 
 ShardedEngine::TicketPtr ShardedEngine::SubmitRef(const RequestBatch& batch,
                                                   CompletionFn on_complete) {
-  TicketPtr ticket(new Ticket());
+  TicketPtr ticket = std::make_shared<Ticket>(Ticket::Key());
   ticket->batch_ = &batch;  // caller guarantees lifetime until completion
   ticket->on_complete_ = std::move(on_complete);
   SubmitTicket(ticket);
@@ -185,21 +188,36 @@ void ShardedEngine::SubmitTicket(const TicketPtr& ticket) {
   BatchResult& out = ticket->result_;
   out.results.resize(batch.size());
 
-  // Phase 1 — hash every key to its home shard on the caller's thread,
-  // grouping indexes by shard. HashRouter::Route cannot fail.
-  std::vector<std::vector<uint32_t>> per_shard(num_shards());
-  for (uint32_t i = 0; i < batch.size(); ++i) {
+  // Phase 1 — hash every key to its home shard on the caller's thread and
+  // group the indexes by shard with one counting pass, into the one array
+  // the ticket owns: its first num + 1 entries become the shard bounds
+  // (shard s's indexes sit at [bounds[s], bounds[s + 1]) of the rest), in
+  // batch order. HashRouter::Route cannot fail.
+  const uint32_t n = static_cast<uint32_t>(batch.size());
+  const uint32_t num = num_shards();
+  std::vector<uint32_t>& by_shard = ticket->by_shard_;
+  by_shard.assign(num + 1 + n, 0);
+  uint32_t* const bounds = by_shard.data();
+  uint32_t* const indexes = bounds + num + 1;
+  for (uint32_t i = 0; i < n; ++i) {
     const uint32_t home = *router_.Route(batch[i].id);
     out.results[i].shard = home;
-    per_shard[home].push_back(i);
+    ++bounds[home + 1];
   }
+  for (uint32_t s = 0; s < num; ++s) bounds[s + 1] += bounds[s];
+  for (uint32_t i = 0; i < n; ++i) {
+    indexes[bounds[out.results[i].shard]++] = i;
+  }
+  // Placing advanced each shard's start to its end: shift them back.
+  for (uint32_t s = num; s > 0; --s) bounds[s] = bounds[s - 1];
+  bounds[0] = 0;
 
   // Phase 2 — fan out one sub-batch per involved shard. pending_ is armed
   // before the first enqueue: a worker may finish the first sub-batch while
   // later ones are still being pushed.
   uint32_t involved = 0;
-  for (const auto& indexes : per_shard) {
-    if (!indexes.empty()) ++involved;
+  for (uint32_t s = 0; s < num; ++s) {
+    if (bounds[s + 1] > bounds[s]) ++involved;
   }
   if (involved == 0) {
     // Empty batch: complete immediately, on this thread.
@@ -210,8 +228,10 @@ void ShardedEngine::SubmitTicket(const TicketPtr& ticket) {
 
   const auto now = std::chrono::steady_clock::now();
   const size_t max_depth = options_.max_queue_depth;
-  for (uint32_t s = 0; s < per_shard.size(); ++s) {
-    if (per_shard[s].empty()) continue;
+  for (uint32_t s = 0; s < num; ++s) {
+    if (bounds[s + 1] == bounds[s]) continue;
+    const uint32_t begin = num + 1 + bounds[s];
+    const uint32_t end = num + 1 + bounds[s + 1];
     // 1-in-N sampler, decided per sub-batch off the queue lock. The context
     // is stamped with the shared enqueue timestamp here and handed to the
     // serving worker through the queue mutex (single-writer handoff — see
@@ -238,10 +258,9 @@ void ShardedEngine::SubmitTicket(const TicketPtr& ticket) {
           // is retired here, so the ticket still completes normally.
           lk.unlock();
           RecordFlightEvent(FlightEvent::kBusyReject, s, full_depth);
-          busy_rejections_.fetch_add(per_shard[s].size(),
-                                     std::memory_order_relaxed);
-          for (uint32_t i : per_shard[s]) {
-            out.results[i].status =
+          busy_rejections_.fetch_add(end - begin, std::memory_order_relaxed);
+          for (uint32_t k = begin; k < end; ++k) {
+            out.results[by_shard[k]].status =
                 Status::Busy("shard " + std::to_string(s) +
                              " queue full (max_queue_depth)");
           }
@@ -261,7 +280,8 @@ void ShardedEngine::SubmitTicket(const TicketPtr& ticket) {
       }
       SubBatch sub;
       sub.ticket = ticket;
-      sub.indexes = std::move(per_shard[s]);
+      sub.begin = begin;
+      sub.end = end;
       sub.enqueued = now;
       sub.trace = std::move(trace);
       queue->work.push_back(std::move(sub));
@@ -292,12 +312,14 @@ void ShardedEngine::FinishTicket(const TicketPtr& ticket) {
 
 // ---- Workers ----------------------------------------------------------------
 
-void ShardedEngine::WorkerLoop(Worker* worker) {
-  std::vector<SubBatch> group;
+void ShardedEngine::WorkerLoop(Worker* worker, uint32_t index) {
+  char name[16];
+  std::snprintf(name, sizeof(name), "nblb-worker%u", index);
+  pthread_setname_np(pthread_self(), name);
   for (;;) {
     bool ran_any = false;
     for (uint32_t sid : worker->shards) {
-      while (ServeShard(worker, sid, &group)) ran_any = true;
+      while (ServeShard(worker, sid)) ran_any = true;
     }
     if (ran_any) continue;
     std::unique_lock<std::mutex> lk(worker->mu);
@@ -312,13 +334,13 @@ void ShardedEngine::WorkerLoop(Worker* worker) {
   }
 }
 
-bool ShardedEngine::ServeShard(Worker* worker, uint32_t sid,
-                               std::vector<SubBatch>* group) {
+bool ShardedEngine::ServeShard(Worker* worker, uint32_t sid) {
   ShardQueue* queue = queues_[sid].get();
   Shard* shard = shards_[sid].get();
 
   if (queue->size.load(std::memory_order_acquire) == 0) return false;
 
+  std::vector<SubBatch>* group = &worker->group;
   group->clear();
   size_t depth;
   {
@@ -354,7 +376,7 @@ bool ShardedEngine::ServeShard(Worker* worker, uint32_t sid,
   stats.queue_depth.Record(depth);
   stats.coalesced.Record(group->size());
   stats.Add(stats.coalesced_groups);
-  RunGroup(shard, group);
+  RunGroup(worker, shard);
 
   // Periodic durable checkpoint, on the owning worker (single-writer: the
   // checkpoint flushes and republishes structures only this thread
@@ -372,7 +394,8 @@ bool ShardedEngine::ServeShard(Worker* worker, uint32_t sid,
   return true;
 }
 
-void ShardedEngine::RunGroup(Shard* shard, std::vector<SubBatch>* group) {
+void ShardedEngine::RunGroup(Worker* worker, Shard* shard) {
+  std::vector<SubBatch>* group = &worker->group;
   // Consecutive kGet requests — ACROSS sub-batch boundaries — are drained
   // through the shard's batched read path (shared B+Tree descent + vectored
   // heap-page miss I/O); coalescing the group is what turns queue depth into
@@ -396,20 +419,17 @@ void ShardedEngine::RunGroup(Shard* shard, std::vector<SubBatch>* group) {
     sub.trace->AddSpan(TracePhase::kQueueWait, sub.enqueued, dequeued);
   }
 
-  std::vector<uint64_t> run_ids;
-  std::vector<RequestResult*> run_slots;
+  // A get run's rows are decoded straight into its requests' result slots.
+  std::vector<uint64_t>& run_ids = worker->run_ids;
+  std::vector<RowSlot>& run_slots = worker->run_slots;
   auto flush_gets = [&] {
     if (run_ids.empty()) return;
-    std::vector<Result<Row>> rows;
-    Status s = shard->GetBatch(run_ids, &rows);
-    for (size_t k = 0; k < run_slots.size(); ++k) {
-      RequestResult& result = *run_slots[k];
-      if (!s.ok()) {
-        result.status = s;
-      } else if (rows[k].ok()) {
-        result.row = std::move(*rows[k]);
-      } else {
-        result.status = rows[k].status();
+    Status s = shard->GetBatch(run_ids, run_slots.data());
+    if (!s.ok()) {
+      // An infrastructure failure fails every get of the run.
+      for (const RowSlot& slot : run_slots) {
+        *slot.status = s;
+        slot.row->clear();
       }
     }
     run_ids.clear();
@@ -423,12 +443,14 @@ void ShardedEngine::RunGroup(Shard* shard, std::vector<SubBatch>* group) {
     for (SubBatch& sub : *group) {
       const RequestBatch& batch = *sub.ticket->batch_;
       BatchResult& out = sub.ticket->result_;
-      for (uint32_t i : sub.indexes) {
+      const std::vector<uint32_t>& by_shard = sub.ticket->by_shard_;
+      for (uint32_t k = sub.begin; k < sub.end; ++k) {
+        const uint32_t i = by_shard[k];
         const Request& request = batch[i];
         RequestResult& result = out.results[i];
         if (request.kind == RequestKind::kGet) {
           run_ids.push_back(request.id);
-          run_slots.push_back(&result);
+          run_slots.push_back({&result.status, &result.row});
           continue;
         }
         flush_gets();
@@ -471,7 +493,8 @@ void ShardedEngine::RunGroup(Shard* shard, std::vector<SubBatch>* group) {
     for (SubBatch& sub : *group) {
       const RequestBatch& batch = *sub.ticket->batch_;
       BatchResult& out = sub.ticket->result_;
-      for (uint32_t i : sub.indexes) {
+      for (uint32_t k = sub.begin; k < sub.end; ++k) {
+        const uint32_t i = sub.ticket->by_shard_[k];
         const RequestKind kind = batch[i].kind;
         if ((kind == RequestKind::kInsert || kind == RequestKind::kUpdate ||
              kind == RequestKind::kDelete) &&

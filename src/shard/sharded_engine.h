@@ -172,7 +172,17 @@ class ShardedEngine {
 
    private:
     friend class ShardedEngine;
-    Ticket() = default;
+    /// Only the engine can name it, so only the engine makes tickets.
+    struct Key {
+      explicit Key() = default;
+    };
+
+   public:
+    /// For std::make_shared inside the engine: ticket and control block
+    /// are one allocation.
+    explicit Ticket(Key) {}
+
+   private:
     /// Releases the batch and the callback closure (nothing reads them
     /// after completion), then flips done_ and wakes waiters.
     void MarkDone();
@@ -182,6 +192,9 @@ class ShardedEngine {
                                              // caller's batch for
                                              // Execute/SubmitRef; null
                                              // once done
+    /// The batch's indexes grouped by home shard (SubmitTicket), one
+    /// counting pass into one array; each SubBatch holds its range.
+    std::vector<uint32_t> by_shard_;
     BatchResult result_;
     CompletionFn on_complete_;
     /// Sub-batches still running. Decremented with acq_rel: the release
@@ -274,7 +287,10 @@ class ShardedEngine {
   /// The fragment of a batch bound for one shard.
   struct SubBatch {
     TicketPtr ticket;
-    std::vector<uint32_t> indexes;  // into ticket->batch_, ascending
+    /// Range of ticket->by_shard_ holding this shard's request indexes
+    /// (into ticket->batch_, ascending).
+    uint32_t begin = 0;
+    uint32_t end = 0;
     std::chrono::steady_clock::time_point enqueued;
     /// Non-null iff this sub-batch was trace-sampled. Stamped by the
     /// submitter before queue publication; written only by the serving
@@ -308,6 +324,12 @@ class ShardedEngine {
     std::condition_variable cv;
     std::atomic<uint64_t> queued{0};  // sub-batches across owned shards
     std::vector<uint32_t> shards;     // owned shard ids
+    // Owner-thread buffers, cleared but never freed between groups: the
+    // service group being run, and the current get run's ids and result
+    // slots (RunGroup).
+    std::vector<SubBatch> group;
+    std::vector<uint64_t> run_ids;
+    std::vector<RowSlot> run_slots;
   };
 
   explicit ShardedEngine(uint32_t num_shards) : router_(num_shards) {}
@@ -317,11 +339,14 @@ class ShardedEngine {
   /// Counts the batch, runs the callback on this thread, then marks the
   /// ticket done.
   void FinishTicket(const TicketPtr& ticket);
-  void WorkerLoop(Worker* worker);
-  /// Pops up to `window` sub-batches off shard `sid`'s queue, adapts the
-  /// window, and serves them as one group. Returns true if anything ran.
-  bool ServeShard(Worker* worker, uint32_t sid, std::vector<SubBatch>* group);
-  void RunGroup(Shard* shard, std::vector<SubBatch>* group);
+  /// Worker thread `index`: names itself nblb-worker<index>, then serves
+  /// its shards until stopped.
+  void WorkerLoop(Worker* worker, uint32_t index);
+  /// Pops up to `window` sub-batches off shard `sid`'s queue into
+  /// worker->group, adapts the window, and serves them as one group.
+  /// Returns true if anything ran.
+  bool ServeShard(Worker* worker, uint32_t sid);
+  void RunGroup(Worker* worker, Shard* shard);
 
   ShardedEngineOptions options_;
   const HashRouter router_;  // over num_shards

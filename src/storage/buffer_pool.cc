@@ -1,5 +1,7 @@
 #include "storage/buffer_pool.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -962,6 +964,7 @@ void BufferPool::StopFlusher() {
 }
 
 void BufferPool::FlusherLoop() {
+  pthread_setname_np(pthread_self(), "nblb-flush");
   for (;;) {
     {
       std::unique_lock<std::mutex> lk(flusher_wake_mu_);

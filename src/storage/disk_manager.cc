@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <limits.h>
+#include <pthread.h>
 #include <sys/stat.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -422,6 +423,7 @@ void DiskManager::EnsureIoThreads() {
 }
 
 void DiskManager::IoThreadLoop() {
+  pthread_setname_np(pthread_self(), "nblb-io");
   for (;;) {
     OpRecord* op = nullptr;
     {

@@ -317,11 +317,7 @@ Status HeapFile::Get(const Rid& rid, std::string* out) {
   return Status::OK();
 }
 
-Status HeapFile::GetBatch(const std::vector<Rid>& rids,
-                          std::vector<std::string>* tuples,
-                          std::vector<Status>* statuses) {
-  tuples->assign(rids.size(), std::string());
-  statuses->assign(rids.size(), Status::OK());
+Status HeapFile::GetBatch(const std::vector<Rid>& rids, const TupleFn& fn) {
   if (rids.empty()) return Status::OK();
 
   // One pinned guard per distinct page, fetched in batched calls so misses
@@ -330,14 +326,18 @@ Status HeapFile::GetBatch(const std::vector<Rid>& rids,
   // (the per-op path held one pin at a time; wholesale ResourceExhausted on
   // a big batch would be a regression). Chunks are pipelined: the next
   // chunk's miss reads are submitted (StartFetchPages) before the current
-  // chunk's tuples are copied out, so the device stays busy while the CPU
-  // does the memcpys. The cap leaves room for two chunks pinned at once.
-  std::vector<PageId> page_ids;
-  page_ids.reserve(rids.size());
+  // chunk's tuples are handed to fn, so the device stays busy while the CPU
+  // decodes. The cap leaves room for two chunks pinned at once.
+  std::vector<PageId>& page_ids = batch_pages_;
+  page_ids.clear();
   for (const Rid& rid : rids) page_ids.push_back(rid.page);
   std::sort(page_ids.begin(), page_ids.end());
   page_ids.erase(std::unique(page_ids.begin(), page_ids.end()),
                  page_ids.end());
+  const auto start_chunk = [&](size_t begin, size_t end) {
+    chunk_pages_.assign(page_ids.begin() + begin, page_ids.begin() + end);
+    return bp_->StartFetchPages(chunk_pages_);
+  };
   size_t chunk_cap = std::max<size_t>(8, bp_->num_frames() / 8);
   const size_t page_size = bp_->page_size();
   size_t transient_retries = 0;
@@ -349,8 +349,7 @@ Status HeapFile::GetBatch(const std::vector<Rid>& rids,
   while (base < page_ids.size() || have_pending) {
     if (!have_pending) {
       const size_t end = std::min(base + chunk_cap, page_ids.size());
-      auto started = bp_->StartFetchPages(
-          std::vector<PageId>(page_ids.begin() + base, page_ids.begin() + end));
+      auto started = start_chunk(base, end);
       if (!started.ok()) {
         // The cap bounds total pins, not per-stripe pins; an unlucky
         // stripe (or concurrent pinners) can still exhaust. Degrade by
@@ -401,8 +400,7 @@ Status HeapFile::GetBatch(const std::vector<Rid>& rids,
     bool have_ahead = false;
     if (base < page_ids.size() && pending.self_contained()) {
       const size_t end = std::min(base + chunk_cap, page_ids.size());
-      auto started = bp_->StartFetchPages(
-          std::vector<PageId>(page_ids.begin() + base, page_ids.begin() + end));
+      auto started = start_chunk(base, end);
       if (started.ok()) {
         ahead = std::move(*started);
         ahead_begin = base;
@@ -452,8 +450,8 @@ Status HeapFile::GetBatch(const std::vector<Rid>& rids,
           std::lower_bound(chunk_begin, chunk_end_it, rid.page) -
           chunk_begin);
       Slice tuple;
-      (*statuses)[i] = ReadTuple(guards[gi].data(), page_size, rid, &tuple);
-      if ((*statuses)[i].ok()) (*tuples)[i].assign(tuple.data(), tuple.size());
+      const Status st = ReadTuple(guards[gi].data(), page_size, rid, &tuple);
+      fn(i, st, st.ok() ? tuple : Slice());
     }
     if (have_ahead) {
       pending = std::move(ahead);

@@ -109,17 +109,22 @@ class HeapFile {
   /// \brief Copies the tuple at `rid` into `out`.
   Status Get(const Rid& rid, std::string* out);
 
+  /// \brief Receives one tuple of a batched read (GetBatch): its index into
+  /// the rids, its status, and its bytes (empty unless the status is OK).
+  using TupleFn =
+      std::function<void(size_t index, const Status& status, const Slice& tuple)>;
+
   /// \brief Batched point reads: fetches the distinct pages of `rids`
   /// through chunked, pipelined BufferPool batch fetches (each chunk's
   /// misses are one overlapped async read group, and the next chunk's
-  /// reads are submitted before the current chunk's tuples are copied),
-  /// then copies each tuple. `tuples` and `statuses` are resized to
-  /// rids.size() and filled 1:1; a missing tuple yields NotFound in its
-  /// status slot without failing the call. The returned Status covers
-  /// infrastructure failures only.
-  Status GetBatch(const std::vector<Rid>& rids,
-                  std::vector<std::string>* tuples,
-                  std::vector<Status>* statuses);
+  /// reads are submitted before the current chunk's tuples are handed
+  /// out), then calls fn once per rid while its page is pinned, chunk by
+  /// chunk rather than in rid order. The tuple's bytes point into the page
+  /// and live only until fn returns; fn must fetch no page (it runs with a
+  /// chunk pinned and the next one loading). A missing tuple reaches fn as
+  /// NotFound without failing the call. The returned Status covers
+  /// infrastructure failures only; after one, some rids got no call.
+  Status GetBatch(const std::vector<Rid>& rids, const TupleFn& fn);
 
   /// \brief Replaces the tuple at `rid` without moving it: over its old
   /// bytes when the new tuple is no longer, else in the page's free space
@@ -163,6 +168,10 @@ class HeapFile {
   std::vector<PageId> pages_with_holes_;  // only used when reuse_free_slots
   uint64_t tuple_count_ = 0;
   std::string scratch_;  // page copy for compaction
+  // GetBatch's page lists, reused across calls: the batch's distinct pages
+  // and the chunk being started.
+  std::vector<PageId> batch_pages_;
+  std::vector<PageId> chunk_pages_;
 };
 
 }  // namespace nblb

@@ -22,6 +22,7 @@
 namespace nblb {
 namespace {
 
+using nblb::testing::CopyBatch;
 using nblb::testing::MakeStack;
 using nblb::testing::Stack;
 
@@ -77,7 +78,7 @@ TEST(BatchFetchRetryTest, HeapGetBatchRidesOutTransientPinPressure) {
   std::vector<std::string> out;
   std::vector<Status> statuses;
   std::thread fetcher(
-      [&] { fetch_status = heap->GetBatch(want, &out, &statuses); });
+      [&] { fetch_status = CopyBatch(heap.get(), want, &out, &statuses); });
 
   // Release only after the retry loop is provably running.
   EXPECT_TRUE(WaitForEvents(FlightEvent::kChunkRetry, 3));

@@ -19,6 +19,7 @@
 namespace nblb {
 namespace {
 
+using nblb::testing::CopyBatch;
 using nblb::testing::MakeStack;
 using nblb::testing::Stack;
 
@@ -159,7 +160,7 @@ TEST(HeapFileBatchTest, GetBatchMatchesGetAndReportsMissingSlots) {
                               rids[250]};
   std::vector<std::string> tuples;
   std::vector<Status> statuses;
-  ASSERT_OK(hf->GetBatch(request, &tuples, &statuses));
+  ASSERT_OK(CopyBatch(hf.get(), request, &tuples, &statuses));
   ASSERT_EQ(tuples.size(), request.size());
   for (size_t i = 0; i < request.size(); ++i) {
     if (i == 2) {
@@ -187,7 +188,7 @@ TEST(HeapFileBatchTest, BatchLargerThanThePoolIsChunkedNotExhausted) {
   }
   std::vector<std::string> tuples;
   std::vector<Status> statuses;
-  ASSERT_OK(hf->GetBatch(rids, &tuples, &statuses));
+  ASSERT_OK(CopyBatch(hf.get(), rids, &tuples, &statuses));
   for (size_t i = 0; i < rids.size(); ++i) {
     ASSERT_OK(statuses[i]);
     EXPECT_EQ(tuples[i][0], 'A' + static_cast<char>(i % 26));

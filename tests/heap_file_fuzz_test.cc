@@ -43,6 +43,7 @@
 namespace nblb {
 namespace {
 
+using nblb::testing::CopyBatch;
 using nblb::testing::MakeStack;
 using nblb::testing::Stack;
 
@@ -265,7 +266,7 @@ TEST(HeapPageFuzzTest, MutatedPagesReadBackWrittenBytesOrFail) {
     }
     std::vector<std::string> tuples;
     std::vector<Status> statuses;
-    ASSERT_OK(heap->GetBatch(rids, &tuples, &statuses));
+    ASSERT_OK(CopyBatch(heap.get(), rids, &tuples, &statuses));
     for (size_t i = 0; i < rids.size(); ++i) {
       check_read(rids[i], statuses[i], tuples[i]);
     }

@@ -2,7 +2,8 @@
 // admission-control busy shedding, protocol-error connection teardown,
 // client disconnect mid-request, clean engine drain when clients are
 // killed under load, read backpressure against a client that never reads
-// its replies, and Start failing when the event loop cannot be set up.
+// its replies, Start failing when the event loop cannot be set up, and the
+// names the server's threads carry.
 
 #include <gtest/gtest.h>
 
@@ -13,11 +14,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -83,6 +87,73 @@ bool WaitUntil(const std::function<bool()>& pred, int timeout_ms = 30000) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return pred();
+}
+
+/// The names of this process's threads (/proc/self/task/*/comm).
+std::vector<std::string> ThreadNames() {
+  std::vector<std::string> names;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    if (std::getline(comm, name)) names.push_back(name);
+  }
+  return names;
+}
+
+TEST(NetServerTest, ServerThreadsAreNamed) {
+  // Every thread a server runs names itself, so `top -H` and
+  // /proc/<pid>/task/*/comm attribute its CPU without a profiler.
+  ShardedEngineOptions eopts = EngineOptions("names");
+  eopts.flusher_interval_us = 1000;
+  ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(eopts));
+  ASSERT_OK_AND_ASSIGN(auto server,
+                       NetServer::Start(NetServerOptions{}, engine.get()));
+
+  // The fallback I/O pool starts with a disk's first async I/O. Run one on
+  // a disk that asks for the pool; NBLB_IO_BACKEND=uring overrides that,
+  // and then no pool runs.
+  nblb::testing::TempFile file("names_io");
+  AsyncIoOptions aio;
+  aio.backend = IoBackend::kThreads;
+  DiskManager disk(file.path(), 4096, nullptr, false, aio);
+  ASSERT_OK(disk.Open());
+  ASSERT_OK_AND_ASSIGN(PageId page, disk.AllocatePage());
+  std::string buf(4096, '\0');
+  char* dst = buf.data();
+  DiskManager::IoTicket ticket;
+  ASSERT_OK(disk.SubmitReads(&page, &dst, 1, &ticket));
+  ASSERT_OK(disk.WaitReads(&ticket));
+
+  std::vector<std::string> want = {"nblb-net", "nblb-flush"};
+  for (uint32_t w = 0; w < engine->num_workers(); ++w) {
+    want.push_back("nblb-worker" + std::to_string(w));
+  }
+  if (disk.io_backend_in_use() == IoBackend::kThreads) {
+    want.push_back("nblb-io");
+  }
+  // Each thread names itself as it starts.
+  std::vector<std::string> names;
+  const bool all = WaitUntil([&] {
+    names = ThreadNames();
+    for (const std::string& name : want) {
+      if (std::find(names.begin(), names.end(), name) == names.end()) {
+        return false;
+      }
+    }
+    return true;
+  });
+  std::string seen;
+  for (const std::string& name : names) seen += name + " ";
+  EXPECT_TRUE(all) << "threads: " << seen;
+  // One flusher per shard's buffer pool.
+  EXPECT_EQ(std::count(names.begin(), names.end(), "nblb-flush"),
+            static_cast<long>(eopts.num_shards))
+      << "threads: " << seen;
+
+  server.reset();
+  engine.reset();
+  Cleanup(eopts);
 }
 
 TEST(NetServerTest, RoundTripAllRequestKinds) {

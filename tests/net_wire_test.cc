@@ -319,5 +319,111 @@ TEST(NetWireTest, LongLivedDecoderCompactsItsBuffer) {
   }
 }
 
+// ---- Golden frames -----------------------------------------------------------
+//
+// The bytes below were written by the earlier encoder, which grew a payload
+// string value by value and then copied it behind the header. The sized
+// encoder must write the same bytes.
+
+std::string Unhex(const std::string& hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+TEST(NetWireGoldenTest, OkRowsOfEveryType) {
+  BatchResult result;
+  RequestResult every;
+  every.shard = 2;
+  every.row = {Value::Bool(true),        Value::Int8(-5),
+               Value::Int16(-300),       Value::Int32(-70000),
+               Value::Int64(-5000000000LL), Value::Timestamp(1300000000u),
+               Value::Float64(-2.5),     Value::Char("abc"),
+               Value::Varchar("hello, wire")};
+  result.results.push_back(every);
+  RequestResult empty_strings;
+  empty_strings.row = {Value::Int64(7), Value::Varchar(""), Value::Char("")};
+  result.results.push_back(empty_strings);
+  std::string wire;
+  ASSERT_OK(AppendResponseFrame(0x0102030405060708ull, result, &wire));
+  EXPECT_EQ(wire,
+            Unhex("8200000002000000080706050403020102000000000000020000000109"
+                  "0000010000000000000001fbffffffffffffff02d4feffffffffffff03"
+                  "90eefeffffffffff04000efad5feffffff06006d7c4d00000000050000"
+                  "0000000004c00703000000616263080b00000068656c6c6f2c207769"
+                  "72650000000000000001030004070000000000000008000000000700"
+                  "000000"));
+}
+
+BatchResult ErrorAndNoRow() {
+  BatchResult result;
+  RequestResult error;
+  error.status = Status::NotFound("key 42 not found");
+  error.shard = 3;
+  result.results.push_back(error);
+  RequestResult no_row;
+  no_row.shard = 1;
+  result.results.push_back(no_row);
+  return result;
+}
+
+TEST(NetWireGoldenTest, ErrorWithAMessageAndAResultWithNoRow) {
+  std::string wire;
+  ASSERT_OK(AppendResponseFrame(9, ErrorAndNoRow(), &wire));
+  EXPECT_EQ(wire,
+            Unhex("24000000020000000900000000000000020000000110006b6579203432"
+                  "206e6f7420666f756e6403000000000000000100000000"));
+}
+
+TEST(NetWireGoldenTest, MessageOverU16IsTruncated) {
+  BatchResult result;
+  RequestResult r;
+  r.status = Status::Corruption(std::string(70000, 'm'));
+  r.shard = 1;
+  result.results.push_back(r);
+  std::string wire;
+  ASSERT_OK(AppendResponseFrame(11, result, &wire));
+  EXPECT_EQ(wire, Unhex("0b000100020000000b000000000000000100000004ffff") +
+                      std::string(65535, 'm') + Unhex("0100000000"));
+}
+
+TEST(NetWireGoldenTest, AppendKeepsTheBytesAlreadyInOut) {
+  std::string wire = "keep-me";
+  ASSERT_OK(AppendResponseFrame(5, ErrorAndNoRow(), &wire));
+  AppendBusyFrame(6, &wire);
+  EXPECT_EQ(wire,
+            Unhex("6b6565702d6d6524000000020000000500000000000000020000000110"
+                  "006b6579203432206e6f7420666f756e64030000000000000001000000"
+                  "0000000000030000000600000000000000"));
+}
+
+TEST(NetWireGoldenTest, RequestOfEveryKind) {
+  RequestBatch batch;
+  batch.push_back(Request::Get(1));
+  batch.push_back(Request::GetProjected(2, {0, 3}));
+  batch.push_back(Request::Insert(3, {Value::Int64(3), Value::Char("x")}));
+  batch.push_back(Request::Update(4, {Value::Int64(4), Value::Varchar("yz")}));
+  batch.push_back(Request::Delete(5));
+  std::string wire;
+  ASSERT_OK(AppendRequestFrame(77, batch, &wire));
+  EXPECT_EQ(wire,
+            Unhex("5a000000010000004d00000000000000050000000001000000000000"
+                  "00010200000000000000020000000300020300000000000000020004"
+                  "03000000000000000701000000780304000000000000000200040400"
+                  "0000000000000802000000797a040500000000000000"));
+}
+
+TEST(NetWireGoldenTest, FailedResponseEncodeLeavesOutUntouched) {
+  BatchResult result;
+  RequestResult r;
+  r.row = Row(65536, Value::Bool(true));
+  result.results.push_back(r);
+  std::string wire = "keep-me";
+  EXPECT_FALSE(AppendResponseFrame(1, result, &wire).ok());
+  EXPECT_EQ(wire, "keep-me");
+}
+
 }  // namespace
 }  // namespace nblb::net

@@ -8,11 +8,13 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "obs/metrics.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "storage/heap_file.h"
 
 namespace nblb::testing {
 
@@ -66,6 +68,29 @@ inline Stack MakeStack(const std::string& tag, size_t page_size = 8192,
   EXPECT_TRUE(s.disk->Open().ok());
   s.bp.reset(new BufferPool(s.disk.get(), frames));
   s.Register();
+  return s;
+}
+
+/// HeapFile::GetBatch into copies: tuples[i] and statuses[i] answer
+/// rids[i]. Adds a test failure unless every rid gets exactly one call when
+/// the batch succeeds.
+inline Status CopyBatch(HeapFile* heap, const std::vector<Rid>& rids,
+                        std::vector<std::string>* tuples,
+                        std::vector<Status>* statuses) {
+  tuples->assign(rids.size(), std::string());
+  statuses->assign(rids.size(), Status::OK());
+  std::vector<int> calls(rids.size(), 0);
+  Status s = heap->GetBatch(
+      rids, [&](size_t i, const Status& st, const Slice& tuple) {
+        ++calls[i];
+        (*statuses)[i] = st;
+        (*tuples)[i] = tuple.ToString();
+      });
+  if (s.ok()) {
+    for (size_t i = 0; i < rids.size(); ++i) {
+      EXPECT_EQ(calls[i], 1) << "rid " << i;
+    }
+  }
   return s;
 }
 
