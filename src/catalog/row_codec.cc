@@ -120,44 +120,6 @@ Value DecodeScalar(const char* p, const Column& c) {
   return Value();
 }
 
-Status Corrupt(const char* what, const Column& c) {
-  return Status::Corruption(std::string(what) + " in row column " + c.name);
-}
-
-/// Appends the columns of the image `src` to `row` (RowCodec::DecodeInto).
-Status DecodeColumns(const Schema& schema, const Slice& src, Row* row) {
-  if (src.size() > schema.row_size()) {
-    return Status::Corruption("row image longer than the schema's row size");
-  }
-  const bool fixed = src.size() == schema.row_size();
-  const char* p = src.data();
-  const char* const end = p + src.size();
-  row->reserve(schema.num_columns());
-  for (size_t i = 0; i < schema.num_columns(); ++i) {
-    const Column& c = schema.column(i);
-    const size_t left = static_cast<size_t>(end - p);
-    if (c.type != TypeId::kVarchar) {
-      const size_t width = FixedWidth(schema, i);
-      if (left < width) return Corrupt("truncated value", c);
-      if (c.type == TypeId::kBool && static_cast<uint8_t>(*p) > 1) {
-        return Corrupt("BOOL byte other than 0 or 1", c);
-      }
-      row->push_back(DecodeScalar(p, c));
-      p += width;
-      continue;
-    }
-    if (left < 2) return Corrupt("truncated VARCHAR length", c);
-    const size_t len = DecodeFixed16(p);
-    if (len > c.length) return Corrupt("VARCHAR length over capacity", c);
-    const size_t width = 2 + (fixed ? c.length : len);
-    if (left < width) return Corrupt("truncated VARCHAR bytes", c);
-    row->push_back(Value::Varchar(std::string(p + 2, len)));
-    p += width;
-  }
-  if (p != end) return Status::Corruption("trailing bytes after row image");
-  return Status::OK();
-}
-
 }  // namespace
 
 Status RowCodec::Encode(const Row& row, char* dst) const {
@@ -195,9 +157,18 @@ Status RowCodec::EncodeTrimmed(const Row& row, std::string* dst) const {
   return Status::OK();
 }
 
+Status RowCodec::CorruptColumn(const char* what, const Column& c) {
+  return Status::Corruption(std::string(what) + " in row column " + c.name);
+}
+
 Status RowCodec::DecodeInto(const Slice& src, Row* row) const {
   row->clear();
-  Status s = DecodeColumns(*schema_, src, row);
+  row->reserve(schema_->num_columns());
+  Status s = Walk(src, [row](const Column& c, const char* p, size_t n) {
+    row->push_back(c.type == TypeId::kVarchar
+                       ? Value::Varchar(std::string(p, n))
+                       : DecodeScalar(p, c));
+  });
   if (!s.ok()) row->clear();
   return s;
 }

@@ -19,23 +19,37 @@
 // exactly row_size() bytes as a fixed image and a shorter one as trimmed,
 // with no format flag.
 //
-// DecodeInto is the only decoder (Decode wraps it) and it is checked: the
-// bytes it reads come from disk (heap pages carry no checksum) or from a
-// log, and a bad length must surface as Corruption, never as a read past the
-// buffer. An accepted payload re-encodes to itself, except that a fixed
-// image's VARCHAR padding is never read (it holds no data) and re-encodes as
-// zeros.
+// Walk is the one parser of stored images, and it is checked: the bytes it
+// reads come from disk (heap pages carry no checksum) or from a log, and a
+// bad length must surface as Corruption, never as a read past the buffer.
+// It hands each column's bytes to a sink, and every reader of an image is
+// Walk plus a sink: DecodeInto builds Values (Decode wraps it), Check builds
+// nothing, and the network encoder transcodes the bytes straight into a
+// wire row (net/wire.cc). So they accept and reject exactly the same images,
+// with the same Corruption messages. An accepted payload re-encodes to
+// itself, except that a fixed image's VARCHAR padding is never read (it
+// holds no data) and re-encodes as zeros.
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "catalog/schema.h"
 #include "catalog/value.h"
+#include "common/bytes.h"
 #include "common/result.h"
 #include "common/slice.h"
 
 namespace nblb {
+
+/// \brief Where one checked row image sits in a buffer of images (a
+/// BatchResult's per-shard image buffers, see shard/request.h).
+struct ImageSpan {
+  uint32_t offset = 0;
+  uint32_t size = 0;
+  bool present = false;  ///< false: no image (the row form carries the row)
+};
 
 /// \brief Encodes/decodes rows against a fixed schema.
 class RowCodec {
@@ -66,10 +80,66 @@ class RowCodec {
   /// A bare pointer carries no length; pass a Slice.
   Result<Row> Decode(const char* src) const = delete;
 
+  /// \brief Walk with no sink: OK exactly when DecodeInto would accept
+  /// `src`, else its Corruption. Builds nothing.
+  Status Check(const Slice& src) const {
+    return Walk(src, [](const Column&, const char*, size_t) {});
+  }
+
+  /// \brief Walks the image `src` (fixed when src.size() == row_size(),
+  /// else trimmed) column by column, with DecodeInto's checks, and calls
+  /// `sink(column, bytes, n)` for each column in schema order: a VARCHAR's
+  /// n used bytes after its length, a CHAR's whole declared length (padding
+  /// included), any other column's fixed-width little-endian bytes (a BOOL
+  /// byte is 0 or 1). Stops at the first bad column with its Corruption.
+  template <typename Sink>
+  Status Walk(const Slice& src, Sink&& sink) const;
+
   const Schema* schema() const { return schema_; }
 
  private:
+  static Status CorruptColumn(const char* what, const Column& c);
+
   const Schema* schema_;
 };
+
+template <typename Sink>
+Status RowCodec::Walk(const Slice& src, Sink&& sink) const {
+  const Schema& schema = *schema_;
+  if (src.size() > schema.row_size()) {
+    return Status::Corruption("row image longer than the schema's row size");
+  }
+  const bool fixed = src.size() == schema.row_size();
+  const char* p = src.data();
+  const char* const end = p + src.size();
+  const size_t n = schema.num_columns();
+  for (size_t i = 0; i < n; ++i) {
+    const Column& c = schema.column(i);
+    const size_t left = static_cast<size_t>(end - p);
+    if (c.type != TypeId::kVarchar) {
+      // The fixed width, from the precomputed offsets (Column::ByteSize is
+      // an out-of-line call).
+      const size_t width =
+          (i + 1 < n ? schema.offset(i + 1) : schema.row_size()) -
+          schema.offset(i);
+      if (left < width) return CorruptColumn("truncated value", c);
+      if (c.type == TypeId::kBool && static_cast<uint8_t>(*p) > 1) {
+        return CorruptColumn("BOOL byte other than 0 or 1", c);
+      }
+      sink(c, p, width);
+      p += width;
+      continue;
+    }
+    if (left < 2) return CorruptColumn("truncated VARCHAR length", c);
+    const size_t len = DecodeFixed16(p);
+    if (len > c.length) return CorruptColumn("VARCHAR length over capacity", c);
+    const size_t width = 2 + (fixed ? c.length : len);
+    if (left < width) return CorruptColumn("truncated VARCHAR bytes", c);
+    sink(c, p + 2, len);
+    p += width;
+  }
+  if (p != end) return Status::Corruption("trailing bytes after row image");
+  return Status::OK();
+}
 
 }  // namespace nblb

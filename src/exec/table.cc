@@ -236,9 +236,7 @@ Status Table::GetBatchEncoded(const char* keys, size_t n,
       b.rids.push_back(Rid::FromU64(*b.tids[k]));
       b.rid_keys.push_back(b.order[k]);
     } else {
-      const RowSlot& slot = slots[b.order[k]];
-      *slot.status = b.tids[k].status();
-      slot.row->clear();
+      slots[b.order[k]].Fail(b.tids[k].status());
     }
   }
   // Two captured pointers keep the callback in std::function's inline
@@ -247,12 +245,27 @@ Status Table::GetBatchEncoded(const char* keys, size_t n,
       b.rids, [this, slots](size_t k, const Status& st, const Slice& tuple) {
         const RowSlot& slot = slots[batch_.rid_keys[k]];
         if (!st.ok()) {
-          *slot.status = st;
-          slot.row->clear();
+          slot.Fail(st);
           return;
         }
         ++stats_.heap_fetches;
-        *slot.status = row_codec_->DecodeInto(tuple, slot.row);
+        if (slot.images == nullptr) {
+          *slot.status = row_codec_->DecodeInto(tuple, slot.row);
+          return;
+        }
+        Status checked = row_codec_->Check(tuple);
+        const size_t offset = slot.images->size();
+        if (checked.ok() && offset + tuple.size() > UINT32_MAX) {
+          checked = Status::ResourceExhausted("image buffer over 4 GiB");
+        }
+        if (!checked.ok()) {
+          slot.Fail(checked);
+          return;
+        }
+        slot.images->append(tuple.data(), tuple.size());
+        *slot.image = {static_cast<uint32_t>(offset),
+                       static_cast<uint32_t>(tuple.size()), true};
+        *slot.status = Status::OK();
       });
 }
 

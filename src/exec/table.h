@@ -63,10 +63,22 @@ struct TableStats {
   uint64_t deletes = 0;
 };
 
-/// \brief Where a batched get puts one key's answer (Table::GetBatchEncoded).
+/// \brief Where a batched get puts one key's answer (Table::GetBatchEncoded):
+/// a Row, or, when `images` is set, an image destination.
 struct RowSlot {
-  Status* status;  ///< OK, NotFound, or the key's error
-  Row* row;        ///< the decoded row when *status is OK, else empty
+  Status* status;       ///< OK, NotFound, or the key's error
+  Row* row = nullptr;   ///< the decoded row when *status is OK, else empty
+  /// Image destination: the tuple, checked as DecodeInto checks it, is
+  /// appended to *images and placed by *image (present only when OK).
+  std::string* images = nullptr;
+  ImageSpan* image = nullptr;
+
+  /// Answers the key with a failure and no row or image.
+  void Fail(const Status& s) const {
+    *status = s;
+    if (row != nullptr) row->clear();
+    if (image != nullptr) image->present = false;
+  }
 };
 
 /// \brief A table with one primary index. Not thread safe for structural
@@ -133,12 +145,13 @@ class Table {
   /// \brief The batched-get core. Looks up `n` encoded keys, key_size()
   /// bytes each and back to back at `keys`, and answers key i in slots[i]:
   /// its row is decoded from the pinned heap page straight into
-  /// *slots[i].row, and *slots[i].status is set to OK, NotFound or the
-  /// key's error. Keys are sorted internally so the B+Tree descent is shared
-  /// across the batch (BTree::GetBatch) and the heap tuples are read with
-  /// one batched page fetch (HeapFile::GetBatch -> vectored miss I/O). The
-  /// returned Status covers infrastructure failures only; after one, some
-  /// slots are unset.
+  /// *slots[i].row (or, for an image destination, its stored bytes are
+  /// checked and appended under the pin), and *slots[i].status is set to
+  /// OK, NotFound or the key's error. Keys are sorted internally so the
+  /// B+Tree descent is shared across the batch (BTree::GetBatch) and the
+  /// heap tuples are read with one batched page fetch (HeapFile::GetBatch
+  /// -> vectored miss I/O). The returned Status covers infrastructure
+  /// failures only; after one, some slots are unset.
   Status GetBatchEncoded(const char* keys, size_t n, const RowSlot* slots);
 
   /// \brief GetBatchEncoded, pushing one Result per key onto `out`, in

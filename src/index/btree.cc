@@ -275,6 +275,17 @@ Status BTree::GetBatchDescent(const std::vector<Slice>& keys,
   // Chunk cap: two chunks may be pinned at once (current + prefetched), so
   // stay well below the pool capacity.
   const size_t chunk_cap = std::max<size_t>(8, bp_->num_frames() / 8);
+  // The current and the prefetched chunk pin into the two reused guard
+  // buffers; every exit drops their pins and keeps their capacity.
+  struct Unpin {
+    std::vector<PageGuard>* buffers;
+    ~Unpin() {
+      buffers[0].clear();
+      buffers[1].clear();
+    }
+  } unpin{descent_guards_};
+  std::vector<PageGuard>* guards = &descent_guards_[0];
+  std::vector<PageGuard>* ahead_guards = &descent_guards_[1];
 
   for (uint32_t depth = 0;; ++depth) {
     if (depth == kMaxHeight) {
@@ -282,17 +293,16 @@ Status BTree::GetBatchDescent(const std::vector<Slice>& keys,
     }
     next.clear();
     const size_t ngroups = groups.size();
-    auto start_chunk =
-        [&](size_t a, size_t b) -> Result<BufferPool::BatchFetch> {
-      std::vector<PageId> ids;
-      ids.reserve(b - a);
-      for (size_t g = a; g < b; ++g) ids.push_back(groups[g].page);
-      return bp_->StartFetchPages(ids);
+    auto start_chunk = [&](size_t a, size_t b, std::vector<PageGuard>* dst)
+        -> Result<BufferPool::BatchFetch> {
+      descent_pages_.clear();
+      for (size_t g = a; g < b; ++g) descent_pages_.push_back(groups[g].page);
+      return bp_->StartFetchPages(descent_pages_, dst);
     };
 
     size_t a = 0;
     size_t b = std::min(ngroups, chunk_cap);
-    auto pending = start_chunk(a, b);
+    auto pending = start_chunk(a, b, guards);
     NBLB_RETURN_NOT_OK(pending.status());
     while (a < ngroups) {
       const size_t na = b;
@@ -306,9 +316,8 @@ Status BTree::GetBatchDescent(const std::vector<Slice>& keys,
       // the dependent case degrades to sequential chunks below.
       Result<BufferPool::BatchFetch> ahead = Status::OK();
       const bool have_ahead = na < ngroups && (*pending).self_contained();
-      if (have_ahead) ahead = start_chunk(na, nb);
-      auto guards = bp_->FinishFetchPages(std::move(*pending));
-      Status err = guards.ok() ? Status::OK() : guards.status();
+      if (have_ahead) ahead = start_chunk(na, nb, ahead_guards);
+      Status err = bp_->FinishFetchPages(std::move(*pending));
       if (err.ok() && have_ahead && !ahead.ok()) err = ahead.status();
       if (err.ok()) {
         for (size_t g = a; g < b && err.ok(); ++g) {
@@ -349,14 +358,16 @@ Status BTree::GetBatchDescent(const std::vector<Slice>& keys,
         }
         return err;
       }
+      guards->clear();  // this chunk's pins
       a = na;
       b = nb;
       if (a < ngroups) {
         if (have_ahead) {
+          std::swap(guards, ahead_guards);
           pending = std::move(ahead);
         } else {
           // Sequential fallback for a dependent chunk.
-          pending = start_chunk(a, b);
+          pending = start_chunk(a, b, guards);
           NBLB_RETURN_NOT_OK(pending.status());
         }
       }

@@ -114,7 +114,8 @@ class BTree {
   /// async path (BufferPool::StartFetchPages), so index misses overlap at
   /// the device instead of being paid one root-to-leaf walk at a time.
   /// Returns non-OK only on infrastructure failure (per-key NotFound lands
-  /// in `out`).
+  /// in `out`). The descent reuses member buffers, so GetBatch serves one
+  /// caller at a time.
   Status GetBatch(const std::vector<Slice>& sorted_keys,
                   std::vector<Result<uint64_t>>* out);
 
@@ -216,6 +217,11 @@ class BTree {
   /// Atomic: readers poll it from cache probes while an invalidator bumps it
   /// (see global_csn() for the memory-ordering rationale).
   std::atomic<uint64_t> global_csn_{0};
+  /// GetBatchDescent's buffers, reused across calls: the chunk being
+  /// started, and the guards of the chunk being read and of the one
+  /// prefetched behind it (empty between calls).
+  std::vector<PageId> descent_pages_;
+  std::vector<PageGuard> descent_guards_[2];
 };
 
 }  // namespace nblb

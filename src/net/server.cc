@@ -228,6 +228,11 @@ void NetServer::LoopMain() {
       if ((flags & EPOLLIN) != 0) ReadReady(conn);
       if ((flags & EPOLLOUT) != 0) FlushConn(conn);
     }
+    // The frames this pass decoded go to the engine together, so each
+    // worker that got work is woken once per pass. Always before stopping_
+    // is read again: the destructor's drain waits on frames counted in
+    // flight at admission.
+    if (!burst_.empty()) engine_->Submit(&burst_);
   }
 
   // Close every connection before the fds go away; completion callbacks
@@ -347,15 +352,18 @@ bool NetServer::HandleRequestFrame(const ConnPtr& conn, Frame&& frame) {
   inflight_global_.fetch_add(1, std::memory_order_relaxed);
   const auto start = std::chrono::steady_clock::now();
   ConnPtr c = conn;
-  engine_->Submit(
+  // Submitted with the rest of this loop pass's frames (LoopMain). Gets
+  // come back as stored images, which the encoder transcodes.
+  burst_.push_back(ShardedEngine::Submission{
       std::move(decoded).ValueOrDie(),
       [this, c, request_id, start](const BatchResult& result) {
         // Engine worker (or this loop thread, when the engine shed every
         // sub-batch kBusy inside Submit): encode, enqueue, wake the loop.
         // A dead connection just drops the response — the decrementing
-        // below is what matters for drain correctness. Encoding can only
-        // fail on counts the decoded request already bounded, but if it
-        // somehow does, dropping the reply beats writing a desynced frame.
+        // below is what matters for drain correctness. Encoding fails only
+        // on counts the decoded request already bounded or on an image
+        // the worker already checked, but if it somehow does, dropping the
+        // reply beats writing a desynced frame.
         std::string out;
         const bool reply = !c->closed.load(std::memory_order_acquire) &&
                            AppendResponseFrame(request_id, result, &out).ok();
@@ -379,7 +387,8 @@ bool NetServer::HandleRequestFrame(const ConnPtr& conn, Frame&& frame) {
             drain_cv_.notify_all();
           }
         }
-      });
+      },
+      RowForm::kImage});
   return true;
 }
 
@@ -421,14 +430,16 @@ void NetServer::WakeLoop() {
 }
 
 void NetServer::DrainPendingWrites() {
-  std::vector<ConnPtr> pending;
+  // Swap with the loop's empty spare, so both vectors keep their capacity:
+  // the next QueueOutput pushes without reallocating.
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
-    pending.swap(pending_writes_);
+    draining_.swap(pending_writes_);
   }
-  for (const ConnPtr& conn : pending) {
+  for (const ConnPtr& conn : draining_) {
     if (!conn->want_write) FlushConn(conn);
   }
+  draining_.clear();
 }
 
 void NetServer::FlushConn(const ConnPtr& conn) {

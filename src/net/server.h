@@ -10,10 +10,19 @@
 //   ─────────────────                     ────────────────────────
 //   accept / recv / send                  engine ran the batch:
 //   decode frames                           encode response frame
-//   admission control                       append to conn output queue
-//   engine->Submit(batch, cb) ──────────▶   wake loop (eventfd)
+//   admission control                       (gets transcoded from
+//   end of pass: engine->Submit(&burst)      their stored images)
+//     ──────────────────────────────────▶   append to conn output queue
+//                                           wake loop (eventfd)
 //   drain woken conns' output  ◀──────────
 //   to their sockets
+//
+// Each admitted frame joins a loop-owned burst, and every loop pass submits
+// its burst at once (ShardedEngine::Submit(std::vector<Submission>*)), so
+// each engine worker that got work is woken once per pass rather than once
+// per frame. The frames ask for RowForm::kImage: a served get's tuple is
+// checked and copied under its page's pin, and AppendResponseFrame
+// transcodes it into the reply, so no Row is built, moved or freed.
 //
 // The loop thread is the only thread that touches sockets; completion
 // callbacks only encode (CPU work off the loop) and append to a
@@ -163,8 +172,8 @@ class NetServer {
   /// Decodes and dispatches every complete frame buffered on `conn`;
   /// returns false when the connection must be closed (protocol error).
   bool ProcessFrames(const ConnPtr& conn);
-  /// Admission + decode + Submit for one request frame; false on a
-  /// malformed payload (close the connection).
+  /// Admission + decode for one request frame, which joins burst_; false
+  /// on a malformed payload (close the connection).
   bool HandleRequestFrame(const ConnPtr& conn, Frame&& frame);
   /// Loop-thread side: appends an encoded frame and starts sending now.
   void EnqueueLoopSide(const ConnPtr& conn, std::string frame_bytes);
@@ -205,10 +214,16 @@ class NetServer {
   uint64_t next_conn_id_ = 1;                    // loop-private
   std::unordered_map<uint64_t, ConnPtr> conns_;  // loop-private
   std::vector<char> recv_buf_;                   // loop-private
+  /// Frames admitted this loop pass, submitted together at its end
+  /// (loop-private; emptied by each Submit, capacity kept).
+  std::vector<ShardedEngine::Submission> burst_;
 
   /// Connections with fresh completion output, awaiting a loop flush.
   std::mutex pending_mu_;
   std::vector<ConnPtr> pending_writes_;
+  /// The list DrainPendingWrites swaps in and works through: loop-private
+  /// and empty between drains, so both lists keep their capacity.
+  std::vector<ConnPtr> draining_;
 
   std::atomic<size_t> open_conns_{0};
   std::atomic<size_t> inflight_global_{0};

@@ -156,6 +156,57 @@ bool PutRow(Out* out, const Row& row) {
   return true;
 }
 
+/// Transcodes the stored image `image` into exactly the bytes
+/// PutRow(codec.DecodeInto(image)) writes, building no Row: the one checked
+/// walker (RowCodec::Walk) hands over each column's bytes, and each is
+/// written as PutValue writes the Value DecodeInto would make of it. An
+/// image DecodeInto rejects fails with its Corruption.
+template <typename Out>
+Status PutImageRow(Out* out, const RowCodec& codec, const Slice& image) {
+  const size_t columns = codec.schema()->num_columns();
+  if (columns > UINT16_MAX) {
+    return Status::InvalidArgument(
+        "result row overflows the wire format (column count)");
+  }
+  out->U16(static_cast<uint16_t>(columns));
+  return codec.Walk(image, [out](const Column& c, const char* p, size_t n) {
+    out->U8(static_cast<uint8_t>(c.type));
+    switch (c.type) {
+      case TypeId::kBool:  // Walk admits only 0 and 1
+        out->U64(static_cast<uint8_t>(*p));
+        break;
+      case TypeId::kInt8:  // signed types sign-extend, as Value::AsInt does
+        out->U64(static_cast<uint64_t>(static_cast<int8_t>(*p)));
+        break;
+      case TypeId::kInt16:
+        out->U64(static_cast<uint64_t>(
+            static_cast<int16_t>(DecodeFixed16(p))));
+        break;
+      case TypeId::kInt32:
+        out->U64(static_cast<uint64_t>(
+            static_cast<int32_t>(DecodeFixed32(p))));
+        break;
+      case TypeId::kTimestamp:  // unsigned seconds zero-extend
+        out->U64(DecodeFixed32(p));
+        break;
+      case TypeId::kInt64:
+      case TypeId::kFloat64:  // the stored bits
+        out->U64(DecodeFixed64(p));
+        break;
+      case TypeId::kChar: {  // without the padding, as DecodeInto trims it
+        while (n > 0 && p[n - 1] == ' ') --n;
+        out->U32(static_cast<uint32_t>(n));
+        out->Bytes(p, n);
+        break;
+      }
+      case TypeId::kVarchar:
+        out->U32(static_cast<uint32_t>(n));
+        out->Bytes(p, n);
+        break;
+    }
+  });
+}
+
 /// Appends one frame: `put(&o)` writes the payload to an output `o` and
 /// returns non-OK when a count overflows its wire integer. A sizing pass
 /// validates and measures, then `out` grows once and the header and payload
@@ -234,6 +285,17 @@ Status PutResults(Out* out, const BatchResult& result) {
     out->U16(static_cast<uint16_t>(msg_len));
     out->Bytes(msg.data(), msg_len);
     out->U32(r.shard);
+    if (r.image.present) {
+      // A stored image: transcoded, never decoded into a Row. The encoder
+      // writes has_row = 1 only for a row of at least one column.
+      const RowCodec& codec = *result.image_codec;
+      const bool has_row = codec.schema()->num_columns() > 0;
+      out->U8(has_row ? 1 : 0);
+      if (has_row) {
+        NBLB_RETURN_NOT_OK(PutImageRow(out, codec, result.ImageOf(r)));
+      }
+      continue;
+    }
     const bool has_row = !r.row.empty();
     out->U8(has_row ? 1 : 0);
     if (has_row && !PutRow(out, r.row)) {

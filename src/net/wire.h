@@ -88,7 +88,10 @@ Status AppendRequestFrame(uint64_t request_id, const RequestBatch& batch,
                           std::string* out);
 
 /// \brief Appends a complete response frame for `result` (same overflow
-/// contract as AppendRequestFrame).
+/// contract as AppendRequestFrame). A result whose `image` is present
+/// (RowForm::kImage) is transcoded from its stored image to exactly the
+/// bytes its decoded Row would encode to, with no Row built; an image the
+/// row decoder rejects fails the frame with that Corruption.
 Status AppendResponseFrame(uint64_t request_id, const BatchResult& result,
                            std::string* out);
 

@@ -12,9 +12,11 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "catalog/row_codec.h"
 #include "catalog/value.h"
 #include "common/result.h"
 
@@ -78,16 +80,44 @@ struct Request {
 
 using RequestBatch = std::vector<Request>;
 
-/// \brief Outcome of one request. `row` is filled for successful lookups.
+/// \brief How a batch's kGet results carry their rows; the submitter picks
+/// it per batch (ShardedEngine::Submission).
+enum class RowForm : uint8_t {
+  /// Decoded into RequestResult::row: what Execute, Submit and SubmitRef
+  /// give, and a Submission's default.
+  kRow = 0,
+  /// The stored image, checked as RowCodec::DecodeInto checks it and copied
+  /// into BatchResult::images; `row` stays empty. The network server's
+  /// encoder transcodes it straight into the reply (net/wire.h).
+  kImage = 1,
+};
+
+/// \brief Outcome of one request. `row` is filled for successful lookups,
+/// or, for a kGet of a RowForm::kImage batch, `image` places its image.
 struct RequestResult {
   Status status;
   Row row;
   uint32_t shard = 0;  ///< shard that served (or would have served) it
+  /// Where the checked stored image sits in BatchResult::images[shard];
+  /// present only for an OK kGet of a RowForm::kImage batch.
+  ImageSpan image = {};
 };
 
 /// \brief Results of a batch, 1:1 with the submitted requests.
 struct BatchResult {
   std::vector<RequestResult> results;
+  /// RowForm::kImage batches only: one buffer per shard, written only by
+  /// that shard's worker (a batch has at most one sub-batch per shard),
+  /// holding the images its gets' `image` spans place.
+  std::vector<std::string> images = {};
+  /// Reads those images (the engine's table schema); null when there are
+  /// none. Points into the engine, so it is valid while the engine lives.
+  const RowCodec* image_codec = nullptr;
+
+  /// \brief The image of `r`, a result of this batch with r.image.present.
+  Slice ImageOf(const RequestResult& r) const {
+    return Slice(images[r.shard].data() + r.image.offset, r.image.size);
+  }
 
   /// \brief True iff every request succeeded.
   bool all_ok() const {

@@ -97,7 +97,8 @@ class Shard {
   /// reused buffer and resolves them all through the table's batch core
   /// (Table::GetBatchEncoded: shared B+Tree descent, vectored/async
   /// heap-page miss I/O, each row decoded from its pinned page straight
-  /// into slots[i]). Per-id NotFound lands in the slot; the returned Status
+  /// into slots[i], or checked and copied there for an image
+  /// destination). Per-id NotFound lands in the slot; the returned Status
   /// covers infrastructure failures only.
   Status GetBatch(const std::vector<uint64_t>& ids, const RowSlot* slots);
 

@@ -13,6 +13,17 @@
 
 namespace nblb {
 
+namespace {
+
+/// The smallest power of two >= n.
+size_t CeilPow2(size_t n) {
+  size_t p = 1;
+  while (p < n) p <<= 1;
+  return p;
+}
+
+}  // namespace
+
 Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
     ShardedEngineOptions options) {
   if (options.num_shards == 0) {
@@ -25,6 +36,11 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
   }
   std::unique_ptr<ShardedEngine> engine(new ShardedEngine(options.num_shards));
   engine->options_ = options;
+  engine->burst_wake_depth_ =
+      options.max_queue_depth > 0 &&
+              options.max_queue_depth < options.max_coalesce_window
+          ? 1
+          : options.max_coalesce_window;
 
   // Observability: the engine-level registry covers the engine counters and
   // the trace aggregator; per-shard Database registries are folded in at
@@ -91,6 +107,8 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
     queue->window = options.min_coalesce_window;
     engine->queues_.push_back(std::move(queue));
   }
+
+  engine->image_codec_ = &engine->shards_[0]->table()->row_codec();
 
   uint32_t num_workers =
       options.num_workers == 0 ? options.num_shards : options.num_workers;
@@ -172,6 +190,24 @@ ShardedEngine::TicketPtr ShardedEngine::SubmitRef(const RequestBatch& batch,
   return ticket;
 }
 
+void ShardedEngine::Submit(std::vector<Submission>* burst) {
+  uint64_t owed = 0;  // bit (worker % 64) per worker owed a wake
+  for (Submission& entry : *burst) {
+    TicketPtr ticket = std::make_shared<Ticket>(Ticket::Key());
+    ticket->owned_batch_ = std::move(entry.batch);
+    ticket->batch_ = &ticket->owned_batch_;
+    ticket->on_complete_ = std::move(entry.on_complete);
+    ticket->form_ = entry.form;
+    SubmitTicket(ticket, &owed);
+  }
+  burst->clear();
+  // With more than 64 workers a bit stands for several; waking one that
+  // got no work from this burst only makes it recheck its queues.
+  for (size_t w = 0; w < workers_.size(); ++w) {
+    if ((owed >> (w % 64)) & 1) WakeWorker(workers_[w].get());
+  }
+}
+
 BatchResult ShardedEngine::Execute(const RequestBatch& batch) {
   // Thin blocking wrapper over the async path: submit-by-reference (the
   // caller's batch outlives the Wait) + Wait.
@@ -180,13 +216,18 @@ BatchResult ShardedEngine::Execute(const RequestBatch& batch) {
   return ticket->TakeResult();
 }
 
-void ShardedEngine::SubmitTicket(const TicketPtr& ticket) {
+void ShardedEngine::SubmitTicket(const TicketPtr& ticket, uint64_t* owed) {
   if (ticket->on_complete_) {
     async_submits_.fetch_add(1, std::memory_order_relaxed);
   }
   const RequestBatch& batch = *ticket->batch_;
   BatchResult& out = ticket->result_;
   out.results.resize(batch.size());
+  if (ticket->form_ == RowForm::kImage) {
+    // One buffer per shard: each has a single writer, the shard's worker.
+    out.images.resize(num_shards());
+    out.image_codec = image_codec_;
+  }
 
   // Phase 1 — hash every key to its home shard on the caller's thread and
   // group the indexes by shard with one counting pass, into the one array
@@ -247,7 +288,9 @@ void ShardedEngine::SubmitTicket(const TicketPtr& ticket) {
       }
     }
     ShardQueue* queue = queues_[s].get();
-    Worker* owner = workers_[s % workers_.size()].get();
+    const size_t owner_index = s % workers_.size();
+    Worker* owner = workers_[owner_index].get();
+    size_t depth;
     {
       std::unique_lock<std::mutex> lk(queue->mu);
       if (max_depth > 0 && queue->work.size() >= max_depth) {
@@ -291,14 +334,23 @@ void ShardedEngine::SubmitTicket(const TicketPtr& ticket) {
       // would otherwise let the matching fetch_sub wrap the count.
       queue->size.fetch_add(1, std::memory_order_release);
       owner->queued.fetch_add(1, std::memory_order_release);
+      depth = queue->work.size();
     }
-    {
-      // Empty critical section: pairs with the owner's predicate check so
-      // the queued increment cannot fall into a missed-wakeup window.
-      std::lock_guard<std::mutex> lk(owner->mu);
+    if (owed == nullptr || depth >= burst_wake_depth_) {
+      WakeWorker(owner);
+    } else {
+      *owed |= uint64_t{1} << (owner_index % 64);
     }
-    owner->cv.notify_one();
   }
+}
+
+void ShardedEngine::WakeWorker(Worker* worker) {
+  {
+    // Empty critical section: pairs with the worker's predicate check so
+    // the queued increment cannot fall into a missed-wakeup window.
+    std::lock_guard<std::mutex> lk(worker->mu);
+  }
+  worker->cv.notify_one();
 }
 
 void ShardedEngine::FinishTicket(const TicketPtr& ticket) {
@@ -376,7 +428,7 @@ bool ShardedEngine::ServeShard(Worker* worker, uint32_t sid) {
   stats.queue_depth.Record(depth);
   stats.coalesced.Record(group->size());
   stats.Add(stats.coalesced_groups);
-  RunGroup(worker, shard);
+  RunGroup(worker, shard, queue);
 
   // Periodic durable checkpoint, on the owning worker (single-writer: the
   // checkpoint flushes and republishes structures only this thread
@@ -394,7 +446,8 @@ bool ShardedEngine::ServeShard(Worker* worker, uint32_t sid) {
   return true;
 }
 
-void ShardedEngine::RunGroup(Worker* worker, Shard* shard) {
+void ShardedEngine::RunGroup(Worker* worker, Shard* shard,
+                             ShardQueue* queue) {
   std::vector<SubBatch>* group = &worker->group;
   // Consecutive kGet requests — ACROSS sub-batch boundaries — are drained
   // through the shard's batched read path (shared B+Tree descent + vectored
@@ -419,7 +472,9 @@ void ShardedEngine::RunGroup(Worker* worker, Shard* shard) {
     sub.trace->AddSpan(TracePhase::kQueueWait, sub.enqueued, dequeued);
   }
 
-  // A get run's rows are decoded straight into its requests' result slots.
+  // A get run's rows are decoded straight into its requests' result slots,
+  // or, for RowForm::kImage tickets, its checked images appended to the
+  // ticket's buffer for this shard.
   std::vector<uint64_t>& run_ids = worker->run_ids;
   std::vector<RowSlot>& run_slots = worker->run_slots;
   auto flush_gets = [&] {
@@ -427,10 +482,18 @@ void ShardedEngine::RunGroup(Worker* worker, Shard* shard) {
     Status s = shard->GetBatch(run_ids, run_slots.data());
     if (!s.ok()) {
       // An infrastructure failure fails every get of the run.
-      for (const RowSlot& slot : run_slots) {
-        *slot.status = s;
-        slot.row->clear();
+      for (const RowSlot& slot : run_slots) slot.Fail(s);
+    }
+    uint64_t image_bytes = 0, images = 0;
+    for (const RowSlot& slot : run_slots) {
+      if (slot.image != nullptr && slot.image->present) {
+        image_bytes += slot.image->size;
+        ++images;
       }
+    }
+    if (images > 0) {
+      const size_t mean = static_cast<size_t>(image_bytes / images);
+      queue->image_bytes_hint = mean + mean / 4;
     }
     run_ids.clear();
     run_slots.clear();
@@ -444,13 +507,30 @@ void ShardedEngine::RunGroup(Worker* worker, Shard* shard) {
       const RequestBatch& batch = *sub.ticket->batch_;
       BatchResult& out = sub.ticket->result_;
       const std::vector<uint32_t>& by_shard = sub.ticket->by_shard_;
+      std::string* images = nullptr;
+      if (sub.ticket->form_ == RowForm::kImage) {
+        // The only sub-batch of this ticket on this shard: its buffer is
+        // empty. It is sized by image bytes rather than row_size, in a
+        // power-of-two allocation (+ 1 for the string's terminator): the
+        // worker that finishes the ticket frees it, and with few distinct
+        // sizes the allocator reuses what is freed (exact sizes made the
+        // server's peak RSS grow through a read_hot run).
+        images = &out.images[shard->id()];
+        const size_t want = (sub.end - sub.begin) * queue->image_bytes_hint;
+        if (want > 0) images->reserve(CeilPow2(want + 1) - 1);
+      }
       for (uint32_t k = sub.begin; k < sub.end; ++k) {
         const uint32_t i = by_shard[k];
         const Request& request = batch[i];
         RequestResult& result = out.results[i];
         if (request.kind == RequestKind::kGet) {
           run_ids.push_back(request.id);
-          run_slots.push_back({&result.status, &result.row});
+          if (images != nullptr) {
+            run_slots.push_back(
+                {&result.status, nullptr, images, &result.image});
+          } else {
+            run_slots.push_back({&result.status, &result.row});
+          }
           continue;
         }
         flush_gets();

@@ -23,6 +23,20 @@
 // The blocking Execute(batch) is a thin wrapper — Submit + Wait — with the
 // same results and result ordering.
 //
+// Row forms: a batch's kGet results carry a decoded Row (RowForm::kRow,
+// what Execute and Submit give) or the stored image (RowForm::kImage, which
+// a Submission picks): the worker checks the tuple under its page's pin
+// exactly as DecodeInto would and copies its bytes into the result, and
+// the network encoder transcodes them into the reply with no Row between.
+//
+// Burst submission: Submit(&burst) enqueues several batches in order and
+// wakes each worker that got work once, at the end, instead of once per
+// sub-batch. A push that leaves its queue holding a group's worth
+// (max_coalesce_window sub-batches, or any depth when max_queue_depth is
+// below that) wakes the owner at once, so a burst never grows a sleeping
+// worker's queue past one group and can never block on, or be shed by, a
+// full queue whose worker sleeps.
+//
 // Routing: a key's home shard is HashRouter(num_shards).Route(key), fixed
 // by the key alone, so it survives a reopen with no routing state to
 // persist and the submit path reads no shared mutable state. The per-tuple
@@ -187,6 +201,8 @@ class ShardedEngine {
     /// after completion), then flips done_ and wakes waiters.
     void MarkDone();
 
+    RowForm form_ = RowForm::kRow;  // how kGet results carry their rows
+
     RequestBatch owned_batch_;               // Submit moves the batch here
     const RequestBatch* batch_ = nullptr;    // owned_batch_, or the
                                              // caller's batch for
@@ -208,6 +224,13 @@ class ShardedEngine {
     bool done_ = false;
   };
   using TicketPtr = std::shared_ptr<Ticket>;
+
+  /// \brief One batch of a burst (Submit(std::vector<Submission>*)).
+  struct Submission {
+    RequestBatch batch;
+    CompletionFn on_complete;
+    RowForm form = RowForm::kRow;
+  };
 
   /// \brief Builds shards and starts workers. Requests are routed by
   /// HashRouter(num_shards): RequestResult::shard is the key's home shard.
@@ -242,6 +265,16 @@ class ShardedEngine {
   /// flight (see workload/replay.h's open-loop driver).
   TicketPtr SubmitRef(const RequestBatch& batch,
                       CompletionFn on_complete = nullptr);
+
+  /// \brief Burst submission: submits every entry of `*burst` as Submit
+  /// would, in order (so per-shard order holds across the burst), each with
+  /// its own callback and row form, then empties the vector (its capacity
+  /// stays). Wakes each worker that got work once, after the last entry,
+  /// except that a push leaving a queue a group's worth deep wakes its
+  /// worker at once (see the file comment). Returns no tickets: completion
+  /// is observed through the callbacks. Thread safe; the same callback
+  /// rules as Submit.
+  void Submit(std::vector<Submission>* burst);
 
   /// \brief Blocking convenience: Submit + Wait, without copying the batch.
   /// Identical results and result ordering to the pre-async Execute.
@@ -312,6 +345,10 @@ class ShardedEngine {
     /// Service groups since the last periodic checkpoint (wal_enabled +
     /// checkpoint_every_groups). Touched only by the owning worker.
     uint64_t groups_since_checkpoint = 0;
+    /// Bytes to reserve per get in a RowForm::kImage result's image buffer:
+    /// the last get run's mean image size plus a quarter. Touched only by
+    /// the owning worker.
+    size_t image_bytes_hint = 0;
     /// Signaled by the owning worker after each pop when max_queue_depth
     /// bounds this queue; blocked submitters wait here for space.
     std::condition_variable space_cv;
@@ -329,13 +366,18 @@ class ShardedEngine {
     // slots (RunGroup).
     std::vector<SubBatch> group;
     std::vector<uint64_t> run_ids;
-    std::vector<RowSlot> run_slots;
+    std::vector<RowSlot> run_slots;  // each a Row or an image destination
   };
 
   explicit ShardedEngine(uint32_t num_shards) : router_(num_shards) {}
 
-  /// Shared by Submit and Execute: routes, fans out, pre-arms pending_.
-  void SubmitTicket(const TicketPtr& ticket);
+  /// Shared by every Submit form and Execute: routes, fans out, pre-arms
+  /// pending_. Wakes each sub-batch's worker at once when `owed` is null;
+  /// else only when its queue holds burst_wake_depth_ sub-batches, setting
+  /// bit (worker % 64) of *owed for the others.
+  void SubmitTicket(const TicketPtr& ticket, uint64_t* owed = nullptr);
+  /// Wakes `worker` if it sleeps (or is about to) with work queued.
+  static void WakeWorker(Worker* worker);
   /// Counts the batch, runs the callback on this thread, then marks the
   /// ticket done.
   void FinishTicket(const TicketPtr& ticket);
@@ -346,10 +388,16 @@ class ShardedEngine {
   /// worker->group, adapts the window, and serves them as one group.
   /// Returns true if anything ran.
   bool ServeShard(Worker* worker, uint32_t sid);
-  void RunGroup(Worker* worker, Shard* shard);
+  void RunGroup(Worker* worker, Shard* shard, ShardQueue* queue);
 
   ShardedEngineOptions options_;
   const HashRouter router_;  // over num_shards
+  /// A burst's push wakes the queue's worker at once from this depth on:
+  /// max_coalesce_window, or 1 when max_queue_depth is set below it.
+  size_t burst_wake_depth_ = 1;
+  /// The table codec that reads RowForm::kImage results (every shard has
+  /// the same schema); BatchResult::image_codec points here.
+  const RowCodec* image_codec_ = nullptr;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<ShardQueue>> queues_;

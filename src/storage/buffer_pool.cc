@@ -601,10 +601,10 @@ void BufferPool::AbortClaims(std::vector<Claim>* claims, bool transient) {
 }
 
 Result<BufferPool::BatchFetch> BufferPool::StartFetchPages(
-    const std::vector<PageId>& ids) {
+    const std::vector<PageId>& ids, std::vector<PageGuard>* guards) {
   TraceTimer span(TracePhase::kFetchStart);
+  guards->clear();
   BatchFetch bf;
-  bf.guards.resize(ids.size());
   if (ids.empty()) return bf;
   const PageId num_pages = disk_->num_pages();
   for (PageId id : ids) {
@@ -613,6 +613,9 @@ Result<BufferPool::BatchFetch> BufferPool::StartFetchPages(
                                 std::to_string(id));
     }
   }
+  guards->resize(ids.size());
+  bf.guards = guards;
+  std::vector<PageGuard>& pinned = *guards;
   StripeFor(ids[0]).stats.batch_fetches.fetch_add(1, std::memory_order_relaxed);
 
   // Pass 0 — optimistic lock-free pins. An all-hit batch (the common case
@@ -622,7 +625,7 @@ Result<BufferPool::BatchFetch> BufferPool::StartFetchPages(
   for (size_t k = 0; k < ids.size(); ++k) {
     const uint64_t h = Mix(ids[k]);
     if (!TryOptimisticHit(stripes_[h & stripe_mask_], h, ids[k],
-                          &bf.guards[k])) {
+                          &pinned[k])) {
       ++unresolved;
     }
   }
@@ -643,7 +646,7 @@ Result<BufferPool::BatchFetch> BufferPool::StartFetchPages(
     while (ge < order.size() && &StripeFor(ids[order[ge]]) == &st) ++ge;
     bool pending = false;
     for (size_t k = gi; k < ge; ++k) {
-      if (!bf.guards[order[k]].valid()) pending = true;
+      if (!pinned[order[k]].valid()) pending = true;
     }
     if (!pending) {
       gi = ge;
@@ -654,13 +657,13 @@ Result<BufferPool::BatchFetch> BufferPool::StartFetchPages(
     // batch can never be chosen as a victim for one of its misses.
     for (size_t k = gi; k < ge; ++k) {
       const uint32_t pos = order[k];
-      if (bf.guards[pos].valid()) continue;
+      if (pinned[pos].valid()) continue;
       const uint32_t idx = TableFind(st, ids[pos]);
       if (idx == kNoFrame) continue;
       Frame& f = frames_[idx];
       const uint64_t prev = PinFrame(f, /*reference=*/true);
       st.stats.hits.fetch_add(1, std::memory_order_relaxed);
-      bf.guards[pos] = PageGuard(this, ids[pos], f.data, &f.cache_latch);
+      pinned[pos] = PageGuard(this, ids[pos], f.data, &f.cache_latch);
       if ((prev & kIoBit) != 0) bf.waits.push_back(&f);
     }
     // Pass 2 — claim frames for the misses (a duplicate miss finds the
@@ -669,14 +672,14 @@ Result<BufferPool::BatchFetch> BufferPool::StartFetchPages(
     // for FinishFetchPages to resolve with a blocking fetch (rare).
     for (size_t k = gi; k < ge; ++k) {
       const uint32_t pos = order[k];
-      if (bf.guards[pos].valid()) continue;
+      if (pinned[pos].valid()) continue;
       const PageId id = ids[pos];
       const uint32_t idx = TableFind(st, id);
       if (idx != kNoFrame) {
         Frame& f = frames_[idx];
         const uint64_t prev = PinFrame(f, /*reference=*/false);
         st.stats.hits.fetch_add(1, std::memory_order_relaxed);
-        bf.guards[pos] = PageGuard(this, id, f.data, &f.cache_latch);
+        pinned[pos] = PageGuard(this, id, f.data, &f.cache_latch);
         if ((prev & kIoBit) != 0) bf.waits.push_back(&f);
         continue;
       }
@@ -691,8 +694,8 @@ Result<BufferPool::BatchFetch> BufferPool::StartFetchPages(
         break;
       }
       bf.claims.push_back(*claimed);
-      bf.guards[pos] = PageGuard(this, id, frames_[claimed->frame].data,
-                                 &frames_[claimed->frame].cache_latch);
+      pinned[pos] = PageGuard(this, id, frames_[claimed->frame].data,
+                              &frames_[claimed->frame].cache_latch);
     }
     gi = ge;
   }
@@ -727,38 +730,52 @@ Result<BufferPool::BatchFetch> BufferPool::StartFetchPages(
     // ResourceExhausted is capacity backpressure, not a device fault:
     // waiters piggybacked on these claims get a retryable status.
     AbortClaims(&bf.claims, /*transient=*/error.IsResourceExhausted());
-    return error;  // bf.guards destruct -> every pin taken so far is dropped
+    guards->clear();  // drops every pin taken so far
+    return error;
   }
   return bf;
 }
 
-Result<std::vector<PageGuard>> BufferPool::FinishFetchPages(BatchFetch bf) {
+Status BufferPool::FinishFetchPages(BatchFetch bf) {
+  if (bf.guards == nullptr) return Status::OK();  // an empty request
   Status rs = disk_->WaitReads(&bf.ticket);
   if (!rs.ok()) {
     // Write-backs already landed in Start; just unmap the failed loads so
     // waiters bail out and the frames self-heal.
     for (Claim& c : bf.claims) AbortClaim(StripeFor(c.id), c);
-    return rs;  // guards destruct -> no pins retained
+    bf.guards->clear();  // no pins retained
+    return rs;
   }
   for (const Claim& c : bf.claims) {
     frames_[c.frame].state.fetch_and(~kIoBit, std::memory_order_release);
   }
   for (Frame* f : bf.waits) {
-    NBLB_RETURN_NOT_OK(WaitForLoad(*f));
+    Status st = WaitForLoad(*f);
+    if (!st.ok()) {
+      bf.guards->clear();
+      return st;
+    }
   }
   // Stragglers collided with an in-flight write-back of the same page; the
   // blocking per-page path waits it out (duplicates each take their own
   // pin, same as the batch path would have).
   for (const auto& [pos, id] : bf.stragglers) {
-    NBLB_ASSIGN_OR_RETURN(bf.guards[pos], FetchPage(id));
+    Result<PageGuard> guard = FetchPage(id);
+    if (!guard.ok()) {
+      bf.guards->clear();
+      return guard.status();
+    }
+    (*bf.guards)[pos] = std::move(*guard);
   }
-  return std::move(bf.guards);
+  return Status::OK();
 }
 
 Result<std::vector<PageGuard>> BufferPool::FetchPages(
     const std::vector<PageId>& ids) {
-  NBLB_ASSIGN_OR_RETURN(BatchFetch bf, StartFetchPages(ids));
-  return FinishFetchPages(std::move(bf));
+  std::vector<PageGuard> guards;
+  NBLB_ASSIGN_OR_RETURN(BatchFetch bf, StartFetchPages(ids, &guards));
+  NBLB_RETURN_NOT_OK(FinishFetchPages(std::move(bf)));
+  return guards;
 }
 
 Result<PageGuard> BufferPool::NewPage() {

@@ -114,10 +114,10 @@ class BufferPool {
   Result<PageGuard> FetchPage(PageId id);
 
   /// \brief In-flight state of a batched fetch started with
-  /// StartFetchPages: pinned hits, claimed miss frames (io bit set), and
-  /// the async read ticket covering them. Move-only; must be handed to
-  /// FinishFetchPages exactly once (dropping it un-pins the hits but would
-  /// leave claimed frames loading — Finish is what completes them).
+  /// StartFetchPages: claimed miss frames (io bit set), the async read
+  /// ticket covering them, and the caller's guard buffer. Move-only; must
+  /// be handed to FinishFetchPages exactly once (dropping it would leave
+  /// claimed frames loading — Finish is what completes them).
   class BatchFetch;
 
   /// \brief Fetches many pages at once, returning guards 1:1 with `ids`
@@ -131,20 +131,25 @@ class BufferPool {
   /// Equivalent to StartFetchPages + FinishFetchPages.
   Result<std::vector<PageGuard>> FetchPages(const std::vector<PageId>& ids);
 
-  /// \brief Begins a batched fetch: pins every resident page, claims frames
-  /// for the misses (they sit in the io-in-progress state), performs any
-  /// displaced dirty write-backs, and submits the miss reads through
-  /// DiskManager::SubmitReads — then returns while the reads are still in
-  /// flight. Callers overlap useful work (e.g. the B+Tree descent
-  /// prefetches the next level while processing the current one) and call
-  /// FinishFetchPages to harvest the guards.
-  Result<BatchFetch> StartFetchPages(const std::vector<PageId>& ids);
+  /// \brief Begins a batched fetch into the caller's guard buffer: pins
+  /// every resident page, claims frames for the misses (they sit in the
+  /// io-in-progress state), performs any displaced dirty write-backs, and
+  /// submits the miss reads through DiskManager::SubmitReads — then returns
+  /// while the reads are still in flight. `*guards` is replaced by one
+  /// guard per id (capacity reused, so a caller that keeps the buffer
+  /// allocates nothing here) and must outlive the fetch. Callers overlap
+  /// useful work (e.g. the B+Tree descent prefetches the next level while
+  /// processing the current one) and call FinishFetchPages; the guards are
+  /// usable once it returns OK. On failure `*guards` is left empty.
+  Result<BatchFetch> StartFetchPages(const std::vector<PageId>& ids,
+                                     std::vector<PageGuard>* guards);
 
   /// \brief Completes a StartFetchPages: waits for the in-flight reads,
   /// publishes the loaded frames, and resolves any stragglers (pages whose
   /// dirty write-back was in flight at claim time). All-or-nothing like
-  /// FetchPages.
-  Result<std::vector<PageGuard>> FinishFetchPages(BatchFetch bf);
+  /// FetchPages: on failure the guard buffer is left empty. On success
+  /// the pins live in the buffer until the caller clears it.
+  Status FinishFetchPages(BatchFetch bf);
 
   /// \brief Allocates a new zeroed page and returns it pinned.
   Result<PageGuard> NewPage();
@@ -433,8 +438,10 @@ class BufferPool {
 
    private:
     friend class BufferPool;
-    std::vector<PageGuard> guards;    // 1:1 with the request; stragglers
-                                      // invalid until Finish resolves them
+    std::vector<PageGuard>* guards = nullptr;  // the caller's, 1:1 with
+                                               // the request; stragglers
+                                               // invalid until Finish
+                                               // resolves them
     std::vector<Claim> claims;        // frames this fetch is loading
     std::vector<Frame*> waits;        // frames another thread is loading
     /// (position, page) pairs that collided with an in-flight write-back.

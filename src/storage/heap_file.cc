@@ -334,9 +334,22 @@ Status HeapFile::GetBatch(const std::vector<Rid>& rids, const TupleFn& fn) {
   std::sort(page_ids.begin(), page_ids.end());
   page_ids.erase(std::unique(page_ids.begin(), page_ids.end()),
                  page_ids.end());
-  const auto start_chunk = [&](size_t begin, size_t end) {
+  // The chunk being read and the one prefetched behind it pin into the two
+  // reused guard buffers; every exit drops their pins and keeps their
+  // capacity.
+  struct Unpin {
+    std::vector<PageGuard>* buffers;
+    ~Unpin() {
+      buffers[0].clear();
+      buffers[1].clear();
+    }
+  } unpin{guards_};
+  std::vector<PageGuard>* guards = &guards_[0];
+  std::vector<PageGuard>* ahead_guards = &guards_[1];
+  const auto start_chunk = [&](size_t begin, size_t end,
+                               std::vector<PageGuard>* dst) {
     chunk_pages_.assign(page_ids.begin() + begin, page_ids.begin() + end);
-    return bp_->StartFetchPages(chunk_pages_);
+    return bp_->StartFetchPages(chunk_pages_, dst);
   };
   size_t chunk_cap = std::max<size_t>(8, bp_->num_frames() / 8);
   const size_t page_size = bp_->page_size();
@@ -349,7 +362,7 @@ Status HeapFile::GetBatch(const std::vector<Rid>& rids, const TupleFn& fn) {
   while (base < page_ids.size() || have_pending) {
     if (!have_pending) {
       const size_t end = std::min(base + chunk_cap, page_ids.size());
-      auto started = start_chunk(base, end);
+      auto started = start_chunk(base, end, guards);
       if (!started.ok()) {
         // The cap bounds total pins, not per-stripe pins; an unlucky
         // stripe (or concurrent pinners) can still exhaust. Degrade by
@@ -400,7 +413,7 @@ Status HeapFile::GetBatch(const std::vector<Rid>& rids, const TupleFn& fn) {
     bool have_ahead = false;
     if (base < page_ids.size() && pending.self_contained()) {
       const size_t end = std::min(base + chunk_cap, page_ids.size());
-      auto started = start_chunk(base, end);
+      auto started = start_chunk(base, end, ahead_guards);
       if (started.ok()) {
         ahead = std::move(*started);
         ahead_begin = base;
@@ -419,25 +432,27 @@ Status HeapFile::GetBatch(const std::vector<Rid>& rids, const TupleFn& fn) {
         return started.status();
       }
     }
-    auto fetched = bp_->FinishFetchPages(std::move(pending));
+    const Status fetched = bp_->FinishFetchPages(std::move(pending));
     have_pending = false;
     if (!fetched.ok()) {
-      if (have_ahead) (void)bp_->FinishFetchPages(std::move(ahead));
+      if (have_ahead) {
+        (void)bp_->FinishFetchPages(std::move(ahead));
+        ahead_guards->clear();
+      }
       // Finish can fail ResourceExhausted too: a load we piggybacked on
       // was cancelled because ITS batch ran out of frames (the claim is
       // marked transiently failed, see BufferPool::WaitForLoad). That is
       // backpressure, not an error — redo from this chunk (the prefetched
       // one included; both dropped every pin above) at half size.
-      if (fetched.status().IsResourceExhausted()) {
+      if (fetched.IsResourceExhausted()) {
         base = pending_begin;
         if (chunk_cap > 1) chunk_cap /= 2;
         RecordFlightEvent(FlightEvent::kChunkRetry, chunk_cap);
         std::this_thread::yield();
         continue;
       }
-      return fetched.status();
+      return fetched;
     }
-    std::vector<PageGuard> guards = std::move(*fetched);
     const PageId lo = page_ids[pending_begin];
     const PageId hi = page_ids[pending_end - 1];
     const auto chunk_begin = page_ids.begin() + pending_begin;
@@ -450,10 +465,13 @@ Status HeapFile::GetBatch(const std::vector<Rid>& rids, const TupleFn& fn) {
           std::lower_bound(chunk_begin, chunk_end_it, rid.page) -
           chunk_begin);
       Slice tuple;
-      const Status st = ReadTuple(guards[gi].data(), page_size, rid, &tuple);
+      const Status st =
+          ReadTuple((*guards)[gi].data(), page_size, rid, &tuple);
       fn(i, st, st.ok() ? tuple : Slice());
     }
+    guards->clear();  // this chunk's pins
     if (have_ahead) {
+      std::swap(guards, ahead_guards);
       pending = std::move(ahead);
       pending_begin = ahead_begin;
       pending_end = ahead_end;

@@ -168,10 +168,12 @@ class HeapFile {
   std::vector<PageId> pages_with_holes_;  // only used when reuse_free_slots
   uint64_t tuple_count_ = 0;
   std::string scratch_;  // page copy for compaction
-  // GetBatch's page lists, reused across calls: the batch's distinct pages
-  // and the chunk being started.
+  // GetBatch's buffers, reused across calls: the batch's distinct pages,
+  // the chunk being started, and the guards of the chunk being read and of
+  // the one prefetched behind it (empty between calls).
   std::vector<PageId> batch_pages_;
   std::vector<PageId> chunk_pages_;
+  std::vector<PageGuard> guards_[2];
 };
 
 }  // namespace nblb

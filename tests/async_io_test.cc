@@ -181,11 +181,13 @@ TEST(AsyncIoTest, StartFinishSurfacesAsyncErrorsAndRecovers) {
     std::vector<PageId> ids = SeedPages(s, 8);
     ASSERT_EQ(::truncate(s.file->path().c_str(), 2 * 4096), 0);
 
+    std::vector<PageGuard> failed;
     ASSERT_OK_AND_ASSIGN(BufferPool::BatchFetch bf,
-                         s.bp->StartFetchPages(ids));
-    auto r = s.bp->FinishFetchPages(std::move(bf));
+                         s.bp->StartFetchPages(ids, &failed));
+    const Status r = s.bp->FinishFetchPages(std::move(bf));
     ASSERT_FALSE(r.ok());
-    EXPECT_TRUE(r.status().IsIOError());
+    EXPECT_TRUE(r.IsIOError());
+    EXPECT_TRUE(failed.empty()) << "a failed fetch retains no pins";
 
     std::vector<char> page(4096);
     for (size_t i = 2; i < ids.size(); ++i) {

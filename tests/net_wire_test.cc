@@ -1,13 +1,18 @@
 // Wire-protocol robustness: frame round trips, streaming reassembly from
-// torn byte arrivals, and the permanent-error contract on garbage bytes,
-// oversized length prefixes, and malformed payloads.
+// torn byte arrivals, the permanent-error contract on garbage bytes,
+// oversized length prefixes, and malformed payloads, and the transcoded
+// reply of stored images (RowForm::kImage results) matching the Row-form
+// reply byte for byte.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "catalog/row_codec.h"
 #include "net/wire.h"
 #include "test_util.h"
 
@@ -422,6 +427,191 @@ TEST(NetWireGoldenTest, FailedResponseEncodeLeavesOutUntouched) {
   result.results.push_back(r);
   std::string wire = "keep-me";
   EXPECT_FALSE(AppendResponseFrame(1, result, &wire).ok());
+  EXPECT_EQ(wire, "keep-me");
+}
+
+// ---- Transcoded images ------------------------------------------------------
+//
+// A RowForm::kImage result carries a get's stored image instead of a Row,
+// and AppendResponseFrame transcodes it. The frame must be byte for byte the
+// one the Row-form result of the same rows encodes to.
+
+Schema EveryTypeSchema() {
+  return Schema({{"id", TypeId::kInt64, 0},
+                 {"flag", TypeId::kBool, 0},
+                 {"i8", TypeId::kInt8, 0},
+                 {"i16", TypeId::kInt16, 0},
+                 {"i32", TypeId::kInt32, 0},
+                 {"ts", TypeId::kTimestamp, 0},
+                 {"score", TypeId::kFloat64, 0},
+                 {"code", TypeId::kChar, 8},
+                 {"text", TypeId::kVarchar, 6},
+                 {"tag", TypeId::kVarchar, 3}});
+}
+
+double NanWithPayload() {
+  const uint64_t bits = 0x7ff8000000000123ull;
+  double d;
+  std::memcpy(&d, &bits, 8);
+  return d;
+}
+
+/// Rows covering negative INT8/16/32, a TIMESTAMP >= 2^31, a NaN, CHAR
+/// padding (and a CHAR with inner and no trailing spaces), and empty and
+/// full VARCHARs.
+std::vector<Row> EveryTypeRows() {
+  return {
+      {Value::Int64(-9), Value::Bool(true), Value::Int8(-128),
+       Value::Int16(-300), Value::Int32(-70000), Value::Timestamp(3000000000u),
+       Value::Float64(NanWithPayload()), Value::Char("ab"), Value::Varchar(""),
+       Value::Varchar("xyz")},
+      {Value::Int64(std::numeric_limits<int64_t>::max()), Value::Bool(false),
+       Value::Int8(127), Value::Int16(32767), Value::Int32(-1),
+       Value::Timestamp(0), Value::Float64(-0.0), Value::Char("a b  c"),
+       Value::Varchar("abcdef"), Value::Varchar("")},
+      {Value::Int64(3), Value::Bool(true), Value::Int8(0), Value::Int16(-1),
+       Value::Int32(std::numeric_limits<int32_t>::min()),
+       Value::Timestamp(UINT32_MAX), Value::Float64(2.5), Value::Char(""),
+       Value::Varchar("q"), Value::Varchar("abc")},
+  };
+}
+
+/// The same results in both forms: every row as a stored image in the
+/// image form (`fixed` picks the fixed image over the trimmed one for row
+/// i), and as that row in the Row form; plus a NotFound, a Corruption, a
+/// result with no row and a projected row, which both forms carry alike.
+void BothForms(const RowCodec& codec, const std::vector<Row>& rows,
+               const std::vector<bool>& fixed, BatchResult* image_form,
+               BatchResult* row_form) {
+  image_form->image_codec = &codec;
+  image_form->images.resize(3);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const uint32_t shard = static_cast<uint32_t>(i % 2);
+    std::string image;
+    if (fixed[i]) {
+      ASSERT_OK_AND_ASSIGN(image, codec.Encode(rows[i]));
+    } else {
+      ASSERT_OK(codec.EncodeTrimmed(rows[i], &image));
+    }
+    std::string& buf = image_form->images[shard];
+    RequestResult with_image;
+    with_image.shard = shard;
+    with_image.image = {static_cast<uint32_t>(buf.size()),
+                        static_cast<uint32_t>(image.size()), true};
+    buf += image;
+    image_form->results.push_back(with_image);
+    RequestResult with_row;
+    with_row.shard = shard;
+    with_row.row = rows[i];
+    row_form->results.push_back(with_row);
+
+    RequestResult other;  // interleaved with the images
+    other.shard = 2;
+    switch (i) {
+      case 0:
+        other.status = Status::NotFound("key 12 not found");
+        break;
+      case 1:
+        other.status = Status::Corruption("VARCHAR length over capacity");
+        break;
+      default:
+        other.row = {Value::Char("projected"), Value::Int16(-2)};
+        break;
+    }
+    image_form->results.push_back(other);
+    row_form->results.push_back(other);
+  }
+  RequestResult no_row;  // an OK result with no row, e.g. a put's
+  no_row.shard = 1;
+  image_form->results.push_back(no_row);
+  row_form->results.push_back(no_row);
+}
+
+TEST(NetWireImageTest, ImageFormEncodesAsTheRowForm) {
+  const Schema schema = EveryTypeSchema();
+  const RowCodec codec(&schema);
+  const std::vector<Row> rows = EveryTypeRows();
+  // Trimmed and fixed images alike: a stored image of exactly row_size()
+  // bytes is read as a fixed image, VARCHAR padding skipped.
+  for (const std::vector<bool>& fixed :
+       {std::vector<bool>{false, false, false},
+        std::vector<bool>{true, true, true},
+        std::vector<bool>{true, false, true}}) {
+    BatchResult image_form, row_form;
+    BothForms(codec, rows, fixed, &image_form, &row_form);
+    std::string via_image = "prefix", via_row = "prefix";
+    ASSERT_OK(AppendResponseFrame(33, image_form, &via_image));
+    ASSERT_OK(AppendResponseFrame(33, row_form, &via_row));
+    EXPECT_EQ(via_image, via_row);
+
+    // And it decodes to the rows, the NaN's payload bits included.
+    auto decoded = DecodeResponsePayload(
+        via_image.data() + 6 + kFrameHeaderBytes,
+        via_image.size() - 6 - kFrameHeaderBytes);
+    ASSERT_OK(decoded.status());
+    ASSERT_EQ(decoded->results.size(), 7u);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const Row& got = decoded->results[2 * i].row;
+      ASSERT_EQ(got.size(), rows[i].size()) << "row " << i;
+      for (size_t c = 0; c < got.size(); ++c) {
+        EXPECT_EQ(got[c].type(), rows[i][c].type()) << "row " << i;
+        if (got[c].type() == TypeId::kFloat64) {
+          uint64_t want_bits, got_bits;
+          const double want_d = rows[i][c].AsDouble();
+          const double got_d = got[c].AsDouble();
+          std::memcpy(&want_bits, &want_d, 8);
+          std::memcpy(&got_bits, &got_d, 8);
+          EXPECT_EQ(got_bits, want_bits) << "row " << i;
+        } else {
+          EXPECT_EQ(got[c], rows[i][c]) << "row " << i << " column " << c;
+        }
+      }
+    }
+    EXPECT_TRUE(decoded->results[1].status.IsNotFound());
+    EXPECT_TRUE(decoded->results[3].status.IsCorruption());
+    EXPECT_TRUE(decoded->results[6].row.empty());
+  }
+}
+
+TEST(NetWireImageTest, CharPaddingIsTrimmedAsTheDecoderTrimsIt) {
+  // "ab" is stored as "ab      ": the reply carries "ab", as the Row does.
+  const Schema schema({{"id", TypeId::kInt64, 0}, {"c", TypeId::kChar, 8}});
+  const RowCodec codec(&schema);
+  std::string image;
+  ASSERT_OK(codec.EncodeTrimmed({Value::Int64(1), Value::Char("ab")}, &image));
+  ASSERT_EQ(image.substr(8), "ab      ");
+  BatchResult result;
+  result.image_codec = &codec;
+  result.images = {image};
+  result.results.resize(1);
+  result.results[0].image = {0, static_cast<uint32_t>(image.size()), true};
+  std::string wire;
+  ASSERT_OK(AppendResponseFrame(1, result, &wire));
+  auto decoded = DecodeResponsePayload(wire.data() + kFrameHeaderBytes,
+                                       wire.size() - kFrameHeaderBytes);
+  ASSERT_OK(decoded.status());
+  ASSERT_EQ(decoded->results[0].row.size(), 2u);
+  EXPECT_EQ(decoded->results[0].row[1].AsString(), "ab");
+}
+
+TEST(NetWireImageTest, AnImageTheDecoderRejectsFailsTheFrame) {
+  const Schema schema = EveryTypeSchema();
+  const RowCodec codec(&schema);
+  std::string image;
+  ASSERT_OK(codec.EncodeTrimmed(EveryTypeRows()[0], &image));
+  image[8] = 2;  // the BOOL byte
+  Row row;
+  const Status want = codec.DecodeInto(Slice(image), &row);
+  ASSERT_TRUE(want.IsCorruption());
+  BatchResult result;
+  result.image_codec = &codec;
+  result.images = {image};
+  result.results.resize(1);
+  result.results[0].image = {0, static_cast<uint32_t>(image.size()), true};
+  std::string wire = "keep-me";
+  const Status got = AppendResponseFrame(1, result, &wire);
+  EXPECT_TRUE(got.IsCorruption());
+  EXPECT_EQ(got.message(), want.message());
   EXPECT_EQ(wire, "keep-me");
 }
 

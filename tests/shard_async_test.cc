@@ -1,14 +1,18 @@
 // Async serving-path tests: Submit/Ticket lifecycle, the threads Open
 // starts, completion callbacks vs write segmentation, where callbacks run
 // and what they may submit, adaptive coalesce-window growth under a bursty
-// multi-threaded submitter, and a regression check that the blocking
-// Execute wrapper produces the exact per-slot result ordering the old
-// synchronous Execute defined. Run under TSan in CI.
+// multi-threaded submitter, a regression check that the blocking Execute
+// wrapper produces the exact per-slot result ordering the old synchronous
+// Execute defined, and burst submission (order, early wakes, shutdown) with
+// both row forms. Run under TSan in CI.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -472,6 +476,195 @@ TEST(ShardAsyncTest, EmptyBatchCompletesWithoutWorkers) {
   EXPECT_EQ(snap.Total("engine.batches"), 1u);
   EXPECT_EQ(snap.Total("engine.requests"), 0u);
   EXPECT_EQ(snap.Total("shard.sub_batches"), 0u);
+  Cleanup(opts);
+}
+
+// ---- Burst submission -------------------------------------------------------
+
+/// The row a get result carries in either form: its Row, or its image
+/// decoded.
+Row RowOf(const BatchResult& result, const RequestResult& r) {
+  if (!r.image.present) return r.row;
+  EXPECT_TRUE(r.row.empty()) << "an image-form get builds no Row";
+  auto row = result.image_codec->Decode(result.ImageOf(r));
+  EXPECT_OK(row.status());
+  return row.ValueOr(Row());
+}
+
+/// Counts completions and waits for a number of them.
+class Completions {
+ public:
+  ShardedEngine::CompletionFn Store(std::vector<BatchResult>* results,
+                                    size_t i) {
+    return [this, results, i](const BatchResult& r) {
+      (*results)[i] = r;  // a copy, so images and all
+      std::lock_guard<std::mutex> lk(mu_);
+      ++done_;
+      cv_.notify_all();
+    };
+  }
+  bool WaitFor(size_t n, std::chrono::seconds limit) {
+    std::unique_lock<std::mutex> lk(mu_);
+    return cv_.wait_for(lk, limit, [&] { return done_ >= n; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t done_ = 0;
+};
+
+TEST(ShardAsyncTest, BurstCompletesEveryTicketInPerShardOrder) {
+  // Each round is one burst: insert, update, read in both row forms,
+  // delete half, read again. Every later entry depends on the earlier ones
+  // reaching each shard first.
+  auto opts = SmallOptions("burst_order", 4, /*workers=*/2);
+  ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(opts));
+  constexpr uint64_t kKeys = 64;
+  constexpr int kRounds = 20;
+  for (int round = 0; round < kRounds; ++round) {
+    const uint64_t base = static_cast<uint64_t>(round) * 1000;
+    auto updated = [&](uint64_t id) {
+      Row row = MakeRow(id);
+      row[1] = Value::Varchar("v2-" + std::to_string(id));
+      return row;
+    };
+    RequestBatch inserts, updates, gets, deletes;
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      inserts.push_back(Request::Insert(base + k, MakeRow(base + k)));
+      updates.push_back(Request::Update(base + k, updated(base + k)));
+      gets.push_back(Request::Get(base + k));
+      if (k % 2 == 0) deletes.push_back(Request::Delete(base + k));
+    }
+    gets.push_back(Request::Get(base + kKeys));  // never inserted
+
+    std::vector<BatchResult> results(6);
+    Completions completions;
+    std::vector<ShardedEngine::Submission> burst;
+    burst.push_back({inserts, completions.Store(&results, 0)});
+    burst.push_back({updates, completions.Store(&results, 1)});
+    burst.push_back({gets, completions.Store(&results, 2), RowForm::kRow});
+    burst.push_back({gets, completions.Store(&results, 3), RowForm::kImage});
+    burst.push_back({deletes, completions.Store(&results, 4)});
+    burst.push_back({gets, completions.Store(&results, 5), RowForm::kImage});
+    engine->Submit(&burst);
+    EXPECT_TRUE(burst.empty());
+    ASSERT_TRUE(completions.WaitFor(6, std::chrono::seconds(60)));
+
+    EXPECT_TRUE(results[0].all_ok());
+    EXPECT_TRUE(results[1].all_ok()) << "an update overtook its insert";
+    EXPECT_TRUE(results[4].all_ok());
+    for (int r : {2, 3, 5}) {
+      const BatchResult& got = results[r];
+      ASSERT_EQ(got.results.size(), kKeys + 1);
+      EXPECT_EQ(got.image_codec != nullptr, r != 2);
+      for (uint64_t k = 0; k <= kKeys; ++k) {
+        const RequestResult& rr = got.results[k];
+        const bool deleted = r == 5 && k % 2 == 0;
+        if (k == kKeys || deleted) {
+          EXPECT_TRUE(rr.status.IsNotFound()) << "result " << r << " key " << k;
+          EXPECT_FALSE(rr.image.present);
+          EXPECT_TRUE(rr.row.empty());
+          continue;
+        }
+        ASSERT_OK(rr.status);
+        EXPECT_EQ(rr.image.present, r != 2);
+        EXPECT_EQ(RowOf(got, rr), updated(base + k))
+            << "result " << r << " key " << k;
+      }
+    }
+  }
+  engine.reset();
+  Cleanup(opts);
+}
+
+TEST(ShardAsyncTest, BurstWakesAWorkerWhoseQueueHoldsAGroup) {
+  // One shard, blocking backpressure, and a burst several times deeper than
+  // the queue. The burst blocks on the full queue until the worker drains
+  // it, so it can finish only if a push woke the worker before the burst
+  // ended: at max_coalesce_window queued sub-batches, or at every push when
+  // max_queue_depth is below the window.
+  struct Case {
+    size_t max_queue_depth;
+    size_t max_coalesce_window;
+  };
+  for (const Case& c : {Case{4, 4}, Case{2, 8}}) {
+    auto opts = SmallOptions("burst_wake", 1, 1);
+    opts.max_queue_depth = c.max_queue_depth;
+    opts.busy_fail_fast = false;
+    opts.max_coalesce_window = c.max_coalesce_window;
+    ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(opts));
+    ASSERT_OK(engine->Insert(7, MakeRow(7)));
+
+    const size_t entries = 3 * c.max_coalesce_window + 1;
+    std::vector<BatchResult> results(entries);
+    Completions completions;
+    std::atomic<bool> returned{false};
+    std::atomic<bool> first_ran_after_return{true};
+    std::vector<ShardedEngine::Submission> burst;
+    for (size_t i = 0; i < entries; ++i) {
+      ShardedEngine::CompletionFn store = completions.Store(&results, i);
+      if (i == 0) {
+        store = [&, store](const BatchResult& r) {
+          first_ran_after_return = returned.load();
+          store(r);
+        };
+      }
+      burst.push_back({{Request::Get(7)}, std::move(store), RowForm::kImage});
+    }
+    std::thread submitter([&] {
+      engine->Submit(&burst);
+      returned = true;
+    });
+    if (!completions.WaitFor(entries, std::chrono::seconds(60))) {
+      // The burst is stuck behind a full queue whose worker sleeps; nothing
+      // can unblock it, so end the process rather than hang.
+      std::fprintf(stderr,
+                   "burst of %zu entries stuck at depth %zu, window %zu\n",
+                   entries, c.max_queue_depth, c.max_coalesce_window);
+      std::_Exit(1);
+    }
+    submitter.join();
+    EXPECT_FALSE(first_ran_after_return.load())
+        << "the first entry was served only after the burst returned";
+    for (const BatchResult& r : results) {
+      ASSERT_EQ(r.results.size(), 1u);
+      ASSERT_OK(r.results[0].status);
+      EXPECT_EQ(RowOf(r, r.results[0]), MakeRow(7));
+    }
+    engine.reset();
+    Cleanup(opts);
+  }
+}
+
+TEST(ShardAsyncTest, EngineDestroyedRightAfterABurstLeavesNoTicketPending) {
+  auto opts = SmallOptions("burst_close", 4, /*workers=*/2);
+  ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(opts));
+  RequestBatch load;
+  for (uint64_t id = 0; id < 256; ++id) {
+    load.push_back(Request::Insert(id, MakeRow(id)));
+  }
+  ASSERT_TRUE(engine->Execute(load).all_ok());
+
+  constexpr size_t kEntries = 64;
+  std::atomic<size_t> done{0}, ok{0};
+  std::vector<ShardedEngine::Submission> burst;
+  for (size_t i = 0; i < kEntries; ++i) {
+    RequestBatch gets;
+    for (uint64_t k = 0; k < 16; ++k) {
+      gets.push_back(Request::Get((i * 16 + k) % 256));
+    }
+    burst.push_back({std::move(gets),
+                     [&](const BatchResult& r) {
+                       if (r.all_ok()) ok.fetch_add(1);
+                       done.fetch_add(1);
+                     },
+                     i % 2 == 0 ? RowForm::kImage : RowForm::kRow});
+  }
+  engine->Submit(&burst);
+  engine.reset();  // drains every queued sub-batch, callbacks included
+  EXPECT_EQ(done.load(), kEntries);
+  EXPECT_EQ(ok.load(), kEntries);
   Cleanup(opts);
 }
 

@@ -1,16 +1,19 @@
 // Seeded mutational fuzz tests for the parsers a WAL replay runs over bytes
 // from disk: the row decoder (RowCodec::Decode, fed trimmed and fixed row
-// images) and the WAL tail scanner plus replay (Shard::Open over a committed
-// log). Inputs are mutated by bit flips, byte stores, truncation,
-// length-field edits, insertions/deletions and splices. Seeds and iteration
-// counts are fixed, so a failure reproduces.
+// images), the image transcoder the network encoder runs over the same
+// stored bytes (AppendResponseFrame of a RowForm::kImage result), and the
+// WAL tail scanner plus replay (Shard::Open over a committed log). Inputs
+// are mutated by bit flips, byte stores, truncation, length-field edits,
+// insertions/deletions and splices. Seeds and iteration counts are fixed,
+// so a failure reproduces.
 //
 // Oracle: nothing crashes (the asan-ubsan CI job runs this binary under
 // AddressSanitizer and UBSan; mutated images live in exactly-sized heap
 // buffers so a read past the end is reported), and every outcome is one of
 //   - a row that re-encodes to exactly the payload it was decoded from (a
 //     fixed image's VARCHAR padding, which the decoder never reads, aside),
-//   - Corruption,
+//     and whose image transcodes to exactly the wire row the row encodes to,
+//   - Corruption (the same from the decoder and the transcoder),
 //   - a truncated tail: replay applies only records that were written, and
 //     the recovered shard holds exactly the checkpointed rows plus them.
 
@@ -30,6 +33,7 @@
 #include "catalog/row_codec.h"
 #include "common/bytes.h"
 #include "common/rng.h"
+#include "net/wire.h"
 #include "shard/shard.h"
 #include "storage/superblock.h"
 #include "storage/wal.h"
@@ -173,16 +177,22 @@ void Mutate(Image* img, const std::vector<Image>& corpus, Rng* rng) {
 
 // ---- (a) the row decoder ----------------------------------------------------
 
+/// 64 random rows, each as a trimmed and a fixed image.
+std::vector<Image> ImageCorpus(const RowCodec& codec, Rng* rng) {
+  std::vector<Image> corpus;
+  for (int i = 0; i < 64; ++i) {
+    const Row row = RandomRow(rng, static_cast<int64_t>(i));
+    corpus.push_back(MakeImage(codec, row, /*trimmed=*/true));
+    corpus.push_back(MakeImage(codec, row, /*trimmed=*/false));
+  }
+  return corpus;
+}
+
 TEST(RowDecoderFuzzTest, MutatedImagesDecodeExactlyOrFailAsCorruption) {
   const Schema schema = FuzzSchema();
   const RowCodec codec(&schema);
   Rng rng(20110109);
-  std::vector<Image> corpus;
-  for (int i = 0; i < 64; ++i) {
-    const Row row = RandomRow(&rng, static_cast<int64_t>(i));
-    corpus.push_back(MakeImage(codec, row, /*trimmed=*/true));
-    corpus.push_back(MakeImage(codec, row, /*trimmed=*/false));
-  }
+  const std::vector<Image> corpus = ImageCorpus(codec, &rng);
   constexpr int kIterations = 100000;
   int accepted = 0, rejected = 0;
   std::string again;
@@ -218,6 +228,54 @@ TEST(RowDecoderFuzzTest, MutatedImagesDecodeExactlyOrFailAsCorruption) {
   }
   // Both outcomes must be common, or the mutations are not reaching the
   // checks (or the decoder rejects everything).
+  EXPECT_GT(accepted, kIterations / 20);
+  EXPECT_GT(rejected, kIterations / 4);
+}
+
+// The same mutated images, as the network server meets them: a get's stored
+// image in a RowForm::kImage result, transcoded by AppendResponseFrame. It
+// must write exactly the frame of the Row DecodeInto makes of the image, or
+// fail with DecodeInto's Corruption and leave the output untouched.
+TEST(RowDecoderFuzzTest, MutatedImagesTranscodeAsTheirDecodedRowsEncode) {
+  const Schema schema = FuzzSchema();
+  const RowCodec codec(&schema);
+  Rng rng(20110109);
+  const std::vector<Image> corpus = ImageCorpus(codec, &rng);
+  constexpr int kIterations = 100000;
+  int accepted = 0, rejected = 0;
+  Row row;
+  std::string via_image, via_row;
+  for (int iter = 0; iter < kIterations; ++iter) {
+    Image img = corpus[rng.Uniform(corpus.size())];
+    Mutate(&img, corpus, &rng);
+    const size_t n = img.bytes.size();
+    const Status decoded = codec.DecodeInto(Slice(img.bytes), &row);
+
+    BatchResult image_form;
+    image_form.images = {img.bytes};
+    image_form.image_codec = &codec;
+    image_form.results.resize(1);
+    image_form.results[0].image = {0, static_cast<uint32_t>(n), true};
+    via_image.clear();
+    const Status transcoded =
+        net::AppendResponseFrame(iter, image_form, &via_image);
+    if (!decoded.ok()) {
+      ASSERT_FALSE(transcoded.ok()) << "iter " << iter;
+      EXPECT_EQ(transcoded.code(), decoded.code()) << "iter " << iter;
+      EXPECT_EQ(transcoded.message(), decoded.message()) << "iter " << iter;
+      EXPECT_TRUE(via_image.empty()) << "iter " << iter;
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    ASSERT_OK(transcoded);
+    BatchResult row_form;
+    row_form.results.resize(1);
+    row_form.results[0].row = row;
+    via_row.clear();
+    ASSERT_OK(net::AppendResponseFrame(iter, row_form, &via_row));
+    ASSERT_EQ(via_image, via_row) << "iter " << iter << " (" << n << " bytes)";
+  }
   EXPECT_GT(accepted, kIterations / 20);
   EXPECT_GT(rejected, kIterations / 4);
 }
