@@ -466,7 +466,7 @@ int main(int argc, char** argv) {
     BufferPool& bp = *churn_bp;
     churn_pool_registry.reset(new MetricsRegistry());
     bp.RegisterMetrics(churn_pool_registry.get(), "churn_buffer_pool.");
-    bp.StartFlusher(flusher_us, /*batch_pages=*/64);
+    bp.StartFlusher(flusher_us);
     churn_base = churn_registry.Snapshot();
     const double ops = RunThreads(threads, churn_ops, [&](InlineRng& rng) {
       // FetchPages wants ascending unique ids (like every real caller).

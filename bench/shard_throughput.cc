@@ -106,8 +106,8 @@
 // Flags: --rows=N --lookups=N --batch=N --frames=N --direct=0|1
 // --inflight=N --openloop=0|1
 // --flusher_us=N (0 = background flusher off for the read phases)
-// --flush_batch=N --max_queue=N (0 = unbounded Submit; >0 bounds each
-// shard queue, blocking policy) --mixed=0|1 --mixed_ops=N (0 = lookups/2)
+// --max_queue=N (0 = unbounded Submit; >0 bounds each shard queue,
+// blocking policy) --mixed=0|1 --mixed_ops=N (0 = lookups/2)
 // --mixed_update=PCT --mixed_flusher_us=N (flusher cadence during the
 // mixed phases when --flusher_us=0) --trace_every=N (sample 1-in-N
 // sub-batches for tracing; 0 disables, NBLB_OBS_OFF=1 overrides to off)
@@ -310,7 +310,6 @@ void FillPhaseReport(PhaseResult* phase, uint64_t ops,
 /// async replay of the same batches at --inflight depth.
 struct IoKnobs {
   uint64_t flusher_us = 0;
-  size_t flush_batch = 64;
   size_t max_queue = 0;
   /// Flusher cadence for the mixed write phases when flusher_us == 0 (the
   /// read phases then run flusher-less exactly as before).
@@ -375,7 +374,6 @@ ConfigResult RunConfig(uint32_t shards, uint32_t workers,
   opts.direct_io = direct_io;
   opts.max_coalesce_window = 32;
   opts.flusher_interval_us = io.flusher_us;
-  opts.flush_batch_pages = io.flush_batch;
   opts.max_queue_depth = io.max_queue;
   opts.trace_sample_every = io.trace_every;
   opts.schema = WikipediaSynthesizer::RevisionSchema();
@@ -454,7 +452,7 @@ ConfigResult RunConfig(uint32_t shards, uint32_t workers,
     if (io.flusher_us == 0 && io.mixed_flusher_us > 0) {
       for (uint32_t s = 0; s < shards; ++s) {
         engine->shard(s)->database()->buffer_pool()->StartFlusher(
-            io.mixed_flusher_us, io.flush_batch);
+            io.mixed_flusher_us);
       }
     }
     // Warmup: one discarded replay of the same batches, so the measured
@@ -562,7 +560,6 @@ int main(int argc, char** argv) {
   const bool run_openloop = flags.U64("openloop", 1) != 0;
   IoKnobs io;
   io.flusher_us = flags.U64("flusher_us", 0);
-  io.flush_batch = flags.U64("flush_batch", 64);
   io.max_queue = flags.U64("max_queue", 0);
   io.mixed_flusher_us = flags.U64("mixed_flusher_us", 2000);
   io.trace_every = flags.U64("trace_every", 32);

@@ -13,8 +13,7 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
   db->bp_.reset(new BufferPool(db->disk_.get(), options.buffer_pool_frames,
                                options.buffer_pool_stripes));
   if (options.flusher_interval_us > 0) {
-    db->bp_->StartFlusher(options.flusher_interval_us,
-                          options.flush_batch_pages);
+    db->bp_->StartFlusher(options.flusher_interval_us);
   }
   db->metrics_.reset(new MetricsRegistry());
   db->disk_->RegisterMetrics(db->metrics_.get(), "disk.");
@@ -34,10 +33,8 @@ Result<Table*> Database::CreateTable(const std::string& name, Schema schema,
   if (tables_.count(name)) {
     return Status::AlreadyExists("table exists: " + name);
   }
-  NBLB_ASSIGN_OR_RETURN(TableId tid, catalog_.CreateTable(name, schema));
   NBLB_ASSIGN_OR_RETURN(auto table,
                         Table::Create(bp_.get(), std::move(schema), options));
-  (void)tid;
   Table* ptr = table.get();
   tables_.emplace(name, std::move(table));
   return ptr;
@@ -50,11 +47,9 @@ Result<Table*> Database::AttachTable(const std::string& name, Schema schema,
   if (tables_.count(name)) {
     return Status::AlreadyExists("table exists: " + name);
   }
-  NBLB_ASSIGN_OR_RETURN(TableId tid, catalog_.CreateTable(name, schema));
   NBLB_ASSIGN_OR_RETURN(auto table,
                         Table::Attach(bp_.get(), std::move(schema), options,
                                       heap_first_page, btree_meta_page));
-  (void)tid;
   Table* ptr = table.get();
   tables_.emplace(name, std::move(table));
   return ptr;
@@ -67,11 +62,9 @@ Result<Table*> Database::AttachTableRebuild(const std::string& name,
   if (tables_.count(name)) {
     return Status::AlreadyExists("table exists: " + name);
   }
-  NBLB_ASSIGN_OR_RETURN(TableId tid, catalog_.CreateTable(name, schema));
   NBLB_ASSIGN_OR_RETURN(auto table,
                         Table::AttachRebuild(bp_.get(), std::move(schema),
                                              options, heap_first_page));
-  (void)tid;
   Table* ptr = table.get();
   tables_.emplace(name, std::move(table));
   return ptr;

@@ -1,5 +1,5 @@
-// Database: the top-level facade — one backing file, one buffer pool, a
-// catalog of tables. This is the entry point used by the examples.
+// Database: the top-level facade — one backing file, one buffer pool, and
+// the tables in it by name. This is the entry point used by the examples.
 
 #pragma once
 
@@ -7,7 +7,6 @@
 #include <memory>
 #include <string>
 
-#include "catalog/catalog.h"
 #include "common/result.h"
 #include "common/vclock.h"
 #include "exec/table.h"
@@ -45,8 +44,6 @@ struct DatabaseOptions {
   /// evicted, checkpointed or closed. The flusher never fsyncs and is not
   /// a durability mechanism (see BufferPool::StartFlusher).
   uint64_t flusher_interval_us = 0;
-  /// Max dirty pages written back per flusher pass.
-  size_t flush_batch_pages = 64;
 };
 
 /// \brief Owns the storage stack and the table registry.
@@ -81,7 +78,6 @@ class Database {
   BufferPool* buffer_pool() { return bp_.get(); }
   DiskManager* disk() { return disk_.get(); }
   VirtualClock* clock() { return &clock_; }
-  Catalog* catalog() { return &catalog_; }
   const DatabaseOptions& options() const { return options_; }
 
   /// \brief Unified metrics registry covering this database's storage stack
@@ -108,7 +104,6 @@ class Database {
   /// Declared after disk_/bp_ so it is destroyed first: registry entries
   /// point into the components, so the registry must die before they do.
   std::unique_ptr<MetricsRegistry> metrics_;
-  Catalog catalog_;
   std::map<std::string, std::unique_ptr<Table>> tables_;
 };
 

@@ -211,177 +211,6 @@ Result<uint64_t> BTree::Get(const Slice& key) {
 
 Status BTree::GetBatch(const std::vector<Slice>& sorted_keys,
                        std::vector<Result<uint64_t>>* out) {
-  // Small batches keep the leaf-sharing walk; larger ones descend
-  // level-synchronously so the whole next level — ultimately the leaf
-  // set — is prefetched as one overlapped async read group instead of one
-  // serial root-to-leaf walk per key. Two gates, both measured on the
-  // shard workload:
-  //   - size: the descent's per-level machinery (grouping, chunked
-  //     Start/Finish fetches) only beats per-key optimistic page hits
-  //     beyond ~a hundred keys (open-loop coalesced groups gain 1.4-1.5x
-  //     in the miss regime; hot sub-batches of ≤ 64 keys lose ~20%);
-  //   - residency: when the whole backing file fits in the pool, a warm
-  //     pool never misses, the prefetch has nothing to overlap, and the
-  //     chained walk's dense sibling-chain sharing is strictly cheaper.
-  constexpr size_t kDescentMinKeys = 128;
-  if (sorted_keys.size() >= kDescentMinKeys &&
-      static_cast<size_t>(bp_->disk()->num_pages()) > bp_->num_frames()) {
-    // (A single-leaf tree needs no gate: the descent's first level IS the
-    // leaf level and resolves directly, so no root peek is needed here.)
-    const size_t base = out->size();
-    Status st = GetBatchDescent(sorted_keys, out);
-    if (!st.IsResourceExhausted()) return st;
-    // The descent pins a whole chunk (plus its prefetched successor) at
-    // once; under heavy concurrent pin pressure that can exhaust a
-    // stripe the chained walk (≤ 2 pins at a time) could still serve.
-    // Degrade rather than fail: drop the partial results and re-run
-    // chained. (The descent drains its in-flight fetches before
-    // returning, so no frame is left loading.)
-    out->erase(out->begin() + static_cast<ptrdiff_t>(base), out->end());
-    return GetBatchChained(sorted_keys, out);
-  }
-  return GetBatchChained(sorted_keys, out);
-}
-
-Status BTree::GetBatchDescent(const std::vector<Slice>& keys,
-                              std::vector<Result<uint64_t>>* out) {
-  const size_t base = out->size();
-  out->reserve(base + keys.size());
-  for (const Slice& key : keys) {
-    if (key.size() != options_.key_size) {
-      out->push_back(Status::InvalidArgument("key size mismatch"));
-    } else {
-      out->push_back(Status::NotFound("key not found"));
-    }
-  }
-  // Positions with a well-formed key, in input (= key) order.
-  std::vector<uint32_t> pos;
-  pos.reserve(keys.size());
-  for (uint32_t i = 0; i < keys.size(); ++i) {
-    if (keys[i].size() == options_.key_size) pos.push_back(i);
-  }
-  if (pos.empty()) return Status::OK();
-
-  // One group = the run of consecutive keys that descend through the same
-  // page at the current level. Keys are sorted, so each level's groups are
-  // in page order and same-child runs are contiguous.
-  struct KeyGroup {
-    PageId page;
-    uint32_t begin, end;  // range into `pos`
-  };
-  std::vector<KeyGroup> groups{{root_, 0, static_cast<uint32_t>(pos.size())}};
-  std::vector<KeyGroup> next;
-
-  // Chunk cap: two chunks may be pinned at once (current + prefetched), so
-  // stay well below the pool capacity.
-  const size_t chunk_cap = std::max<size_t>(8, bp_->num_frames() / 8);
-  // The current and the prefetched chunk pin into the two reused guard
-  // buffers; every exit drops their pins and keeps their capacity.
-  struct Unpin {
-    std::vector<PageGuard>* buffers;
-    ~Unpin() {
-      buffers[0].clear();
-      buffers[1].clear();
-    }
-  } unpin{descent_guards_};
-  std::vector<PageGuard>* guards = &descent_guards_[0];
-  std::vector<PageGuard>* ahead_guards = &descent_guards_[1];
-
-  for (uint32_t depth = 0;; ++depth) {
-    if (depth == kMaxHeight) {
-      return Status::Corruption("btree descent deeper than any tree");
-    }
-    next.clear();
-    const size_t ngroups = groups.size();
-    auto start_chunk = [&](size_t a, size_t b, std::vector<PageGuard>* dst)
-        -> Result<BufferPool::BatchFetch> {
-      descent_pages_.clear();
-      for (size_t g = a; g < b; ++g) descent_pages_.push_back(groups[g].page);
-      return bp_->StartFetchPages(descent_pages_, dst);
-    };
-
-    size_t a = 0;
-    size_t b = std::min(ngroups, chunk_cap);
-    auto pending = start_chunk(a, b, guards);
-    NBLB_RETURN_NOT_OK(pending.status());
-    while (a < ngroups) {
-      const size_t na = b;
-      const size_t nb = std::min(ngroups, b + chunk_cap);
-      // Prefetch the next chunk BEFORE blocking on the current one: its
-      // miss reads overlap both the current chunk's completion and the
-      // binary searches below. Only when the current chunk is
-      // self-contained, though — finishing a chunk that waits on another
-      // thread's loads while our prefetched claims hold their io bits can
-      // deadlock two pipelining threads (see BatchFetch::self_contained);
-      // the dependent case degrades to sequential chunks below.
-      Result<BufferPool::BatchFetch> ahead = Status::OK();
-      const bool have_ahead = na < ngroups && (*pending).self_contained();
-      if (have_ahead) ahead = start_chunk(na, nb, ahead_guards);
-      Status err = bp_->FinishFetchPages(std::move(*pending));
-      if (err.ok() && have_ahead && !ahead.ok()) err = ahead.status();
-      if (err.ok()) {
-        for (size_t g = a; g < b && err.ok(); ++g) {
-          const KeyGroup& kg = groups[g];
-          PageGuard& page = (*guards)[g - a];
-          err = ValidatePage(page.data());
-          if (!err.ok()) break;
-          BTreePageView view(page.data(), bp_->page_size());
-          if (view.IsLeaf()) {
-            for (uint32_t k = kg.begin; k < kg.end; ++k) {
-              const Slice& key = keys[pos[k]];
-              size_t at;
-              if (view.FindExact(key, &at)) {
-                (*out)[base + pos[k]] = view.ValueAt(at);
-              }
-            }
-          } else {
-            for (uint32_t k = kg.begin; k < kg.end; ++k) {
-              const PageId child = view.ChildFor(keys[pos[k]]);
-              if (child == kInvalidPageId) {
-                err = Status::Corruption("internal node with invalid child");
-                break;
-              }
-              if (!next.empty() && next.back().page == child) {
-                next.back().end = k + 1;
-              } else {
-                next.push_back({child, k, k + 1});
-              }
-            }
-          }
-        }
-      }
-      if (!err.ok()) {
-        // Never abandon an in-flight prefetch: its frames hold the io bit
-        // until Finish clears them.
-        if (have_ahead && ahead.ok()) {
-          (void)bp_->FinishFetchPages(std::move(*ahead));
-        }
-        return err;
-      }
-      guards->clear();  // this chunk's pins
-      a = na;
-      b = nb;
-      if (a < ngroups) {
-        if (have_ahead) {
-          std::swap(guards, ahead_guards);
-          pending = std::move(ahead);
-        } else {
-          // Sequential fallback for a dependent chunk.
-          pending = start_chunk(a, b, guards);
-          NBLB_RETURN_NOT_OK(pending.status());
-        }
-      }
-    }
-    // Every level of a sound tree is all leaves or all internal nodes; a
-    // corrupt child id can put a leaf beside internal nodes, and the keys
-    // below those still descend.
-    if (next.empty()) return Status::OK();
-    groups.swap(next);
-  }
-}
-
-Status BTree::GetBatchChained(const std::vector<Slice>& sorted_keys,
-                              std::vector<Result<uint64_t>>* out) {
   out->reserve(out->size() + sorted_keys.size());
   PageGuard leaf;   // current leaf, shared across consecutive keys
   bool have_leaf = false;

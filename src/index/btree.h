@@ -106,16 +106,13 @@ class BTree {
   /// \brief Batched point lookups over keys sorted ascending (duplicates
   /// allowed). Pushes one Result per key onto `out`, in input order.
   ///
-  /// Small batches (or a single-level tree) amortize the descent by
-  /// sharing the pinned leaf across consecutive keys. Larger batches on a
-  /// multi-level tree descend level-synchronously instead: each inner level
-  /// is resolved for the whole batch at once and the next level's page set
-  /// — ultimately the leaf set — is prefetched through the buffer pool's
-  /// async path (BufferPool::StartFetchPages), so index misses overlap at
-  /// the device instead of being paid one root-to-leaf walk at a time.
+  /// Walks the keys left to right and shares the pinned leaf across
+  /// consecutive keys. While keys keep landing without a descent, it follows
+  /// the leaf chain to the next sibling instead of descending again; a
+  /// sparse batch pays one root-to-leaf descent per key and fetches no
+  /// sibling on speculation. At most two pages are pinned at a time.
   /// Returns non-OK only on infrastructure failure (per-key NotFound lands
-  /// in `out`). The descent reuses member buffers, so GetBatch serves one
-  /// caller at a time.
+  /// in `out`).
   Status GetBatch(const std::vector<Slice>& sorted_keys,
                   std::vector<Result<uint64_t>>* out);
 
@@ -183,15 +180,6 @@ class BTree {
     PageId right_id = kInvalidPageId;
   };
 
-  /// Leaf-sharing batch path: walk keys left to right, reusing the pinned
-  /// leaf (and its sibling chain when the batch is dense).
-  Status GetBatchChained(const std::vector<Slice>& sorted_keys,
-                         std::vector<Result<uint64_t>>* out);
-  /// Level-synchronous batch path: resolve every key one level at a time,
-  /// prefetching each next-level page set via the async fetch API.
-  Status GetBatchDescent(const std::vector<Slice>& sorted_keys,
-                         std::vector<Result<uint64_t>>* out);
-
   Status InsertRec(PageId node_id, const Slice& key, const Slice& payload,
                    SplitResult* split);
   Status SplitLeaf(BTreePageView* leaf, PageGuard* leaf_guard,
@@ -217,11 +205,6 @@ class BTree {
   /// Atomic: readers poll it from cache probes while an invalidator bumps it
   /// (see global_csn() for the memory-ordering rationale).
   std::atomic<uint64_t> global_csn_{0};
-  /// GetBatchDescent's buffers, reused across calls: the chunk being
-  /// started, and the guards of the chunk being read and of the one
-  /// prefetched behind it (empty between calls).
-  std::vector<PageId> descent_pages_;
-  std::vector<PageGuard> descent_guards_[2];
 };
 
 }  // namespace nblb

@@ -10,8 +10,7 @@
 #include "exec/database.h"
 #include "exec/table.h"
 
-// Catalog / types.
-#include "catalog/catalog.h"
+// Schema / types.
 #include "catalog/key_codec.h"
 #include "catalog/row_codec.h"
 #include "catalog/schema.h"

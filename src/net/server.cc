@@ -52,6 +52,14 @@ Result<std::unique_ptr<NetServer>> NetServer::Start(NetServerOptions options,
   if (engine == nullptr) {
     return Status::InvalidArgument("NetServer requires an engine");
   }
+  const ShardedEngineOptions& eng = engine->options();
+  if (eng.max_queue_depth > 0 && !eng.busy_fail_fast) {
+    // A full shard queue would block the loop thread inside Submit, and
+    // with it every connection.
+    return Status::InvalidArgument(
+        "NetServer needs an engine whose bounded queues fail fast "
+        "(busy_fail_fast), not one that blocks the submitter");
+  }
   std::unique_ptr<NetServer> s(new NetServer());
   s->options_ = std::move(options);
   s->engine_ = engine;
@@ -74,9 +82,12 @@ Result<std::unique_ptr<NetServer>> NetServer::Start(NetServerOptions options,
                      std::chrono::milliseconds(s->sweep_interval_ms_);
   }
 
-  // Place the shed point exactly where the engine itself would start
-  // failing batches, when it bounds its queues.
-  const auto& eng = engine->options();
+  // num_shards x max_queue_depth frames when the engine bounds its queues.
+  // This is not where the engine starts shedding: a frame puts one
+  // sub-batch on every shard it touches. On four shards a 16-get frame
+  // touches all four about 96% of the time, so a shard queue fills at
+  // about max_queue_depth waiting frames, a quarter of this cap, and the
+  // engine sheds the overflow as per-request kBusy.
   s->global_cap_ = eng.max_queue_depth > 0
                        ? engine->num_shards() * eng.max_queue_depth
                        : 1024;

@@ -44,9 +44,11 @@
 // either cap is shed immediately with a busy reply (FrameType::kBusy): the
 // client sees an explicit kBusy instead of unbounded queueing, and the
 // engine's own max_queue_depth/busy_fail_fast backstop turns shard-queue
-// overflow into per-request kBusy statuses. Pair the server with a
-// fail-fast engine: with the blocking backpressure policy a full shard
-// queue would block the loop thread inside Submit.
+// overflow into per-request kBusy statuses. A frame puts a sub-batch on
+// every shard it touches, so a bounded engine's shard queues can fill, and
+// shed per request, well before the global cap is reached. Start refuses
+// an engine whose bounded queues block the submitter: a full shard queue
+// would block the loop thread inside Submit.
 
 #pragma once
 
@@ -80,8 +82,10 @@ struct NetServerOptions {
   int listen_backlog = 128;
   /// Frames decoded but not yet answered, per connection. 0 = unlimited.
   /// The server-wide cap is derived from the engine: num_shards *
-  /// max_queue_depth when the engine bounds its queues (the shed point then
-  /// sits exactly where the engine would start failing batches), else 1024.
+  /// max_queue_depth when the engine bounds its queues, else 1024. With
+  /// frames that touch every shard, a shard queue fills at about
+  /// max_queue_depth frames, before the server-wide cap, and the engine
+  /// then sheds per request (see the file comment).
   size_t max_inflight_per_conn = 64;
   /// Per-frame payload cap handed to each connection's FrameDecoder.
   size_t max_frame_payload = kDefaultMaxFramePayload;
@@ -98,8 +102,9 @@ struct NetServerOptions {
 class NetServer {
  public:
   /// \brief Binds, listens, sets up the epoll set, and starts the loop
-  /// thread; IOError when any of them fails. The engine must outlive the
-  /// server.
+  /// thread; IOError when any of them fails. InvalidArgument when the
+  /// engine bounds its queues (max_queue_depth > 0) without
+  /// busy_fail_fast. The engine must outlive the server.
   static Result<std::unique_ptr<NetServer>> Start(NetServerOptions options,
                                                   ShardedEngine* engine);
 

@@ -97,10 +97,14 @@ Result<std::unique_ptr<Shard>> Shard::Open(uint32_t shard_id,
   dbo.path = shard->options_.path;
   dbo.page_size = shard->options_.page_size;
   dbo.buffer_pool_frames = shard->options_.buffer_pool_frames;
-  dbo.buffer_pool_stripes = shard->options_.buffer_pool_stripes;
+  // A shard is single-worker by construction, so its pool sees one
+  // thread: one stripe gives the CLOCK sweep the whole capacity (striping a
+  // near-capacity working set costs hit rate to per-stripe imbalance and
+  // buys nothing without concurrent fetchers). Lock-free hits don't take
+  // the stripe mutex anyway.
+  dbo.buffer_pool_stripes = 1;
   dbo.direct_io = shard->options_.direct_io;
   dbo.flusher_interval_us = shard->options_.flusher_interval_us;
-  dbo.flush_batch_pages = shard->options_.flush_batch_pages;
   shard->durable_ = shard->options_.wal_enabled;
 
   // Decide between fresh create and reattach BEFORE opening anything.

@@ -53,12 +53,6 @@ struct ShardOptions {
   /// Buffer pool capacity, per shard (the scale-out model: each shard is a
   /// "node" with its own fixed RAM budget).
   size_t buffer_pool_frames = 4096;
-  /// Buffer pool stripes. A shard is single-worker by construction, so its
-  /// pool sees one thread: default to ONE stripe, which gives the CLOCK
-  /// sweep the whole capacity (striping a near-capacity working set costs
-  /// hit rate to per-stripe imbalance and buys nothing without concurrent
-  /// fetchers). Lock-free hits don't take the stripe mutex anyway.
-  size_t buffer_pool_stripes = 1;
   /// O_DIRECT backing file: misses pay device latency, not page-cache cost.
   bool direct_io = false;
   /// Background dirty-page flusher cadence (µs); 0 disables it and dirty
@@ -67,8 +61,6 @@ struct ShardOptions {
   /// pages stay dirty until aged, evicted, checkpointed or closed. The
   /// flusher never fsyncs — durability is the WAL's and Checkpoint's.
   uint64_t flusher_interval_us = 0;
-  /// Max dirty pages per flusher pass.
-  size_t flush_batch_pages = 64;
 
   Schema schema;
   TableOptions table_options;

@@ -29,10 +29,8 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
   if (options.num_shards == 0) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
-  if (options.min_coalesce_window == 0) options.min_coalesce_window = 1;
-  if (options.max_coalesce_window < options.min_coalesce_window) {
-    return Status::InvalidArgument(
-        "max_coalesce_window must be >= min_coalesce_window");
+  if (options.max_coalesce_window == 0) {
+    return Status::InvalidArgument("max_coalesce_window must be >= 1");
   }
   std::unique_ptr<ShardedEngine> engine(new ShardedEngine(options.num_shards));
   engine->options_ = options;
@@ -66,7 +64,6 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
     so.buffer_pool_frames = options.buffer_pool_frames_per_shard;
     so.direct_io = options.direct_io;
     so.flusher_interval_us = options.flusher_interval_us;
-    so.flush_batch_pages = options.flush_batch_pages;
     so.wal_enabled = options.wal_enabled;
     so.schema = options.schema;
     so.table_options = options.table_options;
@@ -103,9 +100,7 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
       return shard_result.status();
     }
     engine->shards_.push_back(std::move(*shard_result));
-    auto queue = std::make_unique<ShardQueue>();
-    queue->window = options.min_coalesce_window;
-    engine->queues_.push_back(std::move(queue));
+    engine->queues_.push_back(std::make_unique<ShardQueue>());
   }
 
   engine->image_codec_ = &engine->shards_[0]->table()->row_codec();
@@ -419,8 +414,7 @@ bool ShardedEngine::ServeShard(Worker* worker, uint32_t sid) {
       queue->window =
           std::min(queue->window * 2, options_.max_coalesce_window);
     } else if (depth <= 1) {
-      queue->window =
-          std::max(queue->window / 2, options_.min_coalesce_window);
+      queue->window = std::max<size_t>(queue->window / 2, 1);
     }
   }
 

@@ -45,7 +45,7 @@
 // easily become a resource and performance bottleneck").
 //
 // Adaptive batching: each shard queue carries a coalesce window in
-// [min_coalesce_window, max_coalesce_window]. A worker serves up to
+// [1, max_coalesce_window]. A worker serves up to
 // `window` queued sub-batches as ONE group — consecutive kGets are merged
 // across sub-batch boundaries into single Shard::GetBatch calls (longer
 // B+Tree descent sharing and preadv runs), still segmented at every write
@@ -109,15 +109,14 @@ struct ShardedEngineOptions {
   size_t buffer_pool_frames_per_shard = 4096;
   /// O_DIRECT shard files (see DiskManager): serving misses cost real I/O.
   bool direct_io = false;
-  /// Bounds of each shard queue's adaptive coalesce window: the number of
+  /// Upper bound of each shard queue's adaptive coalesce window: the most
   /// queued sub-batches a worker merges into one service group (see the
-  /// file comment). 0 for the minimum means 1.
-  size_t min_coalesce_window = 1;
+  /// file comment). The window starts at 1 and never drops below it; Open
+  /// rejects 0.
   size_t max_coalesce_window = 32;
-  /// Background flusher knobs, forwarded to every shard (see
+  /// Background flusher cadence, forwarded to every shard (see
   /// exec/database.h).
   uint64_t flusher_interval_us = 0;
-  size_t flush_batch_pages = 64;
   /// Backpressure: bound on each shard queue's depth in sub-batches. 0
   /// (default) keeps the queues unbounded, as before. With a bound, an
   /// over-limit Submit either blocks until the owning worker drains below
@@ -338,9 +337,8 @@ class ShardedEngine {
     /// Mirrors work.size() so the owning worker skips an empty queue
     /// without taking `mu`.
     std::atomic<size_t> size{0};
-    /// Adaptive coalesce target, clamped to the engine's
-    /// [min_coalesce_window, max_coalesce_window]. Touched only by the
-    /// owning worker.
+    /// Adaptive coalesce target, clamped to [1, max_coalesce_window].
+    /// Touched only by the owning worker.
     size_t window = 1;
     /// Service groups since the last periodic checkpoint (wal_enabled +
     /// checkpoint_every_groups). Touched only by the owning worker.

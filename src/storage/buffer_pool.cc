@@ -961,11 +961,10 @@ Status BufferPool::EvictAll() {
 // Background flusher
 // ---------------------------------------------------------------------------
 
-void BufferPool::StartFlusher(uint64_t interval_us, size_t batch_pages) {
+void BufferPool::StartFlusher(uint64_t interval_us) {
   if (interval_us == 0) return;
   NBLB_CHECK_MSG(!flusher_thread_.joinable(), "flusher already started");
   flusher_interval_us_ = interval_us;
-  flush_batch_pages_ = batch_pages == 0 ? 1 : batch_pages;
   flusher_stop_ = false;
   flusher_thread_ = std::thread([this] { FlusherLoop(); });
 }
@@ -997,7 +996,7 @@ void BufferPool::FlusherLoop() {
 void BufferPool::FlusherPass() {
   std::lock_guard<std::mutex> pass(flusher_pass_mu_);
   flusher_passes_.fetch_add(1, std::memory_order_relaxed);
-  size_t budget = flush_batch_pages_;
+  size_t budget = kFlushBatchPages;
   // Select under the stripe locks; write outside them. Each target is
   // PINNED for the duration of the pass — a pinned frame can never be
   // claimed by an evictor, so the frame's identity and buffer are stable

@@ -22,7 +22,7 @@
 //     read group (DiskManager::SubmitReads — io_uring or the preadv thread
 //     fallback): one vectored op per contiguous run, every run in flight at
 //     the device at once. StartFetchPages/FinishFetchPages expose the two
-//     halves so callers (the B+Tree descent) can overlap work with the I/O.
+//     halves so a caller (HeapFile::GetBatch) can overlap work with the I/O.
 //   - An optional background flusher thread (StartFlusher) pre-cleans the
 //     frames the CLOCK sweep will evict next — unpinned, dirty, usage 0 —
 //     so eviction mostly finds clean victims and write-back stays off the
@@ -138,9 +138,9 @@ class BufferPool {
   /// while the reads are still in flight. `*guards` is replaced by one
   /// guard per id (capacity reused, so a caller that keeps the buffer
   /// allocates nothing here) and must outlive the fetch. Callers overlap
-  /// useful work (e.g. the B+Tree descent prefetches the next level while
-  /// processing the current one) and call FinishFetchPages; the guards are
-  /// usable once it returns OK. On failure `*guards` is left empty.
+  /// useful work (HeapFile::GetBatch submits the next chunk's reads while
+  /// it decodes the current chunk) and call FinishFetchPages; the guards
+  /// are usable once it returns OK. On failure `*guards` is left empty.
   Result<BatchFetch> StartFetchPages(const std::vector<PageId>& ids,
                                      std::vector<PageGuard>* guards);
 
@@ -164,16 +164,20 @@ class BufferPool {
   /// pool. Simulates a cold cache; fails if any page is pinned.
   Status EvictAll();
 
+  /// Most dirty frames one flusher pass writes back, drained as one sorted
+  /// async write group.
+  static constexpr size_t kFlushBatchPages = 64;
+
   /// \brief Starts the background dirty-page flusher: every `interval_us`
-  /// it writes back up to `batch_pages` frames that are dirty, unpinned and
-  /// at usage count 0 (round-robin over stripes) — the frames the CLOCK
+  /// it writes back up to kFlushBatchPages frames that are dirty, unpinned
+  /// and at usage count 0 (round-robin over stripes) — the frames the CLOCK
   /// sweep would evict next — so eviction mostly finds clean victims and
   /// write-back leaves the serving path. Referenced (hot) pages stay dirty
   /// until the sweep ages them to 0, until eviction writes them back, or
   /// until FlushAll (Checkpoint, close). The flusher never fsyncs and is
   /// not a durability mechanism. Call at most once; no-op if
   /// interval_us == 0.
-  void StartFlusher(uint64_t interval_us, size_t batch_pages);
+  void StartFlusher(uint64_t interval_us);
 
   /// \brief Stops the flusher thread (idempotent; called by the
   /// destructor before the final FlushAll).
@@ -371,7 +375,7 @@ class BufferPool {
   }
 
   void FlusherLoop();
-  /// One flusher cycle: claim up to flush_batch_pages_ dirty, unpinned,
+  /// One flusher cycle: claim up to kFlushBatchPages dirty, unpinned,
   /// usage-0 frames (round-robin over stripes) and write them back off the
   /// serving path, without an fsync.
   void FlusherPass();
@@ -397,7 +401,6 @@ class BufferPool {
   std::thread flusher_thread_;
   bool flusher_stop_ = false;  // under flusher_wake_mu_
   uint64_t flusher_interval_us_ = 0;
-  size_t flush_batch_pages_ = 64;
   size_t flusher_cursor_ = 0;  // stripe rotation across passes
   std::atomic<uint64_t> flusher_passes_{0};
   std::atomic<uint64_t> flusher_pages_{0};

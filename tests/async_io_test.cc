@@ -172,8 +172,8 @@ TEST(AsyncIoTest, ReadErrorMarksFramesFailedAndPoolRecovers) {
   }
 }
 
-// The same failure injected under the split Start/Finish API that the
-// B+Tree descent uses: the error surfaces from FinishFetchPages and a
+// The same failure injected under the split Start/Finish API that
+// HeapFile::GetBatch uses: the error surfaces from FinishFetchPages and a
 // subsequent fetch works after restore.
 TEST(AsyncIoTest, StartFinishSurfacesAsyncErrorsAndRecovers) {
   for (IoBackend backend : BackendsToTest()) {
@@ -266,13 +266,13 @@ std::string Key8(uint64_t k) {
   return key;
 }
 
-// The batched level descent must agree with per-key Get on a tree deep
-// enough to have several internal levels, under both backends, with cold
-// caches (so the descent's prefetch path actually reads).
-TEST(AsyncIoTest, BTreeBatchedDescentMatchesPointLookups) {
+// On both io backends, a cold batch of about 1,400 keys over a tree of
+// three or more levels that does not fit the pool returns exactly what
+// per-key Get returns: every leaf and sibling the batch walks is read from
+// disk.
+TEST(AsyncIoTest, BTreeColdBatchMatchesPointLookups) {
   for (IoBackend backend : BackendsToTest()) {
-    // Frames < file pages: the descent gate requires a non-resident file
-    // (a fully resident pool never misses, so GetBatch stays chained).
+    // Frames < file pages, so the batch misses and evicts as it goes.
     Stack s = MakeStackWithBackend("aio_btree", backend, 512, 128);
     BTreeOptions opts;
     opts.key_size = 8;

@@ -307,7 +307,7 @@ TEST(AsyncWriteTest, FlushAllErrorRedirtiesAndPoolRecovers) {
 TEST(AsyncWriteTest, FlusherDrainsThroughBatchedWrites) {
   for (IoBackend backend : BackendsToTest()) {
     Stack s = MakeStackWithBackend("awr_flusher", backend, 4096, 64);
-    s.bp->StartFlusher(/*interval_us=*/1000, /*batch_pages=*/16);
+    s.bp->StartFlusher(/*interval_us=*/1000);
     std::vector<PageId> ids;
     for (int i = 0; i < 32; ++i) {
       auto g = s.bp->NewPage();
@@ -444,7 +444,7 @@ TEST(AsyncWriteTest, ConcurrentFlusherCheckpointEvictionStress) {
   for (IoBackend backend : BackendsToTest()) {
     Stack s = MakeStackWithBackend("awr_stress", backend, 4096, 64);
     std::vector<PageId> ids = SeedPages(s, 128);
-    s.bp->StartFlusher(/*interval_us=*/200, /*batch_pages=*/16);
+    s.bp->StartFlusher(/*interval_us=*/200);
 
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> errors{0};
@@ -526,7 +526,7 @@ TEST(AsyncWriteTest, TransientClaimAbortIsBackpressureNotIOError) {
   for (IoBackend backend : BackendsToTest()) {
     Stack s = MakeStackWithBackend("awr_transient", backend, 4096, 32);
     std::vector<PageId> ids = SeedPages(s, 128);
-    s.bp->StartFlusher(/*interval_us=*/100, /*batch_pages=*/32);
+    s.bp->StartFlusher(/*interval_us=*/100);
 
     std::atomic<uint64_t> io_errors{0};
     std::atomic<uint64_t> other_errors{0};

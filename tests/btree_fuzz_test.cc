@@ -3,10 +3,10 @@
 // their directory entries, entry count, key and payload sizes, cache item
 // size, child and sibling ids, page type, footer magic and key bytes, and
 // by random bit flips and byte stores. Every iteration reopens the tree
-// over the damaged file (BTree::Open) and drives Get, both GetBatch paths
-// (the leaf-sharing chained walk and the level-synchronous descent), and
-// Seek with iteration. Seeds and iteration counts are fixed, so a failure
-// reproduces.
+// over the damaged file (BTree::Open) and drives Get, GetBatch over short
+// and long runs of keys (a long run follows the leaf chain from sibling to
+// sibling), and Seek with iteration. Seeds and iteration counts are fixed,
+// so a failure reproduces.
 //
 // Oracle: nothing crashes (the asan-ubsan CI job runs this binary under
 // AddressSanitizer and UBSan), every call returns an error status or a
@@ -36,7 +36,7 @@ using nblb::testing::MakeStack;
 using nblb::testing::Stack;
 
 // Small pages give a three-level tree from a few thousand keys, and a pool
-// a third of the file keeps GetBatch on its descent path for big batches.
+// smaller than the file makes the lookups read pages from disk.
 constexpr size_t kPage = 1024;
 constexpr size_t kFrames = 64;
 constexpr uint64_t kKeys = 6000;  // keys 0, 2, 4, ...: odd keys are absent
@@ -329,8 +329,9 @@ TEST(BTreeFuzzTest, MutatedPagesAnswerRightOrFail) {
       check(k, clean.Path(Key(k)), tree->Get(Slice(Key(k))));
     }
 
-    // Batches of consecutive keys: 16 keys take the chained walk, 160 the
-    // level-synchronous descent (the file is larger than the pool).
+    // Batches of 16 and 160 consecutive keys: each run is dense, so
+    // GetBatch moves from a leaf to its sibling instead of descending
+    // again, and the 160-key run crosses several leaves.
     for (size_t len : {size_t{16}, size_t{160}}) {
       const uint64_t first = rng.Uniform(2 * kKeys - len + 8);
       std::vector<std::string> keys;

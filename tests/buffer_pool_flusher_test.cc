@@ -46,7 +46,7 @@ bool WaitFor(const std::function<bool()>& cond, int timeout_ms = 5000) {
 
 TEST(BufferPoolFlusherTest, WritesDirtyPagesBackWithoutEvictions) {
   Stack s = MakeStack("flush_bg", 4096, 64);
-  s.bp->StartFlusher(/*interval_us=*/1000, /*batch_pages=*/16);
+  s.bp->StartFlusher(/*interval_us=*/1000);
   std::vector<PageId> ids = DirtyPages(s, 20, 'Z');
 
   // The flusher must land every dirty page on disk with zero evictions —
@@ -84,7 +84,7 @@ bool WaitForPasses(Stack& s, uint64_t n) {
 
 TEST(BufferPoolFlusherTest, ReferencedPageStaysDirtyUntilFlushAll) {
   Stack s = MakeStack("flush_redirty", 4096, 16);
-  s.bp->StartFlusher(/*interval_us=*/500, /*batch_pages=*/8);
+  s.bp->StartFlusher(/*interval_us=*/500);
   std::vector<PageId> ids = DirtyPages(s, 4, 'A');
   // Fresh pages sit at usage 0 (next in line for the sweep): flushed.
   ASSERT_TRUE(
@@ -115,7 +115,7 @@ TEST(BufferPoolFlusherTest, ReferencedPageStaysDirtyUntilFlushAll) {
 
 TEST(BufferPoolFlusherTest, CoexistsWithFlushAllAndEvictAll) {
   Stack s = MakeStack("flush_coexist", 4096, 32);
-  s.bp->StartFlusher(/*interval_us=*/200, /*batch_pages=*/4);
+  s.bp->StartFlusher(/*interval_us=*/200);
   for (int round = 0; round < 20; ++round) {
     std::vector<PageId> ids = DirtyPages(s, 3, static_cast<char>('a' + round));
     // FlushAll/EvictAll serialize against flusher passes; with no pins held
@@ -138,7 +138,7 @@ TEST(BufferPoolFlusherTest, EvictionFindsCleanVictimsAfterFlushing) {
   // (dirty_writebacks stays 0). One stripe of 8 frames; the free list hands
   // them out in index order and the CLOCK hand starts at frame 0.
   Stack s = MakeStack("flush_clean_victims", 4096, 8);
-  s.bp->StartFlusher(/*interval_us=*/500, /*batch_pages=*/8);
+  s.bp->StartFlusher(/*interval_us=*/500);
   std::vector<PageId> ids = DirtyPages(s, 8, 'Q');
   ASSERT_TRUE(
       WaitFor([&] { return s.Counter("buffer_pool.flusher_pages") >= 8; }));

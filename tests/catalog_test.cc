@@ -1,5 +1,3 @@
-#include "catalog/catalog.h"
-
 #include <gtest/gtest.h>
 
 #include "catalog/schema.h"
@@ -72,31 +70,6 @@ TEST(SchemaTest, ProjectPreservesOrderAndTypes) {
   EXPECT_EQ(p.column(0).name, "c");
   EXPECT_EQ(p.column(1).name, "a");
   EXPECT_EQ(p.row_size(), 12u);
-}
-
-TEST(CatalogTest, CreateAndLookupTables) {
-  Catalog cat;
-  Schema s({{"id", TypeId::kInt64, 0}});
-  ASSERT_OK_AND_ASSIGN(TableId t1, cat.CreateTable("page", s));
-  ASSERT_OK_AND_ASSIGN(TableId t2, cat.CreateTable("revision", s));
-  EXPECT_NE(t1, t2);
-  ASSERT_OK_AND_ASSIGN(TableInfo * info, cat.GetTableByName("page"));
-  EXPECT_EQ(info->id, t1);
-  EXPECT_TRUE(cat.CreateTable("page", s).status().IsAlreadyExists());
-  EXPECT_TRUE(cat.GetTableByName("nope").status().IsNotFound());
-}
-
-TEST(CatalogTest, CreateIndexValidatesColumns) {
-  Catalog cat;
-  Schema s({{"id", TypeId::kInt64, 0}, {"v", TypeId::kInt32, 0}});
-  ASSERT_OK_AND_ASSIGN(TableId t, cat.CreateTable("t", s));
-  ASSERT_OK_AND_ASSIGN(IndexId ix, cat.CreateIndex("t_pk", t, {0}, {1}));
-  ASSERT_OK_AND_ASSIGN(IndexInfo * info, cat.GetIndex(ix));
-  EXPECT_EQ(info->table_id, t);
-  EXPECT_TRUE(cat.CreateIndex("bad", t, {5}, {}).status().IsInvalidArgument());
-  EXPECT_TRUE(cat.CreateIndex("t_pk", t, {0}, {}).status().IsAlreadyExists());
-  ASSERT_OK_AND_ASSIGN(TableInfo * tinfo, cat.GetTable(t));
-  EXPECT_EQ(tinfo->indexes.size(), 1u);
 }
 
 }  // namespace

@@ -49,7 +49,6 @@ TEST(DatabaseTest, TableRegistry) {
   ASSERT_OK_AND_ASSIGN(Table * b, db->GetTable("b"));
   EXPECT_NE(a, b);
   EXPECT_TRUE(db->GetTable("c").status().IsNotFound());
-  EXPECT_EQ(db->catalog()->tables().size(), 2u);
 }
 
 TEST(DatabaseTest, MultipleTablesShareOneFile) {

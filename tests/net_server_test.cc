@@ -814,5 +814,40 @@ TEST(NetServerTest, StartFailsWhenTheEventLoopCannotBeSetUp) {
   Cleanup(eopts);
 }
 
+// The loop submits on its own thread, so an engine whose bounded queues
+// block the submitter would stall every connection behind one full shard
+// queue. Start refuses that engine; the same bound with fail-fast serves.
+TEST(NetServerTest, StartRejectsAnEngineWhoseBoundedQueuesBlock) {
+  ShardedEngineOptions blocking = EngineOptions("blockq");
+  blocking.max_queue_depth = 4;
+  blocking.busy_fail_fast = false;
+  {
+    ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(blocking));
+    auto start = NetServer::Start(NetServerOptions{}, engine.get());
+    ASSERT_FALSE(start.ok());
+    EXPECT_TRUE(start.status().IsInvalidArgument())
+        << start.status().ToString();
+  }
+  Cleanup(blocking);
+
+  ShardedEngineOptions fail_fast = EngineOptions("failfastq");
+  fail_fast.max_queue_depth = 4;
+  fail_fast.busy_fail_fast = true;
+  ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(fail_fast));
+  ASSERT_OK(engine->Insert(5, KvRow(5)));
+  ASSERT_OK_AND_ASSIGN(auto server,
+                       NetServer::Start(NetServerOptions{}, engine.get()));
+  auto client = MustConnect(*server);
+  ASSERT_OK_AND_ASSIGN(BatchResult r, client->Call({Request::Get(5)}));
+  ASSERT_OK(r.results[0].status);
+  ASSERT_EQ(r.results[0].row.size(), 2u);
+  EXPECT_EQ(r.results[0].row[1].AsString(), "row-5");
+
+  client.reset();
+  server.reset();
+  engine.reset();
+  Cleanup(fail_fast);
+}
+
 }  // namespace
 }  // namespace nblb::net

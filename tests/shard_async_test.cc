@@ -187,7 +187,6 @@ TEST(ShardAsyncTest, AdaptiveWindowGrowsUnderBurstySubmitters) {
   // must outrun the worker, the coalesce window must grow past 1, and not
   // a single request may be lost or misordered.
   auto opts = SmallOptions("burst", 1, /*workers=*/1);
-  opts.min_coalesce_window = 1;
   opts.max_coalesce_window = 16;
   ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(opts));
 

@@ -189,6 +189,22 @@ TEST(ShardedEngineTest, ReplayDrivesWikipediaTraceThroughEngine) {
   Cleanup(opts);
 }
 
+TEST(ShardedEngineTest, OpenRejectsACoalesceWindowOfZero) {
+  // The window starts at 1, so a maximum of 0 would leave no valid window.
+  auto no_window = SmallOptions("nowindow", 1);
+  no_window.max_coalesce_window = 0;
+  EXPECT_TRUE(ShardedEngine::Open(no_window).status().IsInvalidArgument());
+
+  auto one = SmallOptions("window1", 1);
+  one.max_coalesce_window = 1;
+  ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(one));
+  ASSERT_OK(engine->Insert(3, MakeRow(3)));
+  ASSERT_OK_AND_ASSIGN(Row row, engine->Get(3));
+  EXPECT_EQ(row, MakeRow(3));
+  engine.reset();
+  Cleanup(one);
+}
+
 TEST(ShardedEngineTest, TruncateGuardRefusesToClobberExistingShardFiles) {
   // First open (truncate, the default) creates the shard files and data.
   auto opts = SmallOptions("truncguard", 2);
