@@ -33,7 +33,7 @@
 //   ],
 //   "churn": [   // update-churn regime: fetch+mutate+MarkDirty every op,
 //                // working set 2x the pool (uniform — see the phase
-//                // comment for why), background flusher ON, async batched
+//                // comment for why), flush passes ON, async batched
 //                // write-back, own O_DIRECT file
 //                // (churn_direct_io_effective=0 means the fs refused and
 //                // the phase measured the page cache)
@@ -56,10 +56,12 @@
 //
 // Flags: --frames=N --ops=N --batch=N --threads=N (max client threads)
 // --io=auto|uring|threads (async I/O backend; "threads" forces the
-// preadv/pwritev worker-pool fallback) --flusher_us=N (churn-phase flusher
-// cadence). Any other argument, or a value that does not parse, exits 2.
+// preadv/pwritev worker-pool fallback) --flusher_us=N (churn-phase flush
+// pass cadence; 0 runs none). Any other argument, or a value that does not
+// parse, exits 2.
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -421,9 +423,10 @@ int main(int argc, char** argv) {
   // victim and cannot coalesce). Page choice is uniform over a working
   // set 2x the pool: skewing it enough to matter makes the hot set fully
   // resident and write-back stops gating anything, and diluting with
-  // reads lets the flusher keep up without trying. Here write-back
-  // pressure comes from BOTH the background flusher and dirty eviction
-  // victims, drained through sorted async write groups. Unlike the
+  // reads lets the flush passes keep up without trying. Here write-back
+  // pressure comes from BOTH flush passes (FlushColdPages, run every
+  // --flusher_us by a harness thread beside the clients) and dirty
+  // eviction victims, drained through sorted async write groups. Unlike the
   // hit/miss phases this one runs on its OWN O_DIRECT file (when the
   // filesystem allows it): write-back against the page cache costs
   // microseconds and measures only submission overhead — the regime the
@@ -466,7 +469,23 @@ int main(int argc, char** argv) {
     BufferPool& bp = *churn_bp;
     churn_pool_registry.reset(new MetricsRegistry());
     bp.RegisterMetrics(churn_pool_registry.get(), "churn_buffer_pool.");
-    bp.StartFlusher(flusher_us);
+    // The pool starts no thread, so a harness thread runs its flush passes
+    // at the --flusher_us cadence for the whole phase.
+    std::atomic<bool> churn_done{false};
+    std::thread flusher;
+    if (flusher_us > 0) {
+      flusher = std::thread([&] {
+        while (!churn_done.load(std::memory_order_acquire)) {
+          std::this_thread::sleep_for(std::chrono::microseconds(flusher_us));
+          auto pass = bp.FlushColdPages();
+          if (!pass.ok()) {
+            std::fprintf(stderr, "churn flush pass: %s\n",
+                         pass.status().ToString().c_str());
+            std::abort();
+          }
+        }
+      });
+    }
     churn_base = churn_registry.Snapshot();
     const double ops = RunThreads(threads, churn_ops, [&](InlineRng& rng) {
       // FetchPages wants ascending unique ids (like every real caller).
@@ -480,7 +499,7 @@ int main(int argc, char** argv) {
       ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
       auto guards = bp.FetchPages(ids);
       if (!guards.ok()) {
-        // A flusher pass pins its whole batch; a fetch that lands while
+        // A flush pass pins its whole batch; a fetch that lands while
         // one stripe is saturated sees ResourceExhausted. That is
         // backpressure, not failure — yield and retry.
         if (guards.status().IsResourceExhausted()) {
@@ -502,6 +521,8 @@ int main(int argc, char** argv) {
       }
       return static_cast<uint32_t>(ids.size());
     });
+    churn_done.store(true, std::memory_order_release);
+    if (flusher.joinable()) flusher.join();
     const MetricsSnapshot ds = churn_registry.Snapshot() - churn_base;
     const MetricsSnapshot ps = churn_pool_registry->Snapshot();
     const ChurnResult r{threads,

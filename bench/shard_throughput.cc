@@ -5,13 +5,16 @@
 // Submit at a sustained in-flight depth) for every configuration.
 //
 // The sweep follows the scale-out model: every shard is a "node" with a
-// fixed per-shard buffer pool, so 4 shards hold 4× the aggregate hot set of
-// 1 shard. That is the paper's §3.1 argument (shrink the per-node index
-// until it is RAM-resident) realized by the serving layer: the monolithic
-// configuration thrashes its buffer pool on the scattered hot tuples (one
-// hot revision per heap page), while the sharded one serves mostly from
-// memory. Worker threads add pipeline overlap between routing (client
-// thread) and execution (shard owners), and overlap the shards' misses —
+// fixed per-shard buffer pool, so 4 shards hold 4× the aggregate pool of 1
+// shard — the paper's §3.1 argument (shrink the per-node index until it is
+// RAM-resident) realized by the serving layer. At the default size that
+// argument does not show: trimmed heap rows and full leaves fit the hot
+// set in one shard's 32 MiB, and every configuration, one shard included,
+// reads a buffer-pool hit rate of at least 0.99. So the shard-count
+// speedup comes from worker threads — pipeline overlap between routing
+// (client thread) and execution (shard owners), on more cores — not from
+// cache. --frames=512 restores the miss regime (one shard reads about
+// 0.79), where the sharded configurations also overlap the shards' misses:
 // the device serves several outstanding reads while the CPU keeps routing.
 //
 // The open-loop phase is the "no I/O slot left idle" experiment: a
@@ -90,26 +93,26 @@
 //
 // After the open-loop phase every configuration runs a WRITE-HEAVY phase
 // ("mixed"): a mixed kGet/kUpdate scrambled-Zipfian trace over the loaded
-// rows (--mixed_update percent updates), replayed closed-loop with the
-// background flusher ON through the async batched write pipeline. Updates
-// against O_DIRECT storage keep the write-back path saturated, so this
-// phase measures exactly that path: flusher group writes, batched
-// eviction-victim write-back, and the group-fsync checkpoint the phase
-// starts from.
+// rows (--mixed_update percent updates), replayed closed-loop through the
+// async batched write pipeline, with flush passes at the --flusher_us
+// cadence like the read phases (each shard's worker runs them between
+// service groups). Updates against O_DIRECT storage keep the write-back
+// path saturated, so this phase measures exactly that path: batched
+// eviction-victim write-back, flush-pass group writes when --flusher_us is
+// set, and the group-fsync checkpoint the phase starts from.
 //
 // JSON: each config gains a "mixed" object ({ops_per_sec, p50/p99,
 // errors, bp_hit_rate, disk_reads, disk_writes, async_writes,
 // async_write_batches, write_runs, flusher_pages, flusher_coalesced_runs,
-// dirty_writebacks}), and the top level gains "mixed_ops",
-// "mixed_update_fraction" and "mixed_flusher_us".
+// dirty_writebacks}), and the top level gains "mixed_ops" and
+// "mixed_update_fraction".
 //
 // Flags: --rows=N --lookups=N --batch=N --frames=N --direct=0|1
 // --inflight=N --openloop=0|1
-// --flusher_us=N (0 = background flusher off for the read phases)
+// --flusher_us=N (flush-pass cadence for every phase; 0 = no passes)
 // --max_queue=N (0 = unbounded Submit; >0 bounds each shard queue,
 // blocking policy) --mixed=0|1 --mixed_ops=N (0 = lookups/2)
-// --mixed_update=PCT --mixed_flusher_us=N (flusher cadence during the
-// mixed phases when --flusher_us=0) --trace_every=N (sample 1-in-N
+// --mixed_update=PCT --trace_every=N (sample 1-in-N
 // sub-batches for tracing; 0 disables, NBLB_OBS_OFF=1 overrides to off)
 // (defaults below); any other argument, or a value that does not parse,
 // exits 2. NBLB_IO_BACKEND=uring|threads picks the shards' async I/O
@@ -311,9 +314,6 @@ void FillPhaseReport(PhaseResult* phase, uint64_t ops,
 struct IoKnobs {
   uint64_t flusher_us = 0;
   size_t max_queue = 0;
-  /// Flusher cadence for the mixed write phases when flusher_us == 0 (the
-  /// read phases then run flusher-less exactly as before).
-  uint64_t mixed_flusher_us = 2000;
   /// Request-tracing sample rate: 1-in-N sub-batches carry a TraceContext
   /// (0 disables sampling; NBLB_OBS_OFF=1 disables it regardless).
   uint64_t trace_every = 32;
@@ -444,17 +444,10 @@ ConfigResult RunConfig(uint32_t shards, uint32_t workers,
   }
 
   // ---- Mixed write-heavy phase through the async batched write pipeline.
-  // The flusher is ON (started here if the read phases ran without one),
-  // the phase starts from a group-fsync Checkpoint, and updates against
+  // The phase starts from a group-fsync Checkpoint, and updates against
   // O_DIRECT storage keep the write-back path saturated.
   if (!mixed_batches.empty()) {
     r.mixed_ran = true;
-    if (io.flusher_us == 0 && io.mixed_flusher_us > 0) {
-      for (uint32_t s = 0; s < shards; ++s) {
-        engine->shard(s)->database()->buffer_pool()->StartFlusher(
-            io.mixed_flusher_us);
-      }
-    }
     // Warmup: one discarded replay of the same batches, so the measured
     // phase runs at steady-state residency instead of paying the mixed
     // trace's cold faults.
@@ -550,10 +543,9 @@ int main(int argc, char** argv) {
   const uint64_t target_rows = flags.U64("rows", 1000000);
   const uint64_t num_lookups = flags.U64("lookups", 400000);
   const uint64_t batch_size = flags.U64("batch", 64);
-  // 4096 frames × 8 KiB = 32 MiB per shard-node: the 1M-row workload's hot
-  // set (~15k heap pages — Wikipedia's latest revisions) overflows one
-  // node's budget but fits four, which is precisely the regime §3.1 is
-  // about.
+  // 4096 frames × 8 KiB = 32 MiB per shard-node, which holds the 1M-row
+  // workload's hot set even on one node (see the file comment); 512 frames
+  // put one node in the §3.1 miss regime.
   const uint64_t frames = flags.U64("frames", 4096);
   const bool direct_io = flags.U64("direct", 1) != 0;
   const uint64_t inflight = flags.U64("inflight", 64);
@@ -561,7 +553,6 @@ int main(int argc, char** argv) {
   IoKnobs io;
   io.flusher_us = flags.U64("flusher_us", 0);
   io.max_queue = flags.U64("max_queue", 0);
-  io.mixed_flusher_us = flags.U64("mixed_flusher_us", 2000);
   io.trace_every = flags.U64("trace_every", 32);
   const bool run_mixed = flags.U64("mixed", 1) != 0;
   const uint64_t mixed_ops_flag = flags.U64("mixed_ops", 0);
@@ -684,7 +675,6 @@ int main(int argc, char** argv) {
                "  \"trace_every\": %llu,\n"
                "  \"mixed_ops\": %llu,\n"
                "  \"mixed_update_fraction\": %.2f,\n"
-               "  \"mixed_flusher_us\": %llu,\n"
                "  \"configs\": [\n",
                GitSha(), rows.size(),
                static_cast<unsigned long long>(num_lookups),
@@ -698,8 +688,7 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(io.max_queue),
                static_cast<unsigned long long>(io.trace_every),
                static_cast<unsigned long long>(run_mixed ? mixed_ops : 0),
-               static_cast<double>(mixed_update_pct) / 100.0,
-               static_cast<unsigned long long>(io.mixed_flusher_us));
+               static_cast<double>(mixed_update_pct) / 100.0);
   for (size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     std::fprintf(

@@ -12,9 +12,6 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
   NBLB_RETURN_NOT_OK(db->disk_->Open());
   db->bp_.reset(new BufferPool(db->disk_.get(), options.buffer_pool_frames,
                                options.buffer_pool_stripes));
-  if (options.flusher_interval_us > 0) {
-    db->bp_->StartFlusher(options.flusher_interval_us);
-  }
   db->metrics_.reset(new MetricsRegistry());
   db->disk_->RegisterMetrics(db->metrics_.get(), "disk.");
   db->bp_->RegisterMetrics(db->metrics_.get(), "buffer_pool.");

@@ -1,5 +1,10 @@
 // Database: the top-level facade — one backing file, one buffer pool, and
 // the tables in it by name. This is the entry point used by the examples.
+//
+// One thread drives a Database's tables (see storage/buffer_pool.h). Flush
+// passes run on that thread too, when it calls
+// buffer_pool()->FlushColdPages(), as a shard's worker does between service
+// groups (Shard::FlushIfDue).
 
 #pragma once
 
@@ -37,13 +42,6 @@ struct DatabaseOptions {
   /// device latency instead of hitting the OS page cache (see
   /// DiskManager).
   bool direct_io = false;
-  /// Background dirty-page flusher cadence in microseconds; 0 (default)
-  /// disables the flusher and write-back rides the evicting thread as
-  /// before. Each pass cleans only unpinned dirty frames at usage count 0
-  /// (the next CLOCK victims); hot pages stay dirty until they are aged,
-  /// evicted, checkpointed or closed. The flusher never fsyncs and is not
-  /// a durability mechanism (see BufferPool::StartFlusher).
-  uint64_t flusher_interval_us = 0;
 };
 
 /// \brief Owns the storage stack and the table registry.

@@ -1,14 +1,10 @@
 #include "index/btree.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-
-#include <thread>
 
 #include "common/bytes.h"
 #include "common/logging.h"
-#include "obs/event_ring.h"
 
 namespace nblb {
 
@@ -137,31 +133,6 @@ size_t BTree::LeafCapacity() const {
 // Lookup
 // ---------------------------------------------------------------------------
 
-Result<PageGuard> BTree::FetchPageRetry(PageId id) {
-  // Mirrors HeapFile::GetBatch's chunk-size-1 policy (see
-  // kMaxTransientRetries there): transient capacity pressure clears when
-  // the competing batch unwinds, so yield-retry instead of surfacing a
-  // retryable ResourceExhausted from a single-page walk.
-  constexpr size_t kMaxRetries = 4096;
-  constexpr size_t kYieldOnly = 64;
-  for (size_t attempt = 0;; ++attempt) {
-    auto fetched = bp_->FetchPage(id);
-    if (fetched.ok() || !fetched.status().IsResourceExhausted() ||
-        attempt >= kMaxRetries) {
-      return fetched;
-    }
-    RecordFlightEvent(FlightEvent::kBtreeRetry, id, attempt + 1);
-    // Yield first (mid-flight aborts clear in a scheduler quantum); back
-    // off to short sleeps if the pressure persists, so the bound covers
-    // hundreds of milliseconds of real wait instead of a few.
-    if (attempt < kYieldOnly) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  }
-}
-
 Status BTree::ValidatePage(const char* data) const {
   return BTreePageView(const_cast<char*>(data), bp_->page_size())
       .Validate(options_.key_size, options_.leaf_payload_size,
@@ -169,7 +140,7 @@ Status BTree::ValidatePage(const char* data) const {
 }
 
 Result<PageGuard> BTree::FetchValidated(PageId id) {
-  NBLB_ASSIGN_OR_RETURN(PageGuard guard, FetchPageRetry(id));
+  NBLB_ASSIGN_OR_RETURN(PageGuard guard, bp_->FetchPage(id));
   NBLB_RETURN_NOT_OK(ValidatePage(guard.data()));
   return guard;
 }
@@ -196,7 +167,7 @@ Result<PageGuard> BTree::FindLeaf(const Slice& key) {
   // the caller (see btree.h), so the fetch below sees the header and
   // directory it validated.
   NBLB_ASSIGN_OR_RETURN(PageId leaf_id, DescendToLeaf(key));
-  return FetchPageRetry(leaf_id);
+  return bp_->FetchPage(leaf_id);
 }
 
 Result<uint64_t> BTree::Get(const Slice& key) {

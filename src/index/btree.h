@@ -18,9 +18,12 @@
 // bumps CSNidx so any cache bytes that happened to reach disk before a crash
 // are invalid on restart.
 //
-// Concurrency: structural operations (Insert/Delete/BulkLoad) require
-// external serialization. In-page cache reads/writes (cache::IndexCache) are
-// latch-protected against each other and may run concurrently with Get().
+// Concurrency: one thread drives a tree and every other structure over its
+// pool (see storage/buffer_pool.h): a fetch that finds every frame pinned
+// fails ResourceExhausted at once instead of waiting for another thread's
+// pins to drop. In-page cache reads/writes (cache::IndexCache) are
+// latch-protected against each other; the §2.1.3 latch tests walk one tree
+// from several threads over a pool with frames to spare.
 
 #pragma once
 
@@ -171,7 +174,7 @@ class BTree {
   /// BTreePageView::Validate against this tree's key, payload and cache
   /// item sizes. Every path that reads a node runs it first.
   Status ValidatePage(const char* data) const;
-  /// FetchPageRetry followed by ValidatePage.
+  /// BufferPool::FetchPage followed by ValidatePage.
   Result<PageGuard> FetchValidated(PageId id);
 
   struct SplitResult {
@@ -187,14 +190,6 @@ class BTree {
   Status SplitInternal(BTreePageView* node, const Slice& sep,
                        PageId right_child, SplitResult* split);
   Result<PageId> DescendToLeaf(const Slice& key);
-
-  /// Single-page FetchPage with a bounded yield-retry on transient
-  /// ResourceExhausted (a piggybacked load aborted under capacity pressure
-  /// elsewhere): the pressure clears when the competing batch unwinds, so
-  /// retrying here keeps retryable backpressure from leaking to callers of
-  /// Get/GetBatch. Genuine capacity exhaustion still surfaces after the
-  /// retry budget.
-  Result<PageGuard> FetchPageRetry(PageId id);
 
   BufferPool* bp_;
   BTreeOptions options_;

@@ -17,10 +17,6 @@ const char* FlightEventName(FlightEvent e) {
       return "transient_wait";
     case FlightEvent::kChunkHalve:
       return "chunk_halve";
-    case FlightEvent::kChunkRetry:
-      return "chunk_retry";
-    case FlightEvent::kBtreeRetry:
-      return "btree_retry";
     case FlightEvent::kCapacityWait:
       return "capacity_wait";
     case FlightEvent::kBusyReject:

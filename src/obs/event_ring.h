@@ -2,11 +2,11 @@
 // events, dumpable on demand or on fatal error (via the common/logging.h
 // fatal hook).
 //
-// The recorder captures the *rare* paths — transient aborts, retries,
-// capacity waits, busy rejections, flusher passes, io errors — so that the
-// next "bench hangs" or phantom-status bug is diagnosed from the recording
-// instead of rediscovered by bisection. Hot paths (buffer-pool hits, queue
-// pops) are never recorded.
+// The recorder captures the *rare* paths — transient aborts, chunk
+// halvings, capacity waits, busy rejections, flusher passes, io errors — so
+// that the next "bench hangs" or phantom-status bug is diagnosed from the
+// recording instead of rediscovered by bisection. Hot paths (buffer-pool
+// hits, queue pops) are never recorded.
 //
 // Concurrency model:
 //   - Writer side: each thread owns one EventRing; Record() is a handful of
@@ -48,20 +48,15 @@ enum class FlightEvent : uint16_t {
   /// HeapFile::GetBatch halved its pipeline chunk size after a capacity
   /// miss. arg0 = new chunk capacity.
   kChunkHalve = 3,
-  /// HeapFile::GetBatch exhausted chunk halving and yielded before
-  /// retrying at chunk size 1. arg0 = retry attempt.
-  kChunkRetry = 4,
-  /// B+Tree yielded and retried a single-page FetchPage that returned
-  /// retryable ResourceExhausted. arg0 = page id, arg1 = retry attempt.
-  kBtreeRetry = 5,
+  // 4 and 5 were the heap's and the B+Tree's retry events; unused.
   /// Engine Submit blocked waiting for shard-queue capacity.
   /// arg0 = shard, arg1 = queue size at wait.
   kCapacityWait = 6,
   /// Engine Submit failed a batch fail-fast because a shard queue was
   /// full (busy_fail_fast mode). arg0 = shard, arg1 = queue size.
   kBusyReject = 7,
-  /// Background flusher completed a pass. arg0 = pages flushed,
-  /// arg1 = coalesced runs.
+  /// A flush pass (BufferPool::FlushColdPages) wrote pages. arg0 = pages
+  /// flushed, arg1 = coalesced runs.
   kFlusherPass = 8,
   /// An async disk operation completed with an error. arg0 = page id.
   kIoError = 9,

@@ -104,7 +104,6 @@ Result<std::unique_ptr<Shard>> Shard::Open(uint32_t shard_id,
   // the stripe mutex anyway.
   dbo.buffer_pool_stripes = 1;
   dbo.direct_io = shard->options_.direct_io;
-  dbo.flusher_interval_us = shard->options_.flusher_interval_us;
   shard->durable_ = shard->options_.wal_enabled;
 
   // Decide between fresh create and reattach BEFORE opening anything.
@@ -189,9 +188,9 @@ Result<std::unique_ptr<Shard>> Shard::Open(uint32_t shard_id,
                                   shard->options_.table_options,
                                   sb.heap_first_page, sb.btree_meta_page));
     } else {
-      // Crash recovery: the on-disk index is untrusted (the flusher
-      // persists arbitrary page subsets), so rebuild it from the heap,
-      // then redo the WAL tail.
+      // Crash recovery: the on-disk index is untrusted (flush passes and
+      // eviction persist arbitrary page subsets), so rebuild it from the
+      // heap, then redo the WAL tail.
       RecordFlightEvent(FlightEvent::kRecoveryStart, shard_id,
                         sb.checkpoint_lsn);
       shard->recovered_ = true;
@@ -244,6 +243,17 @@ Status Shard::FreeMovedSlots() {
 }
 
 Status Shard::Checkpoint() { return RunCheckpoint(/*clean_shutdown=*/false); }
+
+Status Shard::FlushIfDue() {
+  if (options_.flusher_interval_us == 0) return Status::OK();
+  const auto now = std::chrono::steady_clock::now();
+  if (now - last_flush_ <
+      std::chrono::microseconds(options_.flusher_interval_us)) {
+    return Status::OK();
+  }
+  last_flush_ = now;
+  return db_->buffer_pool()->FlushColdPages().status();
+}
 
 Status Shard::RunCheckpoint(bool clean_shutdown) {
   if (!durable_) return db_->Checkpoint();

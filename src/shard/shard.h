@@ -9,12 +9,15 @@
 // Concurrency contract: a Shard is NOT thread safe. The ShardedEngine
 // statically assigns every shard to exactly one worker thread, which is the
 // only thread that ever executes operations on it — single-writer by
-// construction, no per-operation locking. Other threads read the shard's
-// counters only through its database's metrics registry (the counters are
-// atomics, see shard_stats.h).
+// construction, no per-operation locking. That thread also runs the
+// shard's flush passes (FlushIfDue) and checkpoints, so it is the only
+// thread that touches the shard's buffer pool. Other threads read the
+// shard's counters only through its database's metrics registry (the
+// counters are atomics, see shard_stats.h).
 
 #pragma once
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,11 +58,12 @@ struct ShardOptions {
   size_t buffer_pool_frames = 4096;
   /// O_DIRECT backing file: misses pay device latency, not page-cache cost.
   bool direct_io = false;
-  /// Background dirty-page flusher cadence (µs); 0 disables it and dirty
-  /// write-back rides the evicting worker as before. A pass cleans only
-  /// unpinned dirty frames at usage count 0 (the next CLOCK victims); hot
-  /// pages stay dirty until aged, evicted, checkpointed or closed. The
-  /// flusher never fsyncs — durability is the WAL's and Checkpoint's.
+  /// Flush-pass cadence (µs): FlushIfDue runs a pass when at least this
+  /// long has passed since the last one; 0 disables passes, and dirty
+  /// write-back rides eviction and checkpoints. A pass cleans only unpinned
+  /// dirty frames at usage count 0 (the next CLOCK victims); hot pages stay
+  /// dirty until aged, evicted, checkpointed or closed. A pass never fsyncs
+  /// — durability is the WAL's and Checkpoint's.
   uint64_t flusher_interval_us = 0;
 
   Schema schema;
@@ -121,6 +125,14 @@ class Shard {
   /// staged LSN, and resets the WAL to reclaim log space. Without
   /// wal_enabled this is just Database::Checkpoint. Owner thread only.
   Status Checkpoint();
+
+  /// \brief Runs one flush pass over the shard's pool
+  /// (BufferPool::FlushColdPages) when flusher_interval_us > 0 and at least
+  /// that long has passed since the last pass; otherwise does nothing. The
+  /// ShardedEngine's worker calls it after each service group, once the
+  /// group's tickets are complete. Returns the pass's write error, if any.
+  /// Owner thread only.
+  Status FlushIfDue();
 
   /// \brief Test hook: skip the clean close (checkpoint + clean-shutdown
   /// superblock) in the destructor, so the next Open exercises the crash
@@ -186,6 +198,8 @@ class Shard {
   Table* table_ = nullptr;  // owned by db_
   uint64_t rows_ = 0;
   std::string keys_;  ///< GetBatch's encoded keys, reused across calls
+  /// When FlushIfDue last ran a pass (the epoch until the first).
+  std::chrono::steady_clock::time_point last_flush_{};
 
   // ---- Durability (all owner-thread only) ---------------------------------
   /// Owns its own DiskManager over the `.wal` sidecar, independent of db_.

@@ -437,6 +437,12 @@ bool ShardedEngine::ServeShard(Worker* worker, uint32_t sid) {
       if (!cs.ok()) shard->stats().Add(shard->stats().errors);
     }
   }
+  // Flush pass, when one is due. The group's tickets are complete, so it
+  // delays no reply. A failed write left its pages dirty for the next pass
+  // or eviction; count it like a failed checkpoint.
+  if (Status fs = shard->FlushIfDue(); !fs.ok()) {
+    shard->stats().Add(shard->stats().errors);
+  }
   return true;
 }
 

@@ -56,10 +56,14 @@
 //
 // Threading model: every shard is statically owned by exactly one worker
 // (worker = shard % num_workers), so shard-local state (Table, B+Tree,
-// IndexCache) is single-threaded by construction and needs no locks. The
-// only cross-thread state is the shard queues and the atomic ticket
-// bookkeeping. Completion callbacks run on the worker that retires a
-// ticket's last sub-batch, so the engine starts no threads but its workers.
+// IndexCache, buffer pool) is single-threaded by construction and needs no
+// locks. The owning worker also runs the shard's periodic checkpoints and
+// its flush passes (Shard::FlushIfDue, after each service group), so no
+// other thread touches a shard's pool. The only cross-thread state is the
+// shard queues and the atomic ticket bookkeeping. Completion callbacks run
+// on the worker that retires a ticket's last sub-batch, so the engine
+// starts no threads but its workers (and, under the preadv fallback, each
+// DiskManager's io pool).
 //
 // Counters: read them through MetricsSnapshotNow() ("engine.*",
 // "trace.*" and every shard's "shard<i>.*"); subtract two snapshots to
@@ -114,8 +118,10 @@ struct ShardedEngineOptions {
   /// file comment). The window starts at 1 and never drops below it; Open
   /// rejects 0.
   size_t max_coalesce_window = 32;
-  /// Background flusher cadence, forwarded to every shard (see
-  /// exec/database.h).
+  /// Flush-pass cadence (µs), forwarded to every shard (see
+  /// ShardOptions::flusher_interval_us): the owning worker runs a pass
+  /// after a service group once this long has passed since the last one.
+  /// 0 disables passes.
   uint64_t flusher_interval_us = 0;
   /// Backpressure: bound on each shard queue's depth in sub-batches. 0
   /// (default) keeps the queues unbounded, as before. With a bound, an

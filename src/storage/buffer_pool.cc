@@ -1,9 +1,6 @@
 #include "storage/buffer_pool.h"
 
-#include <pthread.h>
-
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
@@ -109,7 +106,6 @@ BufferPool::BufferPool(DiskManager* disk, size_t num_frames, size_t num_stripes)
 }
 
 BufferPool::~BufferPool() {
-  StopFlusher();
   // Best effort write-back of dirty pages.
   (void)FlushAll();
   std::free(flush_staging_);
@@ -389,7 +385,7 @@ Status BufferPool::FlushTargets(std::vector<FlushTarget>* targets,
         std::memcpy(slot, t.frame->data, page_size_);
       }
       if (t.claimed) {
-        // Release the flusher's io-claim the moment the bytes are staged:
+        // Release the pass's io-claim the moment the bytes are staged:
         // writers blocked in WaitForLoad stall only for the memcpy, never
         // for the device write.
         t.frame->state.fetch_and(~kIoBit, std::memory_order_release);
@@ -452,9 +448,8 @@ Status BufferPool::WaitForLoad(Frame& f) {
   }
   if ((s & kFailedBit) != 0) {
     // A transiently aborted claim is backpressure (the loading batch ran
-    // out of frames elsewhere), not a device fault: waiters retry, the
-    // batch-read consumers halve their chunks, nobody reports a phantom
-    // IO error.
+    // out of frames elsewhere), not a device fault: waiters get
+    // ResourceExhausted, nobody reports a phantom IO error.
     if ((s & kTransientBit) != 0) {
       RecordFlightEvent(FlightEvent::kTransientWait,
                         f.id.load(std::memory_order_relaxed));
@@ -543,7 +538,7 @@ Result<PageGuard> BufferPool::FetchPage(PageId id) {
         if ((prev & kIoBit) != 0) wait_frame = &f;
       } else if (Contains(st.flushing, id)) {
         // Its dirty write-back is in flight; re-reading now would see stale
-        // bytes. Rare — wait for the flusher to land it.
+        // bytes. Rare — wait for its writer to land it.
         flush_conflict = true;
       } else {
         st.stats.misses.fetch_add(1, std::memory_order_relaxed);
@@ -837,7 +832,7 @@ Status BufferPool::FlushPage(PageId id) {
 }
 
 Status BufferPool::FlushAll() {
-  // Exclude the background flusher: a pass in flight holds pins and may
+  // Exclude a flush pass: a pass in flight holds pins and may
   // have cleared dirty bits for writes that have not landed yet — letting
   // FlushAll (and the Checkpoint fsync behind it) overtake those writes
   // would unsync what "checkpoint" promises.
@@ -875,7 +870,7 @@ Status BufferPool::FlushAll() {
 }
 
 Status BufferPool::EvictAll() {
-  // Exclude the flusher first: its pass pins frames, which would make the
+  // Exclude a flush pass first: it pins frames, which would make the
   // pinned-check below report spurious Busy.
   std::lock_guard<std::mutex> fl(flusher_pass_mu_);
   // Take every stripe lock (in index order) so the pinned-check and the
@@ -958,42 +953,10 @@ Status BufferPool::EvictAll() {
 }
 
 // ---------------------------------------------------------------------------
-// Background flusher
+// Flush passes
 // ---------------------------------------------------------------------------
 
-void BufferPool::StartFlusher(uint64_t interval_us) {
-  if (interval_us == 0) return;
-  NBLB_CHECK_MSG(!flusher_thread_.joinable(), "flusher already started");
-  flusher_interval_us_ = interval_us;
-  flusher_stop_ = false;
-  flusher_thread_ = std::thread([this] { FlusherLoop(); });
-}
-
-void BufferPool::StopFlusher() {
-  if (!flusher_thread_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lk(flusher_wake_mu_);
-    flusher_stop_ = true;
-  }
-  flusher_cv_.notify_all();
-  flusher_thread_.join();
-}
-
-void BufferPool::FlusherLoop() {
-  pthread_setname_np(pthread_self(), "nblb-flush");
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(flusher_wake_mu_);
-      flusher_cv_.wait_for(lk,
-                           std::chrono::microseconds(flusher_interval_us_),
-                           [this] { return flusher_stop_; });
-      if (flusher_stop_) return;
-    }
-    FlusherPass();
-  }
-}
-
-void BufferPool::FlusherPass() {
+Result<size_t> BufferPool::FlushColdPages() {
   std::lock_guard<std::mutex> pass(flusher_pass_mu_);
   flusher_passes_.fetch_add(1, std::memory_order_relaxed);
   size_t budget = kFlushBatchPages;
@@ -1026,7 +989,7 @@ void BufferPool::FlusherPass() {
       // pass), set the io bit (content writers pin through the locked
       // path and WaitForLoad until the snapshot memcpy is done — heap
       // and B+Tree writers mutate page bytes under their pin without
-      // taking the cache latch, so a pin-only flusher would snapshot a
+      // taking the cache latch, so a pin-only pass would snapshot a
       // torn page), and clear dirty BEFORE the write (the FlushPage
       // discipline: an unpin-dirty after the snapshot re-marks the frame,
       // which then reaches disk by a later pass once aged, by eviction,
@@ -1046,17 +1009,19 @@ void BufferPool::FlusherPass() {
   // The whole pass drains as ONE sorted async group (snapshot + submit +
   // wait inside FlushTargets): every contiguous dirty run is a vectored
   // write and every run is at the device at once, instead of one
-  // synchronous pwrite per page. No fsync: the flusher only pre-cleans
-  // eviction victims; durability is the WAL's and Checkpoint's. Errors
-  // re-dirty their pages; the frames stayed resident, so the next pass
-  // (or eviction) retries.
+  // synchronous pwrite per page. No fsync: a pass only pre-cleans eviction
+  // victims; durability is the WAL's and Checkpoint's. Errors re-dirty
+  // their pages; the frames stayed resident, so the next pass (or
+  // eviction) retries.
   size_t flushed = 0, runs = 0;
-  (void)FlushTargets(&targets, &flushed, &runs);
+  const Status ws = FlushTargets(&targets, &flushed, &runs);
   flusher_pages_.fetch_add(flushed, std::memory_order_relaxed);
   flusher_coalesced_runs_.fetch_add(runs, std::memory_order_relaxed);
   if (flushed > 0) RecordFlightEvent(FlightEvent::kFlusherPass, flushed, runs);
   for (FlushTarget& t : targets) UnpinFrame(*t.frame, /*dirty=*/false);
   flusher_cursor_ = (flusher_cursor_ + 1) & stripe_mask_;
+  if (!ws.ok()) return ws;
+  return flushed;
 }
 
 // ---------------------------------------------------------------------------

@@ -23,26 +23,30 @@
 //     fallback): one vectored op per contiguous run, every run in flight at
 //     the device at once. StartFetchPages/FinishFetchPages expose the two
 //     halves so a caller (HeapFile::GetBatch) can overlap work with the I/O.
-//   - An optional background flusher thread (StartFlusher) pre-cleans the
-//     frames the CLOCK sweep will evict next — unpinned, dirty, usage 0 —
-//     so eviction mostly finds clean victims and write-back stays off the
-//     serving path. Hot pages stay dirty until the sweep ages them, until
-//     eviction, or until FlushAll (Checkpoint, close). The flusher never
-//     fsyncs: it is not a durability mechanism.
-//   - Write-back is batched and asynchronous everywhere (flusher passes,
+//   - A flush pass (FlushColdPages, which a shard's worker runs between
+//     service groups) pre-cleans the frames the CLOCK sweep will evict
+//     next — unpinned, dirty, usage 0 — so eviction mostly finds clean
+//     victims. Hot pages stay dirty until the sweep ages them, until
+//     eviction, or until FlushAll (Checkpoint, close). A pass never
+//     fsyncs: it is not a durability mechanism. The pool starts no thread.
+//   - Write-back is batched and asynchronous everywhere (flush passes,
 //     dirty eviction victims in StartFetchPages, FlushAll/Checkpoint):
 //     dirty sets drain sorted through DiskManager::SubmitWrites — one
 //     vectored op per contiguous run, all runs at the device at once —
 //     with a single fsync behind a checkpoint drain (group fsync).
+//
+// Threads: the pool itself is thread safe, and the legacy buffer_pool_scan
+// bench and the pool's concurrency tests drive one pool from many threads.
+// But the heap files and B+Trees over a pool are driven by one thread (a
+// shard's worker): they never wait for another thread's pins to drop, so
+// ResourceExhausted from a fetch means the caller's own pins fill the pool.
 
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/latch.h"
@@ -141,6 +145,9 @@ class BufferPool {
   /// useful work (HeapFile::GetBatch submits the next chunk's reads while
   /// it decodes the current chunk) and call FinishFetchPages; the guards
   /// are usable once it returns OK. On failure `*guards` is left empty.
+  /// Holding two unfinished fetches is safe only when no other thread
+  /// loads pages in the pool: two threads that each finish one fetch while
+  /// holding another can wait on each other's claimed frames forever.
   Result<BatchFetch> StartFetchPages(const std::vector<PageId>& ids,
                                      std::vector<PageGuard>* guards);
 
@@ -164,24 +171,20 @@ class BufferPool {
   /// pool. Simulates a cold cache; fails if any page is pinned.
   Status EvictAll();
 
-  /// Most dirty frames one flusher pass writes back, drained as one sorted
+  /// Most dirty frames one flush pass writes back, drained as one sorted
   /// async write group.
   static constexpr size_t kFlushBatchPages = 64;
 
-  /// \brief Starts the background dirty-page flusher: every `interval_us`
-  /// it writes back up to kFlushBatchPages frames that are dirty, unpinned
-  /// and at usage count 0 (round-robin over stripes) — the frames the CLOCK
-  /// sweep would evict next — so eviction mostly finds clean victims and
-  /// write-back leaves the serving path. Referenced (hot) pages stay dirty
-  /// until the sweep ages them to 0, until eviction writes them back, or
-  /// until FlushAll (Checkpoint, close). The flusher never fsyncs and is
-  /// not a durability mechanism. Call at most once; no-op if
-  /// interval_us == 0.
-  void StartFlusher(uint64_t interval_us);
-
-  /// \brief Stops the flusher thread (idempotent; called by the
-  /// destructor before the final FlushAll).
-  void StopFlusher();
+  /// \brief One flush pass, on the calling thread: writes back up to
+  /// kFlushBatchPages frames that are dirty, unpinned and at usage count 0
+  /// (round-robin over stripes) — the frames the CLOCK sweep would evict
+  /// next — so eviction mostly finds clean victims. Referenced (hot) pages
+  /// stay dirty until the sweep ages them to 0, until eviction writes them
+  /// back, or until FlushAll (Checkpoint, close). Never fsyncs; not a
+  /// durability mechanism. Returns the pages written, or the write error
+  /// (its pages are re-marked dirty, so a later pass or eviction retries).
+  /// Safe beside other threads' fetches and FlushAll/EvictAll.
+  Result<size_t> FlushColdPages();
 
   size_t num_frames() const { return num_frames_; }
   size_t num_stripes() const { return num_stripes_; }
@@ -193,10 +196,10 @@ class BufferPool {
   /// API for them. Per-stripe counters are registered as cross-stripe
   /// aggregate reader callbacks: hits, misses, evictions,
   /// dirty_writebacks, and batch_fetches (FetchPages/StartFetchPages
-  /// calls, each may cover many pages). The flusher's are direct atomics:
-  /// flusher_passes, flusher_pages (dirty pages it wrote back, off the
-  /// serving threads) and flusher_coalesced_runs (contiguous runs those
-  /// pages coalesced into, one vectored write each). "hit_rate" is a gauge
+  /// calls, each may cover many pages). The flush passes' are direct
+  /// atomics: flusher_passes, flusher_pages (dirty pages they wrote back)
+  /// and flusher_coalesced_runs (contiguous runs those pages coalesced
+  /// into, one vectored write each). "hit_rate" is a gauge
   /// over the pool's lifetime; a phase's rate comes from the hits and
   /// misses of two subtracted snapshots. The registry must not outlive
   /// this BufferPool.
@@ -334,7 +337,7 @@ class BufferPool {
   struct FlushTarget {
     Frame* frame = nullptr;
     PageId id = kInvalidPageId;
-    /// True when the selector io-claimed the frame (flusher pass): the
+    /// True when the selector io-claimed the frame (flush pass): the
     /// snapshot owns the bytes outright — concurrent pins wait on the io
     /// bit — and FlushTargets must clear kIoBit right after its memcpy.
     bool claimed = false;
@@ -374,12 +377,6 @@ class BufferPool {
     return page_shift_ != 0 ? off >> page_shift_ : off / page_size_;
   }
 
-  void FlusherLoop();
-  /// One flusher cycle: claim up to kFlushBatchPages dirty, unpinned,
-  /// usage-0 frames (round-robin over stripes) and write them back off the
-  /// serving path, without an fsync.
-  void FlusherPass();
-
   DiskManager* disk_;
   size_t num_frames_ = 0;
   size_t page_size_ = 0;
@@ -390,17 +387,13 @@ class BufferPool {
   size_t num_stripes_ = 0;
   uint64_t stripe_mask_ = 0;
 
-  // ---- Background flusher --------------------------------------------------
-  /// Held by the flusher for the duration of each pass; FlushAll and
+  // ---- Flush passes --------------------------------------------------------
+  /// Held for the duration of each FlushColdPages pass; FlushAll and
   /// EvictAll take it first so they never interleave with a half-done pass
-  /// (the flusher pins its targets, which would flip EvictAll to Busy and
-  /// let Checkpoint sync before an in-flight write-back lands).
+  /// run from another thread (a pass pins its targets, which would flip
+  /// EvictAll to Busy and let Checkpoint sync before an in-flight
+  /// write-back lands).
   std::mutex flusher_pass_mu_;
-  std::mutex flusher_wake_mu_;
-  std::condition_variable flusher_cv_;
-  std::thread flusher_thread_;
-  bool flusher_stop_ = false;  // under flusher_wake_mu_
-  uint64_t flusher_interval_us_ = 0;
   size_t flusher_cursor_ = 0;  // stripe rotation across passes
   std::atomic<uint64_t> flusher_passes_{0};
   std::atomic<uint64_t> flusher_pages_{0};
@@ -410,8 +403,8 @@ class BufferPool {
   /// snapshotted here (4096-aligned, so O_DIRECT group writes transfer
   /// directly) while their cache latches are released — the device reads a
   /// latch-consistent copy, never live frame memory. Allocated lazily and
-  /// used only under flusher_pass_mu_, which FlusherPass and FlushAll both
-  /// hold.
+  /// used only under flusher_pass_mu_, which FlushColdPages and FlushAll
+  /// both hold.
   static constexpr size_t kFlushStagingPages = 256;
   char* flush_staging_ = nullptr;
 
@@ -423,21 +416,6 @@ class BufferPool {
     BatchFetch& operator=(BatchFetch&&) = default;
     BatchFetch(const BatchFetch&) = delete;
     BatchFetch& operator=(const BatchFetch&) = delete;
-
-    /// True when completing this fetch depends only on its own submitted
-    /// reads — no frame another thread is still loading (waits) and no
-    /// page whose dirty write-back was in flight (stragglers).
-    /// Pipelining callers MUST NOT hold a second unfinished
-    /// StartFetchPages while finishing one that is not self-contained:
-    /// Finish would then block on another thread's progress while this
-    /// caller's prefetched claims keep their io bits set, and two callers
-    /// doing that against each other deadlock (A waits on B's claim, B
-    /// waits on A's prefetched claim). A thread that holds no unfinished
-    /// prefetch publishes its own claims before blocking on others, which
-    /// is what makes the plain FetchPages path deadlock-free.
-    bool self_contained() const {
-      return waits.empty() && stragglers.empty();
-    }
 
    private:
     friend class BufferPool;

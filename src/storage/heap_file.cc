@@ -1,9 +1,7 @@
 #include "storage/heap_file.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "common/bytes.h"
 #include "common/logging.h"
@@ -13,13 +11,6 @@
 namespace nblb {
 
 namespace {
-
-/// Bound on consecutive yield-retries when a chunk-size-1 StartFetchPages
-/// keeps hitting transient capacity pressure (another batch's claims being
-/// aborted mid-flight). The pressure resolves as soon as the competing batch
-/// finishes or unwinds, so a few thousand yields is far beyond any real
-/// wait; the bound only guards against a genuinely wedged pool.
-constexpr size_t kMaxTransientRetries = 4096;
 
 // Heap page layout (integers little endian):
 //   [0]  u16 page_type (kPageTypeHeap)
@@ -353,7 +344,6 @@ Status HeapFile::GetBatch(const std::vector<Rid>& rids, const TupleFn& fn) {
   };
   size_t chunk_cap = std::max<size_t>(8, bp_->num_frames() / 8);
   const size_t page_size = bp_->page_size();
-  size_t transient_retries = 0;
 
   size_t base = 0;
   BufferPool::BatchFetch pending;
@@ -364,54 +354,31 @@ Status HeapFile::GetBatch(const std::vector<Rid>& rids, const TupleFn& fn) {
       const size_t end = std::min(base + chunk_cap, page_ids.size());
       auto started = start_chunk(base, end, guards);
       if (!started.ok()) {
-        // The cap bounds total pins, not per-stripe pins; an unlucky
-        // stripe (or concurrent pinners) can still exhaust. Degrade by
-        // halving the chunk — at size 1 this is exactly the old
-        // one-pin-at-a-time path, so anything it could serve, this serves.
-        if (started.status().IsResourceExhausted()) {
-          if (chunk_cap > 1) {
-            chunk_cap /= 2;
-            RecordFlightEvent(FlightEvent::kChunkHalve, chunk_cap);
-            continue;
-          }
-          // Even a single-page fetch can see transient pressure: a frame
-          // we piggybacked on was claimed by a batch that aborted under
-          // capacity pressure elsewhere. That resolves as soon as the
-          // competing batch unwinds, so yield and retry (bounded) instead
-          // of leaking retryable ResourceExhausted to the caller.
-          if (transient_retries < kMaxTransientRetries) {
-            ++transient_retries;
-            RecordFlightEvent(FlightEvent::kChunkRetry, transient_retries);
-            // Yield first; back off to short sleeps if the pressure
-            // persists, so the bound covers hundreds of milliseconds of
-            // real wait (see kMaxTransientRetries).
-            if (transient_retries < 64) {
-              std::this_thread::yield();
-            } else {
-              std::this_thread::sleep_for(std::chrono::microseconds(50));
-            }
-            continue;
-          }
+        // The cap bounds total pins, not per-stripe pins, and the caller
+        // may hold pins of its own; either can exhaust. Degrade by halving
+        // the chunk — at size 1 this is exactly the old one-pin-at-a-time
+        // path, so anything it could serve, this serves. Past that, only
+        // the caller's own pins fill the pool, so the failure is final.
+        if (started.status().IsResourceExhausted() && chunk_cap > 1) {
+          chunk_cap /= 2;
+          RecordFlightEvent(FlightEvent::kChunkHalve, chunk_cap);
+          continue;
         }
         return started.status();
       }
-      transient_retries = 0;
       pending = std::move(*started);
       pending_begin = base;
       pending_end = end;
       base = end;
       have_pending = true;
     }
-    // Prefetch the next chunk before blocking on the current one — but
-    // only when finishing the current chunk depends on nothing but our
-    // own reads (see BatchFetch::self_contained; holding a prefetched
-    // chunk while blocked on another thread's load can deadlock two
-    // pipelining threads against each other). The dependent case is rare
-    // and just degrades to sequential chunks.
+    // Prefetch the next chunk before blocking on the current one. Holding
+    // two unfinished fetches is safe because no other thread loads pages
+    // in this pool (see StartFetchPages).
     BufferPool::BatchFetch ahead;
     size_t ahead_begin = 0, ahead_end = 0;
     bool have_ahead = false;
-    if (base < page_ids.size() && pending.self_contained()) {
+    if (base < page_ids.size()) {
       const size_t end = std::min(base + chunk_cap, page_ids.size());
       auto started = start_chunk(base, end, ahead_guards);
       if (started.ok()) {
@@ -438,18 +405,6 @@ Status HeapFile::GetBatch(const std::vector<Rid>& rids, const TupleFn& fn) {
       if (have_ahead) {
         (void)bp_->FinishFetchPages(std::move(ahead));
         ahead_guards->clear();
-      }
-      // Finish can fail ResourceExhausted too: a load we piggybacked on
-      // was cancelled because ITS batch ran out of frames (the claim is
-      // marked transiently failed, see BufferPool::WaitForLoad). That is
-      // backpressure, not an error — redo from this chunk (the prefetched
-      // one included; both dropped every pin above) at half size.
-      if (fetched.IsResourceExhausted()) {
-        base = pending_begin;
-        if (chunk_cap > 1) chunk_cap /= 2;
-        RecordFlightEvent(FlightEvent::kChunkRetry, chunk_cap);
-        std::this_thread::yield();
-        continue;
       }
       return fetched;
     }

@@ -20,6 +20,11 @@
 // reports Corruption otherwise: heap pages carry no checksum, so these
 // checks and RowCodec::Decode are what stand between damaged bytes on disk
 // and a read outside the page.
+//
+// One thread drives a heap file and every other structure over its pool
+// (see storage/buffer_pool.h): a fetch that finds every frame pinned fails
+// ResourceExhausted at once instead of waiting for another thread's pins
+// to drop.
 
 #pragma once
 
@@ -123,7 +128,9 @@ class HeapFile {
   /// and live only until fn returns; fn must fetch no page (it runs with a
   /// chunk pinned and the next one loading). A missing tuple reaches fn as
   /// NotFound without failing the call. The returned Status covers
-  /// infrastructure failures only; after one, some rids got no call.
+  /// infrastructure failures only; after one, some rids got no call. When
+  /// the caller's own pins leave no room, the chunks halve down to one
+  /// page and then the call fails ResourceExhausted.
   Status GetBatch(const std::vector<Rid>& rids, const TupleFn& fn);
 
   /// \brief Replaces the tuple at `rid` without moving it: over its old

@@ -1,13 +1,13 @@
 // Async write-pipeline tests: DiskManager::SubmitWrites/WaitWrites on both
 // backends (io_uring when the runtime allows it, and the pwritev
 // worker-thread fallback — ALWAYS exercised here via the forced-backend
-// knob), the buffer pool's batched write-back paths (background flusher,
+// knob), the buffer pool's batched write-back paths (flush passes,
 // eviction under pressure, FlushAll/Checkpoint group drain), injected
 // device write failures (RLIMIT_FSIZE: writes past the limit fail EFBIG —
 // unlike truncation, which a pwrite would silently undo by re-extending
 // the file) with pool recovery, one FlushAll as one write batch, a
 // bit-for-bit group-fsync vs per-page-FlushPage checkpoint oracle, and a
-// concurrent flusher+checkpoint+eviction stress (run under TSan in CI).
+// concurrent flush-pass+checkpoint+eviction stress (run under TSan in CI).
 
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -19,8 +19,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,15 +80,31 @@ std::vector<IoBackend> BackendsToTest() {
   return backends;
 }
 
-bool WaitFor(const std::function<bool()>& cond, int timeout_ms = 5000) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (cond()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+/// Runs flush passes on its own thread every `interval_us` until
+/// destroyed, counting failed passes into `*errors`: the pool starts no
+/// thread, and these stress tests race passes against other threads.
+class PassThread {
+ public:
+  PassThread(BufferPool* bp, uint64_t interval_us,
+             std::atomic<uint64_t>* errors)
+      : thread_([this, bp, interval_us, errors] {
+          while (!stop_.load(std::memory_order_acquire)) {
+            if (!bp->FlushColdPages().ok()) errors->fetch_add(1);
+            std::this_thread::sleep_for(
+                std::chrono::microseconds(interval_us));
+          }
+        }) {}
+  ~PassThread() {
+    stop_.store(true, std::memory_order_release);
+    thread_.join();
   }
-  return cond();
-}
+  PassThread(const PassThread&) = delete;
+  PassThread& operator=(const PassThread&) = delete;
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
 
 /// Fills `buf` with a page-sized pattern derived from (id, salt).
 void FillPattern(char* buf, size_t page_size, PageId id, char salt) {
@@ -307,7 +323,6 @@ TEST(AsyncWriteTest, FlushAllErrorRedirtiesAndPoolRecovers) {
 TEST(AsyncWriteTest, FlusherDrainsThroughBatchedWrites) {
   for (IoBackend backend : BackendsToTest()) {
     Stack s = MakeStackWithBackend("awr_flusher", backend, 4096, 64);
-    s.bp->StartFlusher(/*interval_us=*/1000);
     std::vector<PageId> ids;
     for (int i = 0; i < 32; ++i) {
       auto g = s.bp->NewPage();
@@ -316,9 +331,9 @@ TEST(AsyncWriteTest, FlusherDrainsThroughBatchedWrites) {
       g->MarkDirty();
       ids.push_back(g->id());
     }
-    ASSERT_TRUE(WaitFor([&] {
-      return s.Counter("buffer_pool.flusher_pages") >= ids.size();
-    })) << "flusher_pages=" << s.Counter("buffer_pool.flusher_pages");
+    ASSERT_OK_AND_ASSIGN(size_t written, s.bp->FlushColdPages());
+    EXPECT_EQ(written, ids.size());
+    ASSERT_GE(s.Counter("buffer_pool.flusher_pages"), ids.size());
 
     const MetricsSnapshot st = s.Snapshot();
     EXPECT_EQ(st.Total("buffer_pool.evictions"), 0u);
@@ -329,7 +344,6 @@ TEST(AsyncWriteTest, FlusherDrainsThroughBatchedWrites) {
     EXPECT_GE(st.Total("disk.write_runs"), 1u);
     EXPECT_GT(st.Total("disk.async_write_batches"), 0u);
 
-    s.bp->StopFlusher();
     ASSERT_OK(s.bp->FlushAll());
     ASSERT_OK(s.bp->EvictAll());
     for (PageId id : ids) {
@@ -435,7 +449,7 @@ TEST(AsyncWriteTest, GroupFsyncCheckpointMatchesPerPageFlushBitForBit) {
   }
 }
 
-// Concurrent flusher + checkpoint + eviction + content writers, miss
+// Concurrent flush passes + checkpoint + eviction + content writers, miss
 // regime (working set 2x the pool): the batched write-back paths race each
 // other and the read pipeline. Run under TSan in CI on both backends.
 // Writers keep every page's content a deterministic function of its id, so
@@ -444,10 +458,10 @@ TEST(AsyncWriteTest, ConcurrentFlusherCheckpointEvictionStress) {
   for (IoBackend backend : BackendsToTest()) {
     Stack s = MakeStackWithBackend("awr_stress", backend, 4096, 64);
     std::vector<PageId> ids = SeedPages(s, 128);
-    s.bp->StartFlusher(/*interval_us=*/200);
 
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> errors{0};
+    auto passes = std::make_unique<PassThread>(s.bp.get(), 200, &errors);
     std::vector<std::thread> threads;
     for (int t = 0; t < 3; ++t) {
       threads.emplace_back([&, t] {
@@ -491,9 +505,9 @@ TEST(AsyncWriteTest, ConcurrentFlusherCheckpointEvictionStress) {
     for (int t = 0; t < 3; ++t) threads[t].join();
     stop.store(true, std::memory_order_release);
     for (size_t t = 3; t < threads.size(); ++t) threads[t].join();
+    passes.reset();
     EXPECT_EQ(errors.load(), 0u) << "backend " << static_cast<int>(backend);
 
-    s.bp->StopFlusher();
     ASSERT_OK(s.bp->FlushAll());
     ASSERT_OK(s.bp->EvictAll());
     for (PageId id : ids) {
@@ -519,17 +533,17 @@ TEST(AsyncWriteTest, ConcurrentFlusherCheckpointEvictionStress) {
 // fetchers piggybacked on those claims must see the abort as RETRYABLE
 // backpressure (ResourceExhausted), never as a phantom IOError — the
 // device did nothing wrong. Regression test for a spurious "concurrent
-// page load failed" surfaced by the dirty-churn bench: flusher passes pin
+// page load failed" surfaced by the dirty-churn bench: flush passes pin
 // whole stripes, batches abort under the pressure, and waiters reported
 // IO errors for loads that were merely cancelled.
 TEST(AsyncWriteTest, TransientClaimAbortIsBackpressureNotIOError) {
   for (IoBackend backend : BackendsToTest()) {
     Stack s = MakeStackWithBackend("awr_transient", backend, 4096, 32);
     std::vector<PageId> ids = SeedPages(s, 128);
-    s.bp->StartFlusher(/*interval_us=*/100);
 
     std::atomic<uint64_t> io_errors{0};
     std::atomic<uint64_t> other_errors{0};
+    auto passes = std::make_unique<PassThread>(s.bp.get(), 100, &other_errors);
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
       threads.emplace_back([&, t] {
@@ -538,7 +552,7 @@ TEST(AsyncWriteTest, TransientClaimAbortIsBackpressureNotIOError) {
           // Every thread fetches the SAME sliding window, so whenever one
           // thread claims the misses the others pin-and-wait on its
           // claims — maximizing waiters when a batch aborts under the
-          // flusher's pinning pressure.
+          // passes' pinning pressure.
           const size_t base = (static_cast<size_t>(iter) * 7) % 108;
           std::vector<PageId> want(ids.begin() + base,
                                    ids.begin() + base + 20);
@@ -560,11 +574,11 @@ TEST(AsyncWriteTest, TransientClaimAbortIsBackpressureNotIOError) {
       });
     }
     for (auto& th : threads) th.join();
+    passes.reset();
     EXPECT_EQ(io_errors.load(), 0u)
         << "transient claim aborts leaked as IOError, backend "
         << static_cast<int>(backend);
     EXPECT_EQ(other_errors.load(), 0u);
-    s.bp->StopFlusher();
     ASSERT_OK(s.bp->FlushAll());
   }
 }

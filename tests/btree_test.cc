@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <set>
 #include <vector>
@@ -235,6 +236,36 @@ TEST(BTreeTest, AscendingInsertsWithCacheSplitLeavesInHalf) {
   }
   ASSERT_OK_AND_ASSIGN(BTreeStats st, tree->ComputeStats());
   EXPECT_LT(st.avg_leaf_fill, 0.55);
+}
+
+// One thread drives a pool's trees, so when the caller's own pins fill the
+// pool nothing can free a frame: a lookup that needs a page that is not
+// resident fails ResourceExhausted at once, without waiting for pins to
+// drop.
+TEST(BTreeTest, GetFailsAtOnceWhenTheCallersPinsFillThePool) {
+  Stack s = MakeStack("bt_pinned_full", 4096, 8);
+  ASSERT_OK_AND_ASSIGN(auto tree, BTree::Create(s.bp.get(), SmallKeyOptions()));
+  constexpr uint64_t kKeys = 2000;
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    ASSERT_OK(tree->Insert(Slice(K(i)), i * 10));
+  }
+  ASSERT_OK(s.bp->EvictAll());
+  // Fill the pool with the first 8 pages of the file (meta + early nodes);
+  // the last key's leaf is not among them.
+  std::vector<PageGuard> pins;
+  for (PageId id = 0; id < 8; ++id) {
+    ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(id));
+    pins.push_back(std::move(g));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  const auto got = tree->Get(Slice(K(kKeys - 1)));
+  const auto took = std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(got.status().IsResourceExhausted()) << got.status().ToString();
+  EXPECT_LT(took, std::chrono::milliseconds(100));
+
+  pins.clear();
+  ASSERT_OK_AND_ASSIGN(uint64_t value, tree->Get(Slice(K(kKeys - 1))));
+  EXPECT_EQ(value, (kKeys - 1) * 10);
 }
 
 TEST(BTreeTest, BulkLoadProducesRequestedFill) {

@@ -23,7 +23,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fcntl.h>
@@ -31,7 +30,6 @@
 #include <iterator>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/bytes.h"
@@ -265,10 +263,11 @@ TEST(ShardRecoveryTest, CrashWithUncommittedTailLosesOnlyUnacked) {
   RemoveShardFilesFor(opts);
 }
 
-// The flusher pre-cleans only the next CLOCK victims (usage 0), so resident
+// A flush pass pre-cleans only the next CLOCK victims (usage 0), so resident
 // rows that keep being updated are durable through the WAL alone: between
 // checkpoints the data file sees no write at all, the checkpoint writes the
-// dirty set once, and recovery replays the tail on top of it.
+// dirty set once, and recovery replays the tail on top of it. The test runs
+// each group's FlushIfDue itself, as the engine's worker does.
 TEST(ShardRecoveryTest, HotUpdatesReachTheDataFileOnlyAtCheckpoint) {
   constexpr uint64_t kRows = 40;
   constexpr uint64_t kHotRows = 4;
@@ -280,7 +279,8 @@ TEST(ShardRecoveryTest, HotUpdatesReachTheDataFileOnlyAtCheckpoint) {
     SCOPED_TRACE(flusher_on ? "flusher on" : "flusher off");
     ShardOptions opts =
         DurableShardOptions("hot_updates" + std::to_string(flusher_on));
-    opts.flusher_interval_us = flusher_on ? 200 : 0;
+    // 1 µs: every group's FlushIfDue runs a pass.
+    opts.flusher_interval_us = flusher_on ? 1 : 0;
     {
       ASSERT_OK_AND_ASSIGN(auto shard, Shard::Open(4, opts));
       for (uint64_t k = 0; k < kRows; ++k) {
@@ -301,19 +301,13 @@ TEST(ShardRecoveryTest, HotUpdatesReachTheDataFileOnlyAtCheckpoint) {
           ASSERT_OK(shard->Update(k, MakeRow(k, 1000 + g)));
         }
         ASSERT_OK(shard->CommitWal());
-        if (flusher_on && g % 20 == 0) {
-          // Let a few passes run while the hot pages are dirty.
-          const uint64_t target = counter("buffer_pool.flusher_passes") + 3;
-          for (int spin = 0;
-               spin < 50000 && counter("buffer_pool.flusher_passes") < target;
-               ++spin) {
-            std::this_thread::sleep_for(std::chrono::microseconds(100));
-          }
-        }
+        ASSERT_OK(shard->FlushIfDue());
       }
       if (flusher_on) {
         EXPECT_GT(counter("buffer_pool.flusher_passes"),
                   passes_at_checkpoint + 20);
+      } else {
+        EXPECT_EQ(counter("buffer_pool.flusher_passes"), passes_at_checkpoint);
       }
       EXPECT_EQ(counter("disk.writes"), writes_at_checkpoint)
           << "hot pages were written back between checkpoints";
@@ -581,8 +575,8 @@ ShardedEngineOptions HarnessOptions(const std::string& prefix,
   opts.page_size = 4096;
   opts.buffer_pool_frames_per_shard = 256;
   opts.wal_enabled = true;
-  // Aggressive cadences so randomized kills land mid-flusher-pass and
-  // mid-checkpoint, not just between groups. With periodic checkpoints off
+  // Aggressive cadences so randomized kills land mid-flush-pass and
+  // mid-checkpoint, not just mid-group. With periodic checkpoints off
   // (0), acked writes since open live only in the WAL and in dirty frames.
   opts.flusher_interval_us = 500;
   opts.checkpoint_every_groups = checkpoint_every_groups;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <iterator>
 #include <map>
@@ -13,6 +14,7 @@
 namespace nblb {
 namespace {
 
+using nblb::testing::CopyBatch;
 using nblb::testing::MakeStack;
 using nblb::testing::Stack;
 
@@ -337,6 +339,47 @@ TEST(HeapFileTest, SlotsOutsideThePageAreCorruption) {
     page.MarkDirty();
   }
   EXPECT_TRUE(heap->Get(a, &out).IsCorruption());
+}
+
+// One thread drives a pool's heaps, so when the caller's own pins fill the
+// pool nothing can free a frame: GetBatch halves its chunks down to one page
+// and then fails ResourceExhausted at once, without waiting for pins to
+// drop.
+TEST(HeapFileTest, GetBatchFailsAtOnceWhenTheCallersPinsFillThePool) {
+  Stack s = MakeStack("heap_pinned_full", kPage, 8);
+  ASSERT_OK_AND_ASSIGN(auto heap, HeapFile::Create(s.bp.get()));
+  std::vector<Rid> rids;
+  for (int i = 0; i < 48; ++i) {
+    ASSERT_OK_AND_ASSIGN(
+        Rid rid, heap->Insert(Slice(MakeTuple(1000, 'a' + (i % 26)))));
+    rids.push_back(rid);
+  }
+  ASSERT_GE(heap->pages().size(), 12u);
+  ASSERT_OK(s.bp->EvictAll());
+  // Pin the whole pool with the first 8 heap pages, then read tuples that
+  // live on the unpinned last pages.
+  std::vector<PageGuard> pins;
+  for (size_t i = 0; i < 8; ++i) {
+    ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->FetchPage(heap->pages()[i]));
+    pins.push_back(std::move(g));
+  }
+  const std::vector<Rid> want(rids.end() - 8, rids.end());
+  std::vector<std::string> out;
+  std::vector<Status> statuses;
+  const auto start = std::chrono::steady_clock::now();
+  const Status st = CopyBatch(heap.get(), want, &out, &statuses);
+  const auto took = std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(st.IsResourceExhausted()) << st.ToString();
+  EXPECT_LT(took, std::chrono::milliseconds(100));
+
+  // The failure left nothing pinned: with the pins dropped, the same batch
+  // reads every tuple.
+  pins.clear();
+  ASSERT_OK(CopyBatch(heap.get(), want, &out, &statuses));
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_OK(statuses[i]);
+    EXPECT_EQ(out[i], MakeTuple(1000, static_cast<char>('a' + (40 + i) % 26)));
+  }
 }
 
 TEST(HeapFileTest, UtilizationCountsBytes) {

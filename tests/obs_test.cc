@@ -223,7 +223,7 @@ TEST(EventRingTest, WraparoundKeepsTheMostRecentWindow) {
   EventRing ring;
   const uint64_t total = EventRing::kSlots * 3 + 17;
   for (uint64_t i = 0; i < total; ++i) {
-    ring.Record(FlightEvent::kChunkRetry, i, i * 2, i * 10);
+    ring.Record(FlightEvent::kChunkHalve, i, i * 2, i * 10);
   }
   std::vector<FlightEventRecord> events = ring.Snapshot();
   ASSERT_EQ(events.size(), EventRing::kSlots);
@@ -233,7 +233,7 @@ TEST(EventRingTest, WraparoundKeepsTheMostRecentWindow) {
   for (size_t k = 0; k < events.size(); ++k) {
     const FlightEventRecord& e = events[k];
     if (k > 0) EXPECT_EQ(e.seq, events[k - 1].seq + 1);
-    EXPECT_EQ(e.code, FlightEvent::kChunkRetry);
+    EXPECT_EQ(e.code, FlightEvent::kChunkHalve);
     EXPECT_EQ(e.arg0, e.seq);
     EXPECT_EQ(e.arg1, e.seq * 2);
     EXPECT_EQ(e.ts_us, e.seq * 10);

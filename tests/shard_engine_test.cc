@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <unordered_map>
 
@@ -203,6 +204,50 @@ TEST(ShardedEngineTest, OpenRejectsACoalesceWindowOfZero) {
   EXPECT_EQ(row, MakeRow(3));
   engine.reset();
   Cleanup(one);
+}
+
+// A shard's flush passes run on its worker, after the groups it serves:
+// the pass count grows as groups are served, stays flat while the engine is
+// idle (no timer wakes a worker), and stays 0 with the interval at 0.
+TEST(ShardedEngineTest, WorkerRunsFlushPassesAfterServedGroupsOnly) {
+  for (const uint64_t interval_us : {uint64_t{1}, uint64_t{0}}) {
+    SCOPED_TRACE("flusher_interval_us=" + std::to_string(interval_us));
+    auto opts = SmallOptions("flushpass" + std::to_string(interval_us), 1);
+    opts.flusher_interval_us = interval_us;
+    ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(opts));
+    const auto passes = [&engine] {
+      return engine->MetricsSnapshotNow().Total(
+          "shard0.buffer_pool.flusher_passes");
+    };
+    // Each blocking Insert is one service group, and more than 1 µs passes
+    // between two groups, so each group is followed by a pass.
+    for (uint64_t id = 0; id < 50; ++id) {
+      ASSERT_OK(engine->Insert(id, MakeRow(id)));
+    }
+    const uint64_t served = passes();
+    // The last group's pass runs after its ticket completes: let the count
+    // settle, then watch the idle engine.
+    uint64_t idle = served;
+    for (int i = 0; i < 200; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      const uint64_t now = passes();
+      if (now == idle) break;
+      idle = now;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    EXPECT_EQ(passes(), idle) << "an idle worker ran a flush pass";
+    for (uint64_t id = 0; id < 50; ++id) {
+      ASSERT_OK(engine->Get(id).status());
+    }
+    if (interval_us == 0) {
+      EXPECT_EQ(passes(), 0u);
+    } else {
+      EXPECT_GE(served, 25u);
+      EXPECT_GE(passes(), idle + 25);
+    }
+    engine.reset();
+    Cleanup(opts);
+  }
 }
 
 TEST(ShardedEngineTest, TruncateGuardRefusesToClobberExistingShardFiles) {
