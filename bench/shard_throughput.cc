@@ -94,22 +94,18 @@
 // After the open-loop phase every configuration runs a WRITE-HEAVY phase
 // ("mixed"): a mixed kGet/kUpdate scrambled-Zipfian trace over the loaded
 // rows (--mixed_update percent updates), replayed closed-loop through the
-// async batched write pipeline, with flush passes at the --flusher_us
-// cadence like the read phases (each shard's worker runs them between
-// service groups). Updates against O_DIRECT storage keep the write-back
-// path saturated, so this phase measures exactly that path: batched
-// eviction-victim write-back, flush-pass group writes when --flusher_us is
-// set, and the group-fsync checkpoint the phase starts from.
+// async batched write pipeline with no flush passes. Updates against
+// O_DIRECT storage keep the write-back path saturated, so this phase
+// measures exactly that path: batched eviction-victim write-back and the
+// group-fsync checkpoint the phase starts from.
 //
 // JSON: each config gains a "mixed" object ({ops_per_sec, p50/p99,
 // errors, bp_hit_rate, disk_reads, disk_writes, async_writes,
-// async_write_batches, write_runs, flusher_pages, flusher_coalesced_runs,
-// dirty_writebacks}), and the top level gains "mixed_ops" and
-// "mixed_update_fraction".
+// async_write_batches, write_runs, dirty_writebacks}), and the top level
+// gains "mixed_ops" and "mixed_update_fraction".
 //
 // Flags: --rows=N --lookups=N --batch=N --frames=N --direct=0|1
 // --inflight=N --openloop=0|1
-// --flusher_us=N (flush-pass cadence for every phase; 0 = no passes)
 // --max_queue=N (0 = unbounded Submit; >0 bounds each shard queue,
 // blocking policy) --mixed=0|1 --mixed_ops=N (0 = lookups/2)
 // --mixed_update=PCT --trace_every=N (sample 1-in-N
@@ -117,8 +113,8 @@
 // (defaults below); any other argument, or a value that does not parse,
 // exits 2. NBLB_IO_BACKEND=uring|threads picks the shards' async I/O
 // backend. The JSON gains "io_backend_effective" (what every shard
-// actually runs after runtime probing), "flusher_interval_us",
-// "max_queue_depth" and "trace_every".
+// actually runs after runtime probing), "max_queue_depth" and
+// "trace_every".
 
 #include <algorithm>
 #include <chrono>
@@ -183,8 +179,6 @@ struct WriteCounters {
   uint64_t async_writes = 0;
   uint64_t async_write_batches = 0;
   uint64_t write_runs = 0;
-  uint64_t flusher_pages = 0;
-  uint64_t flusher_coalesced_runs = 0;
   uint64_t dirty_writebacks = 0;
 };
 
@@ -282,8 +276,6 @@ WriteCounters WriteCountersOf(const MetricsSnapshot& delta) {
   c.async_writes = delta.Total("disk.async_writes");
   c.async_write_batches = delta.Total("disk.async_write_batches");
   c.write_runs = delta.Total("disk.write_runs");
-  c.flusher_pages = delta.Total("buffer_pool.flusher_pages");
-  c.flusher_coalesced_runs = delta.Total("buffer_pool.flusher_coalesced_runs");
   c.dirty_writebacks = delta.Total("buffer_pool.dirty_writebacks");
   return c;
 }
@@ -312,7 +304,6 @@ void FillPhaseReport(PhaseResult* phase, uint64_t ops,
 /// multi-client replay of the Zipfian revision trace, then an open-loop
 /// async replay of the same batches at --inflight depth.
 struct IoKnobs {
-  uint64_t flusher_us = 0;
   size_t max_queue = 0;
   /// Request-tracing sample rate: 1-in-N sub-batches carry a TraceContext
   /// (0 disables sampling; NBLB_OBS_OFF=1 disables it regardless).
@@ -373,7 +364,6 @@ ConfigResult RunConfig(uint32_t shards, uint32_t workers,
   opts.buffer_pool_frames_per_shard = frames_per_shard;
   opts.direct_io = direct_io;
   opts.max_coalesce_window = 32;
-  opts.flusher_interval_us = io.flusher_us;
   opts.max_queue_depth = io.max_queue;
   opts.trace_sample_every = io.trace_every;
   opts.schema = WikipediaSynthesizer::RevisionSchema();
@@ -455,6 +445,11 @@ ConfigResult RunConfig(uint32_t shards, uint32_t workers,
       PhaseResult discard;
       RunClosedPhase(engine.get(), clients, mixed_batches, &discard);
     }
+    // The harness thread checkpoints each shard while its worker idles.
+    // With the WAL off and no flush passes, a worker touches no pool after
+    // it completes a group's tickets, and every ticket of the warmup is
+    // complete here, so each pool passes to this thread and back (at the
+    // next Submit) without a race.
     for (uint32_t s = 0; s < shards; ++s) {
       if (Status cs = engine->shard(s)->database()->Checkpoint(); !cs.ok()) {
         std::fprintf(stderr, "checkpoint: %s\n", cs.ToString().c_str());
@@ -498,7 +493,6 @@ void PrintMixedPhaseJson(FILE* f, const PhaseResult& p) {
       "       \"bp_hit_rate\": %.6f, \"disk_reads\": %llu,\n"
       "       \"disk_writes\": %llu, \"async_writes\": %llu,\n"
       "       \"async_write_batches\": %llu, \"write_runs\": %llu,\n"
-      "       \"flusher_pages\": %llu, \"flusher_coalesced_runs\": %llu,\n"
       "       \"dirty_writebacks\": %llu\n     }",
       p.seconds, p.ops_per_sec, p.p50_batch_ms, p.p99_batch_ms,
       static_cast<unsigned long long>(p.found),
@@ -509,8 +503,6 @@ void PrintMixedPhaseJson(FILE* f, const PhaseResult& p) {
       static_cast<unsigned long long>(p.wio.async_writes),
       static_cast<unsigned long long>(p.wio.async_write_batches),
       static_cast<unsigned long long>(p.wio.write_runs),
-      static_cast<unsigned long long>(p.wio.flusher_pages),
-      static_cast<unsigned long long>(p.wio.flusher_coalesced_runs),
       static_cast<unsigned long long>(p.wio.dirty_writebacks));
 }
 
@@ -551,7 +543,6 @@ int main(int argc, char** argv) {
   const uint64_t inflight = flags.U64("inflight", 64);
   const bool run_openloop = flags.U64("openloop", 1) != 0;
   IoKnobs io;
-  io.flusher_us = flags.U64("flusher_us", 0);
   io.max_queue = flags.U64("max_queue", 0);
   io.trace_every = flags.U64("trace_every", 32);
   const bool run_mixed = flags.U64("mixed", 1) != 0;
@@ -670,7 +661,6 @@ int main(int argc, char** argv) {
                "  \"frames_per_shard\": %llu,\n  \"direct_io\": %d,\n"
                "  \"inflight\": %llu,\n"
                "  \"io_backend_effective\": \"%s\",\n"
-               "  \"flusher_interval_us\": %llu,\n"
                "  \"max_queue_depth\": %llu,\n"
                "  \"trace_every\": %llu,\n"
                "  \"mixed_ops\": %llu,\n"
@@ -684,7 +674,6 @@ int main(int argc, char** argv) {
                !results.empty() && results.front().uring_effective
                    ? "uring"
                    : "threads",
-               static_cast<unsigned long long>(io.flusher_us),
                static_cast<unsigned long long>(io.max_queue),
                static_cast<unsigned long long>(io.trace_every),
                static_cast<unsigned long long>(run_mixed ? mixed_ops : 0),

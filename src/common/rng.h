@@ -16,8 +16,8 @@ namespace nblb {
 /// \brief Stateless splitmix64 finalizer: a full-avalanche 64-bit mixer.
 ///
 /// Used wherever sequential ids (page ids, auto-increment keys) must spread
-/// uniformly over a small power-of-two space — buffer-pool stripe selection,
-/// hash routing — without any shared state.
+/// uniformly over a small power-of-two space — the buffer pool's page
+/// table, hash routing — without any shared state.
 inline uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;

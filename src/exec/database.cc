@@ -3,6 +3,10 @@
 namespace nblb {
 
 Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
+  if (options.buffer_pool_stripes > 1) {
+    return Status::InvalidArgument(
+        "buffer_pool_stripes > 1: the buffer pool has one CLOCK");
+  }
   std::unique_ptr<Database> db(new Database(options));
   if (options.enable_latency_model) {
     db->latency_.reset(new LatencyModel(options.latency, &db->clock_));
@@ -10,8 +14,7 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
   db->disk_.reset(new DiskManager(options.path, options.page_size,
                                   db->latency_.get(), options.direct_io));
   NBLB_RETURN_NOT_OK(db->disk_->Open());
-  db->bp_.reset(new BufferPool(db->disk_.get(), options.buffer_pool_frames,
-                               options.buffer_pool_stripes));
+  db->bp_.reset(new BufferPool(db->disk_.get(), options.buffer_pool_frames));
   db->metrics_.reset(new MetricsRegistry());
   db->disk_->RegisterMetrics(db->metrics_.get(), "disk.");
   db->bp_->RegisterMetrics(db->metrics_.get(), "buffer_pool.");

@@ -30,10 +30,10 @@ struct DatabaseOptions {
   size_t page_size = kDefaultPageSize;
   /// Buffer pool capacity in pages.
   size_t buffer_pool_frames = 1024;
-  /// Buffer pool stripes: 0 picks automatically from the frame count (good
-  /// for pools shared by many threads). Use 1 for single-threaded pools —
-  /// one global CLOCK uses the full capacity, with no per-stripe imbalance
-  /// when the working set approaches the pool size.
+  /// Unused: the pool has one CLOCK and one owner thread (see
+  /// storage/buffer_pool.h), so 0 and 1 mean the same and Open rejects any
+  /// larger value. The field stays only because perfbench/layers.cc sets
+  /// it; the benchmark change that drops that line deletes it.
   size_t buffer_pool_stripes = 0;
   /// Simulated storage latency (disabled charges nothing; see DESIGN.md §4).
   LatencyModelOptions latency;

@@ -21,9 +21,10 @@
 // Concurrency: one thread drives a tree and every other structure over its
 // pool (see storage/buffer_pool.h): a fetch that finds every frame pinned
 // fails ResourceExhausted at once instead of waiting for another thread's
-// pins to drop. In-page cache reads/writes (cache::IndexCache) are
-// latch-protected against each other; the §2.1.3 latch tests walk one tree
-// from several threads over a pool with frames to spare.
+// pins to drop. In-page cache writes (cache::IndexCache) still take the
+// frame's cache latch and give up when it is held (§2.1.3); with one
+// thread per pool that is tested on one thread (index_cache_test's
+// LatchGiveUpSkipsWork and common_test's LatchTest cases).
 
 #pragma once
 

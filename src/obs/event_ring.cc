@@ -11,10 +11,6 @@ const char* FlightEventName(FlightEvent e) {
   switch (e) {
     case FlightEvent::kNone:
       return "none";
-    case FlightEvent::kTransientAbort:
-      return "transient_abort";
-    case FlightEvent::kTransientWait:
-      return "transient_wait";
     case FlightEvent::kChunkHalve:
       return "chunk_halve";
     case FlightEvent::kCapacityWait:

@@ -2,8 +2,8 @@
 // events, dumpable on demand or on fatal error (via the common/logging.h
 // fatal hook).
 //
-// The recorder captures the *rare* paths — transient aborts, chunk
-// halvings, capacity waits, busy rejections, flusher passes, io errors — so
+// The recorder captures the *rare* paths — chunk halvings, capacity
+// waits, busy rejections, flusher passes, io errors — so
 // that the next "bench hangs" or phantom-status bug is diagnosed from the
 // recording instead of rediscovered by bisection. Hot paths (buffer-pool
 // hits, queue pops) are never recorded.
@@ -38,13 +38,8 @@ namespace nblb {
 /// they appear in dumps.
 enum class FlightEvent : uint16_t {
   kNone = 0,
-  /// Buffer pool aborted a claimed frame because a chunk's fetch could not
-  /// be assembled (transient; waiters see retryable ResourceExhausted).
-  /// arg0 = page id.
-  kTransientAbort = 1,
-  /// WaitForLoad observed a transiently aborted frame and returned the
-  /// retryable status to its caller. arg0 = page id.
-  kTransientWait = 2,
+  // 1 and 2 were the buffer pool's transient claim-abort events, which only
+  // another thread waiting on a load could see; unused.
   /// HeapFile::GetBatch halved its pipeline chunk size after a capacity
   /// miss. arg0 = new chunk capacity.
   kChunkHalve = 3,
@@ -146,9 +141,9 @@ class FlightRecorder {
   /// \brief All surviving events across all rings, per ring oldest-first.
   std::vector<std::vector<FlightEventRecord>> SnapshotAll() const;
 
-  /// \brief Human-readable dump of every ring ("[ring 0] +12034us
-  /// transient_abort page=77 arg1=0" style), for on-demand diagnosis and
-  /// the fatal-error hook.
+  /// \brief Human-readable dump of every ring ("[ring 0] seq=5 +12034us
+  /// chunk_halve arg0=8 arg1=0" style), for on-demand diagnosis and the
+  /// fatal-error hook.
   std::string Dump() const;
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }

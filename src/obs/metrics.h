@@ -91,7 +91,7 @@ class MetricsRegistry {
   void RegisterCounter(std::string name, const std::atomic<uint64_t>* counter);
 
   /// \brief Registers a monotonic counter computed by `read` at snapshot
-  /// time (for values aggregated across stripes/threads).
+  /// time (for derived values, such as a sum over several counters).
   void RegisterCounterFn(std::string name, std::function<uint64_t()> read);
 
   /// \brief Registers a point-in-time level (ratio, occupancy, ...).

@@ -97,12 +97,6 @@ Result<std::unique_ptr<Shard>> Shard::Open(uint32_t shard_id,
   dbo.path = shard->options_.path;
   dbo.page_size = shard->options_.page_size;
   dbo.buffer_pool_frames = shard->options_.buffer_pool_frames;
-  // A shard is single-worker by construction, so its pool sees one
-  // thread: one stripe gives the CLOCK sweep the whole capacity (striping a
-  // near-capacity working set costs hit rate to per-stripe imbalance and
-  // buys nothing without concurrent fetchers). Lock-free hits don't take
-  // the stripe mutex anyway.
-  dbo.buffer_pool_stripes = 1;
   dbo.direct_io = shard->options_.direct_io;
   shard->durable_ = shard->options_.wal_enabled;
 

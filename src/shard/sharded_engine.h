@@ -59,7 +59,10 @@
 // IndexCache, buffer pool) is single-threaded by construction and needs no
 // locks. The owning worker also runs the shard's periodic checkpoints and
 // its flush passes (Shard::FlushIfDue, after each service group), so no
-// other thread touches a shard's pool. The only cross-thread state is the
+// other thread touches a shard's pool while the engine runs: Open hands
+// each shard to its worker at thread start, and the destructor takes it
+// back at join (the buffer pool has one owner at a time and no locks; see
+// storage/buffer_pool.h). The only cross-thread state is the
 // shard queues and the atomic ticket bookkeeping. Completion callbacks run
 // on the worker that retires a ticket's last sub-batch, so the engine
 // starts no threads but its workers (and, under the preadv fallback, each

@@ -56,8 +56,10 @@ struct IoGroup;
 /// Optionally charges a LatencyModel per operation (used by benchmarks to
 /// model disk cost deterministically). Thread safe: pread/pwrite carry their
 /// own offsets, allocation is serialized by a mutex, counters are atomics,
-/// and O_DIRECT staging buffers come from an internal pool. The striped
-/// BufferPool issues reads and write-backs from many threads at once.
+/// and O_DIRECT staging buffers come from an internal pool. A BufferPool
+/// has one owner thread, but one DiskManager may serve many submitters
+/// (the tests drive one from several threads), and its io_uring waiters or
+/// fallback io threads complete any submitter's groups.
 ///
 /// Asynchronous reads: SubmitReads queues a batch of page reads and returns
 /// an IoTicket immediately; the reads proceed in parallel (io_uring, or the
@@ -68,7 +70,7 @@ struct IoGroup;
 /// Asynchronous writes are the mirror image: SubmitWrites puts every
 /// contiguous run of a (sorted) dirty batch in flight at once
 /// (IORING_OP_WRITEV, or the pwritev worker pool) and WaitWrites harvests
-/// the group — the buffer pool's flusher, eviction write-backs, and
+/// the group — the buffer pool's flush passes, eviction write-backs, and
 /// FlushAll/Checkpoint all drain through it instead of paying one
 /// synchronous pwrite per page.
 class DiskManager {

@@ -313,7 +313,7 @@ Status HeapFile::GetBatch(const std::vector<Rid>& rids, const TupleFn& fn) {
 
   // One pinned guard per distinct page, fetched in batched calls so misses
   // coalesce into overlapped vectored reads. Chunked to a fraction of the
-  // pool so a huge batch can never pin more frames than a stripe can spare
+  // pool so a huge batch can never pin more frames than the pool can spare
   // (the per-op path held one pin at a time; wholesale ResourceExhausted on
   // a big batch would be a regression). Chunks are pipelined: the next
   // chunk's miss reads are submitted (StartFetchPages) before the current
@@ -354,11 +354,11 @@ Status HeapFile::GetBatch(const std::vector<Rid>& rids, const TupleFn& fn) {
       const size_t end = std::min(base + chunk_cap, page_ids.size());
       auto started = start_chunk(base, end, guards);
       if (!started.ok()) {
-        // The cap bounds total pins, not per-stripe pins, and the caller
-        // may hold pins of its own; either can exhaust. Degrade by halving
-        // the chunk — at size 1 this is exactly the old one-pin-at-a-time
-        // path, so anything it could serve, this serves. Past that, only
-        // the caller's own pins fill the pool, so the failure is final.
+        // The caller may hold pins of its own, so even a capped chunk can
+        // exhaust. Degrade by halving the chunk — at size 1 this is exactly
+        // the old one-pin-at-a-time path, so anything it could serve, this
+        // serves. Past that, only the caller's own pins fill the pool, so
+        // the failure is final.
         if (started.status().IsResourceExhausted() && chunk_cap > 1) {
           chunk_cap /= 2;
           RecordFlightEvent(FlightEvent::kChunkHalve, chunk_cap);
@@ -372,9 +372,9 @@ Status HeapFile::GetBatch(const std::vector<Rid>& rids, const TupleFn& fn) {
       base = end;
       have_pending = true;
     }
-    // Prefetch the next chunk before blocking on the current one. Holding
-    // two unfinished fetches is safe because no other thread loads pages
-    // in this pool (see StartFetchPages).
+    // Prefetch the next chunk before blocking on the current one. The two
+    // unfinished fetches ask for disjoint pages (the chunks split one
+    // sorted, deduplicated list), as StartFetchPages requires.
     BufferPool::BatchFetch ahead;
     size_t ahead_begin = 0, ahead_end = 0;
     bool have_ahead = false;

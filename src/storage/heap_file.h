@@ -23,8 +23,7 @@
 //
 // One thread drives a heap file and every other structure over its pool
 // (see storage/buffer_pool.h): a fetch that finds every frame pinned fails
-// ResourceExhausted at once instead of waiting for another thread's pins
-// to drop.
+// ResourceExhausted at once, since only the caller's own pins can fill it.
 
 #pragma once
 

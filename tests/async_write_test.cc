@@ -5,17 +5,18 @@
 // eviction under pressure, FlushAll/Checkpoint group drain), injected
 // device write failures (RLIMIT_FSIZE: writes past the limit fail EFBIG —
 // unlike truncation, which a pwrite would silently undo by re-extending
-// the file) with pool recovery, one FlushAll as one write batch, a
-// bit-for-bit group-fsync vs per-page-FlushPage checkpoint oracle, and a
-// concurrent flush-pass+checkpoint+eviction stress (run under TSan in CI).
+// the file) with pool recovery, failed eviction write-backs that keep
+// their pages, one FlushAll as one write batch, a bit-for-bit group-fsync
+// vs per-page-FlushPage checkpoint oracle, and a seeded interleaving of
+// content writes, flush passes, checkpoints and evictions.
 
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -79,32 +80,6 @@ std::vector<IoBackend> BackendsToTest() {
   }
   return backends;
 }
-
-/// Runs flush passes on its own thread every `interval_us` until
-/// destroyed, counting failed passes into `*errors`: the pool starts no
-/// thread, and these stress tests race passes against other threads.
-class PassThread {
- public:
-  PassThread(BufferPool* bp, uint64_t interval_us,
-             std::atomic<uint64_t>* errors)
-      : thread_([this, bp, interval_us, errors] {
-          while (!stop_.load(std::memory_order_acquire)) {
-            if (!bp->FlushColdPages().ok()) errors->fetch_add(1);
-            std::this_thread::sleep_for(
-                std::chrono::microseconds(interval_us));
-          }
-        }) {}
-  ~PassThread() {
-    stop_.store(true, std::memory_order_release);
-    thread_.join();
-  }
-  PassThread(const PassThread&) = delete;
-  PassThread& operator=(const PassThread&) = delete;
-
- private:
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-};
 
 /// Fills `buf` with a page-sized pattern derived from (id, salt).
 void FillPattern(char* buf, size_t page_size, PageId id, char salt) {
@@ -449,64 +424,154 @@ TEST(AsyncWriteTest, GroupFsyncCheckpointMatchesPerPageFlushBitForBit) {
   }
 }
 
-// Concurrent flush passes + checkpoint + eviction + content writers, miss
-// regime (working set 2x the pool): the batched write-back paths race each
-// other and the read pipeline. Run under TSan in CI on both backends.
-// Writers keep every page's content a deterministic function of its id, so
-// any interleaving must still read back exact bytes at the end.
-TEST(AsyncWriteTest, ConcurrentFlusherCheckpointEvictionStress) {
+// A dirty page displaced by a fetch, or dropped by EvictAll, whose
+// write-back fails stays in the pool: the call returns the write error, and
+// once the device recovers the page's last write reaches disk. The helpers
+// below set up an 8-frame pool holding pages 8..15 of a 16-page file, each
+// dirty with pattern 'L'; under FileSizeLimit(4) every write to them fails.
+std::vector<PageId> FillPoolWithDirtyPages(Stack& s) {
+  std::vector<PageId> ids = SeedPages(s, 16);
+  for (size_t i = 8; i < ids.size(); ++i) {
+    auto g = s.bp->FetchPage(ids[i]);
+    EXPECT_TRUE(g.ok());
+    FillPattern(g->data(), 4096, ids[i], 'L');
+    g->MarkDirty();
+  }
+  return ids;
+}
+
+/// Flushes, evicts and re-reads pages 8..15: each must hold its last write.
+void ExpectLastWritesSurvive(Stack& s, const std::vector<PageId>& ids,
+                             IoBackend backend) {
+  ASSERT_OK(s.bp->FlushAll());
+  ASSERT_OK(s.bp->EvictAll());
+  for (size_t i = 8; i < ids.size(); ++i) {
+    auto g = s.bp->FetchPage(ids[i]);
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+    std::vector<char> expect(4096);
+    FillPattern(expect.data(), 4096, ids[i], 'L');
+    EXPECT_EQ(std::memcmp(g->data(), expect.data(), 4096), 0)
+        << "page " << ids[i] << " lost its last write, backend "
+        << static_cast<int>(backend);
+  }
+}
+
+TEST(AsyncWriteTest, FailedEvictionWriteBackKeepsThePage) {
   for (IoBackend backend : BackendsToTest()) {
-    Stack s = MakeStackWithBackend("awr_stress", backend, 4096, 64);
+    Stack s = MakeStackWithBackend("awr_wb_single", backend, 4096, 8);
+    std::vector<PageId> ids = FillPoolWithDirtyPages(s);
+    const MetricsSnapshot base = s.Snapshot();
+    {
+      FileSizeLimit limit(/*pages=*/4, 4096);
+      // A single miss displaces one dirty page, whose write fails.
+      auto g = s.bp->FetchPage(ids[0]);
+      ASSERT_FALSE(g.ok());
+      EXPECT_TRUE(g.status().IsIOError()) << g.status().ToString();
+    }
+    EXPECT_EQ(s.Counter("buffer_pool.evictions", base), 0u);
+    ExpectLastWritesSurvive(s, ids, backend);
+  }
+}
+
+TEST(AsyncWriteTest, FailedBatchEvictionWriteBackKeepsThePages) {
+  for (IoBackend backend : BackendsToTest()) {
+    Stack s = MakeStackWithBackend("awr_wb_batch", backend, 4096, 8);
+    std::vector<PageId> ids = FillPoolWithDirtyPages(s);
+    const MetricsSnapshot base = s.Snapshot();
+    {
+      FileSizeLimit limit(/*pages=*/4, 4096);
+      // Four misses displace four dirty pages, written as one group.
+      auto guards = s.bp->FetchPages({ids[0], ids[1], ids[2], ids[3]});
+      ASSERT_FALSE(guards.ok());
+      EXPECT_TRUE(guards.status().IsIOError()) << guards.status().ToString();
+    }
+    EXPECT_EQ(s.Counter("buffer_pool.evictions", base), 0u);
+    ExpectLastWritesSurvive(s, ids, backend);
+  }
+}
+
+TEST(AsyncWriteTest, FailedEvictAllWriteBackKeepsThePage) {
+  for (IoBackend backend : BackendsToTest()) {
+    Stack s = MakeStackWithBackend("awr_wb_evictall", backend, 4096, 8);
+    std::vector<PageId> ids = FillPoolWithDirtyPages(s);
+    {
+      FileSizeLimit limit(/*pages=*/4, 4096);
+      const Status st = s.bp->EvictAll();
+      ASSERT_FALSE(st.ok());
+      EXPECT_TRUE(st.IsIOError()) << st.ToString();
+    }
+    ExpectLastWritesSurvive(s, ids, backend);
+  }
+}
+
+// A seeded interleaving, on one thread, of content writes (single and
+// batched fetches, some pins held across steps), flush passes, checkpoints
+// (FlushAll + Sync) and EvictAll, in a miss regime (working set 2x the
+// pool), so every write-back path meets dirty pages, pinned frames and
+// eviction. Writers keep every page's content a deterministic function of
+// its id, so the end state must read back exact bytes.
+TEST(AsyncWriteTest, FlushPassCheckpointEvictionInterleaving) {
+  for (IoBackend backend : BackendsToTest()) {
+    Stack s = MakeStackWithBackend("awr_interleave", backend, 4096, 64);
     std::vector<PageId> ids = SeedPages(s, 128);
 
-    std::atomic<bool> stop{false};
-    std::atomic<uint64_t> errors{0};
-    auto passes = std::make_unique<PassThread>(s.bp.get(), 200, &errors);
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 3; ++t) {
-      threads.emplace_back([&, t] {
-        uint64_t rng = 0x9e3779b97f4a7c15ull * (t + 1);
-        for (int iter = 0; iter < 1500; ++iter) {
-          rng ^= rng << 13;
-          rng ^= rng >> 7;
-          rng ^= rng << 17;
-          const PageId id = ids[rng % ids.size()];
-          auto g = s.bp->FetchPage(id);
-          if (!g.ok()) {
-            // ResourceExhausted is legal under this much pinning pressure.
-            if (!g.status().IsResourceExhausted()) errors.fetch_add(1);
-            continue;
-          }
-          {
-            // Latch-disciplined content write (the flush paths snapshot
-            // under the same latch).
-            LatchGuard latch(*g->cache_latch());
-            FillPattern(g->data(), 4096, id, 'W');
-          }
-          g->MarkDirty();
+    uint64_t rng = 0x9e3779b97f4a7c15ull;
+    const auto next = [&rng] {
+      rng ^= rng << 13;
+      rng ^= rng >> 7;
+      rng ^= rng << 17;
+      return rng;
+    };
+    const auto write = [](PageGuard& g) {
+      FillPattern(g.data(), 4096, g.id(), 'W');
+      g.MarkDirty();
+    };
+    std::vector<PageGuard> held;  // pins kept across steps
+    uint64_t passes = 0, checkpoints = 0, evictions = 0, busy = 0;
+    for (int step = 0; step < 6000; ++step) {
+      const uint64_t action = next() % 100;
+      if (action < 50) {
+        auto g = s.bp->FetchPage(ids[next() % ids.size()]);
+        ASSERT_TRUE(g.ok()) << g.status().ToString();
+        if (next() % 2 == 0) write(*g);
+        if (held.size() < 4 && next() % 8 == 0) held.push_back(std::move(*g));
+      } else if (action < 75) {
+        std::vector<PageId> want;
+        for (int k = 0; k < 8; ++k) want.push_back(ids[next() % ids.size()]);
+        std::sort(want.begin(), want.end());
+        want.erase(std::unique(want.begin(), want.end()), want.end());
+        auto guards = s.bp->FetchPages(want);
+        ASSERT_TRUE(guards.ok()) << guards.status().ToString();
+        for (PageGuard& g : *guards) {
+          if (next() % 2 == 0) write(g);
         }
-      });
+      } else if (action < 85) {
+        ASSERT_OK(s.bp->FlushColdPages().status());
+        ++passes;
+      } else if (action < 92) {
+        ASSERT_OK(s.bp->FlushAll());
+        ASSERT_OK(s.disk->Sync());
+        ++checkpoints;
+      } else if (action < 96) {
+        const Status st = s.bp->EvictAll();
+        if (held.empty()) {
+          ASSERT_OK(st);
+          ++evictions;
+        } else {
+          ASSERT_TRUE(st.IsBusy()) << st.ToString();
+          ++busy;
+        }
+      } else if (!held.empty()) {
+        held.erase(held.begin() + static_cast<long>(next() % held.size()));
+      }
     }
-    threads.emplace_back([&] {  // checkpoint loop
-      while (!stop.load(std::memory_order_acquire)) {
-        Status st = s.bp->FlushAll();
-        if (st.ok()) st = s.disk->Sync();
-        if (!st.ok()) errors.fetch_add(1);
-        std::this_thread::sleep_for(std::chrono::microseconds(500));
-      }
-    });
-    threads.emplace_back([&] {  // eviction loop (Busy is expected)
-      while (!stop.load(std::memory_order_acquire)) {
-        Status st = s.bp->EvictAll();
-        if (!st.ok() && !st.IsBusy()) errors.fetch_add(1);
-        std::this_thread::sleep_for(std::chrono::microseconds(700));
-      }
-    });
-    for (int t = 0; t < 3; ++t) threads[t].join();
-    stop.store(true, std::memory_order_release);
-    for (size_t t = 3; t < threads.size(); ++t) threads[t].join();
-    passes.reset();
-    EXPECT_EQ(errors.load(), 0u) << "backend " << static_cast<int>(backend);
+    held.clear();
+    EXPECT_GT(passes, 0u);
+    EXPECT_GT(checkpoints, 0u);
+    EXPECT_GT(evictions, 0u);
+    EXPECT_GT(busy, 0u);
+    EXPECT_GT(s.Counter("buffer_pool.dirty_writebacks"), 0u);
+    EXPECT_GT(s.Counter("buffer_pool.flusher_pages"), 0u);
 
     ASSERT_OK(s.bp->FlushAll());
     ASSERT_OK(s.bp->EvictAll());
@@ -525,61 +590,6 @@ TEST(AsyncWriteTest, ConcurrentFlusherCheckpointEvictionStress) {
       EXPECT_TRUE(ok) << "torn page " << id << " backend "
                       << static_cast<int>(backend);
     }
-  }
-}
-
-// A batch that aborts with ResourceExhausted (its claims ran out of
-// frames in a later stripe) marks its claimed frames failed; concurrent
-// fetchers piggybacked on those claims must see the abort as RETRYABLE
-// backpressure (ResourceExhausted), never as a phantom IOError — the
-// device did nothing wrong. Regression test for a spurious "concurrent
-// page load failed" surfaced by the dirty-churn bench: flush passes pin
-// whole stripes, batches abort under the pressure, and waiters reported
-// IO errors for loads that were merely cancelled.
-TEST(AsyncWriteTest, TransientClaimAbortIsBackpressureNotIOError) {
-  for (IoBackend backend : BackendsToTest()) {
-    Stack s = MakeStackWithBackend("awr_transient", backend, 4096, 32);
-    std::vector<PageId> ids = SeedPages(s, 128);
-
-    std::atomic<uint64_t> io_errors{0};
-    std::atomic<uint64_t> other_errors{0};
-    auto passes = std::make_unique<PassThread>(s.bp.get(), 100, &other_errors);
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t) {
-      threads.emplace_back([&, t] {
-        uint64_t rng = 0x2545f4914f6cdd1dull * (t + 1);
-        for (int iter = 0; iter < 1000; ++iter) {
-          // Every thread fetches the SAME sliding window, so whenever one
-          // thread claims the misses the others pin-and-wait on its
-          // claims — maximizing waiters when a batch aborts under the
-          // passes' pinning pressure.
-          const size_t base = (static_cast<size_t>(iter) * 7) % 108;
-          std::vector<PageId> want(ids.begin() + base,
-                                   ids.begin() + base + 20);
-          auto guards = s.bp->FetchPages(want);
-          if (!guards.ok()) {
-            if (guards.status().IsIOError()) {
-              io_errors.fetch_add(1);
-            } else if (!guards.status().IsResourceExhausted()) {
-              other_errors.fetch_add(1);
-            }
-            continue;
-          }
-          for (PageGuard& g : *guards) {
-            LatchGuard latch(*g.cache_latch());
-            g.data()[rng++ % 64] = static_cast<char>(rng);
-            g.MarkDirty();
-          }
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-    passes.reset();
-    EXPECT_EQ(io_errors.load(), 0u)
-        << "transient claim aborts leaked as IOError, backend "
-        << static_cast<int>(backend);
-    EXPECT_EQ(other_errors.load(), 0u);
-    ASSERT_OK(s.bp->FlushAll());
   }
 }
 

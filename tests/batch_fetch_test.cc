@@ -96,15 +96,10 @@ TEST(FetchPagesTest, UnknownIdFailsWholeBatchWithoutLeakingPins) {
   ASSERT_OK(s.bp->EvictAll());
 }
 
-TEST(FetchPagesTest, MissBatchLargerThanOneStripeRun) {
-  // More pages than frames-per-stripe, in descending order with gaps:
-  // exercises per-stripe grouping, sorting, and multiple vectored runs.
-  Stack s;
-  s.file.reset(new nblb::testing::TempFile("fp_runs"));
-  s.disk.reset(new DiskManager(s.file->path(), 4096));
-  ASSERT_OK(s.disk->Open());
-  s.bp.reset(new BufferPool(s.disk.get(), 64, /*num_stripes=*/4));
-  s.Register();
+TEST(FetchPagesTest, MissBatchInDescendingOrderWithGaps) {
+  // Misses requested in descending order with gaps: exercises the sort
+  // and multiple vectored runs.
+  Stack s = MakeStack("fp_runs", 4096, 64);
   std::vector<PageId> all = MakePages(s, 40);
   ASSERT_OK(s.bp->EvictAll());
 

@@ -1,7 +1,7 @@
-// Clock-sweep (second-chance) victim-selection tests for the striped
-// BufferPool, plus striped-configuration coverage. The legacy LRU-flavored
-// expectations live in buffer_pool_test.cc and must keep passing; these
-// tests pin down the CLOCK mechanics specifically.
+// Clock-sweep (second-chance) victim-selection tests for the BufferPool,
+// plus content and counter coverage of a pool that overflows. The legacy
+// LRU-flavored expectations live in buffer_pool_test.cc and must keep
+// passing; these tests pin down the CLOCK mechanics specifically.
 
 #include <gtest/gtest.h>
 
@@ -18,22 +18,6 @@ namespace {
 
 using nblb::testing::MakeStack;
 using nblb::testing::Stack;
-
-// A tiny pool always collapses to one stripe, so victim order is exact.
-TEST(BufferPoolClockTest, TinyPoolUsesOneStripe) {
-  Stack s = MakeStack("clk_one_stripe", 4096, 3);
-  EXPECT_EQ(s.bp->num_stripes(), 1u);
-}
-
-TEST(BufferPoolClockTest, RequestedStripesRoundDownToPowerOfTwo) {
-  Stack s;
-  s.file.reset(new nblb::testing::TempFile("clk_pow2"));
-  s.disk.reset(new DiskManager(s.file->path(), 4096));
-  ASSERT_OK(s.disk->Open());
-  s.bp.reset(new BufferPool(s.disk.get(), 64, /*num_stripes=*/6));
-  EXPECT_EQ(s.bp->num_stripes(), 4u);  // 6 -> 4
-  EXPECT_EQ(s.bp->num_frames(), 64u);
-}
 
 // Pages never re-referenced after load have no second chance: the hand
 // evicts the first unpinned, unreferenced frame it meets, in frame order.
@@ -132,18 +116,11 @@ TEST(BufferPoolClockTest, PinnedFramesAreSkipped) {
       << "b should have been evicted";
 }
 
-// Striped configuration: contents and stats stay correct when pages spread
-// over many stripes and overflow forces per-stripe evictions.
-TEST(BufferPoolClockTest, StripedPoolRoundTripsContents) {
-  Stack s;
-  s.file.reset(new nblb::testing::TempFile("clk_striped"));
-  s.disk.reset(new DiskManager(s.file->path(), 4096));
-  ASSERT_OK(s.disk->Open());
-  s.bp.reset(new BufferPool(s.disk.get(), 64, /*num_stripes=*/8));
-  s.Register();
-  ASSERT_EQ(s.bp->num_stripes(), 8u);
-
-  constexpr int kPages = 200;  // > frames: forces eviction in every stripe
+// Contents and stats stay correct when overflow forces steady eviction
+// with dirty write-back.
+TEST(BufferPoolClockTest, OverflowingPoolRoundTripsContents) {
+  Stack s = MakeStack("clk_overflow", 4096, 64);
+  constexpr int kPages = 200;  // > frames: forces eviction
   for (int i = 0; i < kPages; ++i) {
     ASSERT_OK_AND_ASSIGN(PageGuard g, s.bp->NewPage());
     std::memset(g.data(), 'a' + (g.id() % 26), 64);
@@ -165,7 +142,7 @@ TEST(BufferPoolClockTest, StripedPoolRoundTripsContents) {
   ASSERT_OK(s.bp->FlushAll());
 }
 
-// ResourceExhausted comes from the stripe that cannot evict, and the pool
+// ResourceExhausted comes when every frame is pinned, and the pool
 // recovers once pins drop.
 TEST(BufferPoolClockTest, ExhaustionRecoversAfterUnpin) {
   Stack s = MakeStack("clk_exhaust", 4096, 2);

@@ -118,8 +118,8 @@ TEST(BufferPoolFlusherTest, EvictionFindsCleanVictimsAfterFlushing) {
   // Fill a tiny pool with dirty pages, make most of them hot, then force
   // evictions with new allocations: the sweep ages the hot frames, a pass
   // cleans them, and the allocating caller finds clean victims
-  // (dirty_writebacks stays 0). One stripe of 8 frames; the free list hands
-  // them out in index order and the CLOCK hand starts at frame 0.
+  // (dirty_writebacks stays 0). 8 frames; the free list hands them out in
+  // index order and the CLOCK hand starts at frame 0.
   Stack s = MakeStack("flush_clean_victims", 4096, 8);
   std::vector<PageId> ids = DirtyPages(s, 8, 'Q');
   EXPECT_EQ(Pass(s), 8u);

@@ -37,6 +37,18 @@ TEST(DatabaseTest, OpenCreateInsertLookup) {
   EXPECT_EQ(row[1].AsString(), "one");
 }
 
+TEST(DatabaseTest, OpenRejectsMoreThanOneBufferPoolStripe) {
+  // The pool has one CLOCK: 0 and 1 both open, anything larger is refused.
+  TempFile f("db_stripes");
+  DatabaseOptions o = Opts(f);
+  for (size_t stripes : {0, 1}) {
+    o.buffer_pool_stripes = stripes;
+    ASSERT_OK(Database::Open(o).status());
+  }
+  o.buffer_pool_stripes = 4;
+  EXPECT_TRUE(Database::Open(o).status().IsInvalidArgument());
+}
+
 TEST(DatabaseTest, TableRegistry) {
   TempFile f("db_registry");
   ASSERT_OK_AND_ASSIGN(auto db, Database::Open(Opts(f)));

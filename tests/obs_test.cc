@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -241,49 +242,66 @@ TEST(EventRingTest, WraparoundKeepsTheMostRecentWindow) {
 }
 
 TEST(EventRingTest, ConcurrentReadersNeverSeeTornEvents) {
-  // One writer hammers the ring (payload fields are functions of the
-  // sequence number); several readers snapshot concurrently and verify that
-  // every surviving record is internally consistent — the seqlock must drop
-  // overwritten slots rather than return torn payloads. TSan-clean.
+  // A writer records bursts (payload fields are functions of the sequence
+  // number) while readers snapshot concurrently: every record a snapshot
+  // returns must be internally consistent — the seqlock drops slots that
+  // were overwritten mid-copy rather than returning torn payloads. Between
+  // bursts the writer stops, and then every reader's snapshot must return
+  // every live slot. That check cannot pass vacuously, whichever thread
+  // outruns the other during a burst. TSan-clean.
   EventRing ring;
-  std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    uint64_t i = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      ring.Record(FlightEvent::kTransientAbort, i * 3, i ^ 0xabcdef, i);
-      ++i;
+  constexpr int kReaders = 3;
+  const auto check = [](const std::vector<FlightEventRecord>& events) {
+    for (size_t k = 0; k < events.size(); ++k) {
+      const FlightEventRecord& e = events[k];
+      ASSERT_EQ(e.code, FlightEvent::kChunkHalve);
+      ASSERT_EQ(e.arg0, e.ts_us * 3);
+      ASSERT_EQ(e.arg1, e.ts_us ^ 0xabcdef);
+      if (k > 0) {
+        ASSERT_GT(e.seq, events[k - 1].seq);
+      }
     }
-  });
-  // Readers start once the writer has: on a loaded machine the writer
-  // thread may otherwise not run before the readers finish.
-  while (ring.Snapshot().empty()) std::this_thread::yield();
-
-  std::atomic<uint64_t> validated{0};
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&] {
-      for (int iter = 0; iter < 200; ++iter) {
-        std::vector<FlightEventRecord> events = ring.Snapshot();
-        uint64_t prev_seq = 0;
-        bool have_prev = false;
-        for (const FlightEventRecord& e : events) {
-          ASSERT_EQ(e.code, FlightEvent::kTransientAbort);
-          ASSERT_EQ(e.arg0, e.ts_us * 3);
-          ASSERT_EQ(e.arg1, e.ts_us ^ 0xabcdef);
-          if (have_prev) ASSERT_GT(e.seq, prev_seq);
-          prev_seq = e.seq;
-          have_prev = true;
-          validated.fetch_add(1, std::memory_order_relaxed);
-        }
+  };
+  uint64_t recorded = 0;  // the writer's count; read only between bursts
+  for (int burst = 0; burst < 5; ++burst) {
+    std::atomic<bool> stop{false};
+    std::atomic<bool> started{false};
+    std::thread writer([&] {
+      for (uint64_t i = recorded; !stop.load(std::memory_order_relaxed);
+           ++i) {
+        ring.Record(FlightEvent::kChunkHalve, i * 3, i ^ 0xabcdef, i);
+        recorded = i + 1;
+        started.store(true, std::memory_order_release);
       }
     });
+    while (!started.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&] {
+        for (int iter = 0; iter < 200; ++iter) check(ring.Snapshot());
+      });
+    }
+    for (auto& t : readers) t.join();
+    stop.store(true, std::memory_order_relaxed);
+    writer.join();
+
+    // The writer is stopped: each reader sees the newest kSlots events
+    // (or all of them), every one validated, ending at the last recorded.
+    const size_t live = std::min<uint64_t>(recorded, EventRing::kSlots);
+    readers.clear();
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&] {
+        const std::vector<FlightEventRecord> events = ring.Snapshot();
+        ASSERT_EQ(events.size(), live) << "burst " << burst;
+        EXPECT_EQ(events.back().seq, recorded - 1);
+        EXPECT_EQ(events.front().seq, recorded - live);
+        check(events);
+      });
+    }
+    for (auto& t : readers) t.join();
   }
-  for (auto& t : readers) t.join();
-  stop.store(true, std::memory_order_relaxed);
-  writer.join();
-  // The readers must have validated a meaningful number of events, or the
-  // "drop overwritten slots" logic is discarding everything.
-  EXPECT_GT(validated.load(), 0u);
 }
 
 TEST(FlightRecorderTest, RecordsPerThreadAndDumps) {
