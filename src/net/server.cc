@@ -378,15 +378,19 @@ bool NetServer::HandleRequestFrame(const ConnPtr& conn, Frame&& frame) {
         std::string out;
         const bool reply = !c->closed.load(std::memory_order_acquire) &&
                            AppendResponseFrame(request_id, result, &out).ok();
-        // Record and count before enqueueing: once the client can observe
-        // the reply on the wire, the latency histogram and the
-        // net.responses counter must already include it.
+        // Record, count and release the connection's in-flight slot before
+        // enqueueing: once the client can observe the reply on the wire,
+        // the latency histogram and the net.responses counter must already
+        // include it, and a next frame sent on reading it must not be shed
+        // for a slot this reply still held. (The loop takes the reply
+        // under the connection's out_mu, so its next admission check sees
+        // the decrement.)
         reply_latency_us_.Record(MicrosSince(start));
+        c->inflight.fetch_sub(1, std::memory_order_relaxed);
         if (reply) {
           responses_.fetch_add(1, std::memory_order_relaxed);
           QueueOutput(c, std::move(out));
         }
-        c->inflight.fetch_sub(1, std::memory_order_relaxed);
         {
           // The final decrement must happen while holding drain_mu_: the
           // destructor's wait predicate reads inflight_global_ only under

@@ -202,7 +202,8 @@ class Shard {
   std::chrono::steady_clock::time_point last_flush_{};
 
   // ---- Durability (all owner-thread only) ---------------------------------
-  /// Owns its own DiskManager over the `.wal` sidecar, independent of db_.
+  /// Owns its own file descriptor over the `.wal` sidecar, independent of
+  /// db_.
   std::unique_ptr<Wal> wal_;
   /// Old slots of rows moved since the last WAL commit, still live.
   std::vector<Rid> moved_from_;

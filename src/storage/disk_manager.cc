@@ -22,6 +22,9 @@ namespace nblb {
 namespace {
 /// Cap on iovecs per preadv (the kernel's IOV_MAX is typically 1024).
 constexpr size_t kMaxIov = IOV_MAX < 1024 ? IOV_MAX : 1024;
+/// Worker threads of the preadv/pwritev fallback backend (started lazily
+/// on the first async submission when that backend is in use).
+constexpr size_t kIoThreads = 4;
 
 /// Advances the iovec cursor `*pos` past `transferred` bytes, trimming a
 /// partially filled entry in place. Partial transfers land on a page
@@ -91,7 +94,6 @@ DiskManager::DiskManager(std::string path, size_t page_size,
   // memory; requiring a 4096-multiple page covers every common block size.
   if (direct_io_) NBLB_CHECK(page_size_ % 4096 == 0);
   if (aio_.queue_depth == 0) aio_.queue_depth = 1;
-  if (aio_.io_threads == 0) aio_.io_threads = 1;
 }
 
 DiskManager::~DiskManager() {
@@ -416,8 +418,8 @@ size_t DiskManager::ReapUringLocked() {
 void DiskManager::EnsureIoThreads() {
   std::lock_guard<std::mutex> lk(tp_mu_);
   if (!tp_threads_.empty()) return;
-  tp_threads_.reserve(aio_.io_threads);
-  for (size_t i = 0; i < aio_.io_threads; ++i) {
+  tp_threads_.reserve(kIoThreads);
+  for (size_t i = 0; i < kIoThreads; ++i) {
     tp_threads_.emplace_back([this] { IoThreadLoop(); });
   }
 }
@@ -727,68 +729,12 @@ Result<PageId> DiskManager::AllocatePage() {
   return id;
 }
 
-Result<PageId> DiskManager::AllocatePages(size_t n) {
-  if (fd_ < 0) return Status::IOError("disk manager not open");
-  if (n == 0) return Status::InvalidArgument("AllocatePages of zero pages");
-  if (n == 1) return AllocatePage();
-  std::lock_guard<std::mutex> lk(alloc_mu_);
-  const PageId id = num_pages();
-  const off_t off = static_cast<off_t>(id) * static_cast<off_t>(page_size_);
-  const size_t bytes = n * page_size_;
-  ssize_t got;
-  if (direct_io_) {
-    // One zeroed bounce page written n times: keeps the arena bounded while
-    // staying aligned. Resume on partial transfers like everything else.
-    char* bounce = AcquireBounce();
-    std::memset(bounce, 0, page_size_);
-    got = static_cast<ssize_t>(bytes);
-    for (size_t k = 0; k < n; ++k) {
-      const ssize_t w =
-          ::pwrite(fd_, bounce, page_size_,
-                   off + static_cast<off_t>(k) *
-                             static_cast<off_t>(page_size_));
-      if (w != static_cast<ssize_t>(page_size_)) {
-        got = -1;
-        break;
-      }
-    }
-    ReleaseBounce(bounce);
-  } else {
-    std::vector<char> zero(bytes, 0);
-    size_t done = 0;
-    got = 0;
-    while (done < bytes) {
-      const ssize_t w = ::pwrite(fd_, zero.data() + done, bytes - done,
-                                 off + static_cast<off_t>(done));
-      if (w <= 0) {
-        got = -1;
-        break;
-      }
-      done += static_cast<size_t>(w);
-    }
-    if (got == 0) got = static_cast<ssize_t>(bytes);
-  }
-  if (got != static_cast<ssize_t>(bytes)) {
-    // A partial extension may have grown the file by a non-page-multiple;
-    // trim back so a later Open doesn't see a corrupt length.
-    if (::ftruncate(fd_, off) != 0) {
-      return Status::IOError("allocation write failed and truncate-back "
-                             "failed: " + std::string(std::strerror(errno)));
-    }
-    return Status::IOError("allocation write failed");
-  }
-  num_pages_.store(id + static_cast<PageId>(n), std::memory_order_relaxed);
-  counters_.allocations.fetch_add(n, std::memory_order_relaxed);
-  return id;
-}
-
 Status DiskManager::Sync() {
   if (fd_ < 0) return Status::IOError("disk manager not open");
   // fdatasync still flushes the metadata needed to retrieve the data
   // (notably the file size after an extending write) but skips the
-  // mtime-only journal commit fsync pays on every call — measurably
-  // cheaper on the WAL group-commit path, identical durability for page
-  // data.
+  // mtime-only journal commit fsync pays on every call: identical
+  // durability for page data, at less cost.
   if (::fdatasync(fd_) != 0) return Status::IOError("fdatasync failed");
   return Status::OK();
 }

@@ -42,9 +42,6 @@ struct AsyncIoOptions {
   /// Max in-flight async ops (io_uring submission ring size; the kernel
   /// rounds up to a power of two). Reads and writes draw from one budget.
   size_t queue_depth = 64;
-  /// Worker threads for the preadv/pwritev fallback backend (started lazily
-  /// on the first async submission when that backend is in use).
-  size_t io_threads = 4;
 };
 
 namespace internal {
@@ -159,11 +156,6 @@ class DiskManager {
 
   /// \brief Extends the file by one zeroed page and returns its id.
   Result<PageId> AllocatePage();
-
-  /// \brief Extends the file by `n` zeroed pages with one write and returns
-  /// the id of the first new page. The WAL uses this to grow its tail in
-  /// bulk instead of paying one pwrite per page.
-  Result<PageId> AllocatePages(size_t n);
 
   /// \brief fsync the backing file.
   Status Sync();

@@ -15,11 +15,13 @@ namespace nblb {
 namespace {
 
 constexpr uint32_t kSuperblockMagic = 0x4e425342;  // "NBSB"
-// The on-disk format of the shard files a superblock describes. 2: heap
-// pages are slotted and hold trimmed row images (format 1 held fixed-width
-// rows behind an occupancy bitmap). 3: the payload drops the semantic-ID
-// partition-bits field, which nothing read.
-constexpr uint32_t kSuperblockFormat = 3;
+// The on-disk format of the shard files a superblock describes, the WAL
+// included. 2: heap pages are slotted and hold trimmed row images (format 1
+// held fixed-width rows behind an occupancy bitmap). 3: the payload drops
+// the semantic-ID partition-bits field, which nothing read. 4: a WAL
+// commit that does not fit the tail page starts on the next page, so the
+// log has zero gaps that an older scanner would take for its end.
+constexpr uint32_t kSuperblockFormat = 4;
 constexpr size_t kSlotSize = 4096;
 constexpr size_t kSlotHeaderSize = 16;  // magic, format, payload_len, crc
 

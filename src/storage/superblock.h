@@ -14,9 +14,9 @@
 // slots (magic, format, CRC32 over the payload) and take the highest valid
 // version.
 //
-// The format number covers the data file too: a build that changes how
-// pages are laid out bumps it, so files of another layout fail to open with
-// NotSupported instead of being misread.
+// The format number covers the data file and the WAL too: a build that
+// changes how their pages are laid out bumps it, so files of another layout
+// fail to open with NotSupported instead of being misread.
 
 #pragma once
 

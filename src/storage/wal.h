@@ -1,21 +1,43 @@
 // Wal: per-shard write-ahead log with CRC-framed records, LSN sequencing,
-// and group commit over the async-write path.
+// and group commit.
 //
 // Records are logical (key-level PUT/DELETE), appended to an in-memory
 // pending buffer by the shard worker as it serves its service group, and
-// made durable in one Commit() per group: the pending bytes are laid out
-// into page images, put in flight through DiskManager::SubmitWrites (one
-// vectored write for the whole contiguous tail run, io_uring or the worker
-// pool — the same machinery the flusher rides), and fsynced once. Writes
-// ack to clients only after their group's Commit() returns.
+// made durable in one Commit() per group: one pwrite of exactly the pending
+// bytes on the log's own buffered file descriptor, then one fdatasync.
+// Writes ack to clients only after their group's Commit() returns.
 //
-// Torn-tail safety: the first page image of every commit starts from the
-// in-memory copy of the current tail page, so the already-durable prefix
-// bytes are rewritten bit-identical — a torn or short rewrite can corrupt
-// only bytes past the durable watermark. The scanner (Open/Replay) walks
-// records from the start and stops at the first zero length, implausible
-// length, CRC mismatch, or non-monotonic LSN, logically truncating the tail
-// there.
+// Layout: a commit's records start at the durable tail when all of them fit
+// in the tail page's free space; otherwise they start at the next page
+// boundary and the skipped remainder of the tail page stays zero. So a
+// commit of up to one page writes into one page. Records of a commit larger
+// than a page pack across its pages.
+//
+// Invariant: every byte past the durable tail is zero on disk. A commit
+// that needs new pages first zero-extends the file with one vectored write
+// (which fails, under a full disk or a file-size limit, before any record
+// lands; the file is then trimmed back). Reset starts a fresh file. A Wal
+// opened over a torn tail restores the invariant before its first commit:
+// it zeroes the tail page past the tail, truncates the file after that page
+// and fdatasyncs. An open that only replays writes nothing.
+//
+// Scanner (Open/Replay): walks records from the start. A record is valid
+// when its length is plausible, its CRC matches, its op is known and its
+// LSN exceeds the last one. Where no valid record starts inside a page
+// (the zero gap a commit skipped, or a torn remnant), the scanner tries
+// the next page boundary once and goes on only if a valid record with
+// LSN = last + 1 starts there. Where that try fails, or no valid record
+// starts at a page boundary, the log ends and its tail is logically
+// truncated. Because bytes past the tail are zero, and a Wal over a torn
+// tail drops everything after the tail page before it writes, nothing but
+// the next commit can start at that boundary.
+//
+// Torn-write safety: no user-space copy of the tail page is rewritten. A
+// commit's pwrite changes only bytes past the durable tail; the kernel
+// writes the whole tail page back from the page cache, whose bytes before
+// the tail are the durable ones. A torn page write leaves each sector old
+// or new, and the two agree before the tail, so a torn commit damages only
+// bytes past the durable watermark.
 //
 // Failure model: any append/commit I/O error is STICKY. A WAL that failed
 // to make a group durable cannot accept later groups (their ordering
@@ -30,11 +52,9 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
 #include "common/slice.h"
-#include "storage/disk_manager.h"
 
 namespace nblb {
 
@@ -70,17 +90,21 @@ class Wal {
   /// \brief Opens (or creates) the log and scans it to find the valid tail:
   /// durable_bytes/durable_lsn point past the last intact record and
   /// next_lsn continues the sequence. Torn tails are logically truncated.
+  /// A file whose size is not a page multiple fails with Corruption.
   static Result<std::unique_ptr<Wal>> Open(std::string path,
                                            WalOptions options);
 
   ~Wal();
 
+  Wal(const Wal&) = delete;
+  Wal& operator=(const Wal&) = delete;
+
   /// \brief Buffers one record and returns its LSN. Nothing is durable
   /// until Commit(). Fails with the sticky error after a commit failure.
   Result<uint64_t> Append(Op op, uint64_t key, const Slice& payload);
 
-  /// \brief Group commit: makes every pending record durable (vectored
-  /// write of the tail pages + one fsync). No-op when nothing is pending.
+  /// \brief Group commit: makes every pending record durable (one pwrite
+  /// of the pending bytes + one fdatasync). No-op when nothing is pending.
   Status Commit();
 
   /// \brief Re-delivers every durable record with lsn > from_lsn, in LSN
@@ -88,16 +112,17 @@ class Wal {
   Status Replay(uint64_t from_lsn,
                 const std::function<Status(const Record&)>& fn) const;
 
-  /// \brief Discards the log (close + remove + recreate) after a
+  /// \brief Discards the log (truncates the file to empty) after a
   /// checkpoint made its records redundant. LSN sequencing continues; any
   /// pending (uncommitted) records are dropped by design — callers commit
-  /// first. Clears a sticky error only if the recreate succeeds.
+  /// first. Clears a sticky error only if the truncate succeeds.
   Status Reset();
 
   bool HasPending() const { return !pending_.empty(); }
   uint64_t next_lsn() const { return next_lsn_; }
   /// \brief LSN of the last durable record (0 when the log is empty).
   uint64_t durable_lsn() const { return durable_lsn_; }
+  /// \brief File offset just past the last durable record.
   uint64_t durable_bytes() const { return durable_bytes_; }
   const std::string& path() const { return path_; }
 
@@ -109,39 +134,45 @@ class Wal {
  private:
   Wal(std::string path, WalOptions options);
 
-  /// (Re)creates and opens the log's own DiskManager.
-  Status OpenDisk();
-  /// Opens the backing DiskManager and scans for the durable tail.
+  /// Opens the file and scans for the durable tail.
   Status OpenAndScan();
 
   /// Streaming scan of the durable prefix: calls fn for each intact record
   /// and returns the byte offset and last LSN of the valid tail. A null fn
   /// just finds the tail.
   Status Scan(const std::function<Status(const Record&)>& fn,
-              uint64_t* tail_bytes, uint64_t* tail_lsn,
-              uint64_t* truncated_bytes) const;
+              uint64_t* tail_bytes, uint64_t* tail_lsn) const;
+
+  /// Restores the zero-past-tail invariant over a torn tail: zeroes the
+  /// tail page past the durable tail, truncates the file after that page
+  /// and fdatasyncs.
+  Status ZeroPastTail();
+  /// Grows the file to `pages` pages with one vectored zero write; trims
+  /// it back if the write fails.
+  Status Extend(uint64_t pages);
 
   std::string path_;
   WalOptions options_;
-  std::unique_ptr<DiskManager> disk_;
+  int fd_ = -1;
+  uint64_t file_pages_ = 0;  ///< file length in pages
 
   uint64_t next_lsn_ = 1;
   uint64_t durable_lsn_ = 0;
   uint64_t durable_bytes_ = 0;
-  uint64_t pending_first_lsn_ = 0;
   std::string pending_;  ///< framed records awaiting Commit
-  /// In-memory image of the current (partially filled) tail page; its
-  /// durable prefix is rewritten verbatim by the next commit.
-  std::string tail_page_;
+  /// Set by Open when a byte past the durable tail may be nonzero; the
+  /// first commit runs ZeroPastTail.
+  bool torn_tail_ = false;
   Status sticky_error_;
 
   struct Counters {
     std::atomic<uint64_t> appends{0};
     std::atomic<uint64_t> commits{0};
     std::atomic<uint64_t> bytes_appended{0};
+    /// Pages the commits wrote records into.
     std::atomic<uint64_t> commit_pages{0};
     /// Wall-clock microseconds the owning worker spent inside Commit()
-    /// (page build + write + fsync). commit_micros / commits is the mean
+    /// (write + fdatasync). commit_micros / commits is the mean
     /// group-commit stall; against elapsed time it bounds the serve-path
     /// durability overhead.
     std::atomic<uint64_t> commit_micros{0};

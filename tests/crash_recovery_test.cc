@@ -508,16 +508,17 @@ TEST(ShardRecoveryTest, OlderFormatFailsToOpenAndTouchesNoFile) {
   {
     std::string sb = ReadFile(Superblock::PathFor(opts.path));
     ASSERT_EQ(sb.size(), 8192u);
-    for (size_t slot : {0, 4096}) EncodeFixed32(&sb[slot + 4], 2);
+    // Format 3 packed WAL commits back-to-back across pages.
+    for (size_t slot : {0, 4096}) EncodeFixed32(&sb[slot + 4], 3);
     WriteFile(Superblock::PathFor(opts.path), sb);
   }
   const ShardImage before = TakeImage(opts);
   opts.truncate = false;
   auto opened = Shard::Open(6, opts);
   ASSERT_TRUE(opened.status().IsNotSupported()) << opened.status().ToString();
-  EXPECT_NE(opened.status().message().find("format 2"), std::string::npos)
-      << opened.status().ToString();
   EXPECT_NE(opened.status().message().find("format 3"), std::string::npos)
+      << opened.status().ToString();
+  EXPECT_NE(opened.status().message().find("format 4"), std::string::npos)
       << opened.status().ToString();
   const ShardImage after = TakeImage(opts);
   EXPECT_TRUE(after.data == before.data);

@@ -1,6 +1,7 @@
 // NetServer end-to-end tests: request round trips over loopback TCP, get
 // replies transcoded from stored images equal to the engine's own rows on a
-// schema of every type, admission-control busy shedding, protocol-error
+// schema of every type, admission-control busy shedding (and no shedding of
+// back-to-back calls under a cap of one), protocol-error
 // connection teardown, client disconnect mid-request, clean engine drain
 // when clients are killed under load, read backpressure against a client
 // that never reads its replies, Start failing when the event loop cannot be
@@ -457,6 +458,37 @@ TEST(NetServerTest, AdmissionControlShedsWithBusyReplies) {
   // The connection survives shedding: a fresh call still works.
   ASSERT_OK_AND_ASSIGN(BatchResult after, client->Call({Request::Get(1)}));
   ASSERT_OK(after.results[0].status);
+
+  client.reset();
+  server.reset();
+  engine.reset();
+  Cleanup(eopts);
+}
+
+// A client that sends its next frame only after it reads the last reply
+// has nothing in flight, so a cap of one frame per connection must never
+// shed it: the reply's slot is released before the reply is queued.
+TEST(NetServerTest, AdmissionCapOfOneServesBackToBackCalls) {
+  ShardedEngineOptions eopts = EngineOptions("seq");
+  eopts.num_shards = 1;
+  eopts.num_workers = 1;
+  ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(eopts));
+  for (int64_t id = 0; id < 64; ++id) {
+    ASSERT_OK(engine->Insert(id, KvRow(id)));
+  }
+  NetServerOptions sopts;
+  sopts.max_inflight_per_conn = 1;
+  ASSERT_OK_AND_ASSIGN(auto server, NetServer::Start(sopts, engine.get()));
+  auto client = MustConnect(*server);
+  constexpr int kCalls = 2000;
+  for (int i = 0; i < kCalls; ++i) {
+    ASSERT_OK_AND_ASSIGN(BatchResult got,
+                         client->Call({Request::Get(static_cast<uint64_t>(
+                             i % 64))}));
+    ASSERT_TRUE(got.results[0].status.ok())
+        << "call " << i << ": " << got.results[0].status.ToString();
+  }
+  EXPECT_EQ(Counter(*server, "net.busy_shed"), 0u);
 
   client.reset();
   server.reset();

@@ -74,9 +74,9 @@ size_t ProcessThreads() {
 }
 
 TEST(ShardAsyncTest, OpenStartsOnlyItsWorkers) {
-  // No flusher and no WAL, and nothing served yet: the disk managers start
-  // their fallback pools lazily, so the engine's own threads are all that
-  // Open adds. Callbacks run on those workers; there is no other pool.
+  // No flusher, and nothing served yet: the disk managers start their
+  // fallback pools lazily, so the engine's own threads are all that Open
+  // adds. Callbacks run on those workers; there is no other pool.
   auto opts = SmallOptions("threads", 4, /*workers=*/2);
   // A throwaway thread first: a sanitizer runtime that starts a helper
   // thread with the process's first thread (TSan does) has it by now.
@@ -88,6 +88,31 @@ TEST(ShardAsyncTest, OpenStartsOnlyItsWorkers) {
   engine.reset();
   EXPECT_EQ(ProcessThreads(), before);
   Cleanup(opts);
+
+  // With the WAL on, committed writes start no thread: each log writes its
+  // own file with plain pwrite and fdatasync. (Open's checkpoint flushes
+  // the new tables, which starts each data file's fallback io pool when
+  // that backend is in use.)
+  opts.wal_enabled = true;
+  ASSERT_OK_AND_ASSIGN(engine, ShardedEngine::Open(opts));
+  const size_t opened = ProcessThreads();
+  RequestBatch puts;
+  for (uint64_t id = 0; id < 64; ++id) {
+    puts.push_back(Request::Insert(id, MakeRow(id)));
+  }
+  ASSERT_TRUE(engine->Execute(puts).all_ok());
+  EXPECT_GE(engine->MetricsSnapshotNow().Total("wal.commits"),
+            opts.num_shards);
+  EXPECT_EQ(ProcessThreads(), opened);
+  engine.reset();
+  EXPECT_EQ(ProcessThreads(), before);
+  Cleanup(opts);
+  for (uint32_t i = 0; i < opts.num_shards; ++i) {
+    const std::string db =
+        opts.path_prefix + ".shard" + std::to_string(i) + ".db";
+    std::remove((db + ".sb").c_str());
+    std::remove((db + ".wal").c_str());
+  }
 }
 
 TEST(ShardAsyncTest, SubmitCompletesAndWaitIsIdempotent) {

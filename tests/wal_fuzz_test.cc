@@ -4,8 +4,10 @@
 // stored bytes (AppendResponseFrame of a RowForm::kImage result), and the
 // WAL tail scanner plus replay (Shard::Open over a committed log). Inputs
 // are mutated by bit flips, byte stores, truncation, length-field edits,
-// insertions/deletions and splices. Seeds and iteration counts are fixed,
-// so a failure reproduces.
+// insertions/deletions and splices; a log also gets garbage in the gaps
+// its commits skipped, frames copied to the next page boundary, and the
+// garbage page plus stale page a torn skip-commit can leave. Seeds and
+// iteration counts are fixed, so a failure reproduces.
 //
 // Oracle: nothing crashes (the asan-ubsan CI job runs this binary under
 // AddressSanitizer and UBSan; mutated images live in exactly-sized heap
@@ -32,6 +34,7 @@
 
 #include "catalog/row_codec.h"
 #include "common/bytes.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "net/wire.h"
 #include "shard/shard.h"
@@ -322,15 +325,63 @@ Result<std::vector<std::pair<uint64_t, LoggedRecord>>> ScanLog(
   return out;
 }
 
+/// Where the frames of a written log lie: each commit's frames start at
+/// its durable tail if they all fit in the tail page's free space, else at
+/// the next page boundary (the skipped bytes are a gap).
+struct LogLayout {
+  std::vector<size_t> frames;                   ///< frame start offsets
+  std::vector<std::pair<size_t, size_t>> gaps;  ///< [begin, end) skipped
+};
+
+/// Lays out `commits` (each a list of payload sizes) by the layout rule.
+LogLayout LayOut(const std::vector<std::vector<size_t>>& commits) {
+  LogLayout out;
+  size_t tail = 0;
+  for (const std::vector<size_t>& commit : commits) {
+    size_t bytes = 0;
+    for (size_t payload : commit) bytes += kFrameOverhead + payload;
+    const size_t free = kPageSize - tail % kPageSize;
+    if (free < kPageSize && bytes > free) {
+      out.gaps.push_back({tail, tail + free});
+      tail += free;
+    }
+    for (size_t payload : commit) {
+      out.frames.push_back(tail);
+      tail += kFrameOverhead + payload;
+    }
+  }
+  return out;
+}
+
+/// One CRC-framed record, as the Wal writes it.
+std::string Frame(uint64_t lsn, Wal::Op op, uint64_t key,
+                  const std::string& payload) {
+  std::string body(kFrameOverhead - 8 + payload.size(), '\0');
+  EncodeFixed64(&body[0], lsn);
+  body[8] = static_cast<char>(op);
+  EncodeFixed64(&body[9], key);
+  EncodeFixed32(&body[17], static_cast<uint32_t>(payload.size()));
+  std::memcpy(&body[21], payload.data(), payload.size());
+  std::string frame(8, '\0');
+  EncodeFixed32(&frame[0], static_cast<uint32_t>(body.size()));
+  EncodeFixed32(&frame[4], Crc32(body.data(), body.size()));
+  return frame + body;
+}
+
 /// Raw byte mutations of a log file. Frame headers ([u32 body_len][u32 crc],
-/// then lsn/op/key/payload_len) at `frames` get targeted length edits.
-void MutateLog(std::string* log, const std::vector<size_t>& frames, Rng* rng) {
+/// then lsn/op/key/payload_len) at `layout.frames` get targeted length
+/// edits; the layout's gaps and page boundaries get the damage a torn or
+/// misdirected write leaves there. `unwritten_lsn` is an LSN no record
+/// carries.
+void MutateLog(std::string* log, const LogLayout& layout,
+               uint64_t unwritten_lsn, Rng* rng) {
   static const uint32_t kLengths[] = {0, 1, 20, 21, 22, kPageSize, 1u << 20,
                                       (1u << 20) + 1, 0xffffffffu};
+  const std::vector<size_t>& frames = layout.frames;
   std::string& b = *log;
   const int rounds = 1 + static_cast<int>(rng->Uniform(2));
   for (int r = 0; r < rounds && !b.empty(); ++r) {
-    switch (rng->Uniform(6)) {
+    switch (rng->Uniform(9)) {
       case 0:  // bit flip
         b[rng->Uniform(b.size())] ^= static_cast<char>(1u << rng->Uniform(8));
         break;
@@ -367,6 +418,35 @@ void MutateLog(std::string* log, const std::vector<size_t>& frames, Rng* rng) {
         std::memmove(&b[to], &b[from], n);
         break;
       }
+      case 5: {  // garbage in a gap a commit skipped
+        const auto& [begin, end] = layout.gaps[rng->Uniform(
+            layout.gaps.size())];
+        if (end > b.size()) break;
+        const size_t at = begin + rng->Uniform(end - begin);
+        const std::string junk = rng->NextString(end - at);
+        b.replace(at, junk.size(), junk);
+        break;
+      }
+      case 6: {  // a frame copied to the next page boundary
+        const size_t from = frames[rng->Uniform(frames.size())];
+        const size_t to = (from / kPageSize + 1) * kPageSize;
+        if (to >= b.size() || from + kFrameOverhead > b.size()) break;
+        const size_t n =
+            std::min<size_t>(b.size() - to,
+                             kFrameOverhead +
+                                 DecodeFixed32(&b[from + kFrameOverhead - 4]));
+        std::memmove(&b[to], &b[from], n);
+        break;
+      }
+      case 7: {  // a torn skip-commit: garbage on its new page, then a
+                 // stale page whose first frame carries an unwritten LSN
+        b.resize((b.size() + kPageSize - 1) / kPageSize * kPageSize, '\0');
+        b += rng->NextString(kPageSize);
+        std::string stale = Frame(unwritten_lsn, Wal::Op::kDelete, 0, "");
+        stale.resize(kPageSize, '\0');
+        b += stale;
+        break;
+      }
       default:  // a garbage page past the tail
         b += rng->NextString(kPageSize);
         break;
@@ -390,11 +470,13 @@ TEST(WalReplayFuzzTest, MutatedLogsReplayWrittenRecordsOrFailAsCorruption) {
 
   // Crash image: the data file and superblock as the checkpoint left them,
   // and a committed log of puts (trimmed images) and deletes after it.
+  // `commit_last_lsn` holds the last LSN each commit made durable.
   Rng rng(1293840000);
   constexpr int64_t kBaseRows = 40;
   constexpr int64_t kKeySpace = kBaseRows + 16;  // keys the log touches
   std::map<int64_t, Row> base;
   std::string data_image, sb_image, wal_image;
+  std::vector<uint64_t> commit_last_lsn;
   {
     ASSERT_OK_AND_ASSIGN(auto shard, Shard::Open(0, opts));
     for (int64_t k = 0; k < kBaseRows; ++k) {
@@ -418,6 +500,7 @@ TEST(WalReplayFuzzTest, MutatedLogsReplayWrittenRecordsOrFailAsCorruption) {
         }
       }
       ASSERT_OK(shard->CommitWal());
+      commit_last_lsn.push_back(shard->wal()->durable_lsn());
     }
     wal_image = ReadFile(wal_path);
     shard->SimulateCrashForTest();
@@ -426,18 +509,34 @@ TEST(WalReplayFuzzTest, MutatedLogsReplayWrittenRecordsOrFailAsCorruption) {
 
   // What was written: LSN -> record, and where each frame starts.
   std::map<uint64_t, LoggedRecord> written;
-  std::vector<size_t> frames;
+  LogLayout layout;
   {
     WriteFile(wal_path, wal_image);
     ASSERT_OK_AND_ASSIGN(auto tail, ScanLog(wal_path, 0));
-    size_t pos = 0;
-    for (auto& [lsn, rec] : tail) {
-      frames.push_back(pos);
-      pos += kFrameOverhead + rec.payload.size();
-      written.emplace(lsn, std::move(rec));
+    // Each commit's payload sizes; a commit with nothing to log wrote
+    // nothing.
+    std::vector<std::vector<size_t>> commits;
+    size_t next = 0;
+    for (uint64_t last : commit_last_lsn) {
+      std::vector<size_t> commit;
+      while (next < tail.size() && tail[next].first <= last) {
+        commit.push_back(tail[next].second.payload.size());
+        ++next;
+      }
+      if (!commit.empty()) commits.push_back(std::move(commit));
+    }
+    ASSERT_EQ(next, tail.size());
+    layout = LayOut(commits);
+    for (size_t i = 0; i < tail.size(); ++i) {
+      const size_t at = layout.frames[i];
+      ASSERT_LE(at + kFrameOverhead, wal_image.size());
+      ASSERT_EQ(DecodeFixed64(&wal_image[at + 8]), tail[i].first)
+          << "the layout rule places LSN " << tail[i].first << " at " << at;
+      written.emplace(tail[i].first, std::move(tail[i].second));
     }
     ASSERT_GE(written.size(), 30u);
     ASSERT_GT(wal_image.size(), kPageSize) << "the log should span pages";
+    ASSERT_FALSE(layout.gaps.empty()) << "some commit should skip a gap";
   }
   std::vector<Image> corpus;
   for (const auto& [k, row] : base) {
@@ -482,7 +581,7 @@ TEST(WalReplayFuzzTest, MutatedLogsReplayWrittenRecordsOrFailAsCorruption) {
     // Mostly, damage the log's bytes as a torn or misdirected write would.
     if (rng.Uniform(10) < 7) {
       std::string log = ReadFile(wal_path);
-      MutateLog(&log, frames, &rng);
+      MutateLog(&log, layout, logged.rbegin()->first + 1, &rng);
       WriteFile(wal_path, log);
     }
 

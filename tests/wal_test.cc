@@ -1,5 +1,7 @@
 // Durability unit tests: superblock double-buffering (torn-slot recovery),
-// WAL framing round trips, torn-tail truncation, the sticky failure model
+// WAL framing round trips, torn-tail truncation, the WAL's page layout (a
+// commit that does not fit the tail page starts on the next page; a torn
+// skip-commit replays only the acked prefix), the sticky failure model
 // under RLIMIT_FSIZE fault injection, log reset, and the engine-level ack
 // contract (a failed group commit fails the group's write tickets).
 
@@ -12,9 +14,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
+#include "common/rng.h"
+#include "obs/metrics.h"
 #include "shard/sharded_engine.h"
 #include "storage/superblock.h"
 #include "storage/wal.h"
@@ -275,6 +281,225 @@ TEST(WalTest, ResetReclaimsLogAndKeepsLsnSequence) {
   auto records = Drain(*wal);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].lsn, 7u);
+  std::remove(wal_path.c_str());
+}
+
+TEST(WalTest, OpenRejectsAPageSmallerThan512Bytes) {
+  TempFile file("wal_tiny_page");
+  WalOptions wo;
+  wo.page_size = 0;
+  auto opened = Wal::Open(Wal::PathFor(file.path()), wo);
+  EXPECT_TRUE(opened.status().IsInvalidArgument())
+      << opened.status().ToString();
+}
+
+// ---- Layout: one page per group commit ---------------------------------------
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << path;
+}
+
+bool AllZero(const std::string& bytes, size_t from, size_t to) {
+  for (size_t i = from; i < to; ++i) {
+    if (bytes[i] != '\0') return false;
+  }
+  return true;
+}
+
+/// Bytes a record with a payload of `n` bytes takes in the log.
+constexpr size_t FrameBytes(size_t n) { return 8 + 21 + n; }
+
+/// The wal.* counters of `wal`, read through a registry.
+MetricsSnapshot WalCounters(const Wal& wal) {
+  MetricsRegistry registry;
+  wal.RegisterMetrics(&registry, "wal.");
+  return registry.Snapshot();
+}
+
+TEST(WalLayoutTest, CommitThatDoesNotFitTheTailPageStartsOnTheNextPage) {
+  TempFile file("wal_layout");
+  const std::string wal_path = Wal::PathFor(file.path());
+  ASSERT_OK_AND_ASSIGN(auto wal, Wal::Open(wal_path, SmallWal()));
+  // 3,000 B fill most of page 0.
+  ASSERT_OK(wal->Append(Wal::Op::kPut, 1, Slice(std::string(2971, 'a')))
+                .status());
+  ASSERT_OK(wal->Commit());
+  ASSERT_EQ(wal->durable_bytes(), 3000u);
+  // 500 B fit the 1,096 B left: they start at the tail.
+  ASSERT_OK(wal->Append(Wal::Op::kPut, 2, Slice(std::string(471, 'b')))
+                .status());
+  ASSERT_OK(wal->Commit());
+  ASSERT_EQ(wal->durable_bytes(), 3500u);
+  // 1,200 B do not fit the 596 B left: they start at page 1.
+  ASSERT_OK(wal->Append(Wal::Op::kPut, 3, Slice(std::string(571, 'c')))
+                .status());
+  ASSERT_OK(wal->Append(Wal::Op::kPut, 4, Slice(std::string(571, 'd')))
+                .status());
+  ASSERT_OK(wal->Commit());
+  EXPECT_EQ(wal->durable_bytes(), 4096u + 1200u);
+
+  const std::string log = ReadFile(wal_path);
+  ASSERT_EQ(log.size(), 2 * 4096u);
+  EXPECT_TRUE(AllZero(log, 3500, 4096)) << "the skipped gap reads zero";
+  EXPECT_EQ(DecodeFixed32(log.data() + 4096), 21u + 571u)
+      << "the third commit's first frame starts page 1";
+  EXPECT_TRUE(AllZero(log, 4096 + 1200, log.size()));
+
+  const MetricsSnapshot m = WalCounters(*wal);
+  EXPECT_EQ(m.counters.at("wal.commits"), 3u);
+  EXPECT_EQ(m.counters.at("wal.commit_pages"), 3u);
+
+  auto records = Drain(*wal);
+  ASSERT_EQ(records.size(), 4u);
+  for (uint64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(records[i].lsn, i + 1);
+    EXPECT_EQ(records[i].key, i + 1);
+  }
+  std::remove(wal_path.c_str());
+}
+
+TEST(WalLayoutTest, CommitsOfUpToAPageWriteOnePageEachAndReplayInOrder) {
+  TempFile file("wal_one_page");
+  const std::string wal_path = Wal::PathFor(file.path());
+  Rng rng(28);
+  std::vector<ReplayedRecord> acked;
+  uint64_t commits = 0;
+  {
+    ASSERT_OK_AND_ASSIGN(auto wal, Wal::Open(wal_path, SmallWal()));
+    for (int c = 0; c < 300; ++c) {
+      // 1-8 records of 0-900 B, as many as fit one page.
+      size_t bytes = 0;
+      const int n = 1 + static_cast<int>(rng.Uniform(8));
+      for (int i = 0; i < n; ++i) {
+        const std::string payload = rng.NextString(rng.Uniform(901));
+        if (bytes + FrameBytes(payload.size()) > 4096) break;
+        bytes += FrameBytes(payload.size());
+        const uint64_t key = rng.Uniform(1000);
+        ASSERT_OK_AND_ASSIGN(uint64_t lsn,
+                             wal->Append(Wal::Op::kPut, key, Slice(payload)));
+        acked.push_back({lsn, Wal::Op::kPut, key, payload});
+      }
+      if (rng.Uniform(4) == 0) {
+        const uint64_t key = rng.Uniform(1000);
+        if (bytes + FrameBytes(0) <= 4096) {
+          ASSERT_OK_AND_ASSIGN(uint64_t lsn,
+                               wal->Append(Wal::Op::kDelete, key, Slice()));
+          acked.push_back({lsn, Wal::Op::kDelete, key, ""});
+        }
+      }
+      ASSERT_OK(wal->Commit());
+      ++commits;
+    }
+    const MetricsSnapshot m = WalCounters(*wal);
+    EXPECT_EQ(m.counters.at("wal.commits"), commits);
+    EXPECT_EQ(m.counters.at("wal.commit_pages"), commits);
+  }
+  ASSERT_OK_AND_ASSIGN(auto wal, Wal::Open(wal_path, SmallWal()));
+  auto records = Drain(*wal);
+  ASSERT_EQ(records.size(), acked.size());
+  for (size_t i = 0; i < acked.size(); ++i) {
+    EXPECT_EQ(records[i].lsn, acked[i].lsn);
+    EXPECT_EQ(records[i].op, acked[i].op);
+    EXPECT_EQ(records[i].key, acked[i].key);
+    EXPECT_EQ(records[i].payload, acked[i].payload);
+  }
+  EXPECT_EQ(wal->durable_lsn(), acked.back().lsn);
+  std::remove(wal_path.c_str());
+}
+
+TEST(WalLayoutTest, ReopenOverATornSkipCommitReplaysOnlyTheAckedPrefix) {
+  TempFile file("wal_torn_skip");
+  const std::string wal_path = Wal::PathFor(file.path());
+  const std::string big(1500, 'x');
+  // A log whose page 1 starts with the record that follows the acked
+  // prefix (LSN 3): the stale page a torn skip-commit can leave behind.
+  std::string stale_page;
+  {
+    ASSERT_OK_AND_ASSIGN(auto wal, Wal::Open(wal_path, SmallWal()));
+    for (uint64_t k = 1; k <= 2; ++k) {
+      ASSERT_OK(wal->Append(Wal::Op::kPut, k, Slice(big)).status());
+    }
+    ASSERT_OK(wal->Commit());
+    ASSERT_OK(wal->Append(Wal::Op::kPut, 3, Slice(big)).status());
+    ASSERT_OK(wal->Append(Wal::Op::kPut, 4, Slice(big)).status());
+    ASSERT_OK(wal->Commit());
+    const std::string log = ReadFile(wal_path);
+    ASSERT_EQ(log.size(), 2 * 4096u);
+    stale_page = log.substr(4096);
+  }
+  // The torn state: the acked page 0 (LSNs 1-2), garbage where the next
+  // commit's new page was being written, then the stale page.
+  const std::string acked_page = ReadFile(wal_path).substr(0, 4096);
+  Rng rng(2011);
+  const std::string torn = acked_page + rng.NextString(4096) + stale_page;
+  WriteFile(wal_path, torn);
+  {
+    ASSERT_OK_AND_ASSIGN(auto wal, Wal::Open(wal_path, SmallWal()));
+    auto records = Drain(*wal);
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records.back().lsn, 2u);
+    EXPECT_EQ(wal->durable_lsn(), 2u);
+    EXPECT_EQ(wal->next_lsn(), 3u);
+  }
+  EXPECT_EQ(ReadFile(wal_path), torn) << "an open that only replays writes";
+
+  // Later commits over the torn tail: one that fits the tail page, then
+  // one that does not. Both must replay after another reopen, and the
+  // stale page must not.
+  {
+    ASSERT_OK_AND_ASSIGN(auto wal, Wal::Open(wal_path, SmallWal()));
+    ASSERT_OK(wal->Append(Wal::Op::kPut, 30, Slice("fits")).status());
+    ASSERT_OK(wal->Commit());
+    const uint64_t tail = wal->durable_bytes();
+    const std::string log = ReadFile(wal_path);
+    ASSERT_EQ(log.size(), 4096u) << "the pages after the tail page go";
+    EXPECT_TRUE(AllZero(log, tail, log.size()));
+    ASSERT_OK(wal->Append(Wal::Op::kPut, 40, Slice(big)).status());
+    ASSERT_OK(wal->Append(Wal::Op::kPut, 41, Slice(big)).status());
+    ASSERT_OK(wal->Commit());
+    EXPECT_EQ(wal->durable_bytes(), 4096u + 2 * FrameBytes(big.size()));
+  }
+  ASSERT_OK_AND_ASSIGN(auto wal, Wal::Open(wal_path, SmallWal()));
+  auto records = Drain(*wal);
+  ASSERT_EQ(records.size(), 5u);
+  const uint64_t want_keys[] = {1, 2, 30, 40, 41};
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].lsn, i + 1);
+    EXPECT_EQ(records[i].key, want_keys[i]);
+  }
+  EXPECT_EQ(ReadFile(wal_path).size(), 2 * 4096u);
+  std::remove(wal_path.c_str());
+}
+
+TEST(WalLayoutTest, OpenThatOnlyReplaysLeavesTheFileByteIdentical) {
+  TempFile file("wal_read_only");
+  const std::string wal_path = Wal::PathFor(file.path());
+  {
+    ASSERT_OK_AND_ASSIGN(auto wal, Wal::Open(wal_path, SmallWal()));
+    for (uint64_t k = 0; k < 12; ++k) {
+      ASSERT_OK(wal->Append(Wal::Op::kPut, k, Slice(std::string(700, 'r')))
+                    .status());
+      if (k % 3 == 2) ASSERT_OK(wal->Commit());
+    }
+  }
+  std::string log = ReadFile(wal_path);
+  // Nonzero bytes past the tail, as a torn write leaves them.
+  log[log.size() - 5] = '\x7f';
+  WriteFile(wal_path, log);
+  for (int open = 0; open < 2; ++open) {
+    ASSERT_OK_AND_ASSIGN(auto wal, Wal::Open(wal_path, SmallWal()));
+    EXPECT_EQ(Drain(*wal).size(), 12u);
+    ASSERT_OK(wal->Commit());  // nothing pending: writes nothing either
+  }
+  EXPECT_EQ(ReadFile(wal_path), log);
   std::remove(wal_path.c_str());
 }
 
