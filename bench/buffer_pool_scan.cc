@@ -52,7 +52,7 @@
 //                        // BufferPool, under scan_disk./churn_disk./
 //                        // churn_buffer_pool. prefixes (scan_disk covers
 //                        // the last miss config)
-//   "io_backend_effective": "uring"|"threads",
+//   "io_backend_effective": "uring"|"sync",
 //   "speedup_8t_hit_vs_seed": <float>  // best pool hit mode vs seed pool,
 //                                      // one thread (the name is kept
 //                                      // for readers of older JSONs)
@@ -60,12 +60,11 @@
 // The top level also carries "git_sha": the commit the binary was
 // configured from (stamped by CMake at configure time).
 //
-// Flags: --frames=N --ops=N --batch=N
-// --io=auto|uring|threads (async I/O backend; "threads" forces the
-// preadv/pwritev worker-pool fallback) --flusher_us=N (churn phase: the
+// Flags: --frames=N --ops=N --batch=N --flusher_us=N (churn phase: the
 // client runs a flush pass between ops once this long has passed since the
 // last one, as a shard's worker does; 0 runs none). Any other argument, or
-// a value that does not parse, exits 2.
+// a value that does not parse, exits 2. NBLB_IO_BACKEND=auto|sync
+// picks the disks' I/O backend.
 
 #include <algorithm>
 #include <chrono>
@@ -220,11 +219,6 @@ int main(int argc, char** argv) {
   const uint64_t frames = flags.U64("frames", 4096);
   const uint64_t total_ops = flags.U64("ops", 1'000'000);
   const uint64_t batch = flags.U64("batch", 32);
-  const std::string io_flag = flags.Str("io", "auto");
-  if (io_flag != "auto" && io_flag != "uring" && io_flag != "threads") {
-    std::fprintf(stderr, "--io wants auto, uring or threads\n");
-    return 2;
-  }
   const uint64_t flusher_us = flags.U64("flusher_us", 1000);
   flags.Done();
   const size_t page_size = kDefaultPageSize;
@@ -233,13 +227,10 @@ int main(int argc, char** argv) {
 
   const std::string path = "/tmp/nblb_bench_bp_scan.db";
   std::remove(path.c_str());
-  AsyncIoOptions aio;
-  aio.backend = io_flag == "uring"     ? IoBackend::kUring
-                : io_flag == "threads" ? IoBackend::kThreads
-                                       : IoBackend::kAuto;
-  DiskManager disk(path, page_size, nullptr, /*direct_io=*/false, aio);
-  if (!disk.Open().ok()) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+  DiskManager disk(path, page_size, nullptr, /*direct_io=*/false);
+  if (const Status st = disk.Open(); !st.ok()) {
+    std::fprintf(stderr, "cannot open %s: %s\n", path.c_str(),
+                 st.ToString().c_str());
     return 1;
   }
   // Every counter is read through a registry; a config's counts are the
@@ -382,8 +373,7 @@ int main(int argc, char** argv) {
   const uint64_t churn_ops = std::max<uint64_t>(total_ops / 16, 1);
   const std::string churn_path = "/tmp/nblb_bench_bp_churn.db";
   std::remove(churn_path.c_str());
-  DiskManager churn_disk(churn_path, page_size, nullptr, /*direct_io=*/true,
-                         aio);
+  DiskManager churn_disk(churn_path, page_size, nullptr, /*direct_io=*/true);
   if (!churn_disk.Open().ok()) {
     std::fprintf(stderr, "cannot open %s\n", churn_path.c_str());
     return 1;
@@ -466,7 +456,6 @@ int main(int argc, char** argv) {
                "  \"page_size\": %zu,\n  \"frames\": %llu,\n"
                "  \"hit_pages\": %u,\n  \"miss_pages\": %u,\n"
                "  \"ops_per_config\": %llu,\n  \"batch_size\": %llu,\n"
-               "  \"io_backend\": \"%s\",\n"
                "  \"hit\": [\n",
 #ifdef NBLB_GIT_SHA
                NBLB_GIT_SHA,
@@ -475,7 +464,7 @@ int main(int argc, char** argv) {
 #endif
                page_size, static_cast<unsigned long long>(frames), hit_pages,
                miss_pages, static_cast<unsigned long long>(total_ops),
-               static_cast<unsigned long long>(batch), io_flag.c_str());
+               static_cast<unsigned long long>(batch));
   for (size_t i = 0; i < hit_results.size(); ++i) {
     const auto& r = hit_results[i];
     std::fprintf(f,
@@ -531,7 +520,7 @@ int main(int argc, char** argv) {
                metrics_json.c_str(),
                churn_disk.direct_io() ? 1 : 0,
                disk.io_backend_in_use() == IoBackend::kUring ? "uring"
-                                                             : "threads",
+                                                             : "sync",
                speedup);
   std::fclose(f);
   std::printf("wrote %s\n",

@@ -31,7 +31,7 @@
 //   "rows": <uint>, "lookups": <uint>, "batch_size": <uint>,
 //   "shards": <uint>, "workers": <uint>,
 //   "connections": <uint>, "pipeline_depth": <uint>, "inflight": <uint>,
-//   "engine_io_backend_effective": "uring"|"threads",
+//   "engine_io_backend_effective": "uring"|"sync",
 //   "inprocess": { "seconds", "ops_per_sec",
 //                  "p50_batch_ms", "p99_batch_ms", "errors" },
 //   "net": { "seconds", "ops_per_sec", "p50_batch_ms", "p99_batch_ms",
@@ -47,7 +47,7 @@
 // Flags: --rows=N --lookups=N --batch=N --conns=N --pipeline=N
 // --inflight=N --shards=N --workers=N --overload=0|1 (defaults below).
 // Any other argument, or a value that does not parse, exits 2.
-// NBLB_IO_BACKEND=uring|threads picks the engine's disk backend.
+// NBLB_IO_BACKEND=auto|sync picks the engine's disk backend.
 
 #include <algorithm>
 #include <atomic>
@@ -400,7 +400,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(conns),
       static_cast<unsigned long long>(pipeline),
       static_cast<unsigned long long>(inflight),
-      engine_uring ? "uring" : "threads", inproc.seconds, inproc.OpsPerSec(),
+      engine_uring ? "uring" : "sync", inproc.seconds, inproc.OpsPerSec(),
       inproc_p50, inproc_p99, static_cast<unsigned long long>(inproc.errors),
       net.seconds, net.ops_per_sec, net.p50_batch_ms, net.p99_batch_ms,
       static_cast<unsigned long long>(net.found),

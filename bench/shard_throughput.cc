@@ -111,7 +111,7 @@
 // --mixed_update=PCT --trace_every=N (sample 1-in-N
 // sub-batches for tracing; 0 disables, NBLB_OBS_OFF=1 overrides to off)
 // (defaults below); any other argument, or a value that does not parse,
-// exits 2. NBLB_IO_BACKEND=uring|threads picks the shards' async I/O
+// exits 2. NBLB_IO_BACKEND=auto|sync picks the shards' disk I/O
 // backend. The JSON gains "io_backend_effective" (what every shard
 // actually runs after runtime probing), "max_queue_depth" and
 // "trace_every".
@@ -673,7 +673,7 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(inflight),
                !results.empty() && results.front().uring_effective
                    ? "uring"
-                   : "threads",
+                   : "sync",
                static_cast<unsigned long long>(io.max_queue),
                static_cast<unsigned long long>(io.trace_every),
                static_cast<unsigned long long>(run_mixed ? mixed_ops : 0),

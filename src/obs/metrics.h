@@ -1,8 +1,8 @@
 // MetricsRegistry: one named catalogue over the engine's hand-rolled stats.
 //
 // Design: components keep owning their counters as plain relaxed atomics —
-// the update path stays exactly as cheap as before (one relaxed fetch_add,
-// no indirection, no locks). The registry only stores *pointers* (or reader
+// the update path stays exactly as cheap as before (one relaxed add, no
+// indirection, no locks). The registry only stores *pointers* (or reader
 // callbacks) under stable dotted names, so registration is a one-time,
 // mutex-guarded step at component construction and the hot path never sees
 // the registry at all.
@@ -42,6 +42,14 @@ namespace nblb {
 /// trace sampling and flight recording; the metrics registry itself stays on
 /// (its cost is registration-time only).
 bool ObsEnabled();
+
+/// \brief Adds `n` to a counter that one owner thread writes and a registry
+/// reader on another thread reads: a plain relaxed load and store, no locked
+/// read-modify-write. BufferPool and DiskManager count this way.
+inline void Bump(std::atomic<uint64_t>& counter, uint64_t n = 1) {
+  counter.store(counter.load(std::memory_order_relaxed) + n,
+                std::memory_order_relaxed);
+}
 
 /// \brief Plain-data copy of every registered metric at one point in time.
 struct MetricsSnapshot {

@@ -61,12 +61,13 @@
 // its flush passes (Shard::FlushIfDue, after each service group), so no
 // other thread touches a shard's pool while the engine runs: Open hands
 // each shard to its worker at thread start, and the destructor takes it
-// back at join (the buffer pool has one owner at a time and no locks; see
-// storage/buffer_pool.h). The only cross-thread state is the
-// shard queues and the atomic ticket bookkeeping. Completion callbacks run
-// on the worker that retires a ticket's last sub-batch, so the engine
-// starts no threads but its workers (and, under the preadv fallback, each
-// DiskManager's io pool).
+// back at join (the buffer pool and its DiskManager have one owner at a
+// time and no locks; see storage/buffer_pool.h and
+// storage/disk_manager.h). The worker does its shards' disk I/O itself, on
+// either backend. The only cross-thread state is the shard queues and the
+// atomic ticket bookkeeping. Completion callbacks run on the worker that
+// retires a ticket's last sub-batch, so the engine starts no threads but
+// its workers.
 //
 // Counters: read them through MetricsSnapshotNow() ("engine.*",
 // "trace.*" and every shard's "shard<i>.*"); subtract two snapshots to

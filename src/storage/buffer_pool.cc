@@ -243,10 +243,7 @@ Status BufferPool::WriteBackBatch(std::vector<Claim>* claims) {
     ids.push_back(c->old_id);
     srcs.push_back(frames_[c->frame].data);
   }
-  DiskManager::IoTicket ticket;
-  NBLB_RETURN_NOT_OK(
-      disk_->SubmitWrites(ids.data(), srcs.data(), ids.size(), &ticket));
-  NBLB_RETURN_NOT_OK(disk_->WaitWrites(&ticket));
+  NBLB_RETURN_NOT_OK(disk_->WritePages(ids.data(), srcs.data(), ids.size()));
   for (Claim* c : wb) c->writeback = false;
   Bump(dirty_writebacks_, wb.size());
   Bump(evictions_, wb.size());
@@ -272,10 +269,7 @@ Status BufferPool::WriteFrames(std::vector<uint32_t>* targets, size_t* runs) {
     ids.push_back(f.id);
     srcs.push_back(f.data);
   }
-  DiskManager::IoTicket ticket;
-  Status ws = disk_->SubmitWrites(ids.data(), srcs.data(), ids.size(),
-                                  &ticket);
-  if (ws.ok()) ws = disk_->WaitWrites(&ticket);
+  const Status ws = disk_->WritePages(ids.data(), srcs.data(), ids.size());
   if (!ws.ok()) {
     // Which pages landed is unknown, so every one stays dirty and a later
     // pass, eviction or FlushAll retries (a clean page written twice is
@@ -375,8 +369,8 @@ Result<BufferPool::BatchFetch> BufferPool::StartFetchPages(
   // Displaced dirty pages go back to disk before the miss reads are
   // submitted: a claimed frame's buffer still holds the displaced page
   // until its read overwrites it, so every write-back must LAND before any
-  // read into the same frames goes out. The victims fly as one batched
-  // async group, and the barrier is its single WaitWrites.
+  // read into the same frames goes out. The victims go out as one
+  // WritePages batch, which returns once every one of them has landed.
   if (error.ok()) error = WriteBackBatch(&bf.claims);
   if (error.ok()) {
     std::sort(bf.claims.begin(), bf.claims.end(),
@@ -456,7 +450,7 @@ Status BufferPool::FlushPage(PageId id) {
 
 Status BufferPool::FlushAll() {
   // Every dirty frame, pinned or not — a checkpoint flushes everything —
-  // drains as one sorted async group. The caller's single fsync behind
+  // drains as one sorted WritePages batch. The caller's single fsync behind
   // this (Database::Checkpoint) is the group fsync: one barrier for the
   // whole drain instead of per-page write+sync interleavings.
   std::vector<uint32_t> targets;
@@ -512,8 +506,8 @@ Result<size_t> BufferPool::FlushColdPages() {
     const Frame& f = frames_[i];
     if (f.dirty && f.pins == 0 && f.usage == 0) targets.push_back(i);
   }
-  // The whole pass drains as ONE sorted async group: every contiguous dirty
-  // run is a vectored write and every run is at the device at once. No
+  // The whole pass drains as ONE sorted WritePages batch: every contiguous
+  // dirty run is a vectored write, all at the device at once on io_uring. No
   // fsync: a pass only pre-cleans eviction victims; durability is the
   // WAL's and Checkpoint's.
   size_t runs = 0;

@@ -27,22 +27,25 @@
 //     frame is read into. If that write fails, the page is mapped back
 //     (dirty, unpinned) and the fetch returns the error: the frame still
 //     holds the page's bytes, so nothing is lost.
-//   - FetchPages() submits its misses as one async read group
-//     (DiskManager::SubmitReads — io_uring or the preadv thread fallback):
-//     one vectored op per contiguous run, every run in flight at the device
-//     at once. StartFetchPages/FinishFetchPages expose the two halves so a
-//     caller (HeapFile::GetBatch) can overlap work with the I/O.
+//   - FetchPages() submits its misses as one read group
+//     (DiskManager::SubmitReads): one vectored op per contiguous run, every
+//     run in flight at the device at once on io_uring (the synchronous
+//     fallback reads them one after another inside the submit).
+//     StartFetchPages/FinishFetchPages expose the two halves so a caller
+//     (HeapFile::GetBatch) can overlap work with the I/O.
 //   - A flush pass (FlushColdPages, which a shard's worker runs between
 //     service groups) pre-cleans the frames the CLOCK sweep will evict
 //     next — unpinned, dirty, usage 0 — so eviction mostly finds clean
 //     victims. Hot pages stay dirty until the sweep ages them, until
 //     eviction, or until FlushAll (Checkpoint, close). A pass never
 //     fsyncs: it is not a durability mechanism. The pool starts no thread.
-//   - Write-back is batched and asynchronous (flush passes, dirty eviction
-//     victims in StartFetchPages, FlushAll/Checkpoint): a dirty set drains
-//     sorted through DiskManager::SubmitWrites straight from the frames —
-//     one vectored op per contiguous run, all runs at the device at once —
-//     with a single fsync behind a checkpoint drain (group fsync).
+//   - Write-back is batched (flush passes, dirty eviction victims in
+//     StartFetchPages, FlushAll/Checkpoint): a dirty set drains sorted
+//     through one blocking DiskManager::WritePages straight from the
+//     frames — one vectored op per contiguous run, all runs at the device
+//     at once on io_uring — with a single fsync behind a checkpoint drain
+//     (group fsync). The pool's owner thread also drives its DiskManager
+//     and does all of its I/O.
 
 #pragma once
 
@@ -237,13 +240,6 @@ class BufferPool {
     PageId old_id = kInvalidPageId;  // displaced dirty page
     bool writeback = false;          // old_id's bytes are not on disk yet
   };
-
-  /// Owner-only add to a counter that other threads read: a plain load and
-  /// store, no locked read-modify-write.
-  static void Bump(std::atomic<uint64_t>& counter, uint64_t n = 1) {
-    counter.store(counter.load(std::memory_order_relaxed) + n,
-                  std::memory_order_relaxed);
-  }
 
   // Page table: linear probing, backshift deletion, load factor <= 0.5.
   uint32_t TableFind(PageId id) const;

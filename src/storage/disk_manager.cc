@@ -2,7 +2,7 @@
 
 #include <fcntl.h>
 #include <limits.h>
-#include <pthread.h>
+#include <sched.h>
 #include <sys/stat.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "common/logging.h"
 #include "obs/event_ring.h"
@@ -22,9 +23,9 @@ namespace nblb {
 namespace {
 /// Cap on iovecs per preadv (the kernel's IOV_MAX is typically 1024).
 constexpr size_t kMaxIov = IOV_MAX < 1024 ? IOV_MAX : 1024;
-/// Worker threads of the preadv/pwritev fallback backend (started lazily
-/// on the first async submission when that backend is in use).
-constexpr size_t kIoThreads = 4;
+/// io_uring submission slots; the kernel sizes the completion queue at
+/// twice that, which caps the ops in flight.
+constexpr unsigned kRingEntries = 64;
 
 /// Advances the iovec cursor `*pos` past `transferred` bytes, trimming a
 /// partially filled entry in place. Partial transfers land on a page
@@ -47,102 +48,47 @@ void AdvanceIov(struct iovec* iov, size_t n, size_t* pos,
 
 namespace internal {
 
-/// Completion state shared by one SubmitReads group, its in-flight
-/// OpRecords, and the caller's IoTicket. The ticket and every op hold a
-/// shared_ptr, so a ticket dropped mid-flight keeps the state alive until
-/// the last completion lands.
+/// Completion state of one submitted batch, shared by the caller's ticket
+/// and its in-flight io_uring ops, so a ticket dropped mid-flight keeps it
+/// alive until the owner reaps the last op.
 struct IoGroup {
-  std::atomic<uint32_t> remaining{0};
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;   // under mu; set when remaining hits zero
-  Status error;        // under mu; first failure wins
+  size_t runs = 0;  ///< io_uring ops in flight
+  Status error;     ///< first failure wins
 };
 
 }  // namespace internal
 
 using internal::IoGroup;
 
-/// One in-flight async op: a contiguous run of pages read with a single
+/// One in-flight io_uring op: a contiguous run of pages moved with a single
 /// vectored transfer. The iovec array lives here so it survives until the
-/// kernel (or the worker thread) is done with it.
+/// kernel is done with it.
 struct DiskManager::OpRecord {
   std::shared_ptr<IoGroup> group;
-  std::vector<struct iovec> iov;
+  std::vector<struct iovec> iov;  ///< one entry per page
   PageId first_id = kInvalidPageId;
-  size_t pages = 0;
-  /// Direction: false = readv into the iov buffers, true = writev from
-  /// them. Set before publish; read by completion/worker threads after.
   bool is_write = false;
-  /// Release-stored by the submitter after the fields above are final,
-  /// acquire-loaded by whichever thread reaps the completion. The kernel's
-  /// ring barriers already order these in practice; this makes the edge
-  /// visible to ThreadSanitizer (different threads may submit and reap).
-  std::atomic<bool> published{false};
 };
 
 DiskManager::DiskManager(std::string path, size_t page_size,
-                         LatencyModel* latency, bool direct_io,
-                         AsyncIoOptions aio)
+                         LatencyModel* latency, bool direct_io)
     : path_(std::move(path)),
       page_size_(page_size),
       latency_(latency),
-      direct_io_(direct_io),
-      aio_(aio) {
+      direct_io_(direct_io) {
   NBLB_CHECK(page_size_ >= 512);
   // O_DIRECT transfers must be logical-block aligned in offset, length, and
   // memory; requiring a 4096-multiple page covers every common block size.
   if (direct_io_) NBLB_CHECK(page_size_ % 4096 == 0);
-  if (aio_.queue_depth == 0) aio_.queue_depth = 1;
 }
 
 DiskManager::~DiskManager() {
-  DrainAsync();
-  {
-    std::lock_guard<std::mutex> lk(tp_mu_);
-    tp_stop_ = true;
-  }
-  tp_cv_.notify_all();
-  for (std::thread& t : tp_threads_) {
-    if (t.joinable()) t.join();
-  }
-  if (fd_ >= 0) {
-    ::close(fd_);
-  }
-  for (char* buf : bounce_overflow_) std::free(buf);
-  std::free(bounce_arena_);
-}
-
-char* DiskManager::AcquireBounce() {
-  {
-    std::lock_guard<std::mutex> lk(bounce_mu_);
-    if (!bounce_free_.empty()) {
-      char* buf = bounce_free_.back();
-      bounce_free_.pop_back();
-      return buf;
-    }
-  }
-  // Arena exhausted (or never allocated — buffered mode): one-off aligned
-  // allocation that joins the free list on release and is owned by
-  // bounce_overflow_ for the destructor.
-  void* mem = nullptr;
-  NBLB_CHECK_MSG(::posix_memalign(&mem, 4096, page_size_) == 0,
-                 "posix_memalign failed for bounce buffer");
-  {
-    std::lock_guard<std::mutex> lk(bounce_mu_);
-    bounce_overflow_.push_back(static_cast<char*>(mem));
-  }
-  return static_cast<char*>(mem);
-}
-
-void DiskManager::ReleaseBounce(char* buf) {
-  std::lock_guard<std::mutex> lk(bounce_mu_);
-  bounce_free_.push_back(buf);
+  Close();
+  std::free(stage_);
 }
 
 void DiskManager::Charge(PageId id, bool write) {
   if (latency_ == nullptr) return;
-  LatchGuard g(latency_mu_);
   if (write) {
     latency_->ChargeWrite(id, page_size_);
   } else {
@@ -151,6 +97,20 @@ void DiskManager::Charge(PageId id, bool write) {
 }
 
 Status DiskManager::Open() {
+  // An unknown backend name fails here rather than silently running a
+  // backend the caller did not ask for.
+  const char* env = std::getenv("NBLB_IO_BACKEND");
+  const std::string want = env != nullptr ? env : "";
+  if (!want.empty() && want != "auto" && want != "sync") {
+    return Status::InvalidArgument("NBLB_IO_BACKEND=" + want +
+                                   ": want auto or sync");
+  }
+  if (stage_ == nullptr) {
+    void* mem = nullptr;
+    NBLB_CHECK_MSG(::posix_memalign(&mem, 4096, page_size_) == 0,
+                   "posix_memalign failed for the staging page");
+    stage_ = static_cast<char*>(mem);
+  }
   if (direct_io_) {
     fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_DIRECT, 0644);
     if (fd_ < 0) {
@@ -183,64 +143,21 @@ Status DiskManager::Open() {
   if (st.st_size % static_cast<off_t>(page_size_) != 0) {
     return Status::Corruption("file size is not a multiple of page size");
   }
-  num_pages_.store(
-      static_cast<PageId>(st.st_size / static_cast<off_t>(page_size_)),
-      std::memory_order_relaxed);
+  num_pages_ = static_cast<PageId>(st.st_size / static_cast<off_t>(page_size_));
 
-  // Direct mode stages unaligned transfers through bounce buffers; carve
-  // them all out of ONE aligned arena up front instead of a posix_memalign
-  // per first-use (the old scheme allocated on every pool-empty acquire).
-  if (direct_io_ && bounce_arena_ == nullptr) {
-    void* mem = nullptr;
-    NBLB_CHECK_MSG(
-        ::posix_memalign(&mem, 4096, kBounceSlots * page_size_) == 0,
-        "posix_memalign failed for bounce arena");
-    bounce_arena_ = static_cast<char*>(mem);
-    std::lock_guard<std::mutex> lk(bounce_mu_);
-    bounce_free_.reserve(kBounceSlots);
-    for (size_t i = kBounceSlots; i > 0; --i) {
-      bounce_free_.push_back(bounce_arena_ + (i - 1) * page_size_);
-    }
+  // io_uring where it is built in and the kernel allows it (the stub
+  // IoRing of a build without it never comes up), unless sync was asked
+  // for.
+  backend_in_use_ = IoBackend::kSync;
+  if (want != "sync") {
+    ring_ = IoRing::TryCreate(kRingEntries);
+    if (ring_ != nullptr) backend_in_use_ = IoBackend::kUring;
   }
-
-  // Resolve the async backend. NBLB_IO_BACKEND=threads|uring overrides the
-  // option so CI (and operators) can force either path without a rebuild;
-  // any other value ("auto" included) leaves the option alone, so a caller
-  // that asked for kThreads keeps it.
-  IoBackend want = aio_.backend;
-  if (const char* env = std::getenv("NBLB_IO_BACKEND")) {
-    if (std::strcmp(env, "threads") == 0) {
-      want = IoBackend::kThreads;
-    } else if (std::strcmp(env, "uring") == 0) {
-      want = IoBackend::kUring;
-    }
-  }
-  backend_in_use_ = IoBackend::kThreads;
-#if NBLB_HAVE_IO_URING
-  if (want != IoBackend::kThreads) {
-    ring_ = IoRing::TryCreate(static_cast<unsigned>(aio_.queue_depth));
-    if (ring_ != nullptr) {
-      backend_in_use_ = IoBackend::kUring;
-    } else if (want == IoBackend::kUring) {
-      std::fprintf(stderr,
-                   "nblb: io_uring unavailable at runtime; using the preadv "
-                   "thread fallback for %s\n",
-                   path_.c_str());
-    }
-  }
-#else
-  if (want == IoBackend::kUring) {
-    std::fprintf(stderr,
-                 "nblb: built without io_uring support; using the preadv "
-                 "thread fallback for %s\n",
-                 path_.c_str());
-  }
-#endif
   return Status::OK();
 }
 
 Status DiskManager::Close() {
-  DrainAsync();
+  while (uring_inflight_ > 0) ReapSome();
   if (fd_ >= 0) {
     if (::close(fd_) != 0) {
       fd_ = -1;
@@ -253,31 +170,23 @@ Status DiskManager::Close() {
 
 Status DiskManager::ReadPage(PageId id, char* out) {
   if (fd_ < 0) return Status::IOError("disk manager not open");
-  if (id >= num_pages()) {
+  if (id >= num_pages_) {
     return Status::OutOfRange("read past end of file: page " +
                               std::to_string(id));
   }
   const off_t off = static_cast<off_t>(id) * static_cast<off_t>(page_size_);
   // Direct I/O needs an aligned destination. The BufferPool's frame arena is
-  // aligned, so the common path transfers straight in; unaligned callers are
-  // staged through a pooled bounce buffer (the memcpy is noise next to a
-  // real device access).
-  char* bounce = nullptr;
-  char* dst = out;
-  if (direct_io_ && !Aligned(out)) {
-    bounce = AcquireBounce();
-    dst = bounce;
-  }
-  const ssize_t n = ::pread(fd_, dst, page_size_, off);
-  if (n != static_cast<ssize_t>(page_size_)) {
-    if (bounce != nullptr) ReleaseBounce(bounce);
+  // aligned, so the common path transfers straight in; an unaligned caller
+  // is staged through the staging page (the memcpy is noise next to a real
+  // device access).
+  const bool staged = direct_io_ && !Aligned(out);
+  char* dst = staged ? stage_ : out;
+  if (::pread(fd_, dst, page_size_, off) !=
+      static_cast<ssize_t>(page_size_)) {
     return Status::IOError("short read on page " + std::to_string(id));
   }
-  if (bounce != nullptr) {
-    std::memcpy(out, bounce, page_size_);
-    ReleaseBounce(bounce);
-  }
-  counters_.reads.fetch_add(1, std::memory_order_relaxed);
+  if (staged) std::memcpy(out, stage_, page_size_);
+  Bump(counters_.reads);
   Charge(id, /*write=*/false);
   return Status::OK();
 }
@@ -308,139 +217,81 @@ Status DiskManager::ResumeRunSync(struct iovec* iov, size_t n,
   return Status::OK();
 }
 
-Status DiskManager::ReadRunSync(PageId first_id, struct iovec* iov,
-                                size_t run) {
-  return ResumeRunSync(iov, run, /*iov_pos=*/0,
-                       static_cast<off_t>(first_id) *
-                           static_cast<off_t>(page_size_),
-                       run * page_size_, first_id, /*is_write=*/false);
-}
-
-Status DiskManager::WriteRunSync(PageId first_id, struct iovec* iov,
-                                 size_t run) {
-  return ResumeRunSync(iov, run, /*iov_pos=*/0,
-                       static_cast<off_t>(first_id) *
-                           static_cast<off_t>(page_size_),
-                       run * page_size_, first_id, /*is_write=*/true);
-}
-
 // ---------------------------------------------------------------------------
-// Async engine (reads and writes share the submission/completion machinery)
+// Batched reads and writes
 // ---------------------------------------------------------------------------
 
-void DiskManager::CompleteOp(OpRecord* op, Status status) {
+void DiskManager::FinishRun(IoGroup* group, PageId first_id, size_t pages,
+                            bool is_write, Status status) {
   if (!status.ok()) {
-    RecordFlightEvent(FlightEvent::kIoError, op->first_id, op->pages);
-  }
-  if (status.ok()) {
-    if (op->is_write) {
-      counters_.writes.fetch_add(op->pages, std::memory_order_relaxed);
-    } else {
-      counters_.reads.fetch_add(op->pages, std::memory_order_relaxed);
-      if (op->pages > 1) {
-        counters_.vectored_reads.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    for (size_t k = 0; k < op->pages; ++k) {
-      Charge(op->first_id + static_cast<PageId>(k), op->is_write);
-    }
-  }
-  std::shared_ptr<IoGroup> group = std::move(op->group);
-  delete op;
-  if (!status.ok()) {
-    std::lock_guard<std::mutex> lk(group->mu);
+    RecordFlightEvent(FlightEvent::kIoError, first_id, pages);
     if (group->error.ok()) group->error = std::move(status);
+    return;
   }
-  // acq_rel: the release half publishes this op's page bytes (and error)
-  // to whoever observes remaining == 0; the acquire half orders the final
-  // decrementer after every other op.
-  if (group->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lk(group->mu);
-    group->done = true;
-    group->cv.notify_all();
+  if (is_write) {
+    Bump(counters_.writes, pages);
+  } else {
+    Bump(counters_.reads, pages);
+    if (pages > 1) Bump(counters_.vectored_reads);
+  }
+  for (size_t k = 0; k < pages; ++k) {
+    Charge(first_id + static_cast<PageId>(k), is_write);
   }
 }
 
-void DiskManager::CompleteOpRaw(OpRecord* op, int32_t res) {
+void DiskManager::CompleteOp(OpRecord* op, int32_t res) {
+  const size_t pages = op->iov.size();
+  const size_t expected = pages * page_size_;
   Status st;
   if (res < 0) {
     st = Status::IOError(std::string("async ") +
                          (op->is_write ? "write" : "read") +
                          " failed at page " + std::to_string(op->first_id) +
                          ": " + std::strerror(-res));
-  } else {
-    const size_t expected = op->pages * page_size_;
+  } else if (static_cast<size_t>(res) < expected) {
+    // Short transfer (legal for the kernel, rare for regular files): finish
+    // the remainder synchronously, reusing the same iovecs. A mid-page cut
+    // just leaves a trimmed partial iovec to resume from.
     const size_t got = static_cast<size_t>(res);
-    if (got < expected) {
-      // Short transfer (legal for the kernel, rare for regular files):
-      // finish the remainder synchronously, reusing the same iovecs. A
-      // mid-page cut just leaves a trimmed partial iovec to resume from.
-      size_t iov_pos = 0;
-      AdvanceIov(op->iov.data(), op->iov.size(), &iov_pos, got);
-      st = ResumeRunSync(op->iov.data(), op->iov.size(), iov_pos,
-                         static_cast<off_t>(op->first_id) *
-                                 static_cast<off_t>(page_size_) +
-                             static_cast<off_t>(got),
-                         expected - got, op->first_id, op->is_write);
-    }
+    size_t iov_pos = 0;
+    AdvanceIov(op->iov.data(), pages, &iov_pos, got);
+    st = ResumeRunSync(op->iov.data(), pages, iov_pos,
+                       static_cast<off_t>(op->first_id) *
+                               static_cast<off_t>(page_size_) +
+                           static_cast<off_t>(got),
+                       expected - got, op->first_id, op->is_write);
   }
-  CompleteOp(op, std::move(st));
+  FinishRun(op->group.get(), op->first_id, pages, op->is_write,
+            std::move(st));
+  --op->group->runs;
+  delete op;
 }
 
-size_t DiskManager::ReapUringLocked() {
-#if NBLB_HAVE_IO_URING
+void DiskManager::FlushRing() {
+  // The pushed sqes sit in the ring, so the flush must eventually succeed:
+  // failing the batch would leave them to a later flush, which would then
+  // complete freed OpRecords. io_uring_enter's EAGAIN and ENOMEM (kernel
+  // memory pressure) are retryable by contract, so they are backpressure;
+  // anything else is a broken ring and a programming error.
+  for (;;) {
+    const int r = ring_->Flush();
+    if (r == 0) return;
+    NBLB_CHECK_MSG(r == -EAGAIN || r == -ENOMEM,
+                   "io_uring submission failed irrecoverably");
+    sched_yield();
+  }
+}
+
+void DiskManager::ReapSome() {
   IoRing::Cqe cqes[64];
-  size_t total = 0;
-  for (;;) {
-    const size_t n = ring_->Reap(cqes, 64);
-    if (n == 0) break;
-    total += n;
-    uring_inflight_.fetch_sub(n, std::memory_order_relaxed);
-    for (size_t i = 0; i < n; ++i) {
-      OpRecord* op = reinterpret_cast<OpRecord*>(cqes[i].user_data);
-      // Pairs with the submitter's release store; see OpRecord::published.
-      // A cqe implies the sqe was flushed, which happens strictly after
-      // the publish store, so this spin is a handful of iterations at
-      // most — the yield just keeps a single-vCPU box from burning a
-      // timeslice inside cq_mu_.
-      while (!op->published.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-      CompleteOpRaw(op, cqes[i].res);
-    }
+  size_t n = ring_->Reap(cqes, 64);
+  if (n == 0) {
+    ring_->WaitCqe();
+    n = ring_->Reap(cqes, 64);
   }
-  return total;
-#else
-  return 0;
-#endif
-}
-
-void DiskManager::EnsureIoThreads() {
-  std::lock_guard<std::mutex> lk(tp_mu_);
-  if (!tp_threads_.empty()) return;
-  tp_threads_.reserve(kIoThreads);
-  for (size_t i = 0; i < kIoThreads; ++i) {
-    tp_threads_.emplace_back([this] { IoThreadLoop(); });
-  }
-}
-
-void DiskManager::IoThreadLoop() {
-  pthread_setname_np(pthread_self(), "nblb-io");
-  for (;;) {
-    OpRecord* op = nullptr;
-    {
-      std::unique_lock<std::mutex> lk(tp_mu_);
-      tp_cv_.wait(lk, [this] { return tp_stop_ || !tp_queue_.empty(); });
-      if (tp_queue_.empty()) return;  // stop requested and drained
-      op = tp_queue_.front();
-      tp_queue_.pop_front();
-    }
-    Status st =
-        op->is_write
-            ? WriteRunSync(op->first_id, op->iov.data(), op->iov.size())
-            : ReadRunSync(op->first_id, op->iov.data(), op->iov.size());
-    CompleteOp(op, std::move(st));
-    tp_inflight_.fetch_sub(1, std::memory_order_release);
+  uring_inflight_ -= n;
+  for (size_t i = 0; i < n; ++i) {
+    CompleteOp(reinterpret_cast<OpRecord*>(cqes[i].user_data), cqes[i].res);
   }
 }
 
@@ -449,13 +300,15 @@ Status DiskManager::SubmitReads(const PageId* ids, char* const* dsts,
   return SubmitBatch(ids, dsts, n, /*is_write=*/false, ticket);
 }
 
-Status DiskManager::SubmitWrites(const PageId* ids, const char* const* srcs,
-                                 size_t n, IoTicket* ticket) {
+Status DiskManager::WritePages(const PageId* ids, const char* const* srcs,
+                               size_t n) {
   // The iovec ABI is direction-agnostic (iov_base is void* either way) and
-  // SubmitBatch never dereferences the buffers itself; writes only read
-  // from them, so shedding the const here is safe.
-  return SubmitBatch(ids, const_cast<char* const*>(srcs), n,
-                     /*is_write=*/true, ticket);
+  // SubmitBatch never writes through a write's buffers, so shedding the
+  // const here is safe. WaitReads harvests a group of either direction.
+  IoTicket ticket;
+  NBLB_RETURN_NOT_OK(SubmitBatch(ids, const_cast<char* const*>(srcs), n,
+                                 /*is_write=*/true, &ticket));
+  return WaitReads(&ticket);
 }
 
 Status DiskManager::SubmitBatch(const PageId* ids, char* const* bufs,
@@ -464,34 +317,28 @@ Status DiskManager::SubmitBatch(const PageId* ids, char* const* bufs,
   ticket->group_.reset();
   if (n == 0) return Status::OK();
   if (fd_ < 0) return Status::IOError("disk manager not open");
-  const PageId np = num_pages();
   for (size_t i = 0; i < n; ++i) {
-    if (ids[i] >= np) {
+    if (ids[i] >= num_pages_) {
       return Status::OutOfRange(std::string(is_write ? "write" : "read") +
                                 " past end of file: page " +
                                 std::to_string(ids[i]));
     }
     NBLB_DCHECK(i == 0 || ids[i] > ids[i - 1]);
   }
-  if (is_write) {
-    counters_.async_write_batches.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    counters_.async_batches.fetch_add(1, std::memory_order_relaxed);
-  }
+  Bump(is_write ? counters_.async_write_batches : counters_.async_batches);
 
   auto group = std::make_shared<IoGroup>();
-  std::vector<OpRecord*> ops;
-  Status sync_error;  // first failure among synchronously-served pages
+  const bool uring = backend_in_use_ == IoBackend::kUring;
   size_t i = 0;
   while (i < n) {
     // In direct mode every buffer of a vectored transfer must be aligned;
-    // an unaligned buffer is served synchronously through the bounce path
+    // an unaligned buffer is served on its own through the staging page
     // right here (the BufferPool's arenas are always aligned, so this only
     // triggers for ad-hoc callers).
     if (direct_io_ && !Aligned(bufs[i])) {
       Status st = is_write ? WritePage(ids[i], bufs[i])
                            : ReadPage(ids[i], bufs[i]);
-      if (!st.ok() && sync_error.ok()) sync_error = st;
+      if (!st.ok() && group->error.ok()) group->error = std::move(st);
       ++i;
       continue;
     }
@@ -501,231 +348,110 @@ Status DiskManager::SubmitBatch(const PageId* ids, char* const* bufs,
       ++j;
     }
     const size_t run = j - i;
-    OpRecord* op = new OpRecord();
-    op->group = group;
-    op->first_id = ids[i];
-    op->pages = run;
-    op->is_write = is_write;
-    op->iov.resize(run);
-    for (size_t k = 0; k < run; ++k) {
-      op->iov[k].iov_base = bufs[i + k];
-      op->iov[k].iov_len = page_size_;
-    }
-    ops.push_back(op);
     if (is_write) {
-      counters_.async_writes.fetch_add(run, std::memory_order_relaxed);
-      counters_.write_runs.fetch_add(1, std::memory_order_relaxed);
+      Bump(counters_.async_writes, run);
+      Bump(counters_.write_runs);
     } else {
-      counters_.async_reads.fetch_add(run, std::memory_order_relaxed);
+      Bump(counters_.async_reads, run);
     }
+    std::vector<struct iovec> iov(run);
+    for (size_t k = 0; k < run; ++k) {
+      iov[k].iov_base = bufs[i + k];
+      iov[k].iov_len = page_size_;
+    }
+    const off_t off =
+        static_cast<off_t>(ids[i]) * static_cast<off_t>(page_size_);
+    if (!uring) {
+      FinishRun(group.get(), ids[i], run, is_write,
+                ResumeRunSync(iov.data(), run, /*iov_pos=*/0, off,
+                              run * page_size_, ids[i], is_write));
+      i = j;
+      continue;
+    }
+    // Keep the ops in flight below the completion queue's capacity, so
+    // completions cannot overflow. At the cap, flush first, so a wait for
+    // a completion never sleeps on sqes the kernel has not received. The
+    // flush is defensive: the kernel sizes the completion queue at twice
+    // the submission queue, and a push into a full submission queue
+    // flushes, so at the cap at least half of the ops in flight are
+    // already in the kernel.
+    while (uring_inflight_ >= ring_->cq_capacity()) {
+      FlushRing();
+      ReapSome();
+    }
+    OpRecord* op = new OpRecord{group, std::move(iov), ids[i], is_write};
+    const unsigned nr = static_cast<unsigned>(run);
+    const uint64_t ud = reinterpret_cast<uint64_t>(op);
+    while (!(is_write ? ring_->PushWritev(fd_, op->iov.data(), nr, off, ud)
+                      : ring_->PushReadv(fd_, op->iov.data(), nr, off, ud))) {
+      FlushRing();  // the submission queue is full
+    }
+    ++uring_inflight_;
+    ++group->runs;
     i = j;
   }
-
-  {
-    std::lock_guard<std::mutex> lk(group->mu);
-    group->error = sync_error;
-  }
-  if (ops.empty()) {
-    std::lock_guard<std::mutex> lk(group->mu);
-    group->done = true;
-    ticket->group_ = std::move(group);
-    return Status::OK();
-  }
-  group->remaining.store(static_cast<uint32_t>(ops.size()),
-                         std::memory_order_relaxed);
-
-#if NBLB_HAVE_IO_URING
-  if (backend_in_use_ == IoBackend::kUring) {
-    std::lock_guard<std::mutex> sq(sq_mu_);
-    for (OpRecord* op : ops) {
-      // Keep in-flight below the CQ capacity so completions cannot
-      // overflow; reap (possibly blocking) when the pipe is full. The
-      // re-check under cq_mu_ is load-bearing: while this thread was
-      // blocked on the mutex, concurrent waiters may have reaped
-      // everything — at which point the only pending sqes can be OUR OWN
-      // pushed-but-unflushed ones, and a blind WaitCqe would sleep
-      // forever on completions nobody has submitted. Decrements happen
-      // only under cq_mu_, so once the condition holds here it cannot
-      // silently clear before WaitCqe: over-capacity in-flight minus at
-      // most sq_capacity unflushed means real in-kernel work remains.
-      for (;;) {
-        if (uring_inflight_.load(std::memory_order_acquire) <
-            ring_->cq_capacity()) {
-          break;
-        }
-        std::lock_guard<std::mutex> cq(cq_mu_);
-        if (uring_inflight_.load(std::memory_order_acquire) <
-            ring_->cq_capacity()) {
-          break;
-        }
-        if (ReapUringLocked() == 0) ring_->WaitCqe();
-      }
-      const auto push = [&] {
-        const unsigned nr = static_cast<unsigned>(op->iov.size());
-        const uint64_t off =
-            static_cast<uint64_t>(op->first_id) * page_size_;
-        const uint64_t ud = reinterpret_cast<uint64_t>(op);
-        return is_write ? ring_->PushWritev(fd_, op->iov.data(), nr, off, ud)
-                        : ring_->PushReadv(fd_, op->iov.data(), nr, off, ud);
-      };
-      while (!push()) {
-        // SQ full: flush to hand the ring to the kernel. Transient enter
-        // failures (EAGAIN/ENOMEM) are retried as backpressure — see the
-        // final-flush loop below for why erroring out here is not an
-        // option once sqes are in the shared ring.
-        const int r = ring_->Flush();
-        if (r != 0) {
-          NBLB_CHECK_MSG(r == -EAGAIN || r == -ENOMEM,
-                         "io_uring submission failed irrecoverably");
-          std::this_thread::yield();
-        }
-      }
-      // Publish AFTER the last submitter-side access of *op (the
-      // PushReadv argument reads): pairs with the reaper's acquire spin,
-      // so the reap-side delete is ordered after everything here.
-      op->published.store(true, std::memory_order_release);
-      uring_inflight_.fetch_add(1, std::memory_order_relaxed);
-    }
-    // The final flush must eventually succeed: the pushed sqes sit in the
-    // shared SQ ring, so erroring the group here would leak them into a
-    // later (possibly successful) flush and complete freed OpRecords.
-    // io_uring_enter's transient failures (EAGAIN/ENOMEM under kernel
-    // memory pressure) are retryable by contract — treat the stall as
-    // backpressure and keep trying; anything else is a broken ring and
-    // a programming error.
-    for (;;) {
-      const int r = ring_->Flush();
-      if (r == 0) break;
-      NBLB_CHECK_MSG(r == -EAGAIN || r == -ENOMEM,
-                     "io_uring submission failed irrecoverably");
-      std::this_thread::yield();
-    }
-    ticket->group_ = std::move(group);
-    return Status::OK();
-  }
-#endif
-
-  EnsureIoThreads();
-  {
-    std::lock_guard<std::mutex> lk(tp_mu_);
-    tp_inflight_.fetch_add(ops.size(), std::memory_order_relaxed);
-    for (OpRecord* op : ops) tp_queue_.push_back(op);
-  }
-  if (ops.size() == 1) {
-    tp_cv_.notify_one();
-  } else {
-    tp_cv_.notify_all();
-  }
+  if (uring) FlushRing();
   ticket->group_ = std::move(group);
   return Status::OK();
-}
-
-void DiskManager::WaitGroup(const std::shared_ptr<IoGroup>& group) {
-  TraceTimer span(TracePhase::kDeviceWait);
-#if NBLB_HAVE_IO_URING
-  if (backend_in_use_ == IoBackend::kUring) {
-    // The waiter drives completion: reap whatever is available (possibly
-    // finishing other tickets' ops — their waiters then return instantly),
-    // and block in GETEVENTS only when nothing is ready. cq_mu_ serializes
-    // reapers; a queued waiter finds its group already done.
-    while (group->remaining.load(std::memory_order_acquire) > 0) {
-      std::lock_guard<std::mutex> cq(cq_mu_);
-      if (group->remaining.load(std::memory_order_acquire) == 0) break;
-      if (ReapUringLocked() > 0) continue;
-      ring_->WaitCqe();
-    }
-    return;
-  }
-#endif
-  std::unique_lock<std::mutex> lk(group->mu);
-  group->cv.wait(lk, [&] { return group->done; });
 }
 
 Status DiskManager::WaitReads(IoTicket* ticket) {
   if (!ticket->valid()) return Status::OK();
   std::shared_ptr<IoGroup> group = std::move(ticket->group_);
-  WaitGroup(group);
-  std::lock_guard<std::mutex> lk(group->mu);
+  TraceTimer span(TracePhase::kDeviceWait);
+  // Reaping may finish other tickets' ops too; their waits then return at
+  // once.
+  while (group->runs > 0) ReapSome();
   return group->error;
 }
 
-Status DiskManager::WaitWrites(IoTicket* ticket) {
-  // Reads and writes share the group/completion machinery; the split name
-  // exists so call sites read correctly.
-  return WaitReads(ticket);
-}
-
-void DiskManager::DrainAsync() {
-#if NBLB_HAVE_IO_URING
-  if (ring_ != nullptr) {
-    while (uring_inflight_.load(std::memory_order_acquire) > 0) {
-      std::lock_guard<std::mutex> cq(cq_mu_);
-      if (uring_inflight_.load(std::memory_order_acquire) == 0) break;
-      if (ReapUringLocked() == 0) ring_->WaitCqe();
-    }
-  }
-#endif
-  // Thread backend: wait for the queue and in-flight ops to empty.
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lk(tp_mu_);
-      if (tp_queue_.empty() &&
-          tp_inflight_.load(std::memory_order_acquire) == 0) {
-        return;
-      }
-    }
-    std::this_thread::yield();
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Writes / allocation
+// Single-page writes / allocation
 // ---------------------------------------------------------------------------
 
 Status DiskManager::WritePage(PageId id, const char* data) {
   if (fd_ < 0) return Status::IOError("disk manager not open");
-  if (id >= num_pages()) {
+  if (id >= num_pages_) {
     return Status::OutOfRange("write past end of file: page " +
                               std::to_string(id));
   }
   const off_t off = static_cast<off_t>(id) * static_cast<off_t>(page_size_);
-  char* bounce = nullptr;
   const char* src = data;
   if (direct_io_ && !Aligned(data)) {
-    bounce = AcquireBounce();
-    std::memcpy(bounce, data, page_size_);
-    src = bounce;
+    std::memcpy(stage_, data, page_size_);
+    src = stage_;
   }
-  const ssize_t n = ::pwrite(fd_, src, page_size_, off);
-  if (bounce != nullptr) ReleaseBounce(bounce);
-  if (n != static_cast<ssize_t>(page_size_)) {
+  if (::pwrite(fd_, src, page_size_, off) !=
+      static_cast<ssize_t>(page_size_)) {
     return Status::IOError("short write on page " + std::to_string(id));
   }
-  counters_.writes.fetch_add(1, std::memory_order_relaxed);
+  Bump(counters_.writes);
   Charge(id, /*write=*/true);
   return Status::OK();
 }
 
 Result<PageId> DiskManager::AllocatePage() {
   if (fd_ < 0) return Status::IOError("disk manager not open");
-  std::lock_guard<std::mutex> lk(alloc_mu_);
-  const PageId id = num_pages();
+  const PageId id = num_pages_;
   const off_t off = static_cast<off_t>(id) * static_cast<off_t>(page_size_);
-  ssize_t n;
-  if (direct_io_) {
-    char* bounce = AcquireBounce();
-    std::memset(bounce, 0, page_size_);
-    n = ::pwrite(fd_, bounce, page_size_, off);
-    ReleaseBounce(bounce);
-  } else {
-    std::vector<char> zero(page_size_, 0);
-    n = ::pwrite(fd_, zero.data(), page_size_, off);
-  }
+  std::memset(stage_, 0, page_size_);
+  const ssize_t n = ::pwrite(fd_, stage_, page_size_, off);
   if (n != static_cast<ssize_t>(page_size_)) {
-    return Status::IOError("allocation write failed");
+    const std::string why =
+        n < 0 ? std::string(std::strerror(errno)) : std::string("short write");
+    // A short write (a full disk, RLIMIT_FSIZE) leaves part of a page
+    // behind, which the next Open would reject as Corruption: trim the file
+    // back to whole pages.
+    if (::ftruncate(fd_, off) != 0) {
+      return Status::IOError("allocation of page " + std::to_string(id) +
+                             " failed (" + why + "), and so did truncating "
+                             "back: " + std::strerror(errno));
+    }
+    return Status::IOError("allocation of page " + std::to_string(id) +
+                           " failed: " + why);
   }
-  num_pages_.store(id + 1, std::memory_order_relaxed);
-  counters_.allocations.fetch_add(1, std::memory_order_relaxed);
+  num_pages_ = id + 1;
+  Bump(counters_.allocations);
   return id;
 }
 

@@ -6,10 +6,10 @@
 // exactly this ABI; CMake detects either header and compiles this file out
 // entirely elsewhere, see NBLB_HAVE_IO_URING).
 //
-// Threading contract: the caller serializes the producer side (PushReadv /
-// Flush) and the consumer side (Reap / WaitCqe) independently; one producer
-// and one consumer may run concurrently (the ring head/tail accesses use
-// acquire/release pairs against the kernel and against each other).
+// Threading contract: one owner. The thread that drives the DiskManager
+// pushes, flushes, reaps and waits, and no other thread touches the ring
+// (the head/tail accesses use acquire/release pairs against the kernel
+// only).
 //
 // File ops only (READV/WRITEV for DiskManager): the network server's event
 // loop is epoll (src/net/server.h).
@@ -17,7 +17,7 @@
 // Creation can fail at runtime even when compiled in — containers commonly
 // seccomp-block io_uring, and kernels can disable it via the
 // `io_uring_disabled` sysctl. TryCreate returns nullptr in that case and the
-// DiskManager degrades to its preadv worker-thread backend.
+// DiskManager degrades to its synchronous preadv/pwritev backend.
 
 #pragma once
 
@@ -32,7 +32,7 @@ namespace nblb {
 
 /// Stub for builds without the io_uring backend (-DNBLB_IO_URING=OFF or
 /// no kernel header): TryCreate always fails, so the DiskManager resolves
-/// to the preadv thread fallback and never calls the other members. A
+/// to the synchronous fallback and never calls the other members. A
 /// complete type is still needed — DiskManager holds a
 /// std::unique_ptr<IoRing>.
 class IoRing {

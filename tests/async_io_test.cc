@@ -1,17 +1,15 @@
-// Async miss-I/O pipeline tests: DiskManager::SubmitReads/WaitReads on
-// both backends (io_uring when the runtime allows it, and the preadv
-// worker-thread fallback — which is ALWAYS exercised here, regardless of
-// liburing/kernel availability, per the forced-backend knob), plus
-// injected read failures: frames end up failed (not valid), the pool
-// recovers, and no pins leak.
+// Batched miss-read tests: DiskManager::SubmitReads/WaitReads on both
+// backends (io_uring when the runtime allows it, and the synchronous
+// fallback, which is ALWAYS exercised here: each stack sets
+// NBLB_IO_BACKEND around its Open), the in-flight cap on one owner's
+// tickets, plus injected read failures: frames end up failed (not valid),
+// the pool recovers, and no pins leak.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "index/btree.h"
@@ -22,23 +20,10 @@
 namespace nblb {
 namespace {
 
-using nblb::testing::MakeStack;
+using nblb::testing::BackendsToTest;
+using nblb::testing::FillPattern;
+using nblb::testing::MakeStackWithBackend;
 using nblb::testing::Stack;
-using nblb::testing::TempFile;
-
-Stack MakeStackWithBackend(const std::string& tag, IoBackend backend,
-                           size_t page_size = 4096, size_t frames = 64) {
-  Stack s;
-  s.file.reset(new TempFile(tag));
-  AsyncIoOptions aio;
-  aio.backend = backend;
-  s.disk.reset(new DiskManager(s.file->path(), page_size, nullptr,
-                               /*direct_io=*/false, aio));
-  EXPECT_TRUE(s.disk->Open().ok());
-  s.bp.reset(new BufferPool(s.disk.get(), frames));
-  s.Register();
-  return s;
-}
 
 std::vector<PageId> SeedPages(Stack& s, int n) {
   std::vector<PageId> ids;
@@ -54,26 +39,9 @@ std::vector<PageId> SeedPages(Stack& s, int n) {
   return ids;
 }
 
-// The backends under test: the fallback always, io_uring when this runtime
-// actually came up with a ring (containers may seccomp-block it).
-std::vector<IoBackend> BackendsToTest() {
-  std::vector<IoBackend> backends = {IoBackend::kThreads};
-  {
-    TempFile probe("aio_probe");
-    AsyncIoOptions aio;
-    aio.backend = IoBackend::kUring;
-    DiskManager disk(probe.path(), 4096, nullptr, false, aio);
-    EXPECT_TRUE(disk.Open().ok());
-    if (disk.io_backend_in_use() == IoBackend::kUring) {
-      backends.push_back(IoBackend::kUring);
-    }
-  }
-  return backends;
-}
-
 TEST(AsyncIoTest, ForcedFallbackNeverUsesTheRing) {
-  Stack s = MakeStackWithBackend("aio_forced", IoBackend::kThreads);
-  EXPECT_EQ(s.disk->io_backend_in_use(), IoBackend::kThreads);
+  Stack s = MakeStackWithBackend("aio_forced", IoBackend::kSync);
+  EXPECT_EQ(s.disk->io_backend_in_use(), IoBackend::kSync);
   std::vector<PageId> ids = SeedPages(s, 8);
   ASSERT_OK_AND_ASSIGN(std::vector<PageGuard> guards, s.bp->FetchPages(ids));
   for (size_t i = 0; i < ids.size(); ++i) {
@@ -204,59 +172,53 @@ TEST(AsyncIoTest, StartFinishSurfacesAsyncErrorsAndRecovers) {
   }
 }
 
-// Capacity-pressure stress: a tiny ring (queue_depth 4) with many threads
-// submitting batches far larger than the CQ forces the submit path's
-// in-flight cap loop constantly, racing it against concurrent waiters
-// draining completions. Regression test for a deadlock where a submitter
-// blocked in the cap loop could commit to waiting for completions after
-// concurrent waiters had already drained every in-kernel op — leaving it
-// asleep on its own unflushed sqes.
-TEST(AsyncIoTest, CapacityPressureManyThreadsMakesProgress) {
+// The in-flight cap on one owner: three tickets of 64 one-page runs (192
+// runs against io_uring's completion queue of 128) are all submitted
+// before any wait, so the third submit reaches the cap and must complete
+// the first tickets' reads itself; the tickets are then waited out of
+// order, and every page's bytes are checked. So a reap completes other
+// tickets' runs, and a wait on a ticket whose runs were already reaped
+// returns at once with the right bytes.
+TEST(AsyncIoTest, ThreeTicketsPastTheCapAllComplete) {
   for (IoBackend backend : BackendsToTest()) {
-    Stack s;
-    s.file.reset(new TempFile("aio_pressure"));
-    AsyncIoOptions aio;
-    aio.backend = backend;
-    aio.queue_depth = 4;
-    s.disk.reset(new DiskManager(s.file->path(), 4096, nullptr,
-                                 /*direct_io=*/false, aio));
-    ASSERT_OK(s.disk->Open());
-    s.bp.reset(new BufferPool(s.disk.get(), 64));
-    s.Register();
-    std::vector<PageId> ids = SeedPages(s, 48);
-
-    std::atomic<uint64_t> errors{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t) {
-      threads.emplace_back([&, t] {
-        std::vector<std::vector<char>> bufs(16, std::vector<char>(4096));
-        for (int iter = 0; iter < 300; ++iter) {
-          std::vector<PageId> want;
-          std::vector<char*> dsts;
-          for (size_t i = (t + iter) % 3; i < ids.size(); i += 3) {
-            want.push_back(ids[i]);
-            dsts.push_back(bufs[want.size() - 1].data());
-            if (want.size() == bufs.size()) break;
-          }
-          DiskManager::IoTicket ticket;
-          Status st =
-              s.disk->SubmitReads(want.data(), dsts.data(), want.size(),
-                                  &ticket);
-          if (st.ok()) st = s.disk->WaitReads(&ticket);
-          if (!st.ok()) {
-            errors.fetch_add(1);
-            continue;
-          }
-          for (size_t i = 0; i < want.size(); ++i) {
-            if (bufs[i][0] != 'a' + static_cast<char>(want[i] % 26)) {
-              errors.fetch_add(1);
-            }
-          }
-        }
-      });
+    Stack s = MakeStackWithBackend("aio_cap", backend);
+    constexpr size_t kTickets = 3;
+    constexpr size_t kRuns = 64;
+    std::vector<char> page(4096);
+    for (size_t i = 0; i < 2 * kTickets * kRuns; ++i) {
+      ASSERT_OK_AND_ASSIGN(PageId id, s.disk->AllocatePage());
+      FillPattern(page.data(), 4096, id, 'P');
+      ASSERT_OK(s.disk->WritePage(id, page.data()));
     }
-    for (auto& th : threads) th.join();
-    EXPECT_EQ(errors.load(), 0u) << "backend " << static_cast<int>(backend);
+
+    const MetricsSnapshot base = s.Snapshot();
+    std::vector<std::vector<PageId>> ids(kTickets);
+    std::vector<std::vector<std::vector<char>>> bufs(kTickets);
+    std::vector<DiskManager::IoTicket> tickets(kTickets);
+    for (size_t t = 0; t < kTickets; ++t) {
+      std::vector<char*> dsts;
+      for (size_t k = 0; k < kRuns; ++k) {
+        // Every other page: each read is a run of its own.
+        ids[t].push_back(static_cast<PageId>(2 * (t * kRuns + k)));
+        bufs[t].emplace_back(4096, '\0');
+        dsts.push_back(bufs[t].back().data());
+      }
+      ASSERT_OK(s.disk->SubmitReads(ids[t].data(), dsts.data(), kRuns,
+                                    &tickets[t]));
+    }
+    for (size_t t : {size_t{2}, size_t{0}, size_t{1}}) {
+      ASSERT_OK(s.disk->WaitReads(&tickets[t]));
+      for (size_t k = 0; k < kRuns; ++k) {
+        const PageId id = ids[t][k];
+        FillPattern(page.data(), 4096, id, 'P');
+        EXPECT_EQ(std::memcmp(bufs[t][k].data(), page.data(), 4096), 0)
+            << "page " << id << " backend " << static_cast<int>(backend);
+      }
+    }
+    const MetricsSnapshot st = s.Snapshot() - base;
+    EXPECT_EQ(st.Total("disk.reads"), kTickets * kRuns);
+    EXPECT_EQ(st.Total("disk.async_reads"), kTickets * kRuns);
+    EXPECT_EQ(st.Total("disk.async_batches"), kTickets);
   }
 }
 

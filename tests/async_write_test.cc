@@ -1,29 +1,22 @@
-// Async write-pipeline tests: DiskManager::SubmitWrites/WaitWrites on both
-// backends (io_uring when the runtime allows it, and the pwritev
-// worker-thread fallback — ALWAYS exercised here via the forced-backend
-// knob), the buffer pool's batched write-back paths (flush passes,
-// eviction under pressure, FlushAll/Checkpoint group drain), injected
-// device write failures (RLIMIT_FSIZE: writes past the limit fail EFBIG —
-// unlike truncation, which a pwrite would silently undo by re-extending
-// the file) with pool recovery, failed eviction write-backs that keep
-// their pages, one FlushAll as one write batch, a bit-for-bit group-fsync
-// vs per-page-FlushPage checkpoint oracle, and a seeded interleaving of
-// content writes, flush passes, checkpoints and evictions.
+// Batched write-pipeline tests: DiskManager::WritePages on both backends
+// (io_uring when the runtime allows it, and the synchronous pwritev
+// fallback, which is ALWAYS exercised here: each stack sets
+// NBLB_IO_BACKEND around its Open), reads and writes sharing io_uring's
+// in-flight cap on one owner, the buffer pool's batched write-back paths
+// (flush passes, eviction under pressure, FlushAll/Checkpoint group
+// drain), injected device write failures (RLIMIT_FSIZE, see
+// FileSizeLimit) with pool recovery, failed eviction write-backs that
+// keep their pages, one FlushAll as one write batch, a bit-for-bit
+// group-fsync vs per-page-FlushPage checkpoint oracle, and a seeded
+// interleaving of content writes, flush passes, checkpoints and evictions.
 
 #include <gtest/gtest.h>
-#include <signal.h>
-#include <sys/resource.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "storage/buffer_pool.h"
@@ -33,22 +26,11 @@
 namespace nblb {
 namespace {
 
+using nblb::testing::BackendsToTest;
+using nblb::testing::FileSizeLimit;
+using nblb::testing::FillPattern;
+using nblb::testing::MakeStackWithBackend;
 using nblb::testing::Stack;
-using nblb::testing::TempFile;
-
-Stack MakeStackWithBackend(const std::string& tag, IoBackend backend,
-                           size_t page_size = 4096, size_t frames = 64) {
-  Stack s;
-  s.file.reset(new TempFile(tag));
-  AsyncIoOptions aio;
-  aio.backend = backend;
-  s.disk.reset(new DiskManager(s.file->path(), page_size, nullptr,
-                               /*direct_io=*/false, aio));
-  EXPECT_TRUE(s.disk->Open().ok());
-  s.bp.reset(new BufferPool(s.disk.get(), frames));
-  s.Register();
-  return s;
-}
 
 std::vector<PageId> SeedPages(Stack& s, int n, char tag = 'a') {
   std::vector<PageId> ids;
@@ -64,36 +46,13 @@ std::vector<PageId> SeedPages(Stack& s, int n, char tag = 'a') {
   return ids;
 }
 
-// The backends under test: the fallback always, io_uring when this runtime
-// actually came up with a ring (containers may seccomp-block it).
-std::vector<IoBackend> BackendsToTest() {
-  std::vector<IoBackend> backends = {IoBackend::kThreads};
-  {
-    TempFile probe("awr_probe");
-    AsyncIoOptions aio;
-    aio.backend = IoBackend::kUring;
-    DiskManager disk(probe.path(), 4096, nullptr, false, aio);
-    EXPECT_TRUE(disk.Open().ok());
-    if (disk.io_backend_in_use() == IoBackend::kUring) {
-      backends.push_back(IoBackend::kUring);
-    }
-  }
-  return backends;
-}
-
-/// Fills `buf` with a page-sized pattern derived from (id, salt).
-void FillPattern(char* buf, size_t page_size, PageId id, char salt) {
-  std::memset(buf, salt + static_cast<char>(id % 26), page_size);
-  std::memcpy(buf, &id, sizeof(id));
-}
-
-TEST(AsyncWriteTest, SubmitWaitMatchesSynchronousWrites) {
+TEST(AsyncWriteTest, WritePagesMatchesSynchronousWrites) {
   for (IoBackend backend : BackendsToTest()) {
     Stack s = MakeStackWithBackend("awr_rw", backend);
     std::vector<PageId> ids = SeedPages(s, 24);
 
     // Non-contiguous subset: every other page — all runs have length 1, so
-    // only the async overlap serves them in parallel.
+    // only io_uring's overlap serves them in parallel.
     std::vector<PageId> want;
     for (size_t i = 0; i < ids.size(); i += 2) want.push_back(ids[i]);
     std::vector<std::vector<char>> bufs(want.size(),
@@ -105,12 +64,7 @@ TEST(AsyncWriteTest, SubmitWaitMatchesSynchronousWrites) {
     }
 
     const MetricsSnapshot base = s.Snapshot();
-    DiskManager::IoTicket ticket;
-    ASSERT_OK(s.disk->SubmitWrites(want.data(), srcs.data(), want.size(),
-                                   &ticket));
-    EXPECT_TRUE(ticket.valid());
-    ASSERT_OK(s.disk->WaitWrites(&ticket));
-    EXPECT_FALSE(ticket.valid());
+    ASSERT_OK(s.disk->WritePages(want.data(), srcs.data(), want.size()));
 
     const MetricsSnapshot st = s.Snapshot() - base;
     EXPECT_EQ(st.Total("disk.writes"), want.size());
@@ -137,10 +91,7 @@ TEST(AsyncWriteTest, ContiguousWritesCoalesceIntoOneRun) {
       srcs.push_back(bufs[i].data());
     }
     const MetricsSnapshot base = s.Snapshot();
-    DiskManager::IoTicket ticket;
-    ASSERT_OK(s.disk->SubmitWrites(ids.data(), srcs.data(), ids.size(),
-                                   &ticket));
-    ASSERT_OK(s.disk->WaitWrites(&ticket));
+    ASSERT_OK(s.disk->WritePages(ids.data(), srcs.data(), ids.size()));
     const MetricsSnapshot st = s.Snapshot() - base;
     EXPECT_EQ(st.Total("disk.async_writes"), ids.size());
     // One contiguous span -> one WRITEV.
@@ -154,80 +105,32 @@ TEST(AsyncWriteTest, ContiguousWritesCoalesceIntoOneRun) {
 }
 
 TEST(AsyncWriteTest, ForcedFallbackNeverUsesTheRing) {
-  Stack s = MakeStackWithBackend("awr_forced", IoBackend::kThreads);
-  EXPECT_EQ(s.disk->io_backend_in_use(), IoBackend::kThreads);
+  Stack s = MakeStackWithBackend("awr_forced", IoBackend::kSync);
+  EXPECT_EQ(s.disk->io_backend_in_use(), IoBackend::kSync);
   std::vector<PageId> ids = SeedPages(s, 8);
   std::vector<char> buf(4096);
   FillPattern(buf.data(), 4096, ids[3], 'F');
   const char* src = buf.data();
-  DiskManager::IoTicket ticket;
-  ASSERT_OK(s.disk->SubmitWrites(&ids[3], &src, 1, &ticket));
-  ASSERT_OK(s.disk->WaitWrites(&ticket));
+  ASSERT_OK(s.disk->WritePages(&ids[3], &src, 1));
   std::vector<char> got(4096);
   ASSERT_OK(s.disk->ReadPage(ids[3], got.data()));
   EXPECT_EQ(std::memcmp(got.data(), buf.data(), 4096), 0);
 }
 
-TEST(AsyncWriteTest, AutoEnvLeavesAnExplicitThreadsBackendAlone) {
-  // NBLB_IO_BACKEND=auto (what CI's io_uring legs set) must not turn an
-  // open that asked for the fallback into a ring: only threads|uring
-  // override the option.
-  const char* prior = std::getenv("NBLB_IO_BACKEND");
-  const std::string saved = prior != nullptr ? prior : "";
-  ::setenv("NBLB_IO_BACKEND", "auto", 1);
-  Stack s = MakeStackWithBackend("awr_auto_env", IoBackend::kThreads);
-  const IoBackend in_use = s.disk->io_backend_in_use();
-  if (prior != nullptr) {
-    ::setenv("NBLB_IO_BACKEND", saved.c_str(), 1);
-  } else {
-    ::unsetenv("NBLB_IO_BACKEND");
-  }
-  EXPECT_EQ(in_use, IoBackend::kThreads);
-}
-
-TEST(AsyncWriteTest, SubmitValidatesIdsUpFront) {
+TEST(AsyncWriteTest, WritePagesValidatesIdsUpFront) {
   for (IoBackend backend : BackendsToTest()) {
     Stack s = MakeStackWithBackend("awr_oor", backend);
     SeedPages(s, 2);
     std::vector<char> buf(4096, 'x');
     const char* src = buf.data();
     const PageId bogus = 999;  // writes never extend the file
-    DiskManager::IoTicket ticket;
-    EXPECT_TRUE(s.disk->SubmitWrites(&bogus, &src, 1, &ticket)
-                    .IsOutOfRange());
-    EXPECT_FALSE(ticket.valid());
+    const MetricsSnapshot base = s.Snapshot();
+    EXPECT_TRUE(s.disk->WritePages(&bogus, &src, 1).IsOutOfRange());
+    EXPECT_EQ(s.Counter("disk.async_write_batches", base), 0u);
   }
 }
 
-/// Scoped write-failure injection: caps the maximum file size the process
-/// may produce, so any write at an offset past `pages` pages fails with
-/// EFBIG (SIGXFSZ is ignored for the test's duration). Truncating the
-/// backing file would NOT inject a write error — pwrite quietly
-/// re-extends — which is why error injection works on the rlimit instead.
-class FileSizeLimit {
- public:
-  FileSizeLimit(size_t pages, size_t page_size) {
-    prev_handler_ = ::signal(SIGXFSZ, SIG_IGN);
-    ::getrlimit(RLIMIT_FSIZE, &prev_);
-    struct rlimit lim = prev_;
-    lim.rlim_cur = static_cast<rlim_t>(pages * page_size);
-    ::setrlimit(RLIMIT_FSIZE, &lim);
-  }
-  ~FileSizeLimit() { Release(); }
-  void Release() {
-    if (released_) return;
-    released_ = true;
-    ::setrlimit(RLIMIT_FSIZE, &prev_);
-    ::signal(SIGXFSZ, prev_handler_);
-  }
-
- private:
-  struct rlimit prev_;
-  void (*prev_handler_)(int) = SIG_DFL;
-  bool released_ = false;
-};
-
-TEST(AsyncWriteTest, WriteErrorSurfacesThroughWaitWrites) {
+TEST(AsyncWriteTest, WriteErrorSurfacesFromWritePages) {
   for (IoBackend backend : BackendsToTest()) {
     Stack s = MakeStackWithBackend("awr_fail", backend);
     std::vector<PageId> ids = SeedPages(s, 12);
@@ -239,19 +142,13 @@ TEST(AsyncWriteTest, WriteErrorSurfacesThroughWaitWrites) {
       srcs.push_back(bufs[i].data());
     }
     {
-      FileSizeLimit limit(/*pages=*/4, 4096);
-      DiskManager::IoTicket ticket;
-      ASSERT_OK(s.disk->SubmitWrites(ids.data(), srcs.data(), ids.size(),
-                                     &ticket));
-      Status st = s.disk->WaitWrites(&ticket);
+      FileSizeLimit limit(4 * 4096);
+      Status st = s.disk->WritePages(ids.data(), srcs.data(), ids.size());
       ASSERT_FALSE(st.ok()) << "backend " << static_cast<int>(backend);
       EXPECT_TRUE(st.IsIOError()) << st.ToString();
     }
     // Limit lifted: the same batch lands fine and reads back intact.
-    DiskManager::IoTicket ticket;
-    ASSERT_OK(s.disk->SubmitWrites(ids.data(), srcs.data(), ids.size(),
-                                   &ticket));
-    ASSERT_OK(s.disk->WaitWrites(&ticket));
+    ASSERT_OK(s.disk->WritePages(ids.data(), srcs.data(), ids.size()));
     for (size_t i = 0; i < ids.size(); ++i) {
       std::vector<char> got(4096);
       ASSERT_OK(s.disk->ReadPage(ids[i], got.data()));
@@ -276,7 +173,7 @@ TEST(AsyncWriteTest, FlushAllErrorRedirtiesAndPoolRecovers) {
       g->MarkDirty();
     }
     {
-      FileSizeLimit limit(/*pages=*/4, 4096);
+      FileSizeLimit limit(4 * 4096);
       Status st = s.bp->FlushAll();
       ASSERT_FALSE(st.ok());
       EXPECT_TRUE(st.IsIOError()) << st.ToString();
@@ -372,18 +269,20 @@ TEST(AsyncWriteTest, EvictionDirtyVictimsUseBatchedWriteBack) {
 }
 
 TEST(AsyncWriteTest, FlushAllDrainsDirtyPagesAsOneWriteBatch) {
-  Stack s = MakeStackWithBackend("awr_flushall", IoBackend::kThreads);
-  std::vector<PageId> ids = SeedPages(s, 8);
-  for (PageId id : ids) {
-    auto g = s.bp->FetchPage(id);
-    ASSERT_TRUE(g.ok());
-    g->MarkDirty();
+  for (IoBackend backend : BackendsToTest()) {
+    Stack s = MakeStackWithBackend("awr_flushall", backend);
+    std::vector<PageId> ids = SeedPages(s, 8);
+    for (PageId id : ids) {
+      auto g = s.bp->FetchPage(id);
+      ASSERT_TRUE(g.ok());
+      g->MarkDirty();
+    }
+    const MetricsSnapshot base = s.Snapshot();
+    ASSERT_OK(s.bp->FlushAll());
+    const MetricsSnapshot ds = s.Snapshot() - base;
+    EXPECT_EQ(ds.Total("disk.async_write_batches"), 1u);
+    EXPECT_EQ(ds.Total("disk.async_writes"), ids.size());
   }
-  const MetricsSnapshot base = s.Snapshot();
-  ASSERT_OK(s.bp->FlushAll());
-  const MetricsSnapshot ds = s.Snapshot() - base;
-  EXPECT_EQ(ds.Total("disk.async_write_batches"), 1u);
-  EXPECT_EQ(ds.Total("disk.async_writes"), ids.size());
 }
 
 // Group-fsync checkpoint oracle: the batched FlushAll drain + one Sync
@@ -462,7 +361,7 @@ TEST(AsyncWriteTest, FailedEvictionWriteBackKeepsThePage) {
     std::vector<PageId> ids = FillPoolWithDirtyPages(s);
     const MetricsSnapshot base = s.Snapshot();
     {
-      FileSizeLimit limit(/*pages=*/4, 4096);
+      FileSizeLimit limit(4 * 4096);
       // A single miss displaces one dirty page, whose write fails.
       auto g = s.bp->FetchPage(ids[0]);
       ASSERT_FALSE(g.ok());
@@ -479,7 +378,7 @@ TEST(AsyncWriteTest, FailedBatchEvictionWriteBackKeepsThePages) {
     std::vector<PageId> ids = FillPoolWithDirtyPages(s);
     const MetricsSnapshot base = s.Snapshot();
     {
-      FileSizeLimit limit(/*pages=*/4, 4096);
+      FileSizeLimit limit(4 * 4096);
       // Four misses displace four dirty pages, written as one group.
       auto guards = s.bp->FetchPages({ids[0], ids[1], ids[2], ids[3]});
       ASSERT_FALSE(guards.ok());
@@ -495,7 +394,7 @@ TEST(AsyncWriteTest, FailedEvictAllWriteBackKeepsThePage) {
     Stack s = MakeStackWithBackend("awr_wb_evictall", backend, 4096, 8);
     std::vector<PageId> ids = FillPoolWithDirtyPages(s);
     {
-      FileSizeLimit limit(/*pages=*/4, 4096);
+      FileSizeLimit limit(4 * 4096);
       const Status st = s.bp->EvictAll();
       ASSERT_FALSE(st.ok());
       EXPECT_TRUE(st.IsIOError()) << st.ToString();
@@ -593,81 +492,62 @@ TEST(AsyncWriteTest, FlushPassCheckpointEvictionInterleaving) {
   }
 }
 
-// Capacity-pressure stress for the WRITE path sharing the read path's
-// in-flight cap: a tiny ring with reads and writes racing from several
-// threads must make progress (regression guard for the PR 4 cap-loop
-// deadlock, now reachable from two directions). Readers and writers use
-// disjoint page ranges so content checks stay exact.
-TEST(AsyncWriteTest, CapacityPressureMixedReadWriteStress) {
+// Reads and writes share io_uring's in-flight cap on one owner: two read
+// tickets of 64 one-page runs fill the completion queue (128), then one
+// WritePages of 64 one-page runs on disjoint pages has to complete those
+// reads to get its own writes in flight. The read tickets are waited after
+// the write, out of order, and every written page is read back.
+TEST(AsyncWriteTest, ReadsAndWritesShareTheCap) {
   for (IoBackend backend : BackendsToTest()) {
-    Stack s;
-    s.file.reset(new TempFile("awr_pressure"));
-    AsyncIoOptions aio;
-    aio.backend = backend;
-    aio.queue_depth = 4;
-    s.disk.reset(new DiskManager(s.file->path(), 4096, nullptr,
-                                 /*direct_io=*/false, aio));
-    ASSERT_OK(s.disk->Open());
-    s.bp.reset(new BufferPool(s.disk.get(), 64));
-    s.Register();
-    std::vector<PageId> ids = SeedPages(s, 48);
-
-    std::atomic<uint64_t> errors{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 2; ++t) {
-      threads.emplace_back([&, t] {  // writers: pages [0, 24)
-        std::vector<std::vector<char>> bufs(12, std::vector<char>(4096));
-        for (int iter = 0; iter < 200; ++iter) {
-          std::vector<PageId> want;
-          std::vector<const char*> srcs;
-          for (size_t i = t; i < 24; i += 2) {
-            FillPattern(bufs[want.size()].data(), 4096, ids[i], 'M');
-            srcs.push_back(bufs[want.size()].data());
-            want.push_back(ids[i]);
-          }
-          DiskManager::IoTicket ticket;
-          Status st = s.disk->SubmitWrites(want.data(), srcs.data(),
-                                           want.size(), &ticket);
-          if (st.ok()) st = s.disk->WaitWrites(&ticket);
-          if (!st.ok()) errors.fetch_add(1);
-        }
-      });
+    Stack s = MakeStackWithBackend("awr_cap", backend);
+    constexpr size_t kRuns = 64;
+    // Pages [0, 256) are read (even ids), [256, 384) are written (even ids).
+    std::vector<char> page(4096);
+    for (size_t i = 0; i < 6 * kRuns; ++i) {
+      ASSERT_OK_AND_ASSIGN(PageId id, s.disk->AllocatePage());
+      FillPattern(page.data(), 4096, id, 'a');
+      ASSERT_OK(s.disk->WritePage(id, page.data()));
     }
-    for (int t = 0; t < 2; ++t) {
-      threads.emplace_back([&, t] {  // readers: pages [24, 48)
-        std::vector<std::vector<char>> bufs(12, std::vector<char>(4096));
-        for (int iter = 0; iter < 200; ++iter) {
-          std::vector<PageId> want;
-          std::vector<char*> dsts;
-          for (size_t i = 24 + t; i < 48; i += 2) {
-            dsts.push_back(bufs[want.size()].data());
-            want.push_back(ids[i]);
-          }
-          DiskManager::IoTicket ticket;
-          Status st = s.disk->SubmitReads(want.data(), dsts.data(),
-                                          want.size(), &ticket);
-          if (st.ok()) st = s.disk->WaitReads(&ticket);
-          if (!st.ok()) {
-            errors.fetch_add(1);
-            continue;
-          }
-          for (size_t i = 0; i < want.size(); ++i) {
-            if (bufs[i][0] != 'a' + static_cast<char>(want[i] % 26)) {
-              errors.fetch_add(1);
-            }
-          }
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-    EXPECT_EQ(errors.load(), 0u) << "backend " << static_cast<int>(backend);
 
-    // Writer pages hold exactly the last written pattern.
-    for (size_t i = 0; i < 24; ++i) {
-      std::vector<char> got(4096), expect(4096);
-      ASSERT_OK(s.disk->ReadPage(ids[i], got.data()));
-      FillPattern(expect.data(), 4096, ids[i], 'M');
-      EXPECT_EQ(std::memcmp(got.data(), expect.data(), 4096), 0);
+    std::vector<std::vector<PageId>> read_ids(2);
+    std::vector<std::vector<std::vector<char>>> bufs(2);
+    std::vector<DiskManager::IoTicket> tickets(2);
+    for (size_t t = 0; t < 2; ++t) {
+      std::vector<char*> dsts;
+      for (size_t k = 0; k < kRuns; ++k) {
+        read_ids[t].push_back(static_cast<PageId>(2 * (t * kRuns + k)));
+        bufs[t].emplace_back(4096, '\0');
+        dsts.push_back(bufs[t].back().data());
+      }
+      ASSERT_OK(s.disk->SubmitReads(read_ids[t].data(), dsts.data(), kRuns,
+                                    &tickets[t]));
+    }
+
+    std::vector<PageId> write_ids;
+    std::vector<std::vector<char>> srcs_bufs;
+    std::vector<const char*> srcs;
+    for (size_t k = 0; k < kRuns; ++k) {
+      write_ids.push_back(static_cast<PageId>(4 * kRuns + 2 * k));
+      srcs_bufs.emplace_back(4096);
+      FillPattern(srcs_bufs.back().data(), 4096, write_ids.back(), 'M');
+    }
+    for (const auto& b : srcs_bufs) srcs.push_back(b.data());
+    ASSERT_OK(s.disk->WritePages(write_ids.data(), srcs.data(), kRuns));
+
+    for (size_t t : {size_t{1}, size_t{0}}) {
+      ASSERT_OK(s.disk->WaitReads(&tickets[t]));
+      for (size_t k = 0; k < kRuns; ++k) {
+        FillPattern(page.data(), 4096, read_ids[t][k], 'a');
+        EXPECT_EQ(std::memcmp(bufs[t][k].data(), page.data(), 4096), 0)
+            << "page " << read_ids[t][k] << " backend "
+            << static_cast<int>(backend);
+      }
+    }
+    for (size_t k = 0; k < kRuns; ++k) {
+      ASSERT_OK(s.disk->ReadPage(write_ids[k], page.data()));
+      EXPECT_EQ(std::memcmp(page.data(), srcs[k], 4096), 0)
+          << "page " << write_ids[k] << " backend "
+          << static_cast<int>(backend);
     }
   }
 }

@@ -1,6 +1,7 @@
 #include "storage/disk_manager.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstring>
 #include <vector>
@@ -10,6 +11,8 @@
 namespace nblb {
 namespace {
 
+using nblb::testing::FileSizeLimit;
+using nblb::testing::ScopedIoBackend;
 using nblb::testing::TempFile;
 
 TEST(DiskManagerTest, AllocateReadWrite) {
@@ -132,7 +135,7 @@ TEST(DiskManagerTest, DirectIoRoundTripsUnalignedCallerBuffers) {
   ASSERT_OK_AND_ASSIGN(PageId p0, disk.AllocatePage());
   ASSERT_OK_AND_ASSIGN(PageId p1, disk.AllocatePage());
 
-  // Deliberately unaligned caller buffers: the bounce buffer must hide the
+  // Deliberately unaligned caller buffers: the staging page must hide the
   // O_DIRECT alignment requirements.
   std::vector<char> raw(4096 + 1);
   char* unaligned = raw.data() + 1;
@@ -153,6 +156,70 @@ TEST(DiskManagerTest, DirectIoRoundTripsUnalignedCallerBuffers) {
   const MetricsSnapshot st = registry.Snapshot();
   EXPECT_EQ(st.Total("disk.reads"), 2u);
   EXPECT_EQ(st.Total("disk.writes"), 1u);
+}
+
+// A page allocation that comes up short (a full disk, or here
+// RLIMIT_FSIZE halfway through the page) returns IOError and trims the
+// file back to whole pages, so the file still opens and the next
+// allocation reuses the page id.
+TEST(DiskManagerTest, FailedAllocationLeavesTheFileOpenable) {
+  TempFile f("disk_alloc_fail");
+  DiskManager disk(f.path(), 4096);
+  ASSERT_OK(disk.Open());
+  ASSERT_OK(disk.AllocatePage().status());
+  ASSERT_OK(disk.AllocatePage().status());
+  {
+    FileSizeLimit limit(2 * 4096 + 2048);
+    const Result<PageId> r = disk.AllocatePage();
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsIOError()) << r.status().ToString();
+  }
+  struct stat st;
+  ASSERT_EQ(::stat(f.path().c_str(), &st), 0);
+  EXPECT_EQ(st.st_size, 2 * 4096);
+  EXPECT_EQ(disk.num_pages(), 2u);
+  {
+    DiskManager reopened(f.path(), 4096);
+    ASSERT_OK(reopened.Open());
+    EXPECT_EQ(reopened.num_pages(), 2u);
+  }
+  ASSERT_OK_AND_ASSIGN(PageId id, disk.AllocatePage());
+  EXPECT_EQ(id, 2u);
+}
+
+// NBLB_IO_BACKEND takes auto or sync (or nothing); any other value fails
+// Open, before the file is created, rather than running a backend nobody
+// asked for. `uring` is refused too: auto already runs io_uring wherever
+// the ring comes up, and nothing can force a ring the kernel refuses.
+TEST(DiskManagerTest, UnknownIoBackendIsRejected) {
+  for (const char* value : {"auto", "sync", ""}) {
+    ScopedIoBackend env(value);
+    TempFile f("disk_backend_ok");
+    DiskManager disk(f.path(), 4096);
+    const Status st = disk.Open();
+    EXPECT_TRUE(st.ok()) << "NBLB_IO_BACKEND=" << value << ": "
+                         << st.ToString();
+  }
+  {
+    ScopedIoBackend env("sync");
+    TempFile f("disk_backend_sync");
+    DiskManager disk(f.path(), 4096);
+    ASSERT_OK(disk.Open());
+    EXPECT_EQ(disk.io_backend_in_use(), IoBackend::kSync);
+  }
+  for (const char* value : {"threads", "uring", "URING", "io_uring"}) {
+    ScopedIoBackend env(value);
+    TempFile f("disk_backend_bad");
+    DiskManager disk(f.path(), 4096);
+    const Status st = disk.Open();
+    EXPECT_TRUE(st.IsInvalidArgument())
+        << "NBLB_IO_BACKEND=" << value << ": " << st.ToString();
+    for (const char* name : {"auto", "sync"}) {
+      EXPECT_NE(st.ToString().find(name), std::string::npos) << st.ToString();
+    }
+    struct stat sb;
+    EXPECT_NE(::stat(f.path().c_str(), &sb), 0) << "Open created the file";
+  }
 }
 
 }  // namespace

@@ -107,65 +107,57 @@ std::vector<std::string> ThreadNames() {
 TEST(NetServerTest, ServerThreadsAreNamed) {
   // Every thread a server runs names itself, so `top -H` and
   // /proc/<pid>/task/*/comm attribute its CPU without a profiler.
-  ShardedEngineOptions eopts = EngineOptions("names");
-  eopts.num_shards = 4;
-  eopts.num_workers = 4;
-  eopts.flusher_interval_us = 1000;
-  ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(eopts));
-  ASSERT_OK_AND_ASSIGN(auto server,
-                       NetServer::Start(NetServerOptions{}, engine.get()));
-
-  // The fallback I/O pool starts with a disk's first async I/O. Run one on
-  // a disk that asks for the pool; NBLB_IO_BACKEND=uring overrides that,
-  // and then no pool runs.
-  nblb::testing::TempFile file("names_io");
-  AsyncIoOptions aio;
-  aio.backend = IoBackend::kThreads;
-  DiskManager disk(file.path(), 4096, nullptr, false, aio);
-  ASSERT_OK(disk.Open());
-  ASSERT_OK_AND_ASSIGN(PageId page, disk.AllocatePage());
-  std::string buf(4096, '\0');
-  char* dst = buf.data();
-  DiskManager::IoTicket ticket;
-  ASSERT_OK(disk.SubmitReads(&page, &dst, 1, &ticket));
-  ASSERT_OK(disk.WaitReads(&ticket));
-
-  // The server's threads: the net loop, one per worker and, under the
-  // fallback, the I/O pool. None flushes: with flush passes on, each
-  // shard's worker runs its own.
-  std::vector<std::string> want = {"nblb-net"};
-  for (uint32_t w = 0; w < engine->num_workers(); ++w) {
-    want.push_back("nblb-worker" + std::to_string(w));
-  }
-  const bool io_pool = disk.io_backend_in_use() == IoBackend::kThreads;
-  // Each thread names itself as it starts. Until it does, it carries the
-  // name of the thread that started it.
-  std::vector<std::string> names;
-  const bool all = WaitUntil([&] {
-    names = ThreadNames();
-    for (const std::string& name : want) {
-      if (std::count(names.begin(), names.end(), name) != 1) return false;
+  for (IoBackend backend : nblb::testing::BackendsToTest()) {
+    ShardedEngineOptions eopts = EngineOptions("names");
+    eopts.num_shards = 4;
+    eopts.num_workers = 4;
+    eopts.flusher_interval_us = 1000;
+    std::unique_ptr<ShardedEngine> engine;
+    {
+      nblb::testing::ScopedIoBackend env(nblb::testing::BackendName(backend));
+      ASSERT_OK_AND_ASSIGN(engine, ShardedEngine::Open(eopts));
     }
-    return !io_pool ||
-           std::find(names.begin(), names.end(), "nblb-io") != names.end();
-  });
-  std::string seen;
-  for (const std::string& name : names) seen += name + " ";
-  EXPECT_TRUE(all) << "threads: " << seen;
-  for (const std::string& name : names) {
-    if (name.rfind("nblb-", 0) != 0) continue;
-    const bool expected =
-        std::find(want.begin(), want.end(), name) != want.end() ||
-        (io_pool && name == "nblb-io");
-    EXPECT_TRUE(expected) << "unexpected thread " << name
-                          << "; threads: " << seen;
-  }
-  EXPECT_EQ(std::count(names.begin(), names.end(), "nblb-flush"), 0)
-      << "threads: " << seen;
+    ASSERT_OK_AND_ASSIGN(auto server,
+                         NetServer::Start(NetServerOptions{}, engine.get()));
+    // Writes on every shard, whose page allocations and flush passes each
+    // worker runs against its own disk.
+    RequestBatch puts;
+    for (int64_t id = 0; id < 64; ++id) {
+      puts.push_back(Request::Insert(id, KvRow(id)));
+    }
+    ASSERT_TRUE(engine->Execute(puts).all_ok());
 
-  server.reset();
-  engine.reset();
-  Cleanup(eopts);
+    // The server's threads: the net loop and one per worker. None flushes
+    // and none does disk I/O: each shard's worker runs its own flush
+    // passes and drives its own disk.
+    std::vector<std::string> want = {"nblb-net"};
+    for (uint32_t w = 0; w < engine->num_workers(); ++w) {
+      want.push_back("nblb-worker" + std::to_string(w));
+    }
+    // Each thread names itself as it starts. Until it does, it carries the
+    // name of the thread that started it.
+    std::vector<std::string> names;
+    const bool all = WaitUntil([&] {
+      names = ThreadNames();
+      for (const std::string& name : want) {
+        if (std::count(names.begin(), names.end(), name) != 1) return false;
+      }
+      return true;
+    });
+    std::string seen;
+    for (const std::string& name : names) seen += name + " ";
+    EXPECT_TRUE(all) << "threads: " << seen;
+    for (const std::string& name : names) {
+      if (name.rfind("nblb-", 0) != 0) continue;
+      EXPECT_NE(std::find(want.begin(), want.end(), name), want.end())
+          << "unexpected thread " << name << " on backend "
+          << nblb::testing::BackendName(backend) << "; threads: " << seen;
+    }
+
+    server.reset();
+    engine.reset();
+    Cleanup(eopts);
+  }
 }
 
 TEST(NetServerTest, RoundTripAllRequestKinds) {

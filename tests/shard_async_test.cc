@@ -74,44 +74,48 @@ size_t ProcessThreads() {
 }
 
 TEST(ShardAsyncTest, OpenStartsOnlyItsWorkers) {
-  // No flusher, and nothing served yet: the disk managers start their
-  // fallback pools lazily, so the engine's own threads are all that Open
-  // adds. Callbacks run on those workers; there is no other pool.
-  auto opts = SmallOptions("threads", 4, /*workers=*/2);
+  // The engine's workers are the only threads Open adds, on either disk
+  // backend: each worker drives its shards' disks itself, so no disk
+  // starts a thread. Callbacks run on those workers; there is no other
+  // pool.
   // A throwaway thread first: a sanitizer runtime that starts a helper
   // thread with the process's first thread (TSan does) has it by now.
   std::thread([] {}).join();
-  const size_t before = ProcessThreads();
-  ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(opts));
-  EXPECT_EQ(engine->num_workers(), 2u);
-  EXPECT_EQ(ProcessThreads(), before + 2);
-  engine.reset();
-  EXPECT_EQ(ProcessThreads(), before);
-  Cleanup(opts);
+  for (IoBackend backend : nblb::testing::BackendsToTest()) {
+    SCOPED_TRACE(nblb::testing::BackendName(backend));
+    nblb::testing::ScopedIoBackend env(nblb::testing::BackendName(backend));
+    auto opts = SmallOptions("threads", 4, /*workers=*/2);
+    const size_t before = ProcessThreads();
+    ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(opts));
+    EXPECT_EQ(engine->num_workers(), 2u);
+    EXPECT_EQ(ProcessThreads(), before + 2);
+    engine.reset();
+    EXPECT_EQ(ProcessThreads(), before);
+    Cleanup(opts);
 
-  // With the WAL on, committed writes start no thread: each log writes its
-  // own file with plain pwrite and fdatasync. (Open's checkpoint flushes
-  // the new tables, which starts each data file's fallback io pool when
-  // that backend is in use.)
-  opts.wal_enabled = true;
-  ASSERT_OK_AND_ASSIGN(engine, ShardedEngine::Open(opts));
-  const size_t opened = ProcessThreads();
-  RequestBatch puts;
-  for (uint64_t id = 0; id < 64; ++id) {
-    puts.push_back(Request::Insert(id, MakeRow(id)));
-  }
-  ASSERT_TRUE(engine->Execute(puts).all_ok());
-  EXPECT_GE(engine->MetricsSnapshotNow().Total("wal.commits"),
-            opts.num_shards);
-  EXPECT_EQ(ProcessThreads(), opened);
-  engine.reset();
-  EXPECT_EQ(ProcessThreads(), before);
-  Cleanup(opts);
-  for (uint32_t i = 0; i < opts.num_shards; ++i) {
-    const std::string db =
-        opts.path_prefix + ".shard" + std::to_string(i) + ".db";
-    std::remove((db + ".sb").c_str());
-    std::remove((db + ".wal").c_str());
+    // With the WAL on, neither Open (whose checkpoint writes the new
+    // tables to the data files) nor committed writes start a thread: each
+    // log writes its own file with plain pwrite and fdatasync.
+    opts.wal_enabled = true;
+    ASSERT_OK_AND_ASSIGN(engine, ShardedEngine::Open(opts));
+    EXPECT_EQ(ProcessThreads(), before + 2);
+    RequestBatch puts;
+    for (uint64_t id = 0; id < 64; ++id) {
+      puts.push_back(Request::Insert(id, MakeRow(id)));
+    }
+    ASSERT_TRUE(engine->Execute(puts).all_ok());
+    EXPECT_GE(engine->MetricsSnapshotNow().Total("wal.commits"),
+              opts.num_shards);
+    EXPECT_EQ(ProcessThreads(), before + 2);
+    engine.reset();
+    EXPECT_EQ(ProcessThreads(), before);
+    Cleanup(opts);
+    for (uint32_t i = 0; i < opts.num_shards; ++i) {
+      const std::string db =
+          opts.path_prefix + ".shard" + std::to_string(i) + ".db";
+      std::remove((db + ".sb").c_str());
+      std::remove((db + ".wal").c_str());
+    }
   }
 }
 

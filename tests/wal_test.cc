@@ -6,8 +6,6 @@
 // contract (a failed group commit fails the group's write tickets).
 
 #include <gtest/gtest.h>
-#include <signal.h>
-#include <sys/resource.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -29,6 +27,7 @@
 namespace nblb {
 namespace {
 
+using nblb::testing::FileSizeLimit;
 using nblb::testing::TempFile;
 
 // ---- Superblock -------------------------------------------------------------
@@ -504,31 +503,6 @@ TEST(WalLayoutTest, OpenThatOnlyReplaysLeavesTheFileByteIdentical) {
 }
 
 // ---- Fault injection --------------------------------------------------------
-
-/// Scoped write-failure injection via RLIMIT_FSIZE (see async_write_test.cc
-/// for why truncation would not work): any write past `bytes` fails EFBIG.
-class FileSizeLimit {
- public:
-  explicit FileSizeLimit(size_t bytes) {
-    prev_handler_ = ::signal(SIGXFSZ, SIG_IGN);
-    ::getrlimit(RLIMIT_FSIZE, &prev_);
-    struct rlimit lim = prev_;
-    lim.rlim_cur = static_cast<rlim_t>(bytes);
-    ::setrlimit(RLIMIT_FSIZE, &lim);
-  }
-  ~FileSizeLimit() { Release(); }
-  void Release() {
-    if (released_) return;
-    released_ = true;
-    ::setrlimit(RLIMIT_FSIZE, &prev_);
-    ::signal(SIGXFSZ, prev_handler_);
-  }
-
- private:
-  struct rlimit prev_;
-  void (*prev_handler_)(int) = SIG_DFL;
-  bool released_ = false;
-};
 
 TEST(WalFaultTest, CommitFailureIsStickyAndTailStaysConsistent) {
   TempFile file("wal_fsize");
